@@ -23,7 +23,6 @@ from .data import (
 )
 from .engine import (
     EurrReport,
-    LedgerTable,
     UrrReport,
     compute_eurr,
     exact_urr,

@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from fractions import Fraction
@@ -305,9 +306,7 @@ def _run_simulate(run_args: dict, out_dir: Path) -> int:
         "rounds": len(ledger),
         "realized_u_g": ledger.total_u_g,
         "realized_u_f": ledger.total_u_f,
-        "mean_published": (
-            sum(len(o.published) for o in ledger.outcomes) / len(ledger)
-        ),
+        "mean_published": sum(ledger.published_counts) / len(ledger),
     }
     _write_json(out_dir / "summary.json", summary)
     print(
@@ -433,7 +432,7 @@ def _cmd_eurr(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_value(raw: str):
+def _parse_value(raw: str, where: str):
     raw = raw.strip()
     try:
         return int(raw)
@@ -441,7 +440,10 @@ def _parse_value(raw: str):
         pass
     if "/" in raw:
         return Fraction(raw)
-    return float(raw)
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: value {raw!r} is not finite")
+    return value
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -452,7 +454,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         if reader.fieldnames is None or not {"f", "g"} <= set(reader.fieldnames):
             raise ConfigError(f"{args.items}: expected CSV columns f, g")
         items = tuple(
-            (_parse_value(row["f"]), _parse_value(row["g"])) for row in reader
+            (
+                _parse_value(row["f"], f"{args.items} line {lineno}"),
+                _parse_value(row["g"], f"{args.items} line {lineno}"),
+            )
+            for lineno, row in enumerate(reader, start=2)
         )
     if not items:
         raise ConfigError(f"{args.items}: no items")
@@ -479,8 +485,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         f"# manifest {manifest}\n" + table.to_csv_string()
     )
     scatter_lines = ["# manifest " + manifest, "domain,week,u_f_norm,u_g"]
-    for q in dataset.questions():
-        scatter_lines.append(f"{q.domain},{q.week},{q.u_f_norm!r},{q.u_g!r}")
+    for pool in dataset.pools:
+        for q in pool.questions:
+            scatter_lines.append(
+                f"{q.domain},{pool.week},{q.u_f_norm!r},{q.u_g!r}"
+            )
     (out_dir / "scatter.csv").write_text("\n".join(scatter_lines) + "\n")
     summary = {
         "manifest_hash": manifest,

@@ -10,7 +10,9 @@ view counts normalized within the week.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import ConfigError
@@ -26,6 +28,7 @@ SCORERS_F = ("text", "precomputed")
 class Question:
     """One candidate question with both players' raw utility signals.
 
+    The question's week is the week of the :class:`RoundPool` holding it.
     ``u_f_norm`` is the curator-side utility: the view count divided by
     the week's normalization statistic.  It is ``None`` until
     :func:`set_utility` has run for the question's week.
@@ -34,7 +37,6 @@ class Question:
     """
 
     id: str
-    week: int
     domain: str
     title: str
     body: str
@@ -44,12 +46,14 @@ class Question:
     forum_score: float | None = None
 
     def __post_init__(self) -> None:
-        if self.week < 0:
-            raise ValueError(f"question {self.id!r}: week must be >= 0")
-        if self.view_count < 0:
-            raise ValueError(f"question {self.id!r}: view_count must be >= 0")
-        if self.u_g < 0:
-            raise ValueError(f"question {self.id!r}: u_g must be >= 0")
+        if not (self.view_count >= 0 and self.view_count % 1 == 0):
+            raise ValueError(
+                f"question {self.id!r}: view_count must be a whole number >= 0"
+            )
+        if not (math.isfinite(self.u_g) and self.u_g >= 0):
+            raise ValueError(f"question {self.id!r}: u_g must be finite and >= 0")
+        if self.forum_score is not None and not math.isfinite(self.forum_score):
+            raise ValueError(f"question {self.id!r}: forum_score must be finite")
         if self.u_f_norm is not None and not 0.0 <= self.u_f_norm <= 1.0:
             raise ValueError(f"question {self.id!r}: u_f_norm outside [0, 1]")
 
@@ -72,13 +76,10 @@ class RoundPool:
     norm_stat: float | None = None
 
     def __post_init__(self) -> None:
+        if self.week < 0:
+            raise ValueError(f"week {self.week}: week must be >= 0")
         if not self.questions:
             raise ValueError(f"week {self.week}: empty round pool")
-        for q in self.questions:
-            if q.week != self.week:
-                raise ValueError(
-                    f"week {self.week}: question {q.id!r} carries week {q.week}"
-                )
 
     def __len__(self) -> int:
         return len(self.questions)
@@ -185,50 +186,74 @@ class SelectionOutcome:
             raise ValueError(f"week {self.week}: duplicate published ids")
 
 
+def running_total(values: Iterable[float]) -> tuple[float, ...]:
+    """Left-to-right running sums from 0.0, so the last one equals the
+    plain ``sum()`` of the values exactly."""
+    return tuple(accumulate(values, initial=0.0))[1:]
+
+
 @dataclass(frozen=True)
 class GameLedger:
-    """Per-round outcomes plus running totals for both players.
+    """Per-round columns of one run, as the ledger CSV stores them.
 
-    Cumulative totals are plain left-to-right sums of the per-round
-    realized utilities, so they match ``sum()`` over the rounds exactly.
+    ``outcomes`` holds the rounds' :class:`SelectionOutcome` records,
+    with question ids, when the run was played in memory; it is empty
+    for a ledger read back from CSV.  Cumulative totals are plain
+    left-to-right sums of the per-round realized utilities, so they
+    match ``sum()`` over the rounds exactly.
     """
 
-    outcomes: tuple[SelectionOutcome, ...]
-    cum_u_g: tuple[float, ...] = field(default=())
-    cum_u_f: tuple[float, ...] = field(default=())
+    weeks: tuple[int, ...]
+    proposed_counts: tuple[int, ...]
+    published_counts: tuple[int, ...]
+    u_g: tuple[float, ...]
+    u_f: tuple[float, ...]
+    cum_u_g: tuple[float, ...]
+    cum_u_f: tuple[float, ...]
+    outcomes: tuple[SelectionOutcome, ...] = ()
 
     @classmethod
     def from_outcomes(cls, outcomes: Sequence[SelectionOutcome]) -> GameLedger:
-        cum_g: list[float] = []
-        cum_f: list[float] = []
-        total_g = 0.0
-        total_f = 0.0
-        for o in outcomes:
-            total_g = total_g + o.u_g_realized
-            total_f = total_f + o.u_f_realized
-            cum_g.append(total_g)
-            cum_f.append(total_f)
-        return cls(tuple(outcomes), tuple(cum_g), tuple(cum_f))
+        u_g = tuple(o.u_g_realized for o in outcomes)
+        u_f = tuple(o.u_f_realized for o in outcomes)
+        return cls(
+            weeks=tuple(o.week for o in outcomes),
+            proposed_counts=tuple(len(o.proposed) for o in outcomes),
+            published_counts=tuple(len(o.published) for o in outcomes),
+            u_g=u_g,
+            u_f=u_f,
+            cum_u_g=running_total(u_g),
+            cum_u_f=running_total(u_f),
+            outcomes=tuple(outcomes),
+        )
 
     def __post_init__(self) -> None:
-        if len(self.cum_u_g) != len(self.outcomes) or len(self.cum_u_f) != len(
-            self.outcomes
-        ):
-            raise ValueError("cumulative series length must match outcome count")
+        columns = (
+            self.proposed_counts,
+            self.published_counts,
+            self.u_g,
+            self.u_f,
+            self.cum_u_g,
+            self.cum_u_f,
+        )
+        if any(len(c) != len(self.weeks) for c in columns):
+            raise ValueError("ledger columns must all have one entry per round")
+        if self.outcomes and len(self.outcomes) != len(self.weeks):
+            raise ValueError("outcome count must match the round count")
 
     def __len__(self) -> int:
-        return len(self.outcomes)
+        return len(self.weeks)
 
     @property
     def total_u_g(self) -> float:
-        return self.cum_u_g[-1] if self.outcomes else 0.0
+        return self.cum_u_g[-1] if self.weeks else 0.0
 
     @property
     def total_u_f(self) -> float:
-        return self.cum_u_f[-1] if self.outcomes else 0.0
+        return self.cum_u_f[-1] if self.weeks else 0.0
 
     def weekly_u_g(self) -> list[float]:
-        return [o.u_g_realized for o in self.outcomes]
+        return list(self.u_g)
 
     def weekly_u_f(self) -> list[float]:
-        return [o.u_f_realized for o in self.outcomes]
+        return list(self.u_f)

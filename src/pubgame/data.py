@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -111,6 +111,16 @@ def _parse_timestamp(raw: str, where: str) -> datetime:
         raise SchemaError(f"{where}: bad timestamp {raw!r}; expected ISO-8601")
 
 
+def _finite(raw, name: str, where: str) -> float:
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{where}: {name} {raw!r} is not a number")
+    if not math.isfinite(value):
+        raise SchemaError(f"{where}: {name} {raw!r} is not a finite number")
+    return value
+
+
 def _coerce_record(rec: dict, where: str) -> dict:
     for name in REQUIRED_FIELDS:
         if name not in rec or rec[name] is None or rec[name] == "":
@@ -123,26 +133,23 @@ def _coerce_record(rec: dict, where: str) -> dict:
             raise SchemaError(f"{where}: missing required field {name!r}")
     out = dict(rec)
     out["timestamp"] = _parse_timestamp(str(rec["timestamp"]), where)
+    views = rec["view_count"]
     try:
-        out["view_count"] = int(rec["view_count"])
+        if isinstance(views, float) and not views.is_integer():
+            raise ValueError
+        out["view_count"] = int(views)
     except (TypeError, ValueError):
-        raise SchemaError(f"{where}: view_count {rec['view_count']!r} is not an integer")
+        raise SchemaError(f"{where}: view_count {views!r} is not an integer")
     if out["view_count"] < 0:
         raise SchemaError(f"{where}: view_count must be >= 0")
-    try:
-        out["u_g"] = float(rec["u_g"])
-    except (TypeError, ValueError):
-        raise SchemaError(f"{where}: u_g {rec['u_g']!r} is not a number")
+    out["u_g"] = _finite(rec["u_g"], "u_g", where)
     if out["u_g"] < 0:
         raise SchemaError(f"{where}: u_g must be >= 0")
     score = rec.get("forum_score")
     if score is None or score == "":
         out["forum_score"] = None
     else:
-        try:
-            out["forum_score"] = float(score)
-        except (TypeError, ValueError):
-            raise SchemaError(f"{where}: forum_score {score!r} is not a number")
+        out["forum_score"] = _finite(score, "forum_score", where)
     out["id"] = str(rec["id"])
     out["domain"] = str(rec["domain"])
     out["title"] = str(rec["title"])
@@ -150,24 +157,22 @@ def _coerce_record(rec: dict, where: str) -> dict:
     return out
 
 
-def _read_jsonl(path: Path) -> list[dict]:
-    records = []
+def _read_jsonl(path: Path) -> Iterator[tuple[str, dict]]:
     with path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path.name} line {lineno}"
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
-                raise SchemaError(f"{path.name} line {lineno}: bad JSON ({e.msg})")
+                raise SchemaError(f"{where}: bad JSON ({e.msg})")
             if not isinstance(rec, dict):
-                raise SchemaError(f"{path.name} line {lineno}: expected an object")
-            records.append(_coerce_record(rec, f"{path.name} line {lineno}"))
-    return records
+                raise SchemaError(f"{where}: expected an object")
+            yield where, rec
 
 
-def _read_csv(path: Path) -> list[dict]:
-    records = []
+def _read_csv(path: Path) -> Iterator[tuple[str, dict]]:
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -181,8 +186,7 @@ def _read_csv(path: Path) -> list[dict]:
                 )
             raise SchemaError(f"{path.name}: missing columns {missing}")
         for lineno, row in enumerate(reader, start=2):
-            records.append(_coerce_record(row, f"{path.name} line {lineno}"))
-    return records
+            yield f"{path.name} line {lineno}", row
 
 
 def ingest(path: str | Path, fmt: str | None = None) -> Dataset:
@@ -204,19 +208,33 @@ def ingest(path: str | Path, fmt: str | None = None) -> Dataset:
                 f"cannot infer format from {path.name!r}; pass jsonl or csv"
             )
     if fmt == "jsonl":
-        records = _read_jsonl(path)
+        rows = _read_jsonl(path)
     elif fmt == "csv":
-        records = _read_csv(path)
+        rows = _read_csv(path)
     else:
         raise ConfigError(f"unknown dataset format {fmt!r}; expected jsonl or csv")
-    if not records:
-        raise SchemaError(f"{path.name}: no records")
 
+    records: list[dict] = []
     seen: set[str] = set()
-    for rec in records:
+    for where, row in rows:
+        rec = _coerce_record(row, where)
         if rec["id"] in seen:
             raise SchemaError(f"duplicate question id {rec['id']!r}")
         seen.add(rec["id"])
+        # naive and offset-aware datetimes do not compare, so one file
+        # holds one kind
+        aware = rec["timestamp"].utcoffset() is not None
+        if not records:
+            first_where, first_aware = where, aware
+        elif aware != first_aware:
+            kinds = ("naive", "offset-aware")
+            raise SchemaError(
+                f"{where}: timestamp is {kinds[aware]} but {first_where}'s is "
+                f"{kinds[first_aware]}; use one timestamp kind per file"
+            )
+        records.append(rec)
+    if not records:
+        raise SchemaError(f"{path.name}: no records")
 
     by_week: dict[tuple[int, int], list[dict]] = {}
     for rec in records:
@@ -229,7 +247,6 @@ def ingest(path: str | Path, fmt: str | None = None) -> Dataset:
         questions = tuple(
             Question(
                 id=rec["id"],
-                week=t,
                 domain=rec["domain"],
                 title=rec["title"],
                 body=rec["body"],
@@ -274,13 +291,9 @@ def normalize_weekly(dataset: Dataset) -> Dataset:
 
 
 def _reindex(pools: Sequence[RoundPool], metadata: dict) -> Dataset:
-    shifted = []
-    for t, pool in enumerate(pools):
-        questions = tuple(
-            dataclasses.replace(q, week=t) for q in pool.questions
-        )
-        shifted.append(dataclasses.replace(pool, week=t, questions=questions))
-    return Dataset(pools=tuple(shifted), metadata=metadata)
+    """Renumber pools from week 0; the questions are shared, not copied."""
+    pools = tuple(dataclasses.replace(pool, week=t) for t, pool in enumerate(pools))
+    return Dataset(pools=pools, metadata=metadata)
 
 
 def split_pretrain(
@@ -387,7 +400,6 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
             questions.append(
                 Question(
                     id=f"syn-{t:03d}-{i:04d}",
-                    week=t,
                     domain="synthetic",
                     title=" ".join(tokens[:3]),
                     body=" ".join(tokens[3:]),

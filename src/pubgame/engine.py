@@ -25,6 +25,7 @@ from .core import (
     Question,
     RoundPool,
     SelectionOutcome,
+    running_total,
     utility_of_set,
 )
 from .data import Dataset
@@ -201,7 +202,7 @@ class EurrReport:
 
 
 def exact_urr(
-    ledger,
+    ledger: GameLedger,
     source: Dataset | Sequence[RoundPool],
     k: int,
     *,
@@ -214,9 +215,9 @@ def exact_urr(
     oracle, whose error message points at the estimated-recovery path.
     """
     pools = _as_pools(source)
-    if len(ledger.weekly_u_g()) != len(pools):
+    if len(ledger) != len(pools):
         raise ConfigError(
-            f"ledger covers {len(ledger.weekly_u_g())} rounds but the pool "
+            f"ledger covers {len(ledger)} rounds but the pool "
             f"window has {len(pools)}"
         )
     star_g = 0.0
@@ -243,7 +244,9 @@ def exact_urr(
     )
 
 
-def compute_eurr(ledger, full_runs: Mapping[str, "GameLedger"]) -> EurrReport:
+def compute_eurr(
+    ledger: GameLedger, full_runs: Mapping[str, GameLedger]
+) -> EurrReport:
     """Recovery ratios against the best full-information heuristic.
 
     Each player's denominator is the maximum cumulative utility over
@@ -287,39 +290,8 @@ LEDGER_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class LedgerTable:
-    """A ledger read back from CSV: per-round totals without question
-    ids, quacking like GameLedger for analysis purposes."""
-
-    weeks: tuple[int, ...]
-    proposed_counts: tuple[int, ...]
-    published_counts: tuple[int, ...]
-    u_g: tuple[float, ...]
-    u_f: tuple[float, ...]
-    cum_u_g: tuple[float, ...]
-    cum_u_f: tuple[float, ...]
-
-    def __len__(self) -> int:
-        return len(self.weeks)
-
-    @property
-    def total_u_g(self) -> float:
-        return self.cum_u_g[-1] if self.weeks else 0.0
-
-    @property
-    def total_u_f(self) -> float:
-        return self.cum_u_f[-1] if self.weeks else 0.0
-
-    def weekly_u_g(self) -> list[float]:
-        return list(self.u_g)
-
-    def weekly_u_f(self) -> list[float]:
-        return list(self.u_f)
-
-
 def write_ledger_csv(
-    ledger, path: str | Path, *, manifest_hash: str | None = None
+    ledger: GameLedger, path: str | Path, *, manifest_hash: str | None = None
 ) -> None:
     """One row per round; floats use repr so reads round-trip exactly."""
     path = Path(path)
@@ -328,35 +300,24 @@ def write_ledger_csv(
             fh.write(f"# manifest {manifest_hash}\n")
         writer = csv.writer(fh)
         writer.writerow(LEDGER_COLUMNS)
-        weekly_g = ledger.weekly_u_g()
-        weekly_f = ledger.weekly_u_f()
-        if isinstance(ledger, GameLedger):
-            rows = [
-                (o.week, len(o.proposed), len(o.published))
-                for o in ledger.outcomes
-            ]
-            cum_g, cum_f = ledger.cum_u_g, ledger.cum_u_f
-        else:
-            rows = list(
-                zip(ledger.weeks, ledger.proposed_counts, ledger.published_counts)
-            )
-            cum_g, cum_f = ledger.cum_u_g, ledger.cum_u_f
-        for i, (week, n_prop, n_pub) in enumerate(rows):
-            writer.writerow(
-                [
-                    week,
-                    n_prop,
-                    n_pub,
-                    repr(weekly_g[i]),
-                    repr(weekly_f[i]),
-                    repr(cum_g[i]),
-                    repr(cum_f[i]),
-                ]
-            )
+        for row in zip(
+            ledger.weeks,
+            ledger.proposed_counts,
+            ledger.published_counts,
+            ledger.u_g,
+            ledger.u_f,
+            ledger.cum_u_g,
+            ledger.cum_u_f,
+        ):
+            writer.writerow(row[:3] + tuple(repr(v) for v in row[3:]))
 
 
-def read_ledger_csv(path: str | Path) -> LedgerTable:
-    """Parse a ledger CSV, checking the cumulative columns add up."""
+def read_ledger_csv(path: str | Path) -> GameLedger:
+    """Parse a ledger CSV, checking the cumulative columns add up.
+
+    The ledger has no outcomes: the CSV stores per-round counts and
+    totals, not question ids.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
         lines = [ln for ln in fh if not ln.startswith("#")]
@@ -370,33 +331,22 @@ def read_ledger_csv(path: str | Path) -> LedgerTable:
             f"{path.name}: unexpected columns {header}; expected "
             f"{list(LEDGER_COLUMNS)}"
         )
-    weeks, n_prop, n_pub, u_g, u_f, cum_g, cum_f = [], [], [], [], [], [], []
-    for row in reader:
+    rows = list(reader)
+    for row in rows:
         if len(row) != len(LEDGER_COLUMNS):
             raise SchemaError(f"{path.name}: malformed row {row}")
-        weeks.append(int(row[0]))
-        n_prop.append(int(row[1]))
-        n_pub.append(int(row[2]))
-        u_g.append(float(row[3]))
-        u_f.append(float(row[4]))
-        cum_g.append(float(row[5]))
-        cum_f.append(float(row[6]))
-    total_g = 0.0
-    total_f = 0.0
-    for i in range(len(weeks)):
-        total_g = total_g + u_g[i]
-        total_f = total_f + u_f[i]
-        if total_g != cum_g[i] or total_f != cum_f[i]:
+    # the CSV columns are the ledger's fields in order: three counts,
+    # then four utility columns
+    columns = list(zip(*rows)) or [()] * len(LEDGER_COLUMNS)
+    ledger = GameLedger(
+        *(tuple(map(int if j < 3 else float, col)) for j, col in enumerate(columns))
+    )
+    expected = zip(running_total(ledger.u_g), running_total(ledger.u_f))
+    stored = zip(ledger.cum_u_g, ledger.cum_u_f)
+    for week, want, got in zip(ledger.weeks, expected, stored):
+        if want != got:
             raise SchemaError(
                 f"{path.name}: cumulative totals disagree with per-round "
-                f"values at week {weeks[i]}"
+                f"values at week {week}"
             )
-    return LedgerTable(
-        weeks=tuple(weeks),
-        proposed_counts=tuple(n_prop),
-        published_counts=tuple(n_pub),
-        u_g=tuple(u_g),
-        u_f=tuple(u_f),
-        cum_u_g=tuple(cum_g),
-        cum_u_f=tuple(cum_f),
-    )
+    return ledger

@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import Question, RoundPool
 from .errors import CalibrationError
+from .stats import _double_average_ranks
 from .textmodel import AcceptanceModel, FeaturizerConfig, train_acceptance
 
 
@@ -70,19 +71,7 @@ def label_by_percentile(
                 )
             values.append(q.u_f_norm)
         n = len(values)
-        order = sorted(range(n), key=lambda i: values[i])
-        # doubled average ranks stay integral: 2 * (lo + hi) / 2 over 1-based
-        # tie runs
-        double_rank = [0] * n
-        pos = 0
-        while pos < n:
-            end = pos
-            while end + 1 < n and values[order[end + 1]] == values[order[pos]]:
-                end += 1
-            dr = (pos + 1) + (end + 1)
-            for j in range(pos, end + 1):
-                double_rank[order[j]] = dr
-            pos = end + 1
+        double_rank = _double_average_ranks(values)
         for i, q in enumerate(pool.questions):
             # pct >= 0.6  <=>  (2r - 1) * 5 >= 6n ; pct <= 0.4 mirrored
             lhs = (double_rank[i] - 1) * 5

@@ -292,6 +292,72 @@ def test_main_maps_errors_to_exit_code_one(tmp_path, capsys):
     assert "line 1" in err
 
 
+CSV_HEADER = "id,timestamp,domain,title,body,view_count,u_g,forum_score\n"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("c2,2024-01-02T00:00:00,dba,t,b,7,nan,0.5", "u_g 'nan' is not a finite"),
+        ("c2,2024-01-02T00:00:00,dba,t,b,7,inf,0.5", "u_g 'inf' is not a finite"),
+        ("c2,2024-01-02T00:00:00,dba,t,b,7,2.5,inf", "forum_score 'inf' is not a finite"),
+        ("c2,2024-01-02T00:00:00+01:00,dba,t,b,7,2.5,", "timestamp is offset-aware"),
+    ],
+)
+def test_validate_rejects_bad_csv_values(tmp_path, capsys, row, message):
+    path = tmp_path / "data.csv"
+    path.write_text(CSV_HEADER + "c1,2024-01-01T00:00:00,dba,t,b,5,1.5,0.25\n" + row + "\n")
+    assert main(["validate", "--data", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: data.csv line 3: ")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("view_count", "3.7", "view_count 3.7 is not an integer"),
+        ("view_count", "Infinity", "view_count inf is not an integer"),
+        ("u_g", "NaN", "u_g nan is not a finite"),
+        ("forum_score", "-Infinity", "forum_score -inf is not a finite"),
+    ],
+)
+def test_validate_rejects_bad_jsonl_numbers(tmp_path, capsys, field, value, message):
+    good = {
+        "id": "a", "timestamp": "2024-01-01T00:00:00", "domain": "d",
+        "title": "t", "body": "b", "view_count": 4, "u_g": 1.0,
+    }
+    # the raw JSON token, so 3.7 and the non-standard NaN/Infinity reach ingest
+    bad = json.dumps(dict(good, id="b", **{field: "RAW"})).replace('"RAW"', value)
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(good) + "\n" + bad + "\n")
+    assert main(["validate", "--data", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: data.jsonl line 2: ")
+    assert message in err
+
+
+def test_validate_accepts_integral_jsonl_float_view_count(tmp_path, capsys):
+    rec = {
+        "id": "a", "timestamp": "2024-01-01T00:00:00", "domain": "d",
+        "title": "t", "body": "b", "view_count": 3.0, "u_g": 1.0,
+    }
+    path = tmp_path / "data.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    assert main(["validate", "--data", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("ok: 1 questions")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_oracle_command_rejects_non_finite_values(tmp_path, capsys, value):
+    items = tmp_path / "items.csv"
+    items.write_text(f"f,g\n3,1\n1,{value}\n")
+    assert main(["oracle", "--items", str(items), "--k", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "items.csv line 3: value" in err
+    assert "is not finite" in err
+
+
 def test_main_requires_data_flags_without_manifest(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--out-dir", str(tmp_path / "x")])

@@ -23,8 +23,6 @@ def test_question_text_joins_title_and_body():
 
 def test_question_rejects_negative_fields():
     with pytest.raises(ValueError):
-        mk_q(1, week=-1)
-    with pytest.raises(ValueError):
         mk_q(1, views=-5)
     with pytest.raises(ValueError):
         mk_q(1, u_g=-0.1)
@@ -32,9 +30,9 @@ def test_question_rejects_negative_fields():
         mk_q(1, u_f_norm=1.5)
 
 
-def test_pool_rejects_week_mismatch_and_empty():
+def test_pool_rejects_negative_week_and_empty():
     with pytest.raises(ValueError):
-        RoundPool(week=2, questions=(mk_q(1, week=3),))
+        RoundPool(week=-1, questions=(mk_q(1),))
     with pytest.raises(ValueError):
         RoundPool(week=0, questions=())
 
@@ -106,6 +104,8 @@ def test_ledger_accumulates_left_to_right():
     assert ledger.total_u_g == 10.0
     assert ledger.total_u_f == 5.0
     assert ledger.weekly_u_g() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert ledger.weeks == (0, 1, 2, 3, 4)
+    assert ledger.published_counts == (1, 1, 1, 1, 1)
     assert len(ledger) == 5
 
 
@@ -123,14 +123,33 @@ def test_ledger_totals_match_plain_sum_order_exactly():
 
 
 def test_ledger_rejects_mismatched_cumulative_series():
+    ledger = GameLedger.from_outcomes([_outcome(0, 1.0, 1.0)])
     with pytest.raises(ValueError):
-        GameLedger(outcomes=(_outcome(0, 1.0, 1.0),), cum_u_g=(), cum_u_f=(1.0,))
+        dataclasses.replace(ledger, cum_u_g=())
+    with pytest.raises(ValueError):
+        dataclasses.replace(ledger, outcomes=ledger.outcomes * 2)
 
 
 def test_empty_ledger_totals_are_zero():
     ledger = GameLedger.from_outcomes([])
     assert ledger.total_u_g == 0.0
     assert ledger.total_u_f == 0.0
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"u_g": float("nan")},
+        {"u_g": float("inf")},
+        {"forum_score": float("nan")},
+        {"forum_score": float("-inf")},
+        {"views": 3.7},
+        {"views": float("nan")},
+    ],
+)
+def test_question_rejects_non_finite_and_fractional_values(fields):
+    with pytest.raises(ValueError):
+        mk_q(1, **fields)
 
 
 def test_question_is_immutable():

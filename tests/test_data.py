@@ -129,6 +129,27 @@ def test_ingest_rejects_bad_records(tmp_path):
             ingest(path)
 
 
+def test_ingest_rejects_mixed_timestamp_kinds(tmp_path):
+    path = tmp_path / "mixed.csv"
+    path.write_text(
+        "id,timestamp,domain,title,body,view_count,u_g\n"
+        "c1,2024-01-01T00:00:00,dba,t one,b one,5,1.5\n"
+        "c2,2024-01-02T00:00:00+02:00,dba,t two,b two,7,2.5\n"
+    )
+    with pytest.raises(SchemaError, match="mixed.csv line 3: timestamp is offset-aware"):
+        ingest(path)
+
+
+def test_ingest_accepts_offset_aware_timestamps(tmp_path):
+    path = write_records(
+        tmp_path / "aware.jsonl",
+        [record(0, "2024-01-01T00:00:00+00:00"), record(1, "2024-01-08T09:30:00-05:00")],
+    )
+    ds = ingest(path)
+    assert ds.n_weeks == 2
+    assert ds.metadata["span"] == ["2024-01-01T00:00:00+00:00", "2024-01-08T09:30:00-05:00"]
+
+
 def test_ingest_rejects_duplicates_and_empty(tmp_path):
     rec = record(0, "2024-01-01T00:00:00")
     path = write_records(tmp_path / "dup.jsonl", [rec, rec])
@@ -170,10 +191,19 @@ def test_split_pretrain_partitions_and_reindexes():
     assert sim.metadata["source_weeks"] == [5, 6, 7, 8, 9]
     for split in (train, val, sim):
         assert [p.week for p in split.pools] == list(range(split.n_weeks))
-        for pool in split.pools:
-            assert all(q.week == pool.week for q in pool.questions)
     total = train.n_weeks + val.n_weeks + sim.n_weeks
     assert total == ds.n_weeks
+
+
+def test_split_pretrain_shares_question_objects_with_parent():
+    ds = Dataset(pools=tuple(mk_pool(w, [(10, 1.0), (20, 2.0)]) for w in range(10)))
+    splits = split_pretrain(ds, 5)
+    pools = [pool for split in splits for pool in split.pools]
+    assert len(pools) == ds.n_weeks
+    for parent, child in zip(ds.pools, pools):
+        assert child.questions is parent.questions
+        assert all(a is b for a, b in zip(child.questions, parent.questions))
+        assert child.norm_stat == parent.norm_stat
 
 
 def test_split_pretrain_validation():
@@ -277,15 +307,9 @@ def test_write_jsonl_round_trip(tmp_path):
     write_jsonl(ds, path)
     back = ingest(path)
     assert back.n_weeks == ds.n_weeks
-    for orig, re_read in zip(ds.questions(), back.questions()):
-        assert (orig.id, orig.week, orig.title, orig.body) == (
-            re_read.id,
-            re_read.week,
-            re_read.title,
-            re_read.body,
-        )
-        assert orig.view_count == re_read.view_count
-        assert orig.u_g == re_read.u_g
+    for orig_pool, back_pool in zip(ds.pools, back.pools):
+        assert orig_pool.week == back_pool.week
+        assert orig_pool.questions == back_pool.questions
 
 
 def test_write_jsonl_is_byte_deterministic(tmp_path):

@@ -1,4 +1,10 @@
+import dataclasses
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pubgame import (
     ConfigError,
@@ -35,7 +41,6 @@ def scored_pools(weeks, n=10, seed=1):
             qs.append(
                 mk_q(
                     f"{week}-{i}",
-                    week,
                     views=views,
                     u_g=float(rng.randint(1, 60)),
                     forum_score=views / 100.0,
@@ -135,9 +140,9 @@ def _spec_pool():
     # items (u_g, u_f_norm) = (3, 1/3), (1, 1), (2, 2/3): the oracle pair
     # is {0, 1} on the product (4) * (4/3)
     qs = (
-        mk_q("a", 0, views=1, u_g=3.0, u_f_norm=1 / 3),
-        mk_q("b", 0, views=3, u_g=1.0, u_f_norm=1.0),
-        mk_q("c", 0, views=2, u_g=2.0, u_f_norm=2 / 3),
+        mk_q("a", views=1, u_g=3.0, u_f_norm=1 / 3),
+        mk_q("b", views=3, u_g=1.0, u_f_norm=1.0),
+        mk_q("c", views=2, u_g=2.0, u_f_norm=2 / 3),
     )
     return RoundPool(week=0, questions=qs, norm_stat=3)
 
@@ -162,7 +167,7 @@ def test_exact_urr_window_mismatch():
 
 
 def test_exact_urr_zero_optimum_is_an_error():
-    qs = (mk_q("a", 0, views=0, u_g=1.0, u_f_norm=0.0),)
+    qs = (mk_q("a", views=0, u_g=1.0, u_f_norm=0.0),)
     pool = RoundPool(week=0, questions=qs, norm_stat=0)
     ledger = GameLedger.from_outcomes([SelectionOutcome(0, ("qa",), (), 0.0, 0.0)])
     with pytest.raises(ValueError):
@@ -228,6 +233,9 @@ def test_ledger_csv_round_trip_is_exact(tmp_path):
     assert path.read_text().startswith("# manifest cafe0123deadbeef\n")
 
     table = read_ledger_csv(path)
+    assert isinstance(table, GameLedger)
+    assert table.outcomes == ()
+    assert table.published_counts == ledger.published_counts
     assert table.weeks == tuple(o.week for o in ledger.outcomes)
     assert table.u_g == tuple(ledger.weekly_u_g())
     assert table.cum_u_g == ledger.cum_u_g
@@ -238,6 +246,33 @@ def test_ledger_csv_round_trip_is_exact(tmp_path):
     second = tmp_path / "again.csv"
     write_ledger_csv(table, second, manifest_hash="cafe0123deadbeef")
     assert second.read_bytes() == path.read_bytes()
+
+
+# bounded so running totals cannot overflow to inf
+_finite = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 4), st.integers(0, 4), _finite, _finite),
+        max_size=20,
+    )
+)
+def test_ledger_csv_round_trip_property(rounds):
+    outcomes = []
+    for t, (n_prop, n_pub, u_g, u_f) in enumerate(rounds):
+        proposed = tuple(f"{t}-{i}" for i in range(n_prop))
+        outcomes.append(SelectionOutcome(t, proposed, proposed[:n_pub], u_g, u_f))
+    ledger = GameLedger.from_outcomes(outcomes)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+        write_ledger_csv(ledger, first)
+        back = read_ledger_csv(first)
+        write_ledger_csv(back, second)
+        assert second.read_bytes() == first.read_bytes()
+    assert back == dataclasses.replace(ledger, outcomes=())
+    assert (back.total_u_g, back.total_u_f) == (ledger.total_u_g, ledger.total_u_f)
 
 
 def test_read_ledger_csv_rejects_drifted_cumulatives(tmp_path):

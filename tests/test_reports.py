@@ -30,7 +30,6 @@ def _domain_dataset():
             qs.append(
                 mk_q(
                     f"a{week}{i}",
-                    week,
                     views=10 * (i + 1),
                     u_g=float(6 - i),
                     domain="anti",
@@ -40,7 +39,6 @@ def _domain_dataset():
             qs.append(
                 mk_q(
                     f"p{week}{i}",
-                    week,
                     views=10 * (i + 1),
                     u_g=float(i + 1),
                     domain="pro",
@@ -85,11 +83,11 @@ def test_misalignment_report_skips_degenerate_groups():
     pools = []
     for week in range(2):
         qs = [
-            mk_q(f"c{week}{i}", week, views=10, u_g=2.0, domain="const")
+            mk_q(f"c{week}{i}", views=10, u_g=2.0, domain="const")
             for i in range(4)
         ]
         qs.extend(
-            mk_q(f"v{week}{i}", week, views=10 * (i + 1), u_g=float(i), domain="vary")
+            mk_q(f"v{week}{i}", views=10 * (i + 1), u_g=float(i), domain="vary")
             for i in range(4)
         )
         pools.append(RoundPool(week=week, questions=tuple(qs)))
@@ -99,7 +97,7 @@ def test_misalignment_report_skips_degenerate_groups():
 
 
 def test_misalignment_report_requires_normalization():
-    ds = Dataset(pools=(RoundPool(week=0, questions=(mk_q("x", 0),)),))
+    ds = Dataset(pools=(RoundPool(week=0, questions=(mk_q("x"),)),))
     with pytest.raises(ConfigError):
         misalignment_report(ds)
 

@@ -50,8 +50,8 @@ def test_utility_strategy_discounts_unlikely_questions():
         FeaturizerConfig(min_df=1),
     )
     qs = (
-        mk_q("hi-g", 0, views=10, u_g=1.0, title="beta topic", u_f_norm=1.0),
-        mk_q("lo-g", 0, views=10, u_g=0.9, title="alpha topic", u_f_norm=1.0),
+        mk_q("hi-g", views=10, u_g=1.0, title="beta topic", u_f_norm=1.0),
+        mk_q("lo-g", views=10, u_g=0.9, title="alpha topic", u_f_norm=1.0),
     )
     pool = RoundPool(week=0, questions=qs, norm_stat=10)
     assert strategy_g_greedy(pool, 1)[0].id == "qhi-g"
@@ -148,7 +148,7 @@ def test_calibrate_theta_matches_independent_sweep():
 
 def _precomputed_pool():
     qs = tuple(
-        mk_q(f"p{i}", 0, views=10, u_g=1.0, u_f_norm=0.5, forum_score=s)
+        mk_q(f"p{i}", views=10, u_g=1.0, u_f_norm=0.5, forum_score=s)
         for i, s in enumerate([0.9, 0.3, 0.7, 0.9, 0.4])
     )
     return RoundPool(week=0, questions=qs, norm_stat=10)
@@ -193,7 +193,6 @@ def _topic_pools(weeks, seed=0, n=12):
             qs.append(
                 mk_q(
                     f"{week}-{i}",
-                    week,
                     views=views,
                     u_g=float(rng.randint(1, 50)),
                     title=f"{word} question",
@@ -217,8 +216,8 @@ def test_train_text_scorer_learns_topic_threshold():
     assert scorer.kind == "text"
     assert 0.0 <= scorer.theta <= 1.0
     assert scorer.calibration is not None
-    hot = mk_q("hot", 0, title="alpha question", body="alpha detail", u_f_norm=1.0)
-    cold = mk_q("cold", 0, title="beta question", body="beta detail", u_f_norm=0.0)
+    hot = mk_q("hot", title="alpha question", body="alpha detail", u_f_norm=1.0)
+    cold = mk_q("cold", title="beta question", body="beta detail", u_f_norm=0.0)
     s_hot, s_cold = scorer.score([hot, cold])
     assert s_hot > s_cold
 
@@ -243,7 +242,6 @@ def test_make_precomputed_scorer_calibrates_from_column():
         qs = tuple(
             mk_q(
                 f"{week}-{i}",
-                week,
                 views=rng.randint(1, 100),
                 u_g=1.0,
                 forum_score=rng.random(),
