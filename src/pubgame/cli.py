@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .core import GameConfig
+from .core import STRATEGIES_G, GameConfig
 from .data import (
     Dataset,
     SyntheticSpec,
@@ -54,7 +54,7 @@ from .reports import (
     misalignment_table,
     significance_table,
 )
-from .strategies import make_precomputed_scorer, train_text_scorer
+from .strategies import SCORER_KINDS, make_precomputed_scorer, train_text_scorer
 
 log = logging.getLogger("pubgame")
 
@@ -71,26 +71,35 @@ def _parse_bool(raw: str) -> bool:
     return value
 
 
-_CONFIG_COERCERS = {
-    "m_cap": int,
-    "k_cap": int,
-    "rounds": int,
-    "retrain_period": int,
-    "theta": float,
-    "seed": int,
-    "strategy_g": str,
-    "scorer_f": str,
-    "learn_acceptance": _parse_bool,
-    "pretrain_weeks": int,
-    "k": int,
-    "heuristics": str,
-    "oracle_budget": int,
-    "alpha": float,
+# The config keys of each run command, key -> (coercer, default).  Each
+# key is also the dest of a flag of that command whose default is None,
+# so a flag wins over the file value, which wins over the default.
+SIMULATE_KEYS = {
+    "pretrain_weeks": (int, 13),
+    "m_cap": (int, GameConfig.m_cap),
+    "k_cap": (int, GameConfig.k_cap),
+    "rounds": (int, GameConfig.rounds),
+    "retrain_period": (int, GameConfig.retrain_period),
+    "theta": (float, None),
+    "seed": (int, GameConfig.seed),
+    "strategy_g": (str, GameConfig.strategy_g),
+    "scorer_f": (str, "text"),
+    "learn_acceptance": (_parse_bool, GameConfig.learn_acceptance),
+}
+
+FULL_INFO_KEYS = {
+    "pretrain_weeks": (int, 13),
+    "k": (int, GameConfig.k_cap),
+    "rounds": (int, GameConfig.rounds),
+    "seed": (int, 0),
+    "heuristics": (str, ",".join(HEURISTICS)),
 }
 
 
-def read_config(path: str | Path) -> dict:
-    """Parse a flat ``key = value`` configuration file."""
+def read_config(path: str | Path, keys: dict) -> dict:
+    """Parse a flat ``key = value`` configuration file, accepting only
+    the keys of one command's table (:data:`SIMULATE_KEYS` or
+    :data:`FULL_INFO_KEYS`)."""
     values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -101,12 +110,12 @@ def read_config(path: str | Path) -> dict:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        coerce = _CONFIG_COERCERS.get(key)
-        if coerce is None:
+        if key not in keys:
             raise ConfigError(
                 f"{path} line {lineno}: unknown key {key!r}; known keys: "
-                f"{', '.join(sorted(_CONFIG_COERCERS))}"
+                f"{', '.join(sorted(keys))}"
             )
+        coerce, _ = keys[key]
         try:
             values[key] = coerce(val)
         except ValueError as e:
@@ -182,19 +191,27 @@ def load_manifest(path: str | Path, command: str) -> dict:
     return payload
 
 
-def _resolve(args: argparse.Namespace, file_values: dict, name: str, default):
-    flag = getattr(args, name, None)
-    if flag is not None:
-        return flag
-    if name in file_values:
-        return file_values[name]
-    return default
+def _resolved(path: str) -> str:
+    return str(Path(path).resolve())
 
 
-def _prepare_out_dir(raw: str) -> Path:
-    out = Path(raw)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _data_args(args: argparse.Namespace) -> dict:
+    return {"data": _resolved(args.data), "format": args.format}
+
+
+def _dir_args(args: argparse.Namespace) -> dict:
+    return {"asym_dir": _resolved(args.asym_dir), "full_dir": _resolved(args.full_dir)}
+
+
+def _config_args(args: argparse.Namespace, keys: dict) -> dict:
+    """The data flags, plus each key's flag, else its file value, else
+    its default."""
+    file_values = read_config(args.config, keys) if args.config else {}
+    run_args = _data_args(args)
+    for key, (_, default) in keys.items():
+        flag = getattr(args, key)
+        run_args[key] = flag if flag is not None else file_values.get(key, default)
+    return run_args
 
 
 def _load_split(run_args: dict) -> tuple[Dataset, Dataset, Dataset]:
@@ -252,39 +269,18 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _simulate_run_args(args: argparse.Namespace) -> dict:
-    file_values = read_config(args.config) if args.config else {}
-    defaults = GameConfig()
-    return {
-        "data": args.data,
-        "format": args.format,
-        "pretrain_weeks": _resolve(args, file_values, "pretrain_weeks", 13),
-        "m_cap": _resolve(args, file_values, "m_cap", defaults.m_cap),
-        "k_cap": _resolve(args, file_values, "k_cap", defaults.k_cap),
-        "rounds": _resolve(args, file_values, "rounds", defaults.rounds),
-        "retrain_period": _resolve(
-            args, file_values, "retrain_period", defaults.retrain_period
-        ),
-        "theta": _resolve(args, file_values, "theta", None),
-        "seed": _resolve(args, file_values, "seed", defaults.seed),
-        "strategy_g": _resolve(args, file_values, "strategy_g", defaults.strategy_g),
-        "scorer_f": _resolve(args, file_values, "scorer_f", defaults.scorer_f),
-        "learn_acceptance": _resolve(args, file_values, "learn_acceptance", True),
-    }
-
-
 def _run_simulate(run_args: dict, out_dir: Path) -> int:
     config = GameConfig(
-        m_cap=run_args["m_cap"],
-        k_cap=run_args["k_cap"],
-        rounds=run_args["rounds"],
-        retrain_period=run_args["retrain_period"],
-        theta=run_args["theta"],
-        seed=run_args["seed"],
-        strategy_g=run_args["strategy_g"],
-        scorer_f=run_args["scorer_f"],
-        learn_acceptance=run_args["learn_acceptance"],
+        **{f.name: run_args[f.name] for f in dataclasses.fields(GameConfig)}
     )
+    if run_args["scorer_f"] not in SCORER_KINDS:
+        raise ConfigError(
+            f"unknown curator scorer {run_args['scorer_f']!r}; "
+            f"expected one of {', '.join(SCORER_KINDS)}"
+        )
+    theta = run_args["theta"]
+    if theta is not None and not 0.0 <= theta <= 1.0:
+        raise ConfigError(f"theta must lie in [0, 1], got {theta}")
     train, val, sim = _load_split(run_args)
     scorer = _build_scorer(run_args, train, val)
     ledger = run_asymmetric(sim, config, scorer)
@@ -300,7 +296,7 @@ def _run_simulate(run_args: dict, out_dir: Path) -> int:
         "manifest_hash": manifest,
         "command": "simulate",
         "strategy_g": config.strategy_g,
-        "scorer_f": config.scorer_f,
+        "scorer_f": run_args["scorer_f"],
         "theta": scorer.theta,
         "calibration": calibration,
         "rounds": len(ledger),
@@ -316,34 +312,17 @@ def _run_simulate(run_args: dict, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    out_dir = _prepare_out_dir(args.out_dir)
-    if args.manifest:
-        run_args = load_manifest(args.manifest, "simulate")["args"]
-    else:
-        run_args = _simulate_run_args(args)
-    return _run_simulate(run_args, out_dir)
-
-
-def _full_info_run_args(args: argparse.Namespace) -> dict:
-    file_values = read_config(args.config) if args.config else {}
-    heuristics = _resolve(args, file_values, "heuristics", ",".join(HEURISTICS))
-    names = [h.strip() for h in heuristics.split(",") if h.strip()]
+def _full_info_args(args: argparse.Namespace) -> dict:
+    run_args = _config_args(args, FULL_INFO_KEYS)
+    names = [h.strip() for h in run_args["heuristics"].split(",") if h.strip()]
     for name in names:
         if name not in HEURISTICS:
             raise ConfigError(
                 f"unknown heuristic {name!r}; expected any of "
                 f"{', '.join(HEURISTICS)}"
             )
-    return {
-        "data": args.data,
-        "format": args.format,
-        "pretrain_weeks": _resolve(args, file_values, "pretrain_weeks", 13),
-        "k": _resolve(args, file_values, "k", GameConfig().k_cap),
-        "rounds": _resolve(args, file_values, "rounds", GameConfig().rounds),
-        "seed": _resolve(args, file_values, "seed", 0),
-        "heuristics": names,
-    }
+    run_args["heuristics"] = names
+    return run_args
 
 
 def _run_full_info(run_args: dict, out_dir: Path) -> int:
@@ -387,15 +366,6 @@ def _run_full_info(run_args: dict, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_full_info(args: argparse.Namespace) -> int:
-    out_dir = _prepare_out_dir(args.out_dir)
-    if args.manifest:
-        run_args = load_manifest(args.manifest, "full-info")["args"]
-    else:
-        run_args = _full_info_run_args(args)
-    return _run_full_info(run_args, out_dir)
-
-
 def _read_run_dirs(asym_dir: str, full_dir: str):
     asym_path = Path(asym_dir) / "ledger.csv"
     if not asym_path.exists():
@@ -414,17 +384,12 @@ def _read_run_dirs(asym_dir: str, full_dir: str):
     return asym, runs
 
 
-def _cmd_eurr(args: argparse.Namespace) -> int:
-    if args.manifest:
-        run_args = load_manifest(args.manifest, "eurr")["args"]
-    else:
-        run_args = {"asym_dir": args.asym_dir, "full_dir": args.full_dir}
+def _run_eurr(run_args: dict, out_dir: Path | None) -> int:
     asym, runs = _read_run_dirs(run_args["asym_dir"], run_args["full_dir"])
     report = compute_eurr(asym, runs)
     print(f"eurr_g {report.eurr_g:.3f} (best {report.best_heuristic_g})")
     print(f"eurr_f {report.eurr_f:.3f} (best {report.best_heuristic_f})")
-    if args.out_dir:
-        out_dir = _prepare_out_dir(args.out_dir)
+    if out_dir is not None:
         manifest = write_manifest(out_dir, "eurr", run_args, None)
         payload = dataclasses.asdict(report)
         payload["manifest_hash"] = manifest
@@ -438,9 +403,12 @@ def _parse_value(raw: str, where: str):
         return int(raw)
     except ValueError:
         pass
-    if "/" in raw:
-        return Fraction(raw)
-    value = float(raw)
+    try:
+        if "/" in raw:
+            return Fraction(raw)
+        value = float(raw)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{where}: value {raw!r} is not a number")
     if not math.isfinite(value):
         raise ConfigError(f"{where}: value {raw!r} is not finite")
     return value
@@ -469,12 +437,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    out_dir = _prepare_out_dir(args.out_dir)
-    if args.manifest:
-        run_args = load_manifest(args.manifest, "analyze")["args"]
-    else:
-        run_args = {"data": args.data, "format": args.format}
+def _run_analyze(run_args: dict, out_dir: Path) -> int:
     dataset = normalize_weekly(ingest(run_args["data"], run_args.get("format")))
     report = misalignment_report(dataset)
     table = misalignment_table(report)
@@ -515,17 +478,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    out_dir = _prepare_out_dir(args.out_dir)
-    if args.manifest:
-        run_args = load_manifest(args.manifest, "report")["args"]
-    else:
-        run_args = {
-            "asym_dir": args.asym_dir,
-            "full_dir": args.full_dir,
-            "paired": not args.welch,
-            "alpha": args.alpha,
-        }
+def _run_report(run_args: dict, out_dir: Path) -> int:
     asym, runs = _read_run_dirs(run_args["asym_dir"], run_args["full_dir"])
     summary_path = Path(run_args["asym_dir"]) / "summary.json"
     strategy = "asym"
@@ -569,6 +522,33 @@ def _cmd_report(args: argparse.Namespace) -> int:
     print(text, end="")
     print(f"-> {out_dir}")
     return 0
+
+
+# Each run command builds its arguments from flags, or takes them from a
+# manifest, and then runs: command -> (args_from_flags, run).
+_RUNS = {
+    "simulate": (lambda args: _config_args(args, SIMULATE_KEYS), _run_simulate),
+    "full-info": (_full_info_args, _run_full_info),
+    "eurr": (_dir_args, _run_eurr),
+    "analyze": (_data_args, _run_analyze),
+    "report": (
+        lambda args: {**_dir_args(args), "paired": not args.welch, "alpha": args.alpha},
+        _run_report,
+    ),
+}
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    args_from_flags, run = _RUNS[args.command]
+    if args.manifest:
+        run_args = load_manifest(args.manifest, args.command)["args"]
+    else:
+        run_args = args_from_flags(args)
+    out_dir = None
+    if args.out_dir:
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    return run(run_args, out_dir)
 
 
 # ---------------------------------------------------------------- parser
@@ -627,8 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="play the asymmetric weekly game")
     add_data(p, required=False)
     add_run_common(p)
-    p.add_argument("--strategy", dest="strategy_g", choices=("greedy", "utility", "random"))
-    p.add_argument("--scorer", dest="scorer_f", choices=("text", "precomputed"))
+    p.add_argument("--strategy", dest="strategy_g", choices=STRATEGIES_G)
+    p.add_argument("--scorer", dest="scorer_f", choices=SCORER_KINDS)
     p.add_argument("--m-cap", type=int, dest="m_cap")
     p.add_argument("--k-cap", type=int, dest="k_cap")
     p.add_argument("--retrain-period", type=int, dest="retrain_period")
@@ -640,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="learn_acceptance",
         help="freeze the proposer acceptance model at untrained",
     )
-    p.set_defaults(func=_cmd_simulate, learn_acceptance=None)
+    p.set_defaults(func=_cmd_run, learn_acceptance=None)
 
     p = sub.add_parser(
         "full-info", help="joint selection heuristics on the simulation window"
@@ -652,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--heuristics",
         help=f"comma list from: {', '.join(HEURISTICS)} (default all)",
     )
-    p.set_defaults(func=_cmd_full_info)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser(
         "eurr", help="estimated utility recovery from recorded runs"
@@ -661,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full-dir", dest="full_dir", help="full-info run directory")
     p.add_argument("--out-dir", dest="out_dir", help="optional output directory")
     p.add_argument("--manifest", help="rerun from a recorded manifest.json")
-    p.set_defaults(func=_cmd_eurr)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("oracle", help="exact optimum of a small instance")
     p.add_argument("--items", required=True, help="CSV with columns f, g")
@@ -678,20 +658,18 @@ def build_parser() -> argparse.ArgumentParser:
     add_data(p, required=False)
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.add_argument("--manifest", help="rerun from a recorded manifest.json")
-    p.set_defaults(func=_cmd_analyze)
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("report", help="result tables and significance tests")
     p.add_argument("--asym-dir", dest="asym_dir", help="simulate run directory")
     p.add_argument("--full-dir", dest="full_dir", help="full-info run directory")
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.add_argument("--manifest", help="rerun from a recorded manifest.json")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument(
-        "--paired", action="store_true", help="paired weekly t-tests (default)"
+    p.add_argument(
+        "--welch", action="store_true", help="Welch t-tests (default: paired)"
     )
-    group.add_argument("--welch", action="store_true", help="Welch t-tests")
     p.add_argument("--alpha", type=float, default=0.01)
-    p.set_defaults(func=_cmd_report)
+    p.set_defaults(func=_cmd_run)
 
     return parser
 
@@ -714,13 +692,7 @@ def main(argv=None) -> int:
                 parser.error(f"--{name.replace('_', '-')} is required without --manifest")
     try:
         return args.func(args)
-    except PubgameError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as e:
+    except (PubgameError, ValueError, ArithmeticError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -21,7 +21,6 @@ G_SIDE = "G"
 F_SIDE = "F"
 
 STRATEGIES_G = ("greedy", "utility", "random")
-SCORERS_F = ("text", "precomputed")
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,8 @@ def utility_of_set(questions: Iterable[Question], side: str) -> float:
 class GameConfig:
     """Run parameters for the asymmetric simulation.
 
-    ``theta`` overrides the calibrated curator threshold when set.
+    The curator's scorer kind and threshold live on the
+    :class:`~pubgame.strategies.ForumScorer` passed alongside.
     ``learn_acceptance`` disables proposer-side acceptance learning when
     False, pinning the predicted acceptance probability at 1.
     """
@@ -133,10 +133,8 @@ class GameConfig:
     k_cap: int = 50
     rounds: int = 52
     retrain_period: int = 13
-    theta: float | None = None
     seed: int = 0
     strategy_g: str = "greedy"
-    scorer_f: str = "text"
     learn_acceptance: bool = True
 
     def __post_init__(self) -> None:
@@ -151,17 +149,10 @@ class GameConfig:
             raise ConfigError("rounds must be >= 1")
         if self.retrain_period < 1:
             raise ConfigError("retrain_period must be >= 1")
-        if self.theta is not None and not 0.0 <= self.theta <= 1.0:
-            raise ConfigError(f"theta must lie in [0, 1], got {self.theta}")
         if self.strategy_g not in STRATEGIES_G:
             raise ConfigError(
                 f"unknown proposer strategy {self.strategy_g!r}; "
                 f"expected one of {', '.join(STRATEGIES_G)}"
-            )
-        if self.scorer_f not in SCORERS_F:
-            raise ConfigError(
-                f"unknown curator scorer {self.scorer_f!r}; "
-                f"expected one of {', '.join(SCORERS_F)}"
             )
 
 

@@ -113,6 +113,9 @@ def _parse_timestamp(raw: str, where: str) -> datetime:
 
 def _finite(raw, name: str, where: str) -> float:
     try:
+        # float(True) is 1.0: a JSON boolean is not a number here
+        if isinstance(raw, bool):
+            raise TypeError
         value = float(raw)
     except (TypeError, ValueError):
         raise SchemaError(f"{where}: {name} {raw!r} is not a number")
@@ -135,7 +138,9 @@ def _coerce_record(rec: dict, where: str) -> dict:
     out["timestamp"] = _parse_timestamp(str(rec["timestamp"]), where)
     views = rec["view_count"]
     try:
-        if isinstance(views, float) and not views.is_integer():
+        if isinstance(views, bool) or (
+            isinstance(views, float) and not views.is_integer()
+        ):
             raise ValueError
         out["view_count"] = int(views)
     except (TypeError, ValueError):

@@ -38,7 +38,7 @@ _INT64_SAFE = 2**62
 
 @dataclass(frozen=True)
 class BilinearInstance:
-    """Items with nonnegative per-player values and a selection cap k."""
+    """Items with finite nonnegative per-player values and a selection cap k."""
 
     items: tuple[tuple[float, float], ...]
     k: int
@@ -49,9 +49,14 @@ class BilinearInstance:
             raise ValueError("instance has no items")
         if not 1 <= self.k <= n:
             raise ValueError(f"k must lie in [1, {n}], got {self.k}")
+        inf = math.inf
         for i, (f, g) in enumerate(self.items):
-            if f < 0 or g < 0:
-                raise ValueError(f"item {i}: values must be nonnegative, got {f}, {g}")
+            # chained comparisons also reject NaN; ints, big ints and
+            # Fractions compare with inf exactly
+            if not (0 <= f < inf and 0 <= g < inf):
+                raise ValueError(
+                    f"item {i}: values must be finite and nonnegative, got {f}, {g}"
+                )
 
     @property
     def n(self) -> int:

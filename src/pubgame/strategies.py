@@ -131,6 +131,9 @@ def calibrate_theta(scored: Sequence[tuple[float, int]]) -> CalibrationResult:
     )
 
 
+SCORER_KINDS = ("text", "precomputed")
+
+
 @dataclass(frozen=True)
 class ForumScorer:
     """The curator's scoring rule: a score per question plus the
@@ -146,7 +149,7 @@ class ForumScorer:
     calibration: CalibrationResult | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("text", "precomputed"):
+        if self.kind not in SCORER_KINDS:
             raise ValueError(f"unknown scorer kind {self.kind!r}")
         if self.kind == "text" and self.model is None:
             raise ValueError("text scorer needs a trained model")

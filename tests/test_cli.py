@@ -5,7 +5,16 @@ from pathlib import Path
 
 import pytest
 
-from pubgame.cli import HEURISTICS, load_manifest, main, read_config, write_manifest
+from pubgame.cli import (
+    FULL_INFO_KEYS,
+    HEURISTICS,
+    SIMULATE_KEYS,
+    build_parser,
+    load_manifest,
+    main,
+    read_config,
+    write_manifest,
+)
 from pubgame.engine import read_ledger_csv
 from pubgame.errors import ConfigError
 
@@ -72,18 +81,48 @@ def test_simulate_outputs(pipeline):
     assert (asym / "forum_scorer_model.json").exists()
 
 
-def test_simulate_manifest_rerun_is_byte_identical(pipeline, tmp_path):
-    _, _, asym, _ = pipeline
+@pytest.mark.parametrize("command", ["simulate", "full-info", "eurr", "analyze", "report"])
+def test_manifest_rerun_is_byte_identical(pipeline, tmp_path, command):
+    _, data, asym, full = pipeline
+    first = {"simulate": asym, "full-info": full}.get(command)
+    if first is None:
+        first = tmp_path / "first"
+        dirs = ["--asym-dir", str(asym), "--full-dir", str(full)]
+        flags = {
+            "eurr": dirs,
+            "analyze": ["--data", str(data)],
+            "report": [*dirs, "--welch", "--alpha", "0.05"],
+        }[command]
+        assert main([command, *flags, "--out-dir", str(first)]) == 0
     rerun = tmp_path / "rerun"
     rc = main([
-        "simulate", "--manifest", str(asym / "manifest.json"),
+        command, "--manifest", str(first / "manifest.json"),
         "--out-dir", str(rerun),
     ])
     assert rc == 0
-    names = sorted(p.name for p in asym.iterdir())
+    names = sorted(p.name for p in first.iterdir())
     assert names == sorted(p.name for p in rerun.iterdir())
     for name in names:
-        assert (rerun / name).read_bytes() == (asym / name).read_bytes()
+        assert (rerun / name).read_bytes() == (first / name).read_bytes()
+
+
+def test_manifest_records_resolved_paths(pipeline, tmp_path, monkeypatch):
+    _, data, _, _ = pipeline
+    (tmp_path / "d.jsonl").write_bytes(data.read_bytes())
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", "--data", "d.jsonl", "--out-dir", "run"]) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["args"]["data"] == str(tmp_path.resolve() / "d.jsonl")
+
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    rc = main(["analyze", "--manifest", "../run/manifest.json", "--out-dir", "rerun"])
+    assert rc == 0
+    for name in ("summary.json", "scatter.csv"):
+        assert (elsewhere / "rerun" / name).read_bytes() == (
+            tmp_path / "run" / name
+        ).read_bytes()
 
 
 def test_full_info_outputs(pipeline):
@@ -197,38 +236,95 @@ def test_config_file_values_and_flag_precedence(pipeline, tmp_path):
 
 
 def test_read_config_parses_each_coercer(tmp_path):
-    cfg = tmp_path / "full.cfg"
+    cfg = tmp_path / "sim.cfg"
     cfg.write_text(
         "\n"
         "theta = 0.25\n"
         "learn_acceptance = no\n"
         "strategy_g = random\n"
-        "k = 7\n"
     )
-    values = read_config(cfg)
-    assert values == {
+    assert read_config(cfg, SIMULATE_KEYS) == {
         "theta": 0.25,
         "learn_acceptance": False,
         "strategy_g": "random",
-        "k": 7,
     }
+    cfg.write_text("k = 7\nheuristics = mpp,random\n")
+    assert read_config(cfg, FULL_INFO_KEYS) == {"k": 7, "heuristics": "mpp,random"}
 
 
 def test_read_config_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("frobnicate = 3\n")
     with pytest.raises(ConfigError, match="unknown key 'frobnicate'; known keys"):
-        read_config(cfg)
+        read_config(cfg, SIMULATE_KEYS)
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("simulate", "k = 5"),
+        ("simulate", "heuristics = mpp"),
+        ("simulate", "alpha = 0.5"),
+        ("simulate", "oracle_budget = 3"),
+        ("full-info", "theta = 0.9"),
+        ("full-info", "m_cap = 3"),
+        ("full-info", "alpha = 0.5"),
+    ],
+)
+def test_config_refuses_keys_of_other_commands(pipeline, tmp_path, capsys, command, line):
+    _, data, _, _ = pipeline
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    rc = main([
+        command, "--data", str(data), "--config", str(cfg),
+        "--out-dir", str(tmp_path / "x"),
+    ])
+    assert rc == 1
+    key = line.split(" = ")[0]
+    assert f"run.cfg line 1: unknown key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, keys", [("simulate", SIMULATE_KEYS), ("full-info", FULL_INFO_KEYS)])
+def test_config_keys_are_flag_dests(command, keys):
+    args = vars(build_parser().parse_args([command, "--out-dir", "x"]))
+    for key in keys:
+        # a None flag default lets the file value and then the table default win
+        assert key in args and args[key] is None, key
+
+
+def test_report_has_no_paired_flag():
+    args = vars(build_parser().parse_args(["report", "--out-dir", "x", "--welch"]))
+    assert args["welch"] is True and "paired" not in args
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["report", "--out-dir", "x", "--paired"])
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("scorer_f = mlp", "unknown curator scorer 'mlp'; expected one of text, precomputed"),
+        ("theta = 1.5", "theta must lie in [0, 1], got 1.5"),
+    ],
+)
+def test_simulate_checks_scorer_and_theta_before_reading_data(tmp_path, capsys, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    rc = main([
+        "simulate", "--data", str(tmp_path / "absent.jsonl"), "--config", str(cfg),
+        "--out-dir", str(tmp_path / "x"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_read_config_rejects_bad_value_and_missing_equals(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("m_cap = many\n")
     with pytest.raises(ConfigError, match="line 1: bad value for m_cap"):
-        read_config(cfg)
+        read_config(cfg, SIMULATE_KEYS)
     cfg.write_text("rounds\n")
     with pytest.raises(ConfigError, match="expected 'key = value'"):
-        read_config(cfg)
+        read_config(cfg, SIMULATE_KEYS)
 
 
 def test_load_manifest_validation_paths(tmp_path):
@@ -320,6 +416,9 @@ def test_validate_rejects_bad_csv_values(tmp_path, capsys, row, message):
         ("view_count", "Infinity", "view_count inf is not an integer"),
         ("u_g", "NaN", "u_g nan is not a finite"),
         ("forum_score", "-Infinity", "forum_score -inf is not a finite"),
+        ("view_count", "true", "view_count True is not an integer"),
+        ("u_g", "true", "u_g True is not a number"),
+        ("forum_score", "false", "forum_score False is not a number"),
     ],
 )
 def test_validate_rejects_bad_jsonl_numbers(tmp_path, capsys, field, value, message):
@@ -348,14 +447,14 @@ def test_validate_accepts_integral_jsonl_float_view_count(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("ok: 1 questions")
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1/0", "abc"])
 def test_oracle_command_rejects_non_finite_values(tmp_path, capsys, value):
     items = tmp_path / "items.csv"
     items.write_text(f"f,g\n3,1\n1,{value}\n")
     assert main(["oracle", "--items", str(items), "--k", "1"]) == 1
     err = capsys.readouterr().err
-    assert "items.csv line 3: value" in err
-    assert "is not finite" in err
+    problem = "is not a number" if value in ("1/0", "abc") else "is not finite"
+    assert f"items.csv line 3: value {value!r} {problem}" in err
 
 
 def test_main_requires_data_flags_without_manifest(tmp_path):

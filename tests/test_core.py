@@ -78,11 +78,7 @@ def test_game_config_validation():
     with pytest.raises(ConfigError):
         GameConfig(retrain_period=0)
     with pytest.raises(ConfigError):
-        GameConfig(theta=1.5)
-    with pytest.raises(ConfigError):
         GameConfig(strategy_g="optimal")
-    with pytest.raises(ConfigError):
-        GameConfig(scorer_f="mlp")
 
 
 def test_selection_outcome_invariants():

@@ -58,7 +58,7 @@ SCORER = ForumScorer(kind="precomputed", theta=0.3)
 
 def test_run_asymmetric_respects_caps_and_subsets():
     pools = scored_pools(4)
-    config = GameConfig(m_cap=6, k_cap=2, rounds=4, seed=0, scorer_f="precomputed")
+    config = GameConfig(m_cap=6, k_cap=2, rounds=4, seed=0)
     ledger = run_asymmetric(pools, config, SCORER)
     assert len(ledger) == 4
     for outcome, pool in zip(ledger.outcomes, pools):
@@ -74,7 +74,7 @@ def test_run_asymmetric_respects_caps_and_subsets():
 
 def test_run_asymmetric_greedy_equals_utility_untrained():
     pools = scored_pools(6)
-    base = dict(m_cap=5, k_cap=3, rounds=6, scorer_f="precomputed", seed=3)
+    base = dict(m_cap=5, k_cap=3, rounds=6, seed=3)
     greedy = run_asymmetric(pools, GameConfig(strategy_g="greedy", **base), SCORER)
     frozen = run_asymmetric(
         pools,
@@ -86,7 +86,7 @@ def test_run_asymmetric_greedy_equals_utility_untrained():
 
 def test_run_asymmetric_is_seed_deterministic():
     pools = scored_pools(6, n=12)
-    base = dict(m_cap=6, k_cap=3, rounds=6, strategy_g="random", scorer_f="precomputed")
+    base = dict(m_cap=6, k_cap=3, rounds=6, strategy_g="random")
     a = run_asymmetric(pools, GameConfig(seed=5, **base), SCORER)
     b = run_asymmetric(pools, GameConfig(seed=5, **base), SCORER)
     c = run_asymmetric(pools, GameConfig(seed=6, **base), SCORER)
@@ -99,7 +99,7 @@ def test_run_asymmetric_needs_enough_weeks():
     with pytest.raises(ConfigError):
         run_asymmetric(
             pools,
-            GameConfig(rounds=5, m_cap=5, k_cap=2, scorer_f="precomputed"),
+            GameConfig(rounds=5, m_cap=5, k_cap=2),
             SCORER,
         )
 
@@ -226,7 +226,7 @@ def test_compute_eurr_error_paths():
 
 def test_ledger_csv_round_trip_is_exact(tmp_path):
     pools = scored_pools(7, n=9, seed=42)
-    config = GameConfig(m_cap=5, k_cap=3, rounds=7, scorer_f="precomputed", seed=1)
+    config = GameConfig(m_cap=5, k_cap=3, rounds=7, seed=1)
     ledger = run_asymmetric(pools, config, SCORER)
     path = tmp_path / "ledger.csv"
     write_ledger_csv(ledger, path, manifest_hash="cafe0123deadbeef")
@@ -299,7 +299,7 @@ def test_read_ledger_csv_rejects_wrong_shape(tmp_path):
 
 def test_recovery_reports_share_the_ledger_numerators():
     pools = scored_pools(6, n=12, seed=7)
-    config = GameConfig(m_cap=6, k_cap=3, rounds=6, scorer_f="precomputed", seed=0)
+    config = GameConfig(m_cap=6, k_cap=3, rounds=6, seed=0)
     ledger = run_asymmetric(pools, config, SCORER)
     full = {
         name: run_full_information(pools, name, 3, seed=0) for name in HEURISTICS

@@ -1,8 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pubgame import (
     BilinearInstance,
@@ -62,6 +65,13 @@ def test_instance_validation():
         BilinearInstance(items=((1, 1),), k=2)
     with pytest.raises(ValueError):
         BilinearInstance(items=((1, -1),), k=1)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            BilinearInstance(items=((bad, 1.0), (2.0, 3.0)), k=1)
+        with pytest.raises(ValueError, match="item 1: values must be finite"):
+            BilinearInstance(items=((2.0, 3.0), (1.0, bad)), k=1)
+    # exact values of any size stay accepted
+    BilinearInstance(items=((10**400, Fraction(1, 3)), (2, 3.5)), k=1)
 
 
 def test_oracle_exact_tiny():
@@ -190,6 +200,34 @@ def test_oracle_dominates_every_heuristic():
         opt = oracle_exact(inst).value
         for name, heuristic in HEURISTICS.items():
             assert nash_objective(inst, heuristic(inst)) <= opt, name
+
+
+@st.composite
+def small_instances(draw, values):
+    """Instances of at most 10 items drawn from ``values``, any k."""
+    n = draw(st.integers(1, 10))
+    items = draw(st.lists(st.tuples(values, values), min_size=n, max_size=n))
+    return BilinearInstance(items=tuple(items), k=draw(st.integers(1, n)))
+
+
+_int_values = st.integers(0, 1000)
+_float_values = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_instances(_int_values), small_instances(_float_values)))
+def test_oracle_dominates_every_heuristic_property(inst):
+    opt = oracle_exact(inst).value
+    for name, heuristic in HEURISTICS.items():
+        value = nash_objective(inst, heuristic(inst))
+        # float sums may round differently from the oracle's summation order
+        assert value <= opt * (1 + 1e-12), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_instances(_int_values))
+def test_oracle_dp_equals_enumeration_property(inst):
+    assert oracle_dp(inst).value == oracle_exact(inst).value
 
 
 def test_reduce_ccss_hand_example():
