@@ -189,9 +189,11 @@ def oracle_dp(instance: BilinearInstance) -> OracleResult:
     """Optimal k-subset by dynamic programming over integer f-sums.
 
     Requires integer f values.  State: (selected count, f-sum) mapped to
-    the best attainable g-sum; pseudo-polynomial in sum(f).  The
-    returned value always equals the enumeration oracle's; the index
-    tuple may differ on ties.
+    the best attainable g-sum; pseudo-polynomial in sum(f).  With
+    integer g the returned value equals the enumeration oracle's
+    exactly; with float g the g-sums are added in index order, so it
+    can differ from it in the last digits.  The index tuple may differ
+    on ties.
     """
     fs, gs, k = instance.fs, instance.gs, instance.k
     for i, f in enumerate(fs):
@@ -232,9 +234,11 @@ def oracle_dp(instance: BilinearInstance) -> OracleResult:
         prev = layers[i - 1] if i > 0 else base
         if prev.get((size, f_sum)) == g_best:
             continue
-        f, g = instance.items[i]
         chosen.append(i)
-        size, f_sum, g_best = size - 1, f_sum - f, g_best - g
+        size, f_sum = size - 1, f_sum - fs[i]
+        # read the g-sum from the layer before: with float g, g_best - g
+        # need not undo the addition that reached g_best
+        g_best = prev[(size, f_sum)]
     assert (size, f_sum) == (0, 0)
     return OracleResult(tuple(reversed(chosen)), best_val)
 

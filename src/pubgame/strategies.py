@@ -104,29 +104,33 @@ def calibrate_theta(scored: Sequence[tuple[float, int]]) -> CalibrationResult:
     Needs at least one example of each label; fewer than two per label
     flags the result low-confidence.
     """
-    n_pos = sum(1 for _, label in scored if label == 1)
-    n_neg = sum(1 for _, label in scored if label == 0)
+    scores = np.array([score for score, _ in scored], dtype=np.float64)
+    labels = np.array([label for _, label in scored])
+    n_pos = int(np.count_nonzero(labels == 1))
+    n_neg = int(np.count_nonzero(labels == 0))
     if n_pos == 0 or n_neg == 0:
         raise CalibrationError(
             f"calibration needs both labels, got {n_pos} positive / "
             f"{n_neg} negative"
         )
-    best: tuple[float, float, float, float] | None = None
-    for theta in sorted({score for score, _ in scored}):
-        tp = sum(1 for s, label in scored if s >= theta and label == 1)
-        fp = sum(1 for s, label in scored if s >= theta and label == 0)
-        if tp + fp == 0:
-            continue
-        precision = tp / (tp + fp)
-        recall = tp / n_pos
-        diff = abs(precision - 2.0 * recall)
-        if best is None or diff <= best[0]:
-            best = (diff, theta, precision, recall)
-    assert best is not None
+    order = np.argsort(-scores, kind="stable")
+    desc = scores[order]
+    # at the last of each run of equal scores, the running counts are
+    # those of predicting positive at score >= that score
+    last = np.flatnonzero(np.append(desc[1:] != desc[:-1], True))
+    tp = np.cumsum(labels[order] == 1)[last]
+    fp = np.cumsum(labels[order] == 0)[last]
+    seen = tp + fp > 0
+    theta, tp, fp = desc[last][seen], tp[seen], fp[seen]
+    precision = tp / (tp + fp)
+    recall = tp / n_pos
+    # thresholds run from large to small and argmin keeps the first of
+    # equal differences, so ties go to the larger threshold
+    best = int(np.argmin(np.abs(precision - 2.0 * recall)))
     return CalibrationResult(
-        theta=best[1],
-        precision=best[2],
-        recall=best[3],
+        theta=float(theta[best]),
+        precision=float(precision[best]),
+        recall=float(recall[best]),
         low_confidence=min(n_pos, n_neg) < 2,
     )
 

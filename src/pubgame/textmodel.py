@@ -13,15 +13,15 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import SchemaError
-
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 MODEL_FORMAT = "pubgame-acceptance-model"
 MODEL_VERSION = 1
@@ -45,9 +45,68 @@ class FeaturizerConfig:
             raise ValueError("min_token_len must be >= 1")
 
 
+def _token_rule(min_token_len: int) -> re.Pattern:
+    # tokens are maximal runs, so a run shorter than the minimum never
+    # matches in part: this equals filtering [a-z0-9]+ runs by length
+    return re.compile(f"[a-z0-9]{{{min_token_len},}}")
+
+
 def tokenize(text: str, min_token_len: int = 2) -> list[str]:
     """Lowercase alphanumeric runs of at least ``min_token_len`` chars."""
-    return [t for t in _TOKEN_RE.findall(text.lower()) if len(t) >= min_token_len]
+    return _token_rule(min_token_len).findall(text.lower())
+
+
+class CsrRows(NamedTuple):
+    """Sparse rows in compressed form: row r holds the columns
+    ``indices[indptr[r]:indptr[r + 1]]`` with weights ``data[...]``, in
+    the order the tokens first appear in the document."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+def _row_sums(values: np.ndarray, indptr: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Per-row sums of ``values`` (shape (m, nnz)), each added left to
+    right onto ``start`` (shape (m,)), giving shape (m, rows).
+
+    The sums are the ones a Python loop over each row's terms gives, bit
+    for bit: step j adds the j-th term of every row that has one.
+    """
+    nnz = np.diff(indptr)
+    by_len = np.argsort(-nnz, kind="stable")
+    row_starts = indptr[:-1][by_len]
+    # rows with more than j terms form a prefix of by_len
+    alive = np.searchsorted(-nnz[by_len], -np.arange(nnz.max(initial=0)), side="left")
+    acc = np.repeat(start[:, None], len(nnz), axis=1)
+    for j, n_alive in enumerate(alive.tolist()):
+        acc[:, :n_alive] += values[:, row_starts[:n_alive] + j]
+    out = np.empty_like(acc)
+    out[:, by_len] = acc
+    return out
+
+
+def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``keys`` in order of first occurrence, with
+    their counts.
+
+    np.unique gives the same with more temporaries the size of ``keys``;
+    here each is dropped as soon as it is used, since ``keys`` can hold
+    every token of a retrain's whole history.
+    """
+    perm = np.argsort(keys, kind="stable")
+    ordered = keys[perm]
+    head = np.ones(len(keys), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    # a stable sort puts each value's first occurrence at the head of its run
+    first = perm[head]
+    del perm
+    distinct = ordered[head]
+    del ordered
+    counts = np.diff(np.flatnonzero(head), append=len(keys))
+    by_first = np.argsort(first)
+    del first
+    return distinct[by_first], counts[by_first]
 
 
 class TextFeaturizer:
@@ -55,7 +114,7 @@ class TextFeaturizer:
 
     idf(t) = ln((1 + N) / (1 + df_t)) + 1 over the fitted corpus; the
     vocabulary is sorted alphabetically so indices are reproducible.
-    Transforms are returned sparsely as {token index: weight} dicts.
+    Transforms are returned as :class:`CsrRows`, one row per text.
     """
 
     def __init__(
@@ -67,15 +126,14 @@ class TextFeaturizer:
         self.vocabulary = vocabulary
         self.idf = idf
         self.config = config
+        self._tokens = _token_rule(config.min_token_len).findall
 
     @classmethod
     def fit(
         cls, corpus: Sequence[str], config: FeaturizerConfig = FeaturizerConfig()
     ) -> "TextFeaturizer":
-        df: dict[str, int] = {}
-        for doc in corpus:
-            for token in set(tokenize(doc, config.min_token_len)):
-                df[token] = df.get(token, 0) + 1
+        tokens = _token_rule(config.min_token_len).findall
+        df = Counter(chain.from_iterable(set(tokens(doc.lower())) for doc in corpus))
         kept = sorted(t for t, c in df.items() if c >= config.min_df)
         vocabulary = {t: i for i, t in enumerate(kept)}
         n = len(corpus)
@@ -88,20 +146,34 @@ class TextFeaturizer:
     def size(self) -> int:
         return len(self.vocabulary)
 
-    def transform(self, texts: Sequence[str]) -> list[dict[int, float]]:
-        out: list[dict[int, float]] = []
-        for text in texts:
-            counts: dict[int, int] = {}
-            for token in tokenize(text, self.config.min_token_len):
-                idx = self.vocabulary.get(token)
-                if idx is not None:
-                    counts[idx] = counts.get(idx, 0) + 1
-            weights = {i: c * self.idf[i] for i, c in counts.items()}
-            norm = math.sqrt(sum(w * w for w in weights.values()))
-            if norm > 0:
-                weights = {i: w / norm for i, w in weights.items()}
-            out.append(weights)
-        return out
+    def transform(self, texts: Sequence[str]) -> CsrRows:
+        # ids, not token strings, are kept per document, so a batch's
+        # tokens are never all alive at once; -1 marks a token outside
+        # the vocabulary
+        get = self.vocabulary.get
+        ids = [list(map(get, self._tokens(text.lower()), repeat(-1))) for text in texts]
+        n_tokens = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
+        flat = np.fromiter(chain.from_iterable(ids), dtype=np.int64, count=n_tokens.sum())
+        del ids
+        # one key per (row, column) token, in document order; an empty
+        # vocabulary keeps no token, and v = 1 keeps the arithmetic defined
+        v = max(self.size, 1)
+        known = flat >= 0
+        keys = np.repeat(np.arange(len(texts), dtype=np.int64), n_tokens)[known] * v
+        keys += flat[known]
+        del flat, known
+        # in order of first occurrence, the distinct keys run by row, then
+        # by first appearance in the document
+        keys, counts = _first_occurrences(keys)
+        indices = keys % v
+        indptr = np.zeros(len(texts) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // v, minlength=len(texts)), out=indptr[1:])
+        del keys
+        data = counts * self.idf[indices]
+        norms = np.sqrt(_row_sums((data * data)[None, :], indptr, np.zeros(1))[0])
+        # every stored weight is >= 1, so a row with terms has a norm > 0
+        data /= np.repeat(norms, np.diff(indptr))
+        return CsrRows(indptr, indices, data)
 
     def to_payload(self) -> dict:
         tokens = sorted(self.vocabulary, key=self.vocabulary.get)
@@ -155,16 +227,14 @@ class AcceptanceModel:
         if not self.trained:
             return np.ones(len(texts), dtype=np.float64)
         assert self.featurizer is not None
-        out = np.empty(len(texts), dtype=np.float64)
-        fll = self.feature_log_lik
-        for d, weights in enumerate(self.featurizer.transform(texts)):
-            s0 = self.class_log_prior[0]
-            s1 = self.class_log_prior[1]
-            for i, w in weights.items():
-                s0 += w * fll[0, i]
-                s1 += w * fll[1, i]
-            out[d] = 1.0 / (1.0 + math.exp(s0 - s1))
-        return out
+        indptr, indices, data = self.featurizer.transform(texts)
+        s0, s1 = _row_sums(
+            data * self.feature_log_lik[:, indices], indptr, self.class_log_prior
+        )
+        # math.exp, not np.exp, whose last bit can differ
+        return np.array(
+            [1.0 / (1.0 + math.exp(d)) for d in (s0 - s1).tolist()], dtype=np.float64
+        )
 
     def to_payload(self) -> dict:
         payload = {
@@ -230,13 +300,13 @@ def train_acceptance(
         return AcceptanceModel(alpha=alpha)
 
     v = featurizer.size
-    counts = np.zeros((2, v), dtype=np.float64)
-    n_class = [0, 0]
-    for weights, label in zip(featurizer.transform(texts), labels):
-        n_class[label] += 1
-        row = counts[label]
-        for i, w in weights.items():
-            row[i] += w
+    indptr, indices, data = featurizer.transform(texts)
+    row_labels = np.repeat(np.array(labels, dtype=np.int64), np.diff(indptr))
+    # bincount adds the weights in document order, as a per-document loop does
+    counts = np.bincount(
+        row_labels * v + indices, weights=data, minlength=2 * v
+    ).reshape(2, v)
+    n_class = [labels.count(0), labels.count(1)]
     totals = counts.sum(axis=1)
     feature_log_lik = np.log(
         (alpha + counts) / (alpha * v + totals)[:, None]

@@ -1,8 +1,15 @@
-"""Small builders shared across test modules."""
+"""Small builders and reference implementations shared across test modules."""
 
 from __future__ import annotations
 
+import math
+import re
+
+import numpy as np
+
 from pubgame import Question, RoundPool, set_utility
+from pubgame.strategies import CalibrationResult
+from pubgame.textmodel import TextFeaturizer
 
 
 def mk_q(i, *, views=10, u_g=1.0, title=None, body="body text", **kw):
@@ -24,3 +31,114 @@ def mk_pool(week, specs, *, normalize=True):
     )
     pool = RoundPool(week=week, questions=qs, norm_stat=max(v for v, _ in specs))
     return set_utility(pool) if normalize else pool
+
+
+# ---------------------------------------------------------------- references
+# Per-document loops of the text layer and the quadratic threshold sweep,
+# kept as the definition the vectorized code must reproduce bit for bit.
+
+
+def ref_tokenize(text, min_token_len):
+    tokens = re.findall(r"[a-z0-9]+", text.lower())
+    return [t for t in tokens if len(t) >= min_token_len]
+
+
+def ref_fit(corpus, config):
+    """(vocabulary, idf) of ``TextFeaturizer.fit``, one dict update per token."""
+    df = {}
+    for doc in corpus:
+        for token in set(ref_tokenize(doc, config.min_token_len)):
+            df[token] = df.get(token, 0) + 1
+    kept = sorted(t for t, c in df.items() if c >= config.min_df)
+    n = len(corpus)
+    idf = np.array([math.log((1 + n) / (1 + df[t])) + 1.0 for t in kept], dtype=np.float64)
+    return {t: i for i, t in enumerate(kept)}, idf
+
+
+def ref_transform(featurizer, texts):
+    """One {column: weight} dict per text, columns in first-appearance order."""
+    out = []
+    for text in texts:
+        counts = {}
+        for token in ref_tokenize(text, featurizer.config.min_token_len):
+            idx = featurizer.vocabulary.get(token)
+            if idx is not None:
+                counts[idx] = counts.get(idx, 0) + 1
+        weights = {i: c * featurizer.idf[i] for i, c in counts.items()}
+        norm = math.sqrt(sum(w * w for w in weights.values()))
+        if norm > 0:
+            weights = {i: w / norm for i, w in weights.items()}
+        out.append(weights)
+    return out
+
+
+def rows_as_dicts(rows):
+    """``CsrRows`` as ``ref_transform``'s dicts, in the same column order."""
+    indptr, indices, data = rows
+    return [
+        dict(zip(indices[a:b].tolist(), data[a:b].tolist()))
+        for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())
+    ]
+
+
+def ref_predict_proba(model, texts):
+    if not model.trained:
+        return np.ones(len(texts), dtype=np.float64)
+    out = np.empty(len(texts), dtype=np.float64)
+    fll = model.feature_log_lik
+    for d, weights in enumerate(ref_transform(model.featurizer, texts)):
+        s0 = model.class_log_prior[0]
+        s1 = model.class_log_prior[1]
+        for i, w in weights.items():
+            s0 += w * fll[0, i]
+            s1 += w * fll[1, i]
+        out[d] = 1.0 / (1.0 + math.exp(s0 - s1))
+    return out
+
+
+def ref_train_acceptance(history, config, alpha=1.0):
+    """(class_log_prior, feature_log_lik) of ``train_acceptance`` over the
+    reference featurizer, or None where it yields an untrained model."""
+    texts = [getattr(q, "text", q) for q, _ in history]
+    labels = [1 if accepted else 0 for _, accepted in history]
+    if not history or len(set(labels)) < 2:
+        return None
+    vocabulary, idf = ref_fit(texts, config)
+    if not vocabulary:
+        return None
+    featurizer = TextFeaturizer(vocabulary, idf, config)
+    v = len(vocabulary)
+    counts = np.zeros((2, v), dtype=np.float64)
+    n_class = [0, 0]
+    for weights, label in zip(ref_transform(featurizer, texts), labels):
+        n_class[label] += 1
+        row = counts[label]
+        for i, w in weights.items():
+            row[i] += w
+    totals = counts.sum(axis=1)
+    feature_log_lik = np.log((alpha + counts) / (alpha * v + totals)[:, None])
+    class_log_prior = np.log(np.array(n_class, dtype=np.float64) / len(labels))
+    return class_log_prior, feature_log_lik
+
+
+def ref_calibrate_theta(scored):
+    """``calibrate_theta`` by rescanning every score for each candidate θ."""
+    n_pos = sum(1 for _, label in scored if label == 1)
+    n_neg = sum(1 for _, label in scored if label == 0)
+    best = None
+    for theta in sorted({score for score, _ in scored}):
+        tp = sum(1 for s, label in scored if s >= theta and label == 1)
+        fp = sum(1 for s, label in scored if s >= theta and label == 0)
+        if tp + fp == 0:
+            continue
+        precision = tp / (tp + fp)
+        recall = tp / n_pos
+        diff = abs(precision - 2.0 * recall)
+        if best is None or diff <= best[0]:
+            best = (diff, theta, precision, recall)
+    return CalibrationResult(
+        theta=best[1],
+        precision=best[2],
+        recall=best[3],
+        low_confidence=min(n_pos, n_neg) < 2,
+    )

@@ -1,6 +1,11 @@
 import json
+import tempfile
+from datetime import datetime
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pubgame
 from pubgame import (
@@ -310,6 +315,47 @@ def test_write_jsonl_round_trip(tmp_path):
     for orig_pool, back_pool in zip(ds.pools, back.pools):
         assert orig_pool.week == back_pool.week
         assert orig_pool.questions == back_pool.questions
+
+
+@st.composite
+def _records(draw):
+    """JSONL records with unique ids, spread over a few years of weeks."""
+    n = draw(st.integers(1, 15))
+    ids = draw(st.lists(st.text(min_size=1, max_size=6), min_size=n, max_size=n, unique=True))
+    text = st.text(min_size=1, max_size=12)
+    finite = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+    out = []
+    for rid in ids:
+        stamp = draw(st.datetimes(datetime(2023, 1, 1), datetime(2025, 12, 31)))
+        rec = {
+            "id": rid,
+            "timestamp": stamp.isoformat(),
+            "domain": draw(text),
+            "title": draw(text),
+            "body": draw(text),
+            "view_count": draw(st.integers(0, 10**12)),
+            "u_g": draw(finite),
+        }
+        score = draw(st.none() | st.floats(allow_nan=False, allow_infinity=False))
+        if score is not None:
+            rec["forum_score"] = score
+        out.append(rec)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(_records())
+def test_ingest_write_jsonl_ingest_is_identity(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        ds = ingest(write_records(Path(tmp) / "in.jsonl", records))
+        write_jsonl(ds, Path(tmp) / "out.jsonl")
+        back = ingest(Path(tmp) / "out.jsonl")
+    assert [p.week for p in back.pools] == [p.week for p in ds.pools]
+    assert [[q.id for q in p.questions] for p in back.pools] == [
+        [q.id for q in p.questions] for p in ds.pools
+    ]
+    assert back.pools == ds.pools
+    assert sorted(q.id for q in back.questions()) == sorted(r["id"] for r in records)
 
 
 def test_write_jsonl_is_byte_deterministic(tmp_path):

@@ -203,10 +203,12 @@ def test_oracle_dominates_every_heuristic():
 
 
 @st.composite
-def small_instances(draw, values):
-    """Instances of at most 10 items drawn from ``values``, any k."""
+def small_instances(draw, values, g_values=None):
+    """Instances of at most 10 items drawn from ``values`` (g from
+    ``g_values`` when given), any k."""
     n = draw(st.integers(1, 10))
-    items = draw(st.lists(st.tuples(values, values), min_size=n, max_size=n))
+    pair = st.tuples(values, values if g_values is None else g_values)
+    items = draw(st.lists(pair, min_size=n, max_size=n))
     return BilinearInstance(items=tuple(items), k=draw(st.integers(1, n)))
 
 
@@ -228,6 +230,32 @@ def test_oracle_dominates_every_heuristic_property(inst):
 @given(small_instances(_int_values))
 def test_oracle_dp_equals_enumeration_property(inst):
     assert oracle_dp(inst).value == oracle_exact(inst).value
+
+
+def test_oracle_dp_walks_back_float_g():
+    # g_best - g does not retrace these float additions exactly
+    inst = BilinearInstance(
+        items=(
+            (48, 8.902), (2, 2.589), (32, 4.859), (50, 8.299),
+            (30, 3.58), (13, 5.047), (18, 1.397), (6, 6.184),
+        ),
+        k=7,
+    )
+    result = oracle_dp(inst)
+    assert len(result.indices) == 7
+    assert result.value == pytest.approx(oracle_exact(inst).value, rel=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_instances(_int_values, _float_values))
+def test_oracle_dp_float_g_property(inst):
+    result = oracle_dp(inst)
+    chosen = result.indices
+    assert len(set(chosen)) == inst.k == len(chosen)
+    assert all(0 <= i < inst.n for i in chosen)
+    exact = oracle_exact(inst).value
+    assert result.value == pytest.approx(exact, rel=1e-12)
+    assert nash_objective(inst, chosen) == pytest.approx(exact, rel=1e-12)
 
 
 def test_reduce_ccss_hand_example():

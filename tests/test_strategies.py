@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pubgame import (
     CalibrationError,
@@ -16,9 +18,10 @@ from pubgame import (
     train_text_scorer,
 )
 from pubgame.core import RoundPool
+from pubgame.strategies import CalibrationResult
 from pubgame.textmodel import AcceptanceModel, FeaturizerConfig
 
-from helpers import mk_q, mk_pool
+from helpers import mk_q, mk_pool, ref_calibrate_theta
 
 CAL_POINTS = [
     (0.95, 1), (0.9, 1), (0.85, 0), (0.8, 1), (0.7, 1),
@@ -121,29 +124,33 @@ def test_calibrate_theta_low_confidence_flag():
     assert calibrate_theta([(0.9, 1), (0.2, 0)]).low_confidence
 
 
-def sweep_oracle(scored):
-    n_pos = sum(1 for _, lbl in scored if lbl == 1)
-    best = None
-    for theta in sorted({s for s, _ in scored}):
-        tp = sum(1 for s, lbl in scored if s >= theta and lbl == 1)
-        fp = sum(1 for s, lbl in scored if s >= theta and lbl == 0)
-        if tp + fp == 0:
-            continue
-        diff = abs(tp / (tp + fp) - 2.0 * tp / n_pos)
-        if best is None or diff <= best[0]:
-            best = (diff, theta)
-    return best[1]
+def test_calibrate_theta_accepts_threshold_no_positive_clears():
+    # theta 0.9 clears only a negative: precision = recall = 0 gives
+    # |precision - 2 * recall| = 0, the smallest difference, so it wins
+    points = [(0.9, 0), (0.5, 1), (0.4, 1), (0.1, 0)]
+    assert calibrate_theta(points) == CalibrationResult(
+        theta=0.9, precision=0.0, recall=0.0, low_confidence=False
+    )
 
 
-def test_calibrate_theta_matches_independent_sweep():
-    rng = random.Random(99)
-    for _ in range(50):
-        n = rng.randint(4, 30)
-        scored = [(round(rng.random(), 3), rng.randint(0, 1)) for _ in range(n)]
-        labels = {lbl for _, lbl in scored}
-        if labels != {0, 1}:
-            continue
-        assert calibrate_theta(scored).theta == sweep_oracle(scored)
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            # few distinct scores, so most thresholds are shared by ties
+            st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.5000000000000001, 1.0]), st.floats(0, 1)),
+            st.integers(0, 1),
+        ),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_calibrate_theta_matches_independent_sweep(scored):
+    if {lbl for _, lbl in scored} != {0, 1}:
+        with pytest.raises(CalibrationError):
+            calibrate_theta(scored)
+        return
+    assert calibrate_theta(scored) == ref_calibrate_theta(scored)
 
 
 def _precomputed_pool():

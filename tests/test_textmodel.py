@@ -2,11 +2,23 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pubgame import AcceptanceModel, FeaturizerConfig, TextFeaturizer, tokenize, train_acceptance
 from pubgame.errors import SchemaError
 from pubgame.textmodel import MODEL_FORMAT, MODEL_VERSION
+
+from helpers import (
+    ref_fit,
+    ref_predict_proba,
+    ref_tokenize,
+    ref_train_acceptance,
+    ref_transform,
+    rows_as_dicts,
+)
 
 LOOSE = FeaturizerConfig(min_df=1, min_token_len=1)
 
@@ -39,7 +51,7 @@ def test_featurizer_min_df_drops_rare_tokens():
 
 def test_transform_is_l2_normalized_and_sparse():
     feat = TextFeaturizer.fit(["a b", "a c"], LOOSE)
-    (weights,) = feat.transform(["a b b unknown"])
+    (weights,) = rows_as_dicts(feat.transform(["a b b unknown"]))
     norm = math.sqrt(sum(w * w for w in weights.values()))
     assert norm == pytest.approx(1.0, abs=1e-12)
     assert set(weights) == {0, 1}
@@ -48,7 +60,7 @@ def test_transform_is_l2_normalized_and_sparse():
 
 def test_transform_empty_document():
     feat = TextFeaturizer.fit(["a b", "a c"], LOOSE)
-    (weights,) = feat.transform(["zzz unseen"])
+    (weights,) = rows_as_dicts(feat.transform(["zzz unseen"]))
     assert weights == {}
 
 
@@ -56,7 +68,9 @@ def test_featurizer_payload_round_trip():
     feat = TextFeaturizer.fit(["sorting lists", "sorting dicts fast"], FeaturizerConfig(min_df=1))
     clone = TextFeaturizer.from_payload(feat.to_payload())
     assert clone.vocabulary == feat.vocabulary
-    assert clone.transform(["sorting dicts"]) == feat.transform(["sorting dicts"])
+    assert rows_as_dicts(clone.transform(["sorting dicts"])) == rows_as_dicts(
+        feat.transform(["sorting dicts"])
+    )
 
 
 def test_untrained_model_predicts_ones():
@@ -155,3 +169,62 @@ def test_separable_corpus_classifies_cleanly():
     probs = model.predict_proba([d for d, _ in held_out])
     accuracy = sum((p >= 0.5) == label for p, (_, label) in zip(probs, held_out)) / 40
     assert accuracy == 1.0
+
+
+# Words mixing case, digits, one-letter tokens, punctuation and non-ASCII
+# letters that lower-case to ASCII ("\u212a" is the Kelvin sign, "k").
+_WORDS = [
+    "Sort", "sort", "a", "B", "x2", "42", "\u212aey", "key",
+    "it's", "e-mail", "\u00e9t\u00e9", "ok!", "Zz9",
+]
+_OOV = ["qqq", "Q7Q", "w"]
+
+
+@st.composite
+def _docs(draw, words=_WORDS):
+    """A document of drawn words (repeats likely) or of arbitrary characters."""
+    if draw(st.booleans()):
+        return draw(st.text(alphabet="aAbB19 ,.-\u212a\u00e9", max_size=20))
+    parts = draw(st.lists(st.sampled_from(words), max_size=8))
+    seps = st.sampled_from([" ", ", ", "\n", "..", ""])
+    seps = draw(st.lists(seps, min_size=len(parts), max_size=len(parts)))
+    return "".join(w + s for w, s in zip(parts, seps))
+
+
+_configs = st.builds(
+    FeaturizerConfig,
+    min_df=st.sampled_from([1, 2]),
+    min_token_len=st.sampled_from([1, 3]),
+)
+_score_batches = st.lists(st.one_of(_docs(), _docs(_OOV), st.just("")), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_docs(), max_size=10), _configs, _score_batches)
+def test_featurizer_matches_per_document_reference(corpus, config, texts):
+    for doc in corpus:
+        assert tokenize(doc, config.min_token_len) == ref_tokenize(doc, config.min_token_len)
+    feat = TextFeaturizer.fit(corpus, config)
+    vocabulary, idf = ref_fit(corpus, config)
+    assert list(feat.vocabulary.items()) == list(vocabulary.items())
+    assert np.array_equal(feat.idf, idf)
+    for batch in (corpus, texts):
+        assert [list(d.items()) for d in rows_as_dicts(feat.transform(batch))] == [
+            list(d.items()) for d in ref_transform(feat, batch)
+        ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_docs(), st.booleans()), max_size=12), _configs, _score_batches
+)
+def test_acceptance_model_matches_per_document_reference(history, config, texts):
+    model = train_acceptance(history, config)
+    ref = ref_train_acceptance(history, config)
+    assert model.trained == (ref is not None)
+    if ref is not None:
+        assert np.array_equal(model.class_log_prior, ref[0])
+        assert np.array_equal(model.feature_log_lik, ref[1])
+    probs = model.predict_proba(texts)
+    assert probs.dtype == np.float64
+    assert np.array_equal(probs, ref_predict_proba(model, texts))
