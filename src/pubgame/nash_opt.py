@@ -14,12 +14,13 @@ selection rules the simulator uses at scale.
 
 Exactness: integer and Fraction-valued instances are evaluated in exact
 arithmetic (Fractions are rescaled to integers internally); float
-instances are evaluated in float64.
+instances in float64, each sum added left to right in index order.
+:func:`oracle_exact` enumerates the k-subsets in lexicographic order,
+in NumPy blocks of at most ``_CHUNK`` subsets.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -105,42 +106,29 @@ def _scaled_integer_values(
     return [int(v * scale) for v in values], scale
 
 
-def _iter_combo_chunks(n: int, k: int):
-    it = itertools.combinations(range(n), k)
-    while True:
-        block = list(itertools.islice(it, _CHUNK))
-        if not block:
-            return
-        yield np.array(block, dtype=np.intp)
-
-
-def _enumerate_numpy(fs: np.ndarray, gs: np.ndarray, k: int) -> tuple[tuple[int, ...], float]:
-    best_val = None
-    best_combo: tuple[int, ...] | None = None
-    for combos in _iter_combo_chunks(len(fs), k):
-        f_sums = fs[combos].sum(axis=1)
-        g_sums = gs[combos].sum(axis=1)
-        products = f_sums * g_sums
-        # first occurrence of the maximum keeps the lexicographically
-        # smallest combination within the chunk
-        i = int(np.argmax(products))
-        if best_val is None or products[i] > best_val:
-            best_val = products[i]
-            best_combo = tuple(int(j) for j in combos[i])
-    assert best_combo is not None
-    return best_combo, best_val
-
-
-def _enumerate_objects(fs: Sequence, gs: Sequence, k: int) -> tuple[tuple[int, ...], float]:
-    best_val = None
-    best_combo: tuple[int, ...] | None = None
-    for combo in itertools.combinations(range(len(fs)), k):
-        v = sum(fs[i] for i in combo) * sum(gs[i] for i in combo)
-        if best_val is None or v > best_val:
-            best_val = v
-            best_combo = combo
-    assert best_combo is not None
-    return best_combo, best_val
+def _iter_combo_chunks(fs: np.ndarray, gs: np.ndarray, k: int):
+    """Nash products of all k-subsets, in lexicographic order, in blocks
+    of at most ``_CHUNK``: a stack of groups of prefixes (last index,
+    f-sum, g-sum), each grown by one index or cut to fit the block."""
+    n = len(fs)
+    # below[m][r]: completions of an m-prefix with r indices after its last
+    below = [np.array([math.comb(r, k - m) for r in range(n + 1)]) for m in range(k + 1)]
+    stack = [(0, np.array([-1]), np.zeros(1, dtype=fs.dtype), np.zeros(1, dtype=gs.dtype))]
+    while stack:
+        m, last, f, g = stack.pop()
+        sizes = below[m][n - 1 - last]
+        if len(last) > 1 and sizes.sum() > _CHUNK:
+            cut = max(1, int(np.searchsorted(np.cumsum(sizes), _CHUNK, side="right")))
+            stack.append((m, last[cut:], f[cut:], g[cut:]))
+            stack.append((m, last[:cut], f[:cut], g[:cut]))
+        elif m == k:
+            yield f * g
+        else:
+            # every later index that leaves room for the rest of the subset
+            counts = n - k + m - last
+            parent = np.repeat(np.arange(len(last)), counts)
+            child = np.arange(len(parent)) + (last + 1 + counts - np.cumsum(counts))[parent]
+            stack.append((m + 1, child, f[parent] + fs[child], g[parent] + gs[child]))
 
 
 def oracle_exact(
@@ -150,50 +138,61 @@ def oracle_exact(
 ) -> OracleResult:
     """Optimal k-subset by full enumeration.
 
-    Ties resolve to the lexicographically smallest index tuple.  The
-    subset count C(n, k) must not exceed ``budget``; pass a larger
-    budget explicitly to push past the default.
+    Subsets are scored in lexicographic order, in blocks of at most
+    ``_CHUNK`` rows that bound memory; ties resolve to the
+    lexicographically smallest index tuple.  Sums are added left to
+    right, so a float value equals ``nash_objective`` of the indices.
+    C(n, k) must not exceed ``budget``; pass a larger budget explicitly
+    to push past the default.
     """
     n, k = instance.n, instance.k
     count = math.comb(n, k)
     if count > budget:
         raise EnumerationBudgetError(n, k, count, budget)
 
-    scaled_f = _scaled_integer_values(instance.fs)
-    scaled_g = _scaled_integer_values(instance.gs)
-    if scaled_f is not None and scaled_g is not None:
-        sf, scale_f = scaled_f
-        sg, scale_g = scaled_g
-        max_f = sum(sorted(sf)[-k:])
-        max_g = sum(sorted(sg)[-k:])
-        if max_f * max_g < _INT64_SAFE:
-            combo, val = _enumerate_numpy(
-                np.array(sf, dtype=np.int64), np.array(sg, dtype=np.int64), k
-            )
-            val = int(val)
-        else:
-            combo, val = _enumerate_objects(sf, sg, k)
-        if scale_f * scale_g != 1:
-            val = Fraction(val, scale_f * scale_g)
-        return OracleResult(combo, val)
+    scaled = (_scaled_integer_values(instance.fs), _scaled_integer_values(instance.gs))
+    if None in scaled:
+        scale = None
+        fs = np.asarray(instance.fs, dtype=np.float64)
+        gs = np.asarray(instance.gs, dtype=np.float64)
+    else:
+        (sf, scale_f), (sg, scale_g) = scaled
+        scale = scale_f * scale_g
+        # int64 while no product can reach 2**62, Python integers past it
+        fits = sum(sorted(sf)[-k:]) * sum(sorted(sg)[-k:]) < _INT64_SAFE
+        fs = np.array(sf, dtype=np.int64 if fits else object)
+        gs = np.array(sg, dtype=fs.dtype)
 
-    combo, val = _enumerate_numpy(
-        np.asarray(instance.fs, dtype=np.float64),
-        np.asarray(instance.gs, dtype=np.float64),
-        k,
-    )
-    return OracleResult(combo, float(val))
+    best_val, rank, seen = None, 0, 0
+    for products in _iter_combo_chunks(fs, gs, k):
+        # the first maximum of a block, and a strict > across blocks,
+        # keep the lexicographically smallest optimal subset
+        i = int(np.argmax(products))
+        if best_val is None or products[i] > best_val:
+            best_val, rank = products[i], seen + i
+        seen += len(products)
+    combo, c = [], 0
+    for left in range(k, 0, -1):  # unrank: skip subsets whose next index is c
+        while rank >= (after := math.comb(n - 1 - c, left - 1)):
+            rank -= after
+            c += 1
+        combo.append(c)
+        c += 1
+
+    if scale is None:
+        return OracleResult(tuple(combo), float(best_val))
+    val = int(best_val)
+    return OracleResult(tuple(combo), val if scale == 1 else Fraction(val, scale))
 
 
 def oracle_dp(instance: BilinearInstance) -> OracleResult:
     """Optimal k-subset by dynamic programming over integer f-sums.
 
     Requires integer f values.  State: (selected count, f-sum) mapped to
-    the best attainable g-sum; pseudo-polynomial in sum(f).  With
-    integer g the returned value equals the enumeration oracle's
-    exactly; with float g the g-sums are added in index order, so it
-    can differ from it in the last digits.  The index tuple may differ
-    on ties.
+    the best attainable g-sum; pseudo-polynomial in sum(f).  Both
+    oracles add float g in index order, so the returned value equals
+    the enumeration oracle's exactly (for float g, while f-sums stay
+    below 2**53).  The index tuple may differ on ties.
     """
     fs, gs, k = instance.fs, instance.gs, instance.k
     for i, f in enumerate(fs):

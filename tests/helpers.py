@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 
-from pubgame import Question, RoundPool, set_utility
+from pubgame import OracleResult, Question, RoundPool, set_utility
 from pubgame.strategies import CalibrationResult
 from pubgame.textmodel import TextFeaturizer
 
@@ -142,3 +144,45 @@ def ref_calibrate_theta(scored):
         recall=best[3],
         low_confidence=min(n_pos, n_neg) < 2,
     )
+
+
+# ---------------------------------------------------------------- oracle
+# The enumeration oracle as tuples from itertools.combinations: NumPy sums
+# along each row while int64 or float64 holds the values, a Python loop
+# over big integers past that.  The block enumerator must pick the same
+# subset and value wherever its sums are added in the same order.
+
+
+def ref_oracle_exact(instance):
+    fs, gs, k = instance.fs, instance.gs, instance.k
+    if all(isinstance(v, (int, Fraction)) for v in fs + gs):
+        scale_f = math.lcm(*(Fraction(v).denominator for v in fs))
+        scale_g = math.lcm(*(Fraction(v).denominator for v in gs))
+        sf = [int(v * scale_f) for v in fs]
+        sg = [int(v * scale_g) for v in gs]
+        if sum(sorted(sf)[-k:]) * sum(sorted(sg)[-k:]) < 2**62:
+            combo, val = _ref_enumerate_numpy(np.array(sf, dtype=np.int64), np.array(sg, dtype=np.int64), k)
+            val = int(val)
+        else:
+            combo, val = _ref_enumerate_objects(sf, sg, k)
+        if scale_f * scale_g != 1:
+            val = Fraction(val, scale_f * scale_g)
+        return OracleResult(combo, val)
+    combo, val = _ref_enumerate_numpy(np.asarray(fs, dtype=np.float64), np.asarray(gs, dtype=np.float64), k)
+    return OracleResult(combo, float(val))
+
+
+def _ref_enumerate_numpy(fs, gs, k):
+    combos = np.array(list(itertools.combinations(range(len(fs)), k)), dtype=np.intp)
+    products = fs[combos].sum(axis=1) * gs[combos].sum(axis=1)
+    i = int(np.argmax(products))
+    return tuple(int(j) for j in combos[i]), products[i]
+
+
+def _ref_enumerate_objects(fs, gs, k):
+    best = None
+    for combo in itertools.combinations(range(len(fs)), k):
+        v = sum(fs[i] for i in combo) * sum(gs[i] for i in combo)
+        if best is None or v > best[1]:
+            best = (combo, v)
+    return best

@@ -1,6 +1,7 @@
 """End-to-end and unit coverage for the command line interface."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -193,6 +194,24 @@ def test_oracle_command_parses_mixed_value_types(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "indices: 0 1"
     assert out[1] == "value: 16.0"
+
+
+@pytest.mark.parametrize(
+    "lo, hi, expected",
+    [
+        (0, 1000, "indices: 0 6 7 12 18\nvalue: 14440206\n"),
+        # past int64: the enumeration runs on Python integers
+        (2**40, 2**70, "indices: 0 7 12 13 14\nvalue: 20455737603639022851852952652904093061098560\n"),
+    ],
+)
+def test_oracle_command_output_on_integer_items(tmp_path, capsys, lo, hi, expected):
+    # the output the itertools.combinations enumerator printed
+    rng = random.Random(6)
+    rows = "".join(f"{rng.randint(lo, hi)},{rng.randint(lo, hi)}\n" for _ in range(20))
+    items = tmp_path / "items.csv"
+    items.write_text("f,g\n" + rows)
+    assert main(["oracle", "--items", str(items), "--k", "5"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_oracle_command_rejects_bad_header_and_budget(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import tempfile
 from pathlib import Path
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pubgame import (
+    BilinearInstance,
     ConfigError,
     EnumerationBudgetError,
     ForumScorer,
@@ -14,11 +16,16 @@ from pubgame import (
     GameLedger,
     SchemaError,
     SelectionOutcome,
+    SyntheticSpec,
     compute_eurr,
     exact_urr,
+    generate_synthetic,
+    normalize_weekly,
+    oracle_exact,
     read_ledger_csv,
     run_asymmetric,
     run_full_information,
+    split_pretrain,
     write_ledger_csv,
 )
 from pubgame.core import RoundPool
@@ -312,3 +319,22 @@ def test_recovery_reports_share_the_ledger_numerators():
     assert report.tilde_u_f == max(run.total_u_f for run in full.values())
     assert report.eurr_g == ledger.total_u_g / report.tilde_u_g
     assert urr.urr_g == ledger.total_u_g / urr.star_u_g
+
+
+def test_exact_urr_on_criterion_6_pools_is_unchanged():
+    # the digest is of these reprs as the itertools.combinations
+    # enumerator printed them: the optima and ratios must not move
+    lines = []
+    for seed in range(20):
+        spec = SyntheticSpec(
+            weeks=18, questions_per_week=18, utility_correlation=0.3, topic_effect=2.0, seed=seed
+        )
+        _, _, sim = split_pretrain(normalize_weekly(generate_synthetic(spec)), 6)
+        pools = sim.pools[:12]
+        for pool in pools:
+            items = tuple((q.u_g, q.u_f_norm) for q in pool.questions)
+            lines.append(repr(oracle_exact(BilinearInstance(items=items, k=4))))
+        ledger = run_full_information(sim, "greedy_np", 4, seed=seed, rounds=12)
+        lines.append(repr(exact_urr(ledger, pools, 4)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "76d071a35055063b6c4c58a7027cc37efd2e4e0ef5be13cc86ec7b56b6e1bd05"
