@@ -29,7 +29,7 @@ class Question:
 
     The question's week is the week of the :class:`RoundPool` holding it.
     ``u_f_norm`` is the curator-side utility: the view count divided by
-    the week's normalization statistic.  It is ``None`` until
+    the week's maximum view count.  It is ``None`` until
     :func:`set_utility` has run for the question's week.
     ``forum_score`` is an optional externally supplied acceptance score,
     used only by the precomputed curator scorer.
@@ -63,16 +63,10 @@ class Question:
 
 @dataclass(frozen=True)
 class RoundPool:
-    """All questions available in one week.
-
-    ``norm_stat`` is the per-week statistic (the maximum view count)
-    used to normalize views into ``u_f_norm``.  It is set by the data
-    layer before :func:`set_utility` runs.
-    """
+    """All questions available in one week."""
 
     week: int
     questions: tuple[Question, ...]
-    norm_stat: float | None = None
 
     def __post_init__(self) -> None:
         if self.week < 0:
@@ -85,17 +79,13 @@ class RoundPool:
 
 
 def set_utility(pool: RoundPool) -> RoundPool:
-    """Populate ``u_f_norm`` on every question from the week's statistic.
+    """Populate ``u_f_norm`` on every question: its view count divided by
+    the week's maximum view count.
 
-    An all-zero week (``norm_stat == 0``) maps every question to 0
-    rather than dividing by zero; the data layer flags such weeks.
+    An all-zero week maps every question to 0 rather than dividing by
+    zero; :func:`~pubgame.data.normalize_weekly` flags such weeks.
     """
-    if pool.norm_stat is None:
-        raise ConfigError(
-            f"week {pool.week}: normalization statistic missing; run the "
-            f"weekly normalization step before computing curator utilities"
-        )
-    stat = pool.norm_stat
+    stat = float(max(q.view_count for q in pool.questions))
     questions = tuple(
         dataclasses.replace(q, u_f_norm=(q.view_count / stat if stat > 0 else 0.0))
         for q in pool.questions

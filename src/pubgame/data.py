@@ -46,14 +46,13 @@ _SYNTH_EPOCH = date(2024, 1, 1)  # a Monday, ISO week 2024-W01
 
 @dataclass(frozen=True)
 class Dataset:
-    """Ordered weekly pools plus bookkeeping.
+    """Ordered weekly pools, weeks numbered from 0, plus bookkeeping.
 
-    ``pretrain_window`` is the number of leading weeks reserved for
-    curator training when the dataset is split.
+    ``metadata`` records where the pools came from; it takes no part
+    in equality.
     """
 
     pools: tuple[RoundPool, ...]
-    pretrain_window: int = 0
     metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
@@ -65,8 +64,6 @@ class Dataset:
                     f"pool at position {t} carries week {pool.week}; weeks "
                     f"must be contiguous from 0"
                 )
-        if not 0 <= self.pretrain_window <= len(self.pools):
-            raise ValueError("pretrain_window outside [0, weeks]")
 
     @property
     def n_weeks(self) -> int:
@@ -124,7 +121,8 @@ def _finite(raw, name: str, where: str) -> float:
     return value
 
 
-def _coerce_record(rec: dict, where: str) -> dict:
+def _read_question(rec: dict, where: str) -> tuple[datetime, Question]:
+    """One record's timestamp and question; SchemaError names ``where``."""
     for name in REQUIRED_FIELDS:
         if name not in rec or rec[name] is None or rec[name] == "":
             if name == "u_g":
@@ -134,32 +132,35 @@ def _coerce_record(rec: dict, where: str) -> dict:
                     f"ingesting"
                 )
             raise SchemaError(f"{where}: missing required field {name!r}")
-    out = dict(rec)
-    out["timestamp"] = _parse_timestamp(str(rec["timestamp"]), where)
+    timestamp = _parse_timestamp(str(rec["timestamp"]), where)
     views = rec["view_count"]
     try:
         if isinstance(views, bool) or (
             isinstance(views, float) and not views.is_integer()
         ):
             raise ValueError
-        out["view_count"] = int(views)
+        view_count = int(views)
     except (TypeError, ValueError):
         raise SchemaError(f"{where}: view_count {views!r} is not an integer")
-    if out["view_count"] < 0:
+    if view_count < 0:
         raise SchemaError(f"{where}: view_count must be >= 0")
-    out["u_g"] = _finite(rec["u_g"], "u_g", where)
-    if out["u_g"] < 0:
+    u_g = _finite(rec["u_g"], "u_g", where)
+    if u_g < 0:
         raise SchemaError(f"{where}: u_g must be >= 0")
     score = rec.get("forum_score")
     if score is None or score == "":
-        out["forum_score"] = None
+        forum_score = None
     else:
-        out["forum_score"] = _finite(score, "forum_score", where)
-    out["id"] = str(rec["id"])
-    out["domain"] = str(rec["domain"])
-    out["title"] = str(rec["title"])
-    out["body"] = str(rec["body"])
-    return out
+        forum_score = _finite(score, "forum_score", where)
+    return timestamp, Question(
+        id=str(rec["id"]),
+        domain=str(rec["domain"]),
+        title=str(rec["title"]),
+        body=str(rec["body"]),
+        view_count=view_count,
+        u_g=u_g,
+        forum_score=forum_score,
+    )
 
 
 def _read_jsonl(path: Path) -> Iterator[tuple[str, dict]]:
@@ -219,80 +220,62 @@ def ingest(path: str | Path, fmt: str | None = None) -> Dataset:
     else:
         raise ConfigError(f"unknown dataset format {fmt!r}; expected jsonl or csv")
 
-    records: list[dict] = []
+    by_week: dict[tuple[int, int], list[Question]] = {}
+    domains: dict[str, int] = {}
     seen: set[str] = set()
     for where, row in rows:
-        rec = _coerce_record(row, where)
-        if rec["id"] in seen:
-            raise SchemaError(f"duplicate question id {rec['id']!r}")
-        seen.add(rec["id"])
+        stamp, q = _read_question(row, where)
+        if q.id in seen:
+            raise SchemaError(f"duplicate question id {q.id!r}")
         # naive and offset-aware datetimes do not compare, so one file
         # holds one kind
-        aware = rec["timestamp"].utcoffset() is not None
-        if not records:
-            first_where, first_aware = where, aware
+        aware = stamp.utcoffset() is not None
+        if not seen:
+            first_where, first_aware, first, last = where, aware, stamp, stamp
         elif aware != first_aware:
             kinds = ("naive", "offset-aware")
             raise SchemaError(
                 f"{where}: timestamp is {kinds[aware]} but {first_where}'s is "
                 f"{kinds[first_aware]}; use one timestamp kind per file"
             )
-        records.append(rec)
-    if not records:
+        seen.add(q.id)
+        # min and max keep the earliest-read of equal instants
+        first, last = min(first, stamp), max(last, stamp)
+        by_week.setdefault(stamp.isocalendar()[:2], []).append(q)
+        domains[q.domain] = domains.get(q.domain, 0) + 1
+    if not seen:
         raise SchemaError(f"{path.name}: no records")
 
-    by_week: dict[tuple[int, int], list[dict]] = {}
-    for rec in records:
-        iso = rec["timestamp"].isocalendar()
-        by_week.setdefault((iso[0], iso[1]), []).append(rec)
     week_keys = sorted(by_week)
-
-    pools = []
-    for t, key in enumerate(week_keys):
-        questions = tuple(
-            Question(
-                id=rec["id"],
-                domain=rec["domain"],
-                title=rec["title"],
-                body=rec["body"],
-                view_count=rec["view_count"],
-                u_g=rec["u_g"],
-                forum_score=rec["forum_score"],
-            )
-            for rec in by_week[key]
-        )
-        pools.append(RoundPool(week=t, questions=questions))
-
-    domains: dict[str, int] = {}
-    for rec in records:
-        domains[rec["domain"]] = domains.get(rec["domain"], 0) + 1
-    timestamps = [rec["timestamp"] for rec in records]
+    pools = tuple(
+        RoundPool(week=t, questions=tuple(by_week[key]))
+        for t, key in enumerate(week_keys)
+    )
     metadata = {
         "source": str(path),
         "format": fmt,
-        "n_questions": len(records),
+        "n_questions": len(seen),
         "n_weeks": len(pools),
         "domains": domains,
-        "span": [min(timestamps).isoformat(), max(timestamps).isoformat()],
+        "span": [first.isoformat(), last.isoformat()],
         "iso_weeks": [list(k) for k in week_keys],
     }
-    return Dataset(pools=tuple(pools), metadata=metadata)
+    return Dataset(pools=pools, metadata=metadata)
 
 
 def normalize_weekly(dataset: Dataset) -> Dataset:
-    """Set each week's normalization statistic (the max view count) and
-    populate curator utilities.  All-zero weeks normalize to zero and
-    are flagged in metadata["zero_view_weeks"].  Idempotent."""
-    pools = []
-    zero_weeks = []
-    for pool in dataset.pools:
-        stat = float(max(q.view_count for q in pool.questions))
-        if stat == 0.0:
-            zero_weeks.append(pool.week)
-        pools.append(set_utility(dataclasses.replace(pool, norm_stat=stat)))
+    """Populate curator utilities: :func:`~pubgame.core.set_utility`
+    divides each week's view counts by that week's maximum.  All-zero
+    weeks normalize to zero and are flagged in
+    metadata["zero_view_weeks"].  Idempotent."""
     metadata = dict(dataset.metadata)
-    metadata["zero_view_weeks"] = zero_weeks
-    return dataclasses.replace(dataset, pools=tuple(pools), metadata=metadata)
+    metadata["zero_view_weeks"] = [
+        pool.week
+        for pool in dataset.pools
+        if not any(q.view_count for q in pool.questions)
+    ]
+    pools = tuple(set_utility(pool) for pool in dataset.pools)
+    return dataclasses.replace(dataset, pools=pools, metadata=metadata)
 
 
 def _reindex(pools: Sequence[RoundPool], metadata: dict) -> Dataset:
@@ -301,9 +284,7 @@ def _reindex(pools: Sequence[RoundPool], metadata: dict) -> Dataset:
     return Dataset(pools=pools, metadata=metadata)
 
 
-def split_pretrain(
-    dataset: Dataset, weeks: int | None = None
-) -> tuple[Dataset, Dataset, Dataset]:
+def split_pretrain(dataset: Dataset, weeks: int) -> tuple[Dataset, Dataset, Dataset]:
     """Partition into (train, validation, simulation) datasets.
 
     The first ``weeks`` pools form the pretraining window; its last
@@ -311,8 +292,6 @@ def split_pretrain(
     pools are the simulation window.  Each split is reindexed from week
     0; original week indices land in metadata["source_weeks"].
     """
-    if weeks is None:
-        weeks = dataset.pretrain_window
     if weeks < 2:
         raise ConfigError("pretraining window needs at least 2 weeks (train + val)")
     if weeks >= dataset.n_weeks:
@@ -340,15 +319,16 @@ def split_pretrain(
     )
 
 
-def _topic_words(prefix: str, n: int) -> list[str]:
-    return [f"{prefix}{j:02d}" for j in range(n)]
-
-
-_VOCAB = {
-    0: _topic_words("alpha", TOPIC_VOCAB),
-    1: _topic_words("beta", TOPIC_VOCAB),
-    "common": _topic_words("plain", COMMON_VOCAB),
-}
+# topic 0 words, then topic 1 words, then topic-neutral filler
+_WORDS = tuple(
+    f"{prefix}{j:02d}"
+    for prefix, n in (
+        ("alpha", TOPIC_VOCAB),
+        ("beta", TOPIC_VOCAB),
+        ("plain", COMMON_VOCAB),
+    )
+    for j in range(n)
+)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
@@ -390,28 +370,29 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         topic_idx = rng.integers(0, TOPIC_VOCAB, size=total)
         common_idx = rng.integers(0, COMMON_VOCAB, size=total)
 
+        # a token is filler, or from its question's own topic with
+        # probability TOPIC_PURITY and from the other topic otherwise
+        token_topic = np.repeat(topic, lengths)
+        source = np.where(own_topic, token_topic, 1 - token_topic)
+        word = np.where(
+            use_common, 2 * TOPIC_VOCAB + common_idx, source * TOPIC_VOCAB + topic_idx
+        )
+        tokens = [_WORDS[w] for w in word.tolist()]
+
         questions = []
         cursor = 0
-        for i in range(q):
-            n_tok = int(lengths[i])
-            tokens = []
-            for j in range(cursor, cursor + n_tok):
-                if use_common[j]:
-                    tokens.append(_VOCAB["common"][common_idx[j]])
-                else:
-                    src = topic[i] if own_topic[j] else 1 - topic[i]
-                    tokens.append(_VOCAB[int(src)][topic_idx[j]])
-            cursor += n_tok
+        for i, n_tok in enumerate(lengths.tolist()):
             questions.append(
                 Question(
                     id=f"syn-{t:03d}-{i:04d}",
                     domain="synthetic",
-                    title=" ".join(tokens[:3]),
-                    body=" ".join(tokens[3:]),
+                    title=" ".join(tokens[cursor : cursor + 3]),
+                    body=" ".join(tokens[cursor + 3 : cursor + n_tok]),
                     view_count=int(views[i]),
                     u_g=float(u_g[i]),
                 )
             )
+            cursor += n_tok
         pools.append(RoundPool(week=t, questions=tuple(questions)))
 
     metadata = {

@@ -79,7 +79,12 @@ class OracleResult:
 
 
 def nash_objective(instance: BilinearInstance, indices: Iterable[int]) -> float:
-    """Product of the two players' value sums over the chosen indices."""
+    """Product of the two players' value sums over the chosen indices.
+
+    Exact for integer and Fraction instances; an instance holding any
+    other value is evaluated in float64, each sum added left to right in
+    index order, as :func:`oracle_exact` evaluates it.
+    """
     chosen = list(indices)
     if len(set(chosen)) != len(chosen):
         raise ValueError("duplicate indices")
@@ -88,21 +93,30 @@ def nash_objective(instance: BilinearInstance, indices: Iterable[int]) -> float:
     for i in chosen:
         if not 0 <= i < instance.n:
             raise IndexError(f"index {i} out of range for {instance.n} items")
-    f_sum = sum(instance.items[i][0] for i in chosen)
-    g_sum = sum(instance.items[i][1] for i in chosen)
+    items = [instance.items[i] for i in sorted(chosen)]
+    if not _is_exact(instance):
+        items = [(float(f), float(g)) for f, g in items]
+    # a loop, not sum(): sum() of floats compensates from Python 3.12
+    f_sum = g_sum = 0
+    for f, g in items:
+        f_sum += f
+        g_sum += g
     return f_sum * g_sum
 
 
-def _scaled_integer_values(
-    values: Sequence,
-) -> tuple[list[int], int] | None:
-    """Rescale int/Fraction values to exact integers; None if any float."""
+def _is_exact(instance: BilinearInstance) -> bool:
+    """Whether every value is an int or a Fraction; one value of any
+    other kind sends the whole instance to float64."""
+    return all(isinstance(v, (int, Fraction)) for item in instance.items for v in item)
+
+
+def _scaled_integer_values(values: Sequence) -> tuple[list[int], int]:
+    """Rescale int/Fraction values to exact integers by their common
+    denominator."""
     scale = 1
     for v in values:
         if isinstance(v, Fraction):
             scale = scale * v.denominator // math.gcd(scale, v.denominator)
-        elif not isinstance(v, int):
-            return None
     return [int(v * scale) for v in values], scale
 
 
@@ -150,18 +164,18 @@ def oracle_exact(
     if count > budget:
         raise EnumerationBudgetError(n, k, count, budget)
 
-    scaled = (_scaled_integer_values(instance.fs), _scaled_integer_values(instance.gs))
-    if None in scaled:
-        scale = None
-        fs = np.asarray(instance.fs, dtype=np.float64)
-        gs = np.asarray(instance.gs, dtype=np.float64)
-    else:
-        (sf, scale_f), (sg, scale_g) = scaled
+    if _is_exact(instance):
+        sf, scale_f = _scaled_integer_values(instance.fs)
+        sg, scale_g = _scaled_integer_values(instance.gs)
         scale = scale_f * scale_g
         # int64 while no product can reach 2**62, Python integers past it
         fits = sum(sorted(sf)[-k:]) * sum(sorted(sg)[-k:]) < _INT64_SAFE
         fs = np.array(sf, dtype=np.int64 if fits else object)
         gs = np.array(sg, dtype=fs.dtype)
+    else:
+        scale = None
+        fs = np.asarray(instance.fs, dtype=np.float64)
+        gs = np.asarray(instance.gs, dtype=np.float64)
 
     best_val, rank, seen = None, 0, 0
     for products in _iter_combo_chunks(fs, gs, k):

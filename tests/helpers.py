@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 
 from pubgame import OracleResult, Question, RoundPool, set_utility
+from pubgame import data
 from pubgame.strategies import CalibrationResult
 from pubgame.textmodel import TextFeaturizer
 
@@ -31,7 +32,7 @@ def mk_pool(week, specs, *, normalize=True):
     qs = tuple(
         mk_q(f"{week}-{i}", views=v, u_g=g) for i, (v, g) in enumerate(specs)
     )
-    pool = RoundPool(week=week, questions=qs, norm_stat=max(v for v, _ in specs))
+    pool = RoundPool(week=week, questions=qs)
     return set_utility(pool) if normalize else pool
 
 
@@ -186,3 +187,62 @@ def _ref_enumerate_objects(fs, gs, k):
         if best is None or v > best[1]:
             best = (combo, v)
     return best
+
+
+# The synthetic generator with one Python step per token: the same RNG
+# draws in the same order, each token looked up in its topic's word list.
+
+
+def ref_generate_synthetic(spec):
+    """Pools of ``generate_synthetic(spec)``."""
+    r = 2.0 * math.sin(math.pi * spec.utility_correlation / 6.0)
+    d = spec.topic_effect / 2.0
+    r_latent = r * math.sqrt(1.0 + d * d)
+    if abs(r_latent) > 1.0:
+        raise ValueError("utility_correlation unreachable with this topic_effect")
+    vocab = {
+        0: [f"alpha{j:02d}" for j in range(data.TOPIC_VOCAB)],
+        1: [f"beta{j:02d}" for j in range(data.TOPIC_VOCAB)],
+        "common": [f"plain{j:02d}" for j in range(data.COMMON_VOCAB)],
+    }
+    rng = np.random.default_rng(spec.seed)
+    residual = math.sqrt(1.0 - r_latent * r_latent)
+    pools = []
+    for t in range(spec.weeks):
+        q = spec.questions_per_week
+        topic = rng.integers(0, 2, size=q)
+        z1 = rng.standard_normal(q)
+        z2 = r_latent * z1 + residual * rng.standard_normal(q)
+        z1 = z1 + d * (2 * topic - 1)
+        views = np.floor(np.exp(data.VIEW_MU + data.VIEW_SIGMA * z1)).astype(np.int64)
+        u_g = np.exp(data.UG_MU + data.UG_SIGMA * z2)
+        lengths = rng.integers(9, 15, size=q)
+        total = int(lengths.sum())
+        use_common = rng.random(total) < data.COMMON_TOKEN_P
+        own_topic = rng.random(total) < data.TOPIC_PURITY
+        topic_idx = rng.integers(0, data.TOPIC_VOCAB, size=total)
+        common_idx = rng.integers(0, data.COMMON_VOCAB, size=total)
+        questions = []
+        cursor = 0
+        for i in range(q):
+            n_tok = int(lengths[i])
+            tokens = []
+            for j in range(cursor, cursor + n_tok):
+                if use_common[j]:
+                    tokens.append(vocab["common"][common_idx[j]])
+                else:
+                    src = topic[i] if own_topic[j] else 1 - topic[i]
+                    tokens.append(vocab[int(src)][topic_idx[j]])
+            cursor += n_tok
+            questions.append(
+                Question(
+                    id=f"syn-{t:03d}-{i:04d}",
+                    domain="synthetic",
+                    title=" ".join(tokens[:3]),
+                    body=" ".join(tokens[3:]),
+                    view_count=int(views[i]),
+                    u_g=float(u_g[i]),
+                )
+            )
+        pools.append(RoundPool(week=t, questions=tuple(questions)))
+    return tuple(pools)

@@ -1,5 +1,6 @@
 """End-to-end and unit coverage for the command line interface."""
 
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -60,6 +61,15 @@ def test_generate_is_deterministic_and_validates(pipeline, tmp_path, capsys):
     assert out.startswith("wrote") or "ok:" in out
     assert "120 questions" in out
     assert "10 weeks" in out
+
+
+def test_generate_output_is_pinned(tmp_path):
+    # the sha256 of the file the per-token generator wrote
+    out = tmp_path / "gen.jsonl"
+    args = ["--weeks", "30", "--per-week", "200", "--rho", "-0.5", "--topic-effect", "2"]
+    assert main(["generate", "--out", str(out), *args, "--seed", "1"]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "e8baa2efe2878e596ae99d51ee137d8da3b82461e9c53b10a183473c3c796370"
 
 
 def test_simulate_outputs(pipeline):

@@ -42,15 +42,9 @@ def test_set_utility_divides_by_week_max():
     assert [q.u_f_norm for q in pool.questions] == [0.25, 1.0, 0.5]
 
 
-def test_set_utility_requires_norm_stat():
-    pool = RoundPool(week=0, questions=(mk_q(1),))
-    with pytest.raises(ConfigError):
-        set_utility(pool)
-
-
 def test_set_utility_zero_week_maps_to_zero():
     qs = (mk_q(1, views=0), mk_q(2, views=0))
-    pool = set_utility(RoundPool(week=0, questions=qs, norm_stat=0))
+    pool = set_utility(RoundPool(week=0, questions=qs))
     assert [q.u_f_norm for q in pool.questions] == [0.0, 0.0]
 
 

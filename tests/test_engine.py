@@ -51,12 +51,10 @@ def scored_pools(weeks, n=10, seed=1):
                     views=views,
                     u_g=float(rng.randint(1, 60)),
                     forum_score=views / 100.0,
+                    u_f_norm=views / 100,
                 )
             )
-        pool = RoundPool(week=week, questions=tuple(qs), norm_stat=100)
-        from pubgame import set_utility
-
-        pools.append(set_utility(pool))
+        pools.append(RoundPool(week=week, questions=tuple(qs)))
     return pools
 
 
@@ -151,7 +149,7 @@ def _spec_pool():
         mk_q("b", views=3, u_g=1.0, u_f_norm=1.0),
         mk_q("c", views=2, u_g=2.0, u_f_norm=2 / 3),
     )
-    return RoundPool(week=0, questions=qs, norm_stat=3)
+    return RoundPool(week=0, questions=qs)
 
 
 def test_exact_urr_hand_instance():
@@ -175,7 +173,7 @@ def test_exact_urr_window_mismatch():
 
 def test_exact_urr_zero_optimum_is_an_error():
     qs = (mk_q("a", views=0, u_g=1.0, u_f_norm=0.0),)
-    pool = RoundPool(week=0, questions=qs, norm_stat=0)
+    pool = RoundPool(week=0, questions=qs)
     ledger = GameLedger.from_outcomes([SelectionOutcome(0, ("qa",), (), 0.0, 0.0)])
     with pytest.raises(ValueError):
         exact_urr(ledger, [pool], 1)

@@ -275,8 +275,21 @@ def test_oracle_exact_matches_reference_property(inst, chunk):
         assert oracle_exact(inst) == ref_oracle_exact(inst)
 
 
+def test_nash_objective_of_mixed_instance_is_float64():
+    # 2**53 + 1 rounds to 2**53 in float64, and 2**53 + 1.0 to 2**53 again
+    inst = BilinearInstance(items=((2**53 + 1, 1.0), (1, 1.0)), k=2)
+    result = oracle_exact(inst)
+    assert result.value == nash_objective(inst, result.indices) == 2.0**54
+
+
 @settings(max_examples=300, deadline=None)
-@given(small_instances(_float_values, max_n=12))
+@given(
+    st.one_of(
+        small_instances(_float_values, max_n=12),
+        # ints past 2**53 mixed with floats: float64 throughout
+        small_instances(_float_values | st.integers(2**53, 2**60), max_n=12),
+    )
+)
 def test_oracle_float_value_is_objective_of_indices_property(inst):
     result = oracle_exact(inst)
     assert result.value == nash_objective(inst, result.indices)

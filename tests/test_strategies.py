@@ -17,7 +17,7 @@ from pubgame import (
     train_acceptance,
     train_text_scorer,
 )
-from pubgame.core import RoundPool
+from pubgame.core import RoundPool, set_utility
 from pubgame.strategies import CalibrationResult
 from pubgame.textmodel import AcceptanceModel, FeaturizerConfig
 
@@ -56,7 +56,7 @@ def test_utility_strategy_discounts_unlikely_questions():
         mk_q("hi-g", views=10, u_g=1.0, title="beta topic", u_f_norm=1.0),
         mk_q("lo-g", views=10, u_g=0.9, title="alpha topic", u_f_norm=1.0),
     )
-    pool = RoundPool(week=0, questions=qs, norm_stat=10)
+    pool = RoundPool(week=0, questions=qs)
     assert strategy_g_greedy(pool, 1)[0].id == "qhi-g"
     assert strategy_g_utility(pool, 1, model)[0].id == "qlo-g"
 
@@ -158,7 +158,7 @@ def _precomputed_pool():
         mk_q(f"p{i}", views=10, u_g=1.0, u_f_norm=0.5, forum_score=s)
         for i, s in enumerate([0.9, 0.3, 0.7, 0.9, 0.4])
     )
-    return RoundPool(week=0, questions=qs, norm_stat=10)
+    return RoundPool(week=0, questions=qs)
 
 
 def test_forum_select_filters_orders_and_truncates():
@@ -206,15 +206,8 @@ def _topic_pools(weeks, seed=0, n=12):
                     body=f"{word} detail {word}",
                 )
             )
-        pool = RoundPool(week=week, questions=tuple(qs), norm_stat=max(q.view_count for q in qs))
-        pools.append(mk_pool_norm(pool))
+        pools.append(set_utility(RoundPool(week=week, questions=tuple(qs))))
     return pools
-
-
-def mk_pool_norm(pool):
-    from pubgame import set_utility
-
-    return set_utility(pool)
 
 
 def test_train_text_scorer_learns_topic_threshold():
@@ -246,16 +239,19 @@ def test_make_precomputed_scorer_calibrates_from_column():
     rng = random.Random(4)
     pools = []
     for week in range(2):
-        qs = tuple(
-            mk_q(
-                f"{week}-{i}",
-                views=rng.randint(1, 100),
-                u_g=1.0,
-                forum_score=rng.random(),
+        qs = []
+        for i in range(10):
+            views = rng.randint(1, 100)
+            qs.append(
+                mk_q(
+                    f"{week}-{i}",
+                    views=views,
+                    u_g=1.0,
+                    forum_score=rng.random(),
+                    u_f_norm=views / 100,
+                )
             )
-            for i in range(10)
-        )
-        pools.append(mk_pool_norm(RoundPool(week=week, questions=qs, norm_stat=100)))
+        pools.append(RoundPool(week=week, questions=tuple(qs)))
     scorer = make_precomputed_scorer(pools)
     assert scorer.kind == "precomputed"
     assert scorer.calibration is not None
