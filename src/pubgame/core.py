@@ -4,12 +4,12 @@ A round is one week.  The proposer (player G) submits a capped batch of
 candidate questions, the curator (player F) publishes a capped subset of
 them.  Both sides draw additive utility from the published set: the
 proposer from a per-question quality score ``u_g``, the curator from
-view counts normalized within the week.
+view counts normalized within the week (:func:`set_utility`), which
+every question carries from the moment its week is built.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -29,8 +29,8 @@ class Question:
 
     The question's week is the week of the :class:`RoundPool` holding it.
     ``u_f_norm`` is the curator-side utility: the view count divided by
-    the week's maximum view count.  It is ``None`` until
-    :func:`set_utility` has run for the question's week.
+    the week's maximum view count, as :func:`set_utility` gives it to
+    whoever builds the week.
     ``forum_score`` is an optional externally supplied acceptance score,
     used only by the precomputed curator scorer.
     """
@@ -41,7 +41,7 @@ class Question:
     body: str
     view_count: int
     u_g: float
-    u_f_norm: float | None = None
+    u_f_norm: float
     forum_score: float | None = None
 
     def __post_init__(self) -> None:
@@ -53,7 +53,7 @@ class Question:
             raise ValueError(f"question {self.id!r}: u_g must be finite and >= 0")
         if self.forum_score is not None and not math.isfinite(self.forum_score):
             raise ValueError(f"question {self.id!r}: forum_score must be finite")
-        if self.u_f_norm is not None and not 0.0 <= self.u_f_norm <= 1.0:
+        if not 0.0 <= self.u_f_norm <= 1.0:
             raise ValueError(f"question {self.id!r}: u_f_norm outside [0, 1]")
 
     @property
@@ -78,35 +78,27 @@ class RoundPool:
         return len(self.questions)
 
 
-def set_utility(pool: RoundPool) -> RoundPool:
-    """Populate ``u_f_norm`` on every question: its view count divided by
-    the week's maximum view count.
+def set_utility(view_counts: Sequence[int]) -> list[float]:
+    """Curator utilities of one week's questions: each view count divided
+    by the week's maximum view count.
 
-    An all-zero week maps every question to 0 rather than dividing by
+    An all-zero week maps every question to 0.0 rather than dividing by
     zero; :func:`~pubgame.data.normalize_weekly` flags such weeks.
     """
-    stat = float(max(q.view_count for q in pool.questions))
-    questions = tuple(
-        dataclasses.replace(q, u_f_norm=(q.view_count / stat if stat > 0 else 0.0))
-        for q in pool.questions
-    )
-    return dataclasses.replace(pool, questions=questions)
+    stat = float(max(view_counts))
+    return [v / stat if stat > 0 else 0.0 for v in view_counts]
 
 
 def utility_of_set(questions: Iterable[Question], side: str) -> float:
-    """Additive utility of a published set for one side, ``"G"`` or ``"F"``."""
-    if side == G_SIDE:
-        return sum(q.u_g for q in questions)
-    if side == F_SIDE:
-        total = 0.0
-        for q in questions:
-            if q.u_f_norm is None:
-                raise ValueError(
-                    f"question {q.id!r}: u_f_norm not set; normalize the week first"
-                )
-            total += q.u_f_norm
-        return total
-    raise ValueError(f"unknown side {side!r}; expected 'G' or 'F'")
+    """Additive utility of a published set for one side, ``"G"`` or ``"F"``,
+    added left to right from 0.0: a loop, since ``sum()`` of floats
+    compensates from Python 3.12."""
+    if side not in (G_SIDE, F_SIDE):
+        raise ValueError(f"unknown side {side!r}; expected 'G' or 'F'")
+    total = 0.0
+    for q in questions:
+        total += q.u_g if side == G_SIDE else q.u_f_norm
+    return total
 
 
 @dataclass(frozen=True)
@@ -168,8 +160,8 @@ class SelectionOutcome:
 
 
 def running_total(values: Iterable[float]) -> tuple[float, ...]:
-    """Left-to-right running sums from 0.0, so the last one equals the
-    plain ``sum()`` of the values exactly."""
+    """Left-to-right running sums from 0.0, so the last one equals a
+    loop adding the values in order from 0.0 exactly."""
     return tuple(accumulate(values, initial=0.0))[1:]
 
 
@@ -179,9 +171,9 @@ class GameLedger:
 
     ``outcomes`` holds the rounds' :class:`SelectionOutcome` records,
     with question ids, when the run was played in memory; it is empty
-    for a ledger read back from CSV.  Cumulative totals are plain
-    left-to-right sums of the per-round realized utilities, so they
-    match ``sum()`` over the rounds exactly.
+    for a ledger read back from CSV.  Cumulative totals are
+    left-to-right sums from 0.0 of the per-round realized utilities
+    (:func:`running_total`).
     """
 
     weeks: tuple[int, ...]

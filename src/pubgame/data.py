@@ -3,7 +3,8 @@
 Input records (JSONL or CSV) carry: id, timestamp, domain, title, body,
 view_count, u_g, and optionally forum_score.  Records are grouped into
 round pools by ISO week of the timestamp; week indices run 0..W-1 in
-chronological order.
+chronological order.  Each question is built once, with its curator
+utility within its week set.
 
 The synthetic generator draws (view, utility) pairs from a Gaussian
 copula with lognormal marginals, hitting a target Spearman correlation,
@@ -121,8 +122,10 @@ def _finite(raw, name: str, where: str) -> float:
     return value
 
 
-def _read_question(rec: dict, where: str) -> tuple[datetime, Question]:
-    """One record's timestamp and question; SchemaError names ``where``."""
+def _read_record(rec: dict, where: str) -> tuple[datetime, tuple]:
+    """One record's timestamp and checked fields, in the order of
+    :class:`Question`'s less ``u_f_norm``, which needs the whole week;
+    SchemaError names ``where``."""
     for name in REQUIRED_FIELDS:
         if name not in rec or rec[name] is None or rec[name] == "":
             if name == "u_g":
@@ -152,14 +155,14 @@ def _read_question(rec: dict, where: str) -> tuple[datetime, Question]:
         forum_score = None
     else:
         forum_score = _finite(score, "forum_score", where)
-    return timestamp, Question(
-        id=str(rec["id"]),
-        domain=str(rec["domain"]),
-        title=str(rec["title"]),
-        body=str(rec["body"]),
-        view_count=view_count,
-        u_g=u_g,
-        forum_score=forum_score,
+    return timestamp, (
+        str(rec["id"]),
+        str(rec["domain"]),
+        str(rec["title"]),
+        str(rec["body"]),
+        view_count,
+        u_g,
+        forum_score,
     )
 
 
@@ -200,7 +203,8 @@ def ingest(path: str | Path, fmt: str | None = None) -> Dataset:
 
     The format is inferred from the suffix unless given.  Duplicate
     ids, missing fields, and malformed values raise SchemaError with
-    the offending line.
+    the offending line.  Each week's questions are built once the file
+    is read, with their curator utilities set.
     """
     path = Path(path)
     if fmt is None:
@@ -220,13 +224,14 @@ def ingest(path: str | Path, fmt: str | None = None) -> Dataset:
     else:
         raise ConfigError(f"unknown dataset format {fmt!r}; expected jsonl or csv")
 
-    by_week: dict[tuple[int, int], list[Question]] = {}
+    by_week: dict[tuple[int, int], list[tuple]] = {}
     domains: dict[str, int] = {}
     seen: set[str] = set()
     for where, row in rows:
-        stamp, q = _read_question(row, where)
-        if q.id in seen:
-            raise SchemaError(f"duplicate question id {q.id!r}")
+        stamp, fields = _read_record(row, where)
+        qid, domain = fields[:2]
+        if qid in seen:
+            raise SchemaError(f"duplicate question id {qid!r}")
         # naive and offset-aware datetimes do not compare, so one file
         # holds one kind
         aware = stamp.utcoffset() is not None
@@ -238,19 +243,25 @@ def ingest(path: str | Path, fmt: str | None = None) -> Dataset:
                 f"{where}: timestamp is {kinds[aware]} but {first_where}'s is "
                 f"{kinds[first_aware]}; use one timestamp kind per file"
             )
-        seen.add(q.id)
+        seen.add(qid)
         # min and max keep the earliest-read of equal instants
         first, last = min(first, stamp), max(last, stamp)
-        by_week.setdefault(stamp.isocalendar()[:2], []).append(q)
-        domains[q.domain] = domains.get(q.domain, 0) + 1
+        by_week.setdefault(stamp.isocalendar()[:2], []).append(fields)
+        domains[domain] = domains.get(domain, 0) + 1
     if not seen:
         raise SchemaError(f"{path.name}: no records")
 
     week_keys = sorted(by_week)
-    pools = tuple(
-        RoundPool(week=t, questions=tuple(by_week[key]))
-        for t, key in enumerate(week_keys)
-    )
+    pools = []
+    for t, key in enumerate(week_keys):
+        # a week's fields are dropped as its questions are built
+        rows = by_week.pop(key)
+        u_f = set_utility([row[4] for row in rows])
+        questions = tuple(
+            Question(*row[:6], u_f_norm=u, forum_score=row[6])
+            for row, u in zip(rows, u_f)
+        )
+        pools.append(RoundPool(week=t, questions=questions))
     metadata = {
         "source": str(path),
         "format": fmt,
@@ -260,22 +271,20 @@ def ingest(path: str | Path, fmt: str | None = None) -> Dataset:
         "span": [first.isoformat(), last.isoformat()],
         "iso_weeks": [list(k) for k in week_keys],
     }
-    return Dataset(pools=pools, metadata=metadata)
+    return Dataset(pools=tuple(pools), metadata=metadata)
 
 
 def normalize_weekly(dataset: Dataset) -> Dataset:
-    """Populate curator utilities: :func:`~pubgame.core.set_utility`
-    divides each week's view counts by that week's maximum.  All-zero
-    weeks normalize to zero and are flagged in
-    metadata["zero_view_weeks"].  Idempotent."""
+    """Flag the weeks whose view counts are all zero, and so whose
+    curator utilities are all 0.0, in metadata["zero_view_weeks"].  The
+    pools pass through unchanged.  Idempotent."""
     metadata = dict(dataset.metadata)
     metadata["zero_view_weeks"] = [
         pool.week
         for pool in dataset.pools
         if not any(q.view_count for q in pool.questions)
     ]
-    pools = tuple(set_utility(pool) for pool in dataset.pools)
-    return dataclasses.replace(dataset, pools=pools, metadata=metadata)
+    return dataclasses.replace(dataset, metadata=metadata)
 
 
 def _reindex(pools: Sequence[RoundPool], metadata: dict) -> Dataset:
@@ -379,6 +388,8 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         )
         tokens = [_WORDS[w] for w in word.tolist()]
 
+        view_counts = views.tolist()
+        u_f = set_utility(view_counts)
         questions = []
         cursor = 0
         for i, n_tok in enumerate(lengths.tolist()):
@@ -388,8 +399,9 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
                     domain="synthetic",
                     title=" ".join(tokens[cursor : cursor + 3]),
                     body=" ".join(tokens[cursor + 3 : cursor + n_tok]),
-                    view_count=int(views[i]),
+                    view_count=view_counts[i],
                     u_g=float(u_g[i]),
+                    u_f_norm=u_f[i],
                 )
             )
             cursor += n_tok

@@ -28,7 +28,7 @@ from .core import (
     running_total,
     utility_of_set,
 )
-from .data import Dataset
+from .data import Dataset, _finite
 from .errors import ConfigError, SchemaError
 from .nash_opt import (
     DEFAULT_ENUMERATION_BUDGET,
@@ -57,13 +57,6 @@ def _as_pools(source: Dataset | Sequence[RoundPool]) -> list[RoundPool]:
     pools = list(source.pools) if isinstance(source, Dataset) else list(source)
     if not pools:
         raise ConfigError("no weekly pools to simulate")
-    for pool in pools:
-        for q in pool.questions:
-            if q.u_f_norm is None:
-                raise ConfigError(
-                    f"week {pool.week}: curator utilities missing; run weekly "
-                    f"normalization before simulating"
-                )
     return pools
 
 
@@ -223,10 +216,10 @@ def exact_urr(
     star_g = 0.0
     star_f = 0.0
     for pool in pools:
-        instance = _pool_instance(pool, k)
-        result = oracle_exact(instance, budget=budget)
-        star_g += float(sum(instance.items[i][0] for i in result.indices))
-        star_f += float(sum(instance.items[i][1] for i in result.indices))
+        result = oracle_exact(_pool_instance(pool, k), budget=budget)
+        chosen = [pool.questions[i] for i in result.indices]
+        star_g += utility_of_set(chosen, G_SIDE)
+        star_f += utility_of_set(chosen, F_SIDE)
     if star_g <= 0.0 or star_f <= 0.0:
         raise ValueError(
             "optimal trajectory has zero utility on one side; recovery "
@@ -316,31 +309,37 @@ def read_ledger_csv(path: str | Path) -> GameLedger:
     """Parse a ledger CSV, checking the cumulative columns add up.
 
     The ledger has no outcomes: the CSV stores per-round counts and
-    totals, not question ids.
+    totals, not question ids.  A malformed value raises SchemaError
+    naming the file and line.
     """
     path = Path(path)
     with path.open(newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
+        lines = [
+            (f"{path.name} line {lineno}", next(csv.reader([ln])))
+            for lineno, ln in enumerate(fh, start=1)
+            if not ln.startswith("#")
+        ]
+    if not lines:
         raise SchemaError(f"{path.name}: empty ledger")
+    (_, header), *body = lines
     if tuple(header) != LEDGER_COLUMNS:
         raise SchemaError(
             f"{path.name}: unexpected columns {header}; expected "
             f"{list(LEDGER_COLUMNS)}"
         )
-    rows = list(reader)
-    for row in rows:
+    rows = []
+    for where, row in body:
         if len(row) != len(LEDGER_COLUMNS):
-            raise SchemaError(f"{path.name}: malformed row {row}")
-    # the CSV columns are the ledger's fields in order: three counts,
-    # then four utility columns
+            raise SchemaError(f"{where}: malformed row {row}")
+        # a week and two counts, then four utility columns
+        for name, raw in zip(LEDGER_COLUMNS[:3], row):
+            if not raw.isdecimal():
+                raise SchemaError(f"{where}: {name} {raw!r} is not an integer >= 0")
+        values = zip(LEDGER_COLUMNS[3:], row[3:])
+        rows.append((*map(int, row[:3]), *(_finite(v, n, where) for n, v in values)))
+    # the CSV columns are the ledger's fields in order
     columns = list(zip(*rows)) or [()] * len(LEDGER_COLUMNS)
-    ledger = GameLedger(
-        *(tuple(map(int if j < 3 else float, col)) for j, col in enumerate(columns))
-    )
+    ledger = GameLedger(*columns)
     expected = zip(running_total(ledger.u_g), running_total(ledger.u_f))
     stored = zip(ledger.cum_u_g, ledger.cum_u_f)
     for week, want, got in zip(ledger.weeks, expected, stored):

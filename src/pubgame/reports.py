@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 import math
 
-from .data import Dataset
+from .data import Dataset, normalize_weekly
 from .engine import EurrReport
 from .errors import ConfigError
 from .stats import CorrelationResult, spearman, weekly_ttest
@@ -47,14 +47,12 @@ def misalignment_report(
     aligned with the dataset's question iteration order (week by week,
     pool order within the week).  Each utility is correlated per domain
     (plus "all" when several domains exist); groups under 3 points are
-    skipped and named in the report.
+    skipped and named in the report, as are the weeks whose views are
+    all zero.
     """
     questions = list(dataset.questions())
     if not questions:
         raise ConfigError("dataset has no questions")
-    for q in questions[:1]:
-        if q.u_f_norm is None:
-            raise ConfigError("normalize the dataset before correlating")
     if utilities is None:
         utilities = {"u_g": [q.u_g for q in questions]}
     for name, column in utilities.items():
@@ -99,7 +97,7 @@ def misalignment_report(
         rows=tuple(rows),
         mean_rho=mean,
         std_rho=std,
-        zero_view_weeks=tuple(dataset.metadata.get("zero_view_weeks", ())),
+        zero_view_weeks=tuple(normalize_weekly(dataset).metadata["zero_view_weeks"]),
         skipped=tuple(skipped),
     )
 

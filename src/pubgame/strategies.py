@@ -63,13 +63,7 @@ def label_by_percentile(
     """
     out: list[tuple[Question, int | None]] = []
     for pool in pools:
-        values = []
-        for q in pool.questions:
-            if q.u_f_norm is None:
-                raise ValueError(
-                    f"question {q.id!r}: u_f_norm not set; normalize the week first"
-                )
-            values.append(q.u_f_norm)
+        values = [q.u_f_norm for q in pool.questions]
         n = len(values)
         double_rank = _double_average_ranks(values)
         for i, q in enumerate(pool.questions):
@@ -161,15 +155,19 @@ class ForumScorer:
     def score(self, questions: Sequence[Question]) -> np.ndarray:
         if self.kind == "text":
             return self.model.predict_proba([q.text for q in questions])
-        scores = np.empty(len(questions), dtype=np.float64)
-        for i, q in enumerate(questions):
-            if q.forum_score is None:
-                raise ValueError(
-                    f"question {q.id!r} has no forum_score; the precomputed "
-                    f"scorer needs that column in the dataset"
-                )
-            scores[i] = q.forum_score
-        return scores
+        return _forum_scores(questions)
+
+
+def _forum_scores(questions: Sequence[Question]) -> np.ndarray:
+    """The questions' forum_score column, which the precomputed scorer
+    reads; a question without one is an error."""
+    for q in questions:
+        if q.forum_score is None:
+            raise ValueError(
+                f"question {q.id!r} has no forum_score; the precomputed "
+                f"scorer needs that column in the dataset"
+            )
+    return np.array([q.forum_score for q in questions], dtype=np.float64)
 
 
 def forum_select(
@@ -234,15 +232,10 @@ def make_precomputed_scorer(
     if theta is not None:
         return ForumScorer(kind="precomputed", theta=theta)
     val_labeled = _labeled(val_pools)
-    scored = []
-    for q, lbl in val_labeled:
-        if q.forum_score is None:
-            raise ValueError(
-                f"question {q.id!r} has no forum_score; the precomputed "
-                f"scorer needs that column in the dataset"
-            )
-        scored.append((float(q.forum_score), lbl))
-    calibration = calibrate_theta(scored)
+    scores = _forum_scores([q for q, _ in val_labeled])
+    calibration = calibrate_theta(
+        [(float(s), lbl) for s, (_, lbl) in zip(scores, val_labeled)]
+    )
     return ForumScorer(
         kind="precomputed", theta=calibration.theta, calibration=calibration
     )

@@ -15,7 +15,9 @@ from pubgame.strategies import CalibrationResult
 from pubgame.textmodel import TextFeaturizer
 
 
-def mk_q(i, *, views=10, u_g=1.0, title=None, body="body text", **kw):
+def mk_q(i, *, views=10, u_g=1.0, title=None, body="body text", u_f_norm=None, **kw):
+    """A question; ``u_f_norm`` defaults to that of a question alone in
+    its week."""
     return Question(
         id=f"q{i}",
         domain=kw.pop("domain", "dom"),
@@ -23,17 +25,26 @@ def mk_q(i, *, views=10, u_g=1.0, title=None, body="body text", **kw):
         body=body,
         view_count=views,
         u_g=u_g,
+        u_f_norm=set_utility([views])[0] if u_f_norm is None else u_f_norm,
         **kw,
     )
 
 
-def mk_pool(week, specs, *, normalize=True):
-    """Build a week pool from (views, u_g) pairs, normalized by default."""
+def mk_week(week, specs):
+    """A week pool of ``mk_q(i, **kw)`` questions from (i, kw) pairs, each
+    given its curator utility within the week."""
+    views = [kw.get("views", 10) for _, kw in specs]
     qs = tuple(
-        mk_q(f"{week}-{i}", views=v, u_g=g) for i, (v, g) in enumerate(specs)
+        mk_q(i, **kw, u_f_norm=u_f) for (i, kw), u_f in zip(specs, set_utility(views))
     )
-    pool = RoundPool(week=week, questions=qs)
-    return set_utility(pool) if normalize else pool
+    return RoundPool(week=week, questions=qs)
+
+
+def mk_pool(week, specs):
+    """A week pool from (views, u_g) pairs."""
+    return mk_week(
+        week, [(f"{week}-{i}", {"views": v, "u_g": g}) for i, (v, g) in enumerate(specs)]
+    )
 
 
 # ---------------------------------------------------------------- references
@@ -222,6 +233,7 @@ def ref_generate_synthetic(spec):
         own_topic = rng.random(total) < data.TOPIC_PURITY
         topic_idx = rng.integers(0, data.TOPIC_VOCAB, size=total)
         common_idx = rng.integers(0, data.COMMON_VOCAB, size=total)
+        u_f = set_utility(views)
         questions = []
         cursor = 0
         for i in range(q):
@@ -242,6 +254,7 @@ def ref_generate_synthetic(spec):
                     body=" ".join(tokens[3:]),
                     view_count=int(views[i]),
                     u_g=float(u_g[i]),
+                    u_f_norm=u_f[i],
                 )
             )
         pools.append(RoundPool(week=t, questions=tuple(questions)))

@@ -511,3 +511,45 @@ def test_eurr_rejects_non_run_directories(tmp_path, capsys):
     rc = main(["eurr", "--asym-dir", str(empty), "--full-dir", str(empty)])
     assert rc == 1
     assert "no ledger.csv" in capsys.readouterr().err
+
+
+def test_simulate_that_publishes_nothing_writes_float_zeros(pipeline, tmp_path):
+    _, data, _, _ = pipeline
+    out = tmp_path / "theta1"
+    rc = main([
+        "simulate", "--data", str(data), "--out-dir", str(out),
+        "--pretrain-weeks", "4", "--rounds", "5", "--m-cap", "6",
+        "--k-cap", "3", "--theta", "1.0", "--seed", "3",
+    ])
+    assert rc == 0
+    rows = (out / "ledger.csv").read_text().splitlines()[2:]
+    assert rows == [f"{t},6,0,0.0,0.0,0.0,0.0" for t in range(5)]
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        ("published_count", "x", "published_count 'x' is not an integer >= 0"),
+        ("published_count", "-1", "published_count '-1' is not an integer >= 0"),
+        ("u_g_realized", "nan", "u_g_realized 'nan' is not a finite number"),
+        ("u_g_realized", "inf", "u_g_realized 'inf' is not a finite number"),
+    ],
+)
+def test_eurr_rejects_malformed_ledger_values(pipeline, tmp_path, capsys, column, value, message):
+    _, _, asym, full = pipeline
+    lines = (asym / "ledger.csv").read_text().splitlines()
+    header = lines[1].split(",")
+    # the last round, with its running total changed alike, so the
+    # cumulative check alone would pass an inf
+    last = lines[-1].split(",")
+    last[header.index(column)] = value
+    if column == "u_g_realized":
+        last[header.index("cum_u_g")] = value
+    bad = tmp_path / "asym"
+    bad.mkdir()
+    (bad / "ledger.csv").write_text("\n".join(lines[:-1] + [",".join(last)]) + "\n")
+    rc = main(["eurr", "--asym-dir", str(bad), "--full-dir", str(full)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ledger.csv line {len(lines)}: ")
+    assert message in err

@@ -37,15 +37,21 @@ def test_pool_rejects_negative_week_and_empty():
         RoundPool(week=0, questions=())
 
 
+def test_question_requires_u_f_norm():
+    with pytest.raises(TypeError):
+        Question(id="q", domain="d", title="t", body="b", view_count=1, u_g=1.0)
+
+
 def test_set_utility_divides_by_week_max():
+    assert set_utility([10, 40, 20]) == [0.25, 1.0, 0.5]
     pool = mk_pool(0, [(10, 1.0), (40, 2.0), (20, 3.0)])
     assert [q.u_f_norm for q in pool.questions] == [0.25, 1.0, 0.5]
 
 
 def test_set_utility_zero_week_maps_to_zero():
-    qs = (mk_q(1, views=0), mk_q(2, views=0))
-    pool = set_utility(RoundPool(week=0, questions=qs))
-    assert [q.u_f_norm for q in pool.questions] == [0.0, 0.0]
+    utilities = set_utility([0, 0])
+    assert utilities == [0.0, 0.0]
+    assert all(type(u) is float for u in utilities)
 
 
 def test_utility_of_set_sides():
@@ -56,9 +62,17 @@ def test_utility_of_set_sides():
         utility_of_set(pool.questions, "X")
 
 
-def test_utility_of_set_rejects_unnormalized_f_side():
-    with pytest.raises(ValueError):
-        utility_of_set([mk_q(1)], "F")
+@pytest.mark.parametrize("side", ["G", "F"])
+def test_utility_of_set_empty_is_float_zero(side):
+    total = utility_of_set([], side)
+    assert total == 0.0 and type(total) is float
+
+
+def test_utility_of_set_adds_left_to_right():
+    # math.fsum and Python 3.12's sum() give 1.0 here
+    qs = [mk_q(i, u_g=0.1, u_f_norm=0.1) for i in range(10)]
+    assert utility_of_set(qs, "G") == 0.9999999999999999
+    assert utility_of_set(qs, "F") == 0.9999999999999999
 
 
 def test_game_config_validation():

@@ -1,6 +1,7 @@
+import csv
 import json
 import tempfile
-from datetime import datetime
+from datetime import date, datetime, timedelta
 from pathlib import Path
 
 import pytest
@@ -199,7 +200,7 @@ def test_ingest_rejects_duplicates_and_empty(tmp_path):
         ingest(malformed)
 
 
-def test_normalize_weekly_sets_week_max_and_flags_zero_weeks(tmp_path):
+def test_ingest_sets_week_max_and_normalize_flags_zero_weeks(tmp_path):
     path = write_records(
         tmp_path / "data.jsonl",
         [
@@ -208,12 +209,62 @@ def test_normalize_weekly_sets_week_max_and_flags_zero_weeks(tmp_path):
             record(2, "2024-01-08T00:00:00", view_count=0),
         ],
     )
-    ds = normalize_weekly(ingest(path))
+    ds = ingest(path)
     assert [q.u_f_norm for q in ds.pools[0].questions] == [1.0, 0.5]
     assert [q.u_f_norm for q in ds.pools[1].questions] == [0.0]
-    assert ds.metadata["zero_view_weeks"] == [1]
-    again = normalize_weekly(ds)
-    assert again.pools == ds.pools
+    flagged = normalize_weekly(ds)
+    assert flagged.metadata["zero_view_weeks"] == [1]
+    assert flagged.pools is ds.pools
+    assert normalize_weekly(flagged).metadata == flagged.metadata
+
+
+def assert_curator_utilities(ds):
+    """Each question's u_f_norm is its views over its week's maximum."""
+    for pool in ds.pools:
+        top = max(q.view_count for q in pool.questions)
+        for q in pool.questions:
+            assert type(q.u_f_norm) is float
+            assert q.u_f_norm == (q.view_count / float(top) if top else 0.0)
+
+
+@st.composite
+def _weekly_records(draw):
+    """(records, zero week): a few ISO weeks of records, one week's view
+    counts all zero, the rows shuffled."""
+    n_weeks = draw(st.integers(1, 4))
+    zero_week = draw(st.integers(0, n_weeks - 1))
+    rows = []
+    for week in range(n_weeks):
+        for _ in range(draw(st.integers(1, 6))):
+            day = date(2024, 1, 1) + timedelta(weeks=week, days=draw(st.integers(0, 6)))
+            views = 0 if week == zero_week else draw(st.integers(0, 10**12))
+            rows.append(record(len(rows), f"{day}T12:00:00", view_count=views))
+    return draw(st.permutations(rows)), zero_week
+
+
+@settings(max_examples=60, deadline=None)
+@given(_weekly_records(), st.sampled_from(["jsonl", "csv"]))
+def test_ingest_sets_every_curator_utility(drawn, fmt):
+    records, zero_week = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"data.{fmt}"
+        if fmt == "jsonl":
+            write_records(path, records)
+        else:
+            with path.open("w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(records[0]))
+                writer.writeheader()
+                writer.writerows(records)
+        ds = ingest(path)
+    assert_curator_utilities(ds)
+    assert all(q.u_f_norm == 0.0 for q in ds.pools[zero_week].questions)
+    assert zero_week in normalize_weekly(ds).metadata["zero_view_weeks"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 30), st.integers(0, 2**32 - 1))
+def test_generate_synthetic_sets_every_curator_utility(weeks, per_week, seed):
+    assert_curator_utilities(generate_synthetic(SyntheticSpec(weeks, per_week, seed=seed)))
 
 
 def test_split_pretrain_partitions_and_reindexes():
@@ -345,11 +396,7 @@ def test_write_jsonl_round_trip(tmp_path):
     ds = generate_synthetic(spec)
     path = tmp_path / "synth.jsonl"
     write_jsonl(ds, path)
-    back = ingest(path)
-    assert back.n_weeks == ds.n_weeks
-    for orig_pool, back_pool in zip(ds.pools, back.pools):
-        assert orig_pool.week == back_pool.week
-        assert orig_pool.questions == back_pool.questions
+    assert ingest(path) == ds
 
 
 @st.composite

@@ -16,35 +16,21 @@ from pubgame import (
     normalize_weekly,
     significance_table,
 )
-from pubgame.core import RoundPool
-
-from helpers import mk_q
+from helpers import mk_week
 
 
 def _domain_dataset():
     # two domains, views anti-correlated with u_g in one, aligned in the other
     pools = []
     for week in range(2):
-        qs = []
-        for i in range(6):
-            qs.append(
-                mk_q(
-                    f"a{week}{i}",
-                    views=10 * (i + 1),
-                    u_g=float(6 - i),
-                    domain="anti",
-                )
-            )
-        for i in range(6):
-            qs.append(
-                mk_q(
-                    f"p{week}{i}",
-                    views=10 * (i + 1),
-                    u_g=float(i + 1),
-                    domain="pro",
-                )
-            )
-        pools.append(RoundPool(week=week, questions=tuple(qs)))
+        specs = [
+            (f"a{week}{i}", {"views": 10 * (i + 1), "u_g": float(6 - i), "domain": "anti"})
+            for i in range(6)
+        ] + [
+            (f"p{week}{i}", {"views": 10 * (i + 1), "u_g": float(i + 1), "domain": "pro"})
+            for i in range(6)
+        ]
+        pools.append(mk_week(week, specs))
     return normalize_weekly(Dataset(pools=tuple(pools)))
 
 
@@ -82,24 +68,25 @@ def test_misalignment_report_external_utility_columns():
 def test_misalignment_report_skips_degenerate_groups():
     pools = []
     for week in range(2):
-        qs = [
-            mk_q(f"c{week}{i}", views=10, u_g=2.0, domain="const")
+        specs = [
+            (f"c{week}{i}", {"views": 10, "u_g": 2.0, "domain": "const"})
+            for i in range(4)
+        ] + [
+            (f"v{week}{i}", {"views": 10 * (i + 1), "u_g": float(i), "domain": "vary"})
             for i in range(4)
         ]
-        qs.extend(
-            mk_q(f"v{week}{i}", views=10 * (i + 1), u_g=float(i), domain="vary")
-            for i in range(4)
-        )
-        pools.append(RoundPool(week=week, questions=tuple(qs)))
+        pools.append(mk_week(week, specs))
     report = misalignment_report(normalize_weekly(Dataset(pools=tuple(pools))))
     assert "u_g/const" in report.skipped
     assert any(row.domain == "vary" for row in report.rows)
 
 
-def test_misalignment_report_requires_normalization():
-    ds = Dataset(pools=(RoundPool(week=0, questions=(mk_q("x"),)),))
-    with pytest.raises(ConfigError):
-        misalignment_report(ds)
+def test_misalignment_report_flags_zero_view_weeks_itself():
+    # no normalize_weekly: the report finds the all-zero week in the pools
+    zero = mk_week(0, [(f"z{i}", {"views": 0, "u_g": float(i)}) for i in range(4)])
+    live = mk_week(1, [(f"l{i}", {"views": 10 * i, "u_g": float(i)}) for i in range(4)])
+    report = misalignment_report(Dataset(pools=(zero, live)))
+    assert report.zero_view_weeks == (0,)
 
 
 def _ledger(u_g, u_f):

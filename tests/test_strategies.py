@@ -17,11 +17,11 @@ from pubgame import (
     train_acceptance,
     train_text_scorer,
 )
-from pubgame.core import RoundPool, set_utility
+from pubgame.core import RoundPool
 from pubgame.strategies import CalibrationResult
 from pubgame.textmodel import AcceptanceModel, FeaturizerConfig
 
-from helpers import mk_q, mk_pool, ref_calibrate_theta
+from helpers import mk_q, mk_pool, mk_week, ref_calibrate_theta
 
 CAL_POINTS = [
     (0.95, 1), (0.9, 1), (0.85, 0), (0.8, 1), (0.7, 1),
@@ -93,12 +93,6 @@ def test_percentile_labels_tie_runs_share_average_rank():
 def test_percentile_labels_all_ties_are_excluded():
     pool = mk_pool(0, [(10, 1.0)] * 6)
     assert [lbl for _, lbl in label_by_percentile([pool])] == [None] * 6
-
-
-def test_percentile_labels_require_normalized_pools():
-    pool = mk_pool(0, [(10, 1.0), (20, 1.0)], normalize=False)
-    with pytest.raises(ValueError):
-        label_by_percentile([pool])
 
 
 def test_calibrate_theta_known_sweep():
@@ -183,8 +177,14 @@ def test_forum_scorer_validation():
     with pytest.raises(ValueError):
         ForumScorer(kind="text", theta=0.5)
     scorer = ForumScorer(kind="precomputed", theta=0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'q1' has no forum_score"):
         scorer.score([mk_q(1, u_f_norm=0.5)])
+
+
+def test_make_precomputed_scorer_needs_the_forum_score_column():
+    pool = mk_pool(0, [(v, 1.0) for v in (10, 20, 30, 40, 50)])
+    with pytest.raises(ValueError, match="'q0-0' has no forum_score"):
+        make_precomputed_scorer([pool])
 
 
 def _topic_pools(weeks, seed=0, n=12):
@@ -192,21 +192,23 @@ def _topic_pools(weeks, seed=0, n=12):
     rng = random.Random(seed)
     pools = []
     for week in range(weeks):
-        qs = []
+        specs = []
         for i in range(n):
             hot = i < n // 2
             views = rng.randint(80, 100) if hot else rng.randint(1, 20)
             word = "alpha" if hot else "beta"
-            qs.append(
-                mk_q(
+            specs.append(
+                (
                     f"{week}-{i}",
-                    views=views,
-                    u_g=float(rng.randint(1, 50)),
-                    title=f"{word} question",
-                    body=f"{word} detail {word}",
+                    {
+                        "views": views,
+                        "u_g": float(rng.randint(1, 50)),
+                        "title": f"{word} question",
+                        "body": f"{word} detail {word}",
+                    },
                 )
             )
-        pools.append(set_utility(RoundPool(week=week, questions=tuple(qs))))
+        pools.append(mk_week(week, specs))
     return pools
 
 
