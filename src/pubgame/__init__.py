@@ -86,7 +86,6 @@ from .strategies import (
 )
 from .textmodel import (
     AcceptanceModel,
-    FeaturizerConfig,
     TextFeaturizer,
     tokenize,
     train_acceptance,

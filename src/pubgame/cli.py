@@ -29,7 +29,6 @@ from .data import (
     SyntheticSpec,
     generate_synthetic,
     ingest,
-    normalize_weekly,
     split_pretrain,
     write_jsonl,
 )
@@ -165,7 +164,7 @@ def load_manifest(path: str | Path, command: str) -> dict:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: not valid JSON ({e.msg})")
-    if payload.get("format") != MANIFEST_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != MANIFEST_FORMAT:
         raise ConfigError(f"{path}: not a run manifest")
     if payload.get("version") != MANIFEST_VERSION:
         raise ConfigError(
@@ -215,7 +214,7 @@ def _config_args(args: argparse.Namespace, keys: dict) -> dict:
 
 
 def _load_split(run_args: dict) -> tuple[Dataset, Dataset, Dataset]:
-    dataset = normalize_weekly(ingest(run_args["data"], run_args.get("format")))
+    dataset = ingest(run_args["data"], run_args.get("format"))
     log.info(
         "ingested %s: %d questions over %d weeks",
         run_args["data"],
@@ -278,9 +277,12 @@ def _run_simulate(run_args: dict, out_dir: Path) -> int:
             f"unknown curator scorer {run_args['scorer_f']!r}; "
             f"expected one of {', '.join(SCORER_KINDS)}"
         )
-    theta = run_args["theta"]
-    if theta is not None and not 0.0 <= theta <= 1.0:
-        raise ConfigError(f"theta must lie in [0, 1], got {theta}")
+    # the text scorer's scores are probabilities; precomputed ones may be
+    # any finite numbers
+    theta, text = run_args["theta"], run_args["scorer_f"] == "text"
+    if theta is not None and not (0 <= theta <= 1 if text else math.isfinite(theta)):
+        bound = "lie in [0, 1]" if text else "be finite"
+        raise ConfigError(f"theta must {bound}, got {theta}")
     train, val, sim = _load_split(run_args)
     scorer = _build_scorer(run_args, train, val)
     ledger = run_asymmetric(sim, config, scorer)
@@ -418,15 +420,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     import csv as _csv
 
     with open(args.items, newline="") as fh:
-        reader = _csv.DictReader(fh)
+        # a short row's missing values read as "", which is not a number
+        reader = _csv.DictReader(fh, restval="")
         if reader.fieldnames is None or not {"f", "g"} <= set(reader.fieldnames):
             raise ConfigError(f"{args.items}: expected CSV columns f, g")
         items = tuple(
             (
-                _parse_value(row["f"], f"{args.items} line {lineno}"),
-                _parse_value(row["g"], f"{args.items} line {lineno}"),
+                _parse_value(row["f"], f"{args.items} line {reader.line_num}"),
+                _parse_value(row["g"], f"{args.items} line {reader.line_num}"),
             )
-            for lineno, row in enumerate(reader, start=2)
+            for row in reader
         )
     if not items:
         raise ConfigError(f"{args.items}: no items")
@@ -438,7 +441,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _run_analyze(run_args: dict, out_dir: Path) -> int:
-    dataset = normalize_weekly(ingest(run_args["data"], run_args.get("format")))
+    dataset = ingest(run_args["data"], run_args.get("format"))
     report = misalignment_report(dataset)
     table = misalignment_table(report)
 
@@ -692,7 +695,7 @@ def main(argv=None) -> int:
                 parser.error(f"--{name.replace('_', '-')} is required without --manifest")
     try:
         return args.func(args)
-    except (PubgameError, ValueError, ArithmeticError, FileNotFoundError) as e:
+    except (PubgameError, ValueError, ArithmeticError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

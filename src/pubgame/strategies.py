@@ -16,7 +16,7 @@ import numpy as np
 from .core import Question, RoundPool
 from .errors import CalibrationError
 from .stats import _double_average_ranks
-from .textmodel import AcceptanceModel, FeaturizerConfig, train_acceptance
+from .textmodel import AcceptanceModel, train_acceptance
 
 
 def strategy_g_greedy(pool: RoundPool, m: int) -> list[Question]:
@@ -195,7 +195,6 @@ def train_text_scorer(
     train_pools: Sequence[RoundPool],
     val_pools: Sequence[RoundPool],
     *,
-    config: FeaturizerConfig = FeaturizerConfig(),
     theta: float | None = None,
 ) -> ForumScorer:
     """Fit the curator model on percentile labels and calibrate theta
@@ -205,7 +204,7 @@ def train_text_scorer(
     still runs so the operating point gets reported.
     """
     train_labeled = _labeled(train_pools)
-    model = train_acceptance(train_labeled, config)
+    model = train_acceptance(train_labeled)
     if not model.trained:
         raise CalibrationError(
             "curator training collapsed: labels are single-class or the "

@@ -4,8 +4,10 @@ The same stack serves two roles: the curator's publication scorer
 (trained on weekly view-percentile labels) and the proposer's learned
 acceptance predictor (trained on its own submit/publish history).
 
-Models serialize to a small versioned JSON text format; a load/save
-round trip reproduces predictions bit for bit.
+The recipe is fixed by the module constants ``MIN_TOKEN_LEN``, ``MIN_DF``
+and ``ALPHA``.  Models serialize to a small versioned JSON text format
+that records it; loading refuses any other recipe, and a load/save round
+trip reproduces predictions bit for bit.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -26,34 +27,44 @@ from .errors import SchemaError
 MODEL_FORMAT = "pubgame-acceptance-model"
 MODEL_VERSION = 1
 
+MIN_TOKEN_LEN = 2
+MIN_DF = 2
+ALPHA = 1.0
 
-@dataclass(frozen=True)
-class FeaturizerConfig:
-    """Vocabulary construction knobs.
-
-    ``min_df`` drops tokens seen in fewer documents; ``min_token_len``
-    drops short tokens (set to 1 to keep single characters).
-    """
-
-    min_df: int = 2
-    min_token_len: int = 2
-
-    def __post_init__(self) -> None:
-        if self.min_df < 1:
-            raise ValueError("min_df must be >= 1")
-        if self.min_token_len < 1:
-            raise ValueError("min_token_len must be >= 1")
+# tokens are maximal runs, so a run shorter than the minimum never
+# matches in part: this equals filtering [a-z0-9]+ runs by length
+_TOKEN = re.compile(f"[a-z0-9]{{{MIN_TOKEN_LEN},}}")
 
 
-def _token_rule(min_token_len: int) -> re.Pattern:
-    # tokens are maximal runs, so a run shorter than the minimum never
-    # matches in part: this equals filtering [a-z0-9]+ runs by length
-    return re.compile(f"[a-z0-9]{{{min_token_len},}}")
+def tokenize(text: str) -> list[str]:
+    """Lowercase alphanumeric runs of at least ``MIN_TOKEN_LEN`` chars."""
+    return _TOKEN.findall(text.lower())
 
 
-def tokenize(text: str, min_token_len: int = 2) -> list[str]:
-    """Lowercase alphanumeric runs of at least ``min_token_len`` chars."""
-    return _token_rule(min_token_len).findall(text.lower())
+def _field(payload: dict, name: str, shape: tuple | None = None):
+    """``payload[name]``; given a ``shape``, as a float64 array of that
+    shape holding finite numbers."""
+    if not isinstance(payload, dict) or name not in payload:
+        raise SchemaError(f"model file has no {name!r} field")
+    if shape is None:
+        return payload[name]
+    try:
+        array = np.asarray(payload[name])
+        ok = array.dtype.kind in "iuf" and array.shape == shape
+    except ValueError:  # a ragged nesting
+        ok = False
+    if not ok or not np.isfinite(array).all():
+        raise SchemaError(f"model file field {name!r} is not {shape} finite numbers")
+    return array.astype(np.float64)
+
+
+def _check_recipe(payload: dict, **recipe) -> None:
+    for name, expected in recipe.items():
+        value = _field(payload, name)
+        if type(value) is not type(expected) or value != expected:
+            raise SchemaError(
+                f"model file field {name!r} is {value!r}, not the recipe's {expected!r}"
+            )
 
 
 class CsrRows(NamedTuple):
@@ -117,30 +128,20 @@ class TextFeaturizer:
     Transforms are returned as :class:`CsrRows`, one row per text.
     """
 
-    def __init__(
-        self,
-        vocabulary: dict[str, int],
-        idf: np.ndarray,
-        config: FeaturizerConfig,
-    ):
+    def __init__(self, vocabulary: dict[str, int], idf: np.ndarray):
         self.vocabulary = vocabulary
         self.idf = idf
-        self.config = config
-        self._tokens = _token_rule(config.min_token_len).findall
 
     @classmethod
-    def fit(
-        cls, corpus: Sequence[str], config: FeaturizerConfig = FeaturizerConfig()
-    ) -> "TextFeaturizer":
-        tokens = _token_rule(config.min_token_len).findall
-        df = Counter(chain.from_iterable(set(tokens(doc.lower())) for doc in corpus))
-        kept = sorted(t for t, c in df.items() if c >= config.min_df)
+    def fit(cls, corpus: Sequence[str]) -> "TextFeaturizer":
+        df = Counter(chain.from_iterable(set(tokenize(doc)) for doc in corpus))
+        kept = sorted(t for t, c in df.items() if c >= MIN_DF)
         vocabulary = {t: i for i, t in enumerate(kept)}
         n = len(corpus)
         idf = np.array(
             [math.log((1 + n) / (1 + df[t])) + 1.0 for t in kept], dtype=np.float64
         )
-        return cls(vocabulary, idf, config)
+        return cls(vocabulary, idf)
 
     @property
     def size(self) -> int:
@@ -151,7 +152,7 @@ class TextFeaturizer:
         # tokens are never all alive at once; -1 marks a token outside
         # the vocabulary
         get = self.vocabulary.get
-        ids = [list(map(get, self._tokens(text.lower()), repeat(-1))) for text in texts]
+        ids = [list(map(get, tokenize(text), repeat(-1))) for text in texts]
         n_tokens = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
         flat = np.fromiter(chain.from_iterable(ids), dtype=np.int64, count=n_tokens.sum())
         del ids
@@ -180,28 +181,29 @@ class TextFeaturizer:
         return {
             "vocabulary": tokens,
             "idf": [float(v) for v in self.idf],
-            "min_df": self.config.min_df,
-            "min_token_len": self.config.min_token_len,
+            "min_df": MIN_DF,
+            "min_token_len": MIN_TOKEN_LEN,
         }
 
     @classmethod
     def from_payload(cls, payload: dict) -> "TextFeaturizer":
-        tokens = payload["vocabulary"]
-        config = FeaturizerConfig(
-            min_df=payload["min_df"], min_token_len=payload["min_token_len"]
-        )
-        return cls(
-            {t: i for i, t in enumerate(tokens)},
-            np.array(payload["idf"], dtype=np.float64),
-            config,
-        )
+        _check_recipe(payload, min_df=MIN_DF, min_token_len=MIN_TOKEN_LEN)
+        tokens = _field(payload, "vocabulary")
+        if not (
+            isinstance(tokens, list)
+            and all(isinstance(t, str) for t in tokens)
+            and len(set(tokens)) == len(tokens)
+        ):
+            raise SchemaError("model file field 'vocabulary' is not distinct strings")
+        idf = _field(payload, "idf", (len(tokens),))
+        return cls({t: i for i, t in enumerate(tokens)}, idf)
 
 
 class AcceptanceModel:
     """Two-class multinomial Naive Bayes over tf-idf weights.
 
     tf-idf weights act as fractional counts with Laplace smoothing
-    alpha = 1.  An untrained model predicts probability 1 for every
+    ``ALPHA``.  An untrained model predicts probability 1 for every
     input, which makes utility-weighted ranking collapse to plain
     utility ranking.
     """
@@ -211,12 +213,10 @@ class AcceptanceModel:
         featurizer: TextFeaturizer | None = None,
         class_log_prior: np.ndarray | None = None,
         feature_log_lik: np.ndarray | None = None,
-        alpha: float = 1.0,
     ):
         self.featurizer = featurizer
         self.class_log_prior = class_log_prior
         self.feature_log_lik = feature_log_lik
-        self.alpha = alpha
 
     @property
     def trained(self) -> bool:
@@ -241,7 +241,7 @@ class AcceptanceModel:
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
             "trained": self.trained,
-            "alpha": self.alpha,
+            "alpha": ALPHA,
         }
         if self.trained:
             payload["featurizer"] = self.featurizer.to_payload()
@@ -258,20 +258,23 @@ class AcceptanceModel:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "AcceptanceModel":
-        if payload.get("format") != MODEL_FORMAT:
-            raise SchemaError(f"not an acceptance model file: {payload.get('format')!r}")
+        """The model a payload records, refusing a recipe other than this
+        build's and fields that are missing, misshapen or not finite."""
+        if _field(payload, "format") != MODEL_FORMAT:
+            raise SchemaError(f"not an acceptance model file: {payload['format']!r}")
         if payload.get("version") != MODEL_VERSION:
             raise SchemaError(
                 f"unsupported model version {payload.get('version')!r}; "
                 f"this build reads version {MODEL_VERSION}"
             )
-        if not payload["trained"]:
-            return cls(alpha=payload["alpha"])
+        _check_recipe(payload, alpha=ALPHA)
+        if not _field(payload, "trained"):
+            return cls()
+        featurizer = TextFeaturizer.from_payload(_field(payload, "featurizer"))
         return cls(
-            featurizer=TextFeaturizer.from_payload(payload["featurizer"]),
-            class_log_prior=np.array(payload["class_log_prior"], dtype=np.float64),
-            feature_log_lik=np.array(payload["feature_log_lik"], dtype=np.float64),
-            alpha=payload["alpha"],
+            featurizer,
+            _field(payload, "class_log_prior", (2,)),
+            _field(payload, "feature_log_lik", (2, featurizer.size)),
         )
 
     @classmethod
@@ -279,11 +282,7 @@ class AcceptanceModel:
         return cls.from_payload(json.loads(Path(path).read_text()))
 
 
-def train_acceptance(
-    history: Sequence[tuple],
-    config: FeaturizerConfig = FeaturizerConfig(),
-    alpha: float = 1.0,
-) -> AcceptanceModel:
+def train_acceptance(history: Sequence[tuple]) -> AcceptanceModel:
     """Fit the acceptance model on (question, accepted) pairs.
 
     Questions may be any objects with a ``text`` attribute, or plain
@@ -294,10 +293,10 @@ def train_acceptance(
     texts = [getattr(q, "text", q) for q, _ in history]
     labels = [1 if accepted else 0 for _, accepted in history]
     if not history or len(set(labels)) < 2:
-        return AcceptanceModel(alpha=alpha)
-    featurizer = TextFeaturizer.fit(texts, config)
+        return AcceptanceModel()
+    featurizer = TextFeaturizer.fit(texts)
     if featurizer.size == 0:
-        return AcceptanceModel(alpha=alpha)
+        return AcceptanceModel()
 
     v = featurizer.size
     indptr, indices, data = featurizer.transform(texts)
@@ -308,8 +307,6 @@ def train_acceptance(
     ).reshape(2, v)
     n_class = [labels.count(0), labels.count(1)]
     totals = counts.sum(axis=1)
-    feature_log_lik = np.log(
-        (alpha + counts) / (alpha * v + totals)[:, None]
-    )
+    feature_log_lik = np.log((ALPHA + counts) / (ALPHA * v + totals)[:, None])
     class_log_prior = np.log(np.array(n_class, dtype=np.float64) / len(labels))
-    return AcceptanceModel(featurizer, class_log_prior, feature_log_lik, alpha)
+    return AcceptanceModel(featurizer, class_log_prior, feature_log_lik)

@@ -12,7 +12,7 @@ import numpy as np
 from pubgame import OracleResult, Question, RoundPool, set_utility
 from pubgame import data
 from pubgame.strategies import CalibrationResult
-from pubgame.textmodel import TextFeaturizer
+from pubgame.textmodel import ALPHA, MIN_DF, MIN_TOKEN_LEN, TextFeaturizer
 
 
 def mk_q(i, *, views=10, u_g=1.0, title=None, body="body text", u_f_norm=None, **kw):
@@ -52,18 +52,18 @@ def mk_pool(week, specs):
 # kept as the definition the vectorized code must reproduce bit for bit.
 
 
-def ref_tokenize(text, min_token_len):
+def ref_tokenize(text):
     tokens = re.findall(r"[a-z0-9]+", text.lower())
-    return [t for t in tokens if len(t) >= min_token_len]
+    return [t for t in tokens if len(t) >= MIN_TOKEN_LEN]
 
 
-def ref_fit(corpus, config):
+def ref_fit(corpus):
     """(vocabulary, idf) of ``TextFeaturizer.fit``, one dict update per token."""
     df = {}
     for doc in corpus:
-        for token in set(ref_tokenize(doc, config.min_token_len)):
+        for token in set(ref_tokenize(doc)):
             df[token] = df.get(token, 0) + 1
-    kept = sorted(t for t, c in df.items() if c >= config.min_df)
+    kept = sorted(t for t, c in df.items() if c >= MIN_DF)
     n = len(corpus)
     idf = np.array([math.log((1 + n) / (1 + df[t])) + 1.0 for t in kept], dtype=np.float64)
     return {t: i for i, t in enumerate(kept)}, idf
@@ -74,7 +74,7 @@ def ref_transform(featurizer, texts):
     out = []
     for text in texts:
         counts = {}
-        for token in ref_tokenize(text, featurizer.config.min_token_len):
+        for token in ref_tokenize(text):
             idx = featurizer.vocabulary.get(token)
             if idx is not None:
                 counts[idx] = counts.get(idx, 0) + 1
@@ -110,17 +110,17 @@ def ref_predict_proba(model, texts):
     return out
 
 
-def ref_train_acceptance(history, config, alpha=1.0):
+def ref_train_acceptance(history):
     """(class_log_prior, feature_log_lik) of ``train_acceptance`` over the
     reference featurizer, or None where it yields an untrained model."""
     texts = [getattr(q, "text", q) for q, _ in history]
     labels = [1 if accepted else 0 for _, accepted in history]
     if not history or len(set(labels)) < 2:
         return None
-    vocabulary, idf = ref_fit(texts, config)
+    vocabulary, idf = ref_fit(texts)
     if not vocabulary:
         return None
-    featurizer = TextFeaturizer(vocabulary, idf, config)
+    featurizer = TextFeaturizer(vocabulary, idf)
     v = len(vocabulary)
     counts = np.zeros((2, v), dtype=np.float64)
     n_class = [0, 0]
@@ -130,7 +130,7 @@ def ref_train_acceptance(history, config, alpha=1.0):
         for i, w in weights.items():
             row[i] += w
     totals = counts.sum(axis=1)
-    feature_log_lik = np.log((alpha + counts) / (alpha * v + totals)[:, None])
+    feature_log_lik = np.log((ALPHA + counts) / (ALPHA * v + totals)[:, None])
     class_log_prior = np.log(np.array(n_class, dtype=np.float64) / len(labels))
     return class_log_prior, feature_log_lik
 

@@ -34,7 +34,7 @@ from pubgame.nash_opt import (
 )
 from pubgame.stats import spearman, student_t_sf, weekly_ttest
 from pubgame.strategies import calibrate_theta, train_text_scorer
-from pubgame.textmodel import FeaturizerConfig, train_acceptance
+from pubgame.textmodel import train_acceptance
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -332,7 +332,7 @@ def test_criterion_8_classifier_and_threshold_calibration():
         return " ".join(rng.choices(vocab, k=6) + rng.choices(shared, k=4))
 
     corpus = [(doc(i % 2 == 0), i % 2 == 0) for i in range(500)]
-    model = train_acceptance(corpus[:400], FeaturizerConfig(min_df=1))
+    model = train_acceptance(corpus[:400])
     held_out = corpus[400:]
     probs = model.predict_proba([text for text, _ in held_out])
     accuracy = sum(

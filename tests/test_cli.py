@@ -89,7 +89,11 @@ def test_simulate_outputs(pipeline):
     assert first == f"# manifest {manifest['manifest_hash']}"
     ledger = read_ledger_csv(asym / "ledger.csv")
     assert len(ledger) == 5
-    assert (asym / "forum_scorer_model.json").exists()
+    # the sha256 of the file written while the text recipe was a set of
+    # parameters (FeaturizerConfig and alpha)
+    model = (asym / "forum_scorer_model.json").read_bytes()
+    digest = hashlib.sha256(model).hexdigest()
+    assert digest == "ec92af05b2a8f773ce29a759b5adce623ce99f01774a228aba4c19f83ce75a4e"
 
 
 @pytest.mark.parametrize("command", ["simulate", "full-info", "eurr", "analyze", "report"])
@@ -333,6 +337,9 @@ def test_report_has_no_paired_flag():
     [
         ("scorer_f = mlp", "unknown curator scorer 'mlp'; expected one of text, precomputed"),
         ("theta = 1.5", "theta must lie in [0, 1], got 1.5"),
+        ("theta = nan", "theta must lie in [0, 1], got nan"),
+        ("scorer_f = precomputed\ntheta = inf", "theta must be finite, got inf"),
+        ("scorer_f = precomputed\ntheta = nan", "theta must be finite, got nan"),
     ],
 )
 def test_simulate_checks_scorer_and_theta_before_reading_data(tmp_path, capsys, line, message):
@@ -344,6 +351,26 @@ def test_simulate_checks_scorer_and_theta_before_reading_data(tmp_path, capsys, 
     ])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_precomputed_scorer_takes_theta_on_its_own_scale(pipeline, tmp_path):
+    _, data, _, _ = pipeline
+    # scores on the view-count scale, as README allows any finite number
+    records = [json.loads(line) for line in data.read_text().splitlines()]
+    scored = tmp_path / "scored.jsonl"
+    scored.write_text("".join(
+        json.dumps(dict(r, forum_score=r["view_count"] + 0.5)) + "\n" for r in records
+    ))
+    flags = [
+        "simulate", "--data", str(scored), "--scorer", "precomputed",
+        "--pretrain-weeks", "4", "--rounds", "5", "--m-cap", "6", "--k-cap", "3",
+    ]
+    assert main([*flags, "--out-dir", str(tmp_path / "calibrated")]) == 0
+    summary = json.loads((tmp_path / "calibrated" / "summary.json").read_text())
+    assert summary["theta"] > 1.0
+    assert main([*flags, "--theta", "50", "--out-dir", str(tmp_path / "fixed")]) == 0
+    summary = json.loads((tmp_path / "fixed" / "summary.json").read_text())
+    assert summary["theta"] == 50.0
 
 
 def test_read_config_rejects_bad_value_and_missing_equals(tmp_path):
@@ -385,6 +412,29 @@ def test_load_manifest_validation_paths(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_manifest(path, "simulate")
+
+
+@pytest.mark.parametrize(
+    "flag, content",
+    [
+        ("--manifest", "[1]"),
+        ("--manifest", '"x"'),
+        ("--manifest", None),
+        ("--config", None),
+    ],
+)
+def test_run_commands_reject_a_manifest_or_config_they_cannot_read(tmp_path, capsys, flag, content):
+    path = tmp_path / "given"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content + "\n")
+    args = ["--data", str(tmp_path / "absent.jsonl")] if flag == "--config" else []
+    rc = main(["simulate", *args, flag, str(path), "--out-dir", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
 
 
 def test_load_manifest_detects_changed_data_file(tmp_path):
@@ -484,6 +534,17 @@ def test_oracle_command_rejects_non_finite_values(tmp_path, capsys, value):
     err = capsys.readouterr().err
     problem = "is not a number" if value in ("1/0", "abc") else "is not finite"
     assert f"items.csv line 3: value {value!r} {problem}" in err
+
+
+# the line numbers count the blank lines the reader skips
+@pytest.mark.parametrize("text, line", [("f,g\n1,2\n3\n", 3), ("f,g\n\n1,2\n\n3\n", 5)])
+def test_oracle_command_rejects_a_short_row(tmp_path, capsys, text, line):
+    items = tmp_path / "items.csv"
+    items.write_text(text)
+    assert main(["oracle", "--items", str(items), "--k", "1"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {items} line {line}: value '' is not a number\n"
+    )
 
 
 def test_main_requires_data_flags_without_manifest(tmp_path):

@@ -19,7 +19,7 @@ from pubgame import (
 )
 from pubgame.core import RoundPool
 from pubgame.strategies import CalibrationResult
-from pubgame.textmodel import AcceptanceModel, FeaturizerConfig
+from pubgame.textmodel import AcceptanceModel
 
 from helpers import mk_q, mk_pool, mk_week, ref_calibrate_theta
 
@@ -49,8 +49,7 @@ def test_utility_strategy_equals_greedy_when_untrained():
 
 def test_utility_strategy_discounts_unlikely_questions():
     model = train_acceptance(
-        [("alpha topic body text", True), ("beta topic body text", False)] * 3,
-        FeaturizerConfig(min_df=1),
+        [("alpha topic body text", True), ("beta topic body text", False)] * 3
     )
     qs = (
         mk_q("hi-g", views=10, u_g=1.0, title="beta topic", u_f_norm=1.0),

@@ -1,13 +1,14 @@
 import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pubgame import AcceptanceModel, FeaturizerConfig, TextFeaturizer, tokenize, train_acceptance
+from pubgame import AcceptanceModel, TextFeaturizer, tokenize, train_acceptance
 from pubgame.errors import SchemaError
 from pubgame.textmodel import MODEL_FORMAT, MODEL_VERSION
 
@@ -20,38 +21,46 @@ from helpers import (
     rows_as_dicts,
 )
 
-LOOSE = FeaturizerConfig(min_df=1, min_token_len=1)
+# every token in two documents, so the vocabulary keeps them all
+CORPUS = ["aa bb", "aa bb cc", "aa cc"]
+HISTORY = [
+    ("great question", True),
+    ("bad question", False),
+    ("great spam", True),
+    ("bad spam", False),
+    ("great stuff", True),
+]
 
 
 def test_tokenize_lowercases_and_filters():
     assert tokenize("Sort a List, fast!") == ["sort", "list", "fast"]
-    assert tokenize("Sort a List", min_token_len=1) == ["sort", "a", "list"]
-    assert tokenize("x2 y", min_token_len=2) == ["x2"]
+    assert tokenize("I am OK") == ["am", "ok"]
+    assert tokenize("x2 y") == ["x2"]
     assert tokenize("") == []
 
 
 def test_featurizer_idf_known_values():
-    feat = TextFeaturizer.fit(["a b", "a c"], LOOSE)
-    assert list(feat.vocabulary) == ["a", "b", "c"]
+    feat = TextFeaturizer.fit(CORPUS)
+    assert list(feat.vocabulary) == ["aa", "bb", "cc"]
     assert feat.idf[0] == 1.0
-    assert feat.idf[1] == pytest.approx(math.log(3 / 2) + 1, abs=1e-15)
-    assert feat.idf[1] == pytest.approx(1.4054651081081644, abs=1e-15)
+    assert feat.idf[1] == pytest.approx(math.log(4 / 3) + 1, abs=1e-15)
+    assert feat.idf[1] == pytest.approx(1.2876820724517808, abs=1e-15)
 
 
 def test_featurizer_everywhere_token_has_unit_idf():
-    feat = TextFeaturizer.fit(["x common", "y common", "z common"], LOOSE)
+    feat = TextFeaturizer.fit(["xx common", "yy common", "xx yy common"])
     assert feat.idf[feat.vocabulary["common"]] == 1.0
     assert all(v >= 1.0 for v in feat.idf)
 
 
 def test_featurizer_min_df_drops_rare_tokens():
-    feat = TextFeaturizer.fit(["a b", "a c"], FeaturizerConfig(min_df=2, min_token_len=1))
-    assert list(feat.vocabulary) == ["a"]
+    feat = TextFeaturizer.fit(["aa bb", "aa cc"])
+    assert list(feat.vocabulary) == ["aa"]
 
 
 def test_transform_is_l2_normalized_and_sparse():
-    feat = TextFeaturizer.fit(["a b", "a c"], LOOSE)
-    (weights,) = rows_as_dicts(feat.transform(["a b b unknown"]))
+    feat = TextFeaturizer.fit(CORPUS)
+    (weights,) = rows_as_dicts(feat.transform(["aa bb bb unknown"]))
     norm = math.sqrt(sum(w * w for w in weights.values()))
     assert norm == pytest.approx(1.0, abs=1e-12)
     assert set(weights) == {0, 1}
@@ -59,13 +68,13 @@ def test_transform_is_l2_normalized_and_sparse():
 
 
 def test_transform_empty_document():
-    feat = TextFeaturizer.fit(["a b", "a c"], LOOSE)
+    feat = TextFeaturizer.fit(CORPUS)
     (weights,) = rows_as_dicts(feat.transform(["zzz unseen"]))
     assert weights == {}
 
 
 def test_featurizer_payload_round_trip():
-    feat = TextFeaturizer.fit(["sorting lists", "sorting dicts fast"], FeaturizerConfig(min_df=1))
+    feat = TextFeaturizer.fit(["sorting lists", "sorting dicts fast", "lists dicts"])
     clone = TextFeaturizer.from_payload(feat.to_payload())
     assert clone.vocabulary == feat.vocabulary
     assert rows_as_dicts(clone.transform(["sorting dicts"])) == rows_as_dicts(
@@ -81,19 +90,15 @@ def test_untrained_model_predicts_ones():
 
 
 def test_nb_hand_example():
-    model = train_acceptance(
-        [("great question", True), ("bad spam", False)], LOOSE
-    )
+    model = train_acceptance(HISTORY)
     assert model.trained
     (p,) = model.predict_proba(["great"])
     assert p > 0.5
-    assert p == pytest.approx(0.6306019374818708, abs=1e-12)
+    assert p == pytest.approx(0.8111351630357269, abs=1e-12)
 
 
 def test_nb_class_probabilities_sum_to_one():
-    model = train_acceptance(
-        [("great question", True), ("bad spam", False), ("great stuff", True)], LOOSE
-    )
+    model = train_acceptance(HISTORY)
     rng = random.Random(0)
     vocab = ["great", "question", "bad", "spam", "stuff", "zzz"]
     for _ in range(20):
@@ -107,24 +112,21 @@ def test_train_acceptance_accepts_text_objects():
         def __init__(self, text):
             self.text = text
 
-    by_str = train_acceptance([("great question", True), ("bad spam", False)], LOOSE)
-    by_obj = train_acceptance([(Doc("great question"), True), (Doc("bad spam"), False)], LOOSE)
+    by_str = train_acceptance(HISTORY)
+    by_obj = train_acceptance([(Doc(text), label) for text, label in HISTORY])
     assert by_obj.predict_proba(["great"]) == by_str.predict_proba(["great"])
 
 
 def test_degenerate_histories_yield_untrained_models():
     assert not train_acceptance([]).trained
-    assert not train_acceptance([("only one class", True)] * 4, LOOSE).trained
-    # tokens all filtered out by min_df
-    assert not train_acceptance(
-        [("aaa", True), ("bbb", False)], FeaturizerConfig(min_df=2)
-    ).trained
+    assert not train_acceptance([("only one class", True)] * 4).trained
+    # tokens all filtered out by the document frequency, then by length
+    assert not train_acceptance([("aaa", True), ("bbb", False)]).trained
+    assert not train_acceptance([("a b", True), ("a b", False)]).trained
 
 
 def test_model_save_load_round_trip(tmp_path):
-    model = train_acceptance(
-        [("great question", True), ("bad spam", False), ("nice question", True)], LOOSE
-    )
+    model = train_acceptance(HISTORY + [("nice question", True)])
     path = tmp_path / "model.json"
     model.save(path)
     clone = AcceptanceModel.load(path)
@@ -140,6 +142,9 @@ def test_untrained_model_round_trips(tmp_path):
     path = tmp_path / "untrained.json"
     AcceptanceModel().save(path)
     assert not AcceptanceModel.load(path).trained
+    untrained = dict(AcceptanceModel().to_payload(), alpha=0.5)
+    with pytest.raises(SchemaError, match="field 'alpha' is 0.5"):
+        AcceptanceModel.from_payload(untrained)
 
 
 def test_model_load_rejects_foreign_payloads(tmp_path):
@@ -150,6 +155,117 @@ def test_model_load_rejects_foreign_payloads(tmp_path):
     path.write_text(json.dumps({"format": MODEL_FORMAT, "version": 99}))
     with pytest.raises(SchemaError):
         AcceptanceModel.load(path)
+    path.write_text(json.dumps(["not", "a", "model"]))
+    with pytest.raises(SchemaError, match="no 'format' field"):
+        AcceptanceModel.load(path)
+
+
+MODEL_V1 = Path(__file__).parent / "data" / "acceptance_model_v1.json"
+
+
+def test_model_file_of_earlier_build_loads_bit_identically(tmp_path):
+    # saved, and its predictions printed with float.hex, by the build that
+    # still took the recipe as FeaturizerConfig and alpha parameters
+    model = AcceptanceModel.load(MODEL_V1)
+    docs = ["great", "spam and stuff", "question bad", "zzz", "Great great SPAM"]
+    assert [p.hex() for p in model.predict_proba(docs).tolist()] == [
+        "0x1.9f4d1babbf86cp-1",
+        "0x1.26e4526dbdd01p-1",
+        "0x1.9f0371d6a0153p-2",
+        "0x1.3333333333333p-1",
+        "0x1.8e737576a44c4p-1",
+    ]
+    model.save(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == MODEL_V1.read_bytes()
+    train_acceptance(HISTORY).save(tmp_path / "trained.json")
+    assert (tmp_path / "trained.json").read_bytes() == MODEL_V1.read_bytes()
+
+
+def _broken(edit):
+    """The saved model's payload after ``edit(payload)``."""
+    payload = json.loads(MODEL_V1.read_text())
+    edit(payload)
+    return payload
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("min_df", 1),
+        ("min_token_len", 3),
+        ("min_token_len", 2.0),
+        ("alpha", 0.5),
+        ("alpha", 1),
+    ],
+)
+def test_model_load_refuses_another_recipe(field, value):
+    def edit(payload):
+        (payload if field == "alpha" else payload["featurizer"])[field] = value
+
+    with pytest.raises(SchemaError, match=f"field '{field}' is {value!r}, not the recipe's"):
+        AcceptanceModel.from_payload(_broken(edit))
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["trained", "alpha", "featurizer", "class_log_prior", "feature_log_lik",
+     "featurizer.vocabulary", "featurizer.idf", "featurizer.min_df",
+     "featurizer.min_token_len"],
+)
+def test_model_load_names_a_missing_field(field):
+    def edit(payload):
+        *parent, name = field.split(".")
+        del (payload[parent[0]] if parent else payload)[name]
+
+    with pytest.raises(SchemaError, match=f"no '{field.split('.')[-1]}' field"):
+        AcceptanceModel.from_payload(_broken(edit))
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda p: p["featurizer"]["idf"].pop(), "idf"),
+        (lambda p: p["featurizer"]["idf"].append(1.0), "idf"),
+        (lambda p: p["feature_log_lik"][1].pop(), "feature_log_lik"),
+        (lambda p: [row.append(-1.0) for row in p["feature_log_lik"]], "feature_log_lik"),
+        (lambda p: p["feature_log_lik"].pop(), "feature_log_lik"),
+        (lambda p: p["featurizer"]["vocabulary"].pop(), "idf"),
+        (lambda p: p["featurizer"].update(idf="1.0"), "idf"),
+    ],
+)
+def test_model_load_refuses_arrays_that_do_not_fit_the_vocabulary(edit, field):
+    with pytest.raises(SchemaError, match=f"field '{field}' is not"):
+        AcceptanceModel.from_payload(_broken(edit))
+
+
+@pytest.mark.parametrize("values", [[-0.5], [-0.9, -0.5, -1.0], [[-0.9, -0.5]]])
+def test_model_load_needs_two_class_log_priors(values):
+    payload = _broken(lambda p: p.update(class_log_prior=values))
+    with pytest.raises(SchemaError, match="field 'class_log_prior' is not"):
+        AcceptanceModel.from_payload(payload)
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda p: p["feature_log_lik"][0].__setitem__(2, math.nan), "feature_log_lik"),
+        (lambda p: p["featurizer"]["idf"].__setitem__(0, math.inf), "idf"),
+        (lambda p: p["class_log_prior"].__setitem__(1, -math.inf), "class_log_prior"),
+    ],
+)
+def test_model_load_refuses_values_that_are_not_finite(tmp_path, edit, field):
+    # json writes and reads NaN and Infinity, so a file can hold them
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_broken(edit)))
+    with pytest.raises(SchemaError, match=f"field '{field}' is not .* finite numbers"):
+        AcceptanceModel.load(path)
+
+
+@pytest.mark.parametrize("tokens", [["bad", "bad", "question", "spam"], "bad great", [1, 2, 3, 4]])
+def test_model_load_refuses_a_vocabulary_that_is_not_distinct_strings(tokens):
+    payload = _broken(lambda p: p["featurizer"].update(vocabulary=tokens))
+    with pytest.raises(SchemaError, match="field 'vocabulary'"):
+        AcceptanceModel.from_payload(payload)
 
 
 def test_separable_corpus_classifies_cleanly():
@@ -161,7 +277,7 @@ def test_separable_corpus_classifies_cleanly():
         vocab = pos_vocab if i % 2 == 0 else neg_vocab
         doc = " ".join(rng.choices(vocab, k=8))
         history.append((doc, i % 2 == 0))
-    model = train_acceptance(history, FeaturizerConfig(min_df=1))
+    model = train_acceptance(history)
     held_out = []
     for i in range(40):
         vocab = pos_vocab if i % 2 == 0 else neg_vocab
@@ -191,21 +307,16 @@ def _docs(draw, words=_WORDS):
     return "".join(w + s for w, s in zip(parts, seps))
 
 
-_configs = st.builds(
-    FeaturizerConfig,
-    min_df=st.sampled_from([1, 2]),
-    min_token_len=st.sampled_from([1, 3]),
-)
 _score_batches = st.lists(st.one_of(_docs(), _docs(_OOV), st.just("")), max_size=8)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_docs(), max_size=10), _configs, _score_batches)
-def test_featurizer_matches_per_document_reference(corpus, config, texts):
+@given(st.lists(_docs(), max_size=10), _score_batches)
+def test_featurizer_matches_per_document_reference(corpus, texts):
     for doc in corpus:
-        assert tokenize(doc, config.min_token_len) == ref_tokenize(doc, config.min_token_len)
-    feat = TextFeaturizer.fit(corpus, config)
-    vocabulary, idf = ref_fit(corpus, config)
+        assert tokenize(doc) == ref_tokenize(doc)
+    feat = TextFeaturizer.fit(corpus)
+    vocabulary, idf = ref_fit(corpus)
     assert list(feat.vocabulary.items()) == list(vocabulary.items())
     assert np.array_equal(feat.idf, idf)
     for batch in (corpus, texts):
@@ -215,12 +326,10 @@ def test_featurizer_matches_per_document_reference(corpus, config, texts):
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.tuples(_docs(), st.booleans()), max_size=12), _configs, _score_batches
-)
-def test_acceptance_model_matches_per_document_reference(history, config, texts):
-    model = train_acceptance(history, config)
-    ref = ref_train_acceptance(history, config)
+@given(st.lists(st.tuples(_docs(), st.booleans()), max_size=12), _score_batches)
+def test_acceptance_model_matches_per_document_reference(history, texts):
+    model = train_acceptance(history)
+    ref = ref_train_acceptance(history)
     assert model.trained == (ref is not None)
     if ref is not None:
         assert np.array_equal(model.class_log_prior, ref[0])
