@@ -87,7 +87,10 @@ from .strategies import (
 from .textmodel import (
     AcceptanceModel,
     TextFeaturizer,
+    TokenRows,
+    TokenTable,
     tokenize,
+    tokenize_rows,
     train_acceptance,
 )
 

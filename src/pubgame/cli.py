@@ -177,6 +177,8 @@ def load_manifest(path: str | Path, command: str) -> dict:
             f"{path}: manifest records a {payload.get('command')!r} run, "
             f"not {command!r}"
         )
+    if not isinstance(payload.get("args"), dict):
+        raise ConfigError(f"{path}: manifest 'args' is not an object")
     if payload.get("data_sha256"):
         data = payload["args"].get("data")
         if not data or not Path(data).exists():
@@ -482,6 +484,10 @@ def _run_analyze(run_args: dict, out_dir: Path) -> int:
 
 
 def _run_report(run_args: dict, out_dir: Path) -> int:
+    alpha = run_args["alpha"]
+    # a manifest may hold any JSON value; nan fails both comparisons
+    if not (isinstance(alpha, (int, float)) and 0 < alpha < 1):
+        raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
     asym, runs = _read_run_dirs(run_args["asym_dir"], run_args["full_dir"])
     summary_path = Path(run_args["asym_dir"]) / "summary.json"
     strategy = "asym"
@@ -528,23 +534,34 @@ def _run_report(run_args: dict, out_dir: Path) -> int:
 
 
 # Each run command builds its arguments from flags, or takes them from a
-# manifest, and then runs: command -> (args_from_flags, run).
+# manifest, and then runs; a manifest's arguments must hold every key the
+# run reads: command -> (args_from_flags, run, keys).
 _RUNS = {
-    "simulate": (lambda args: _config_args(args, SIMULATE_KEYS), _run_simulate),
-    "full-info": (_full_info_args, _run_full_info),
-    "eurr": (_dir_args, _run_eurr),
-    "analyze": (_data_args, _run_analyze),
+    "simulate": (
+        lambda args: _config_args(args, SIMULATE_KEYS),
+        _run_simulate,
+        ("data", *SIMULATE_KEYS),
+    ),
+    "full-info": (_full_info_args, _run_full_info, ("data", *FULL_INFO_KEYS)),
+    "eurr": (_dir_args, _run_eurr, ("asym_dir", "full_dir")),
+    "analyze": (_data_args, _run_analyze, ("data",)),
     "report": (
         lambda args: {**_dir_args(args), "paired": not args.welch, "alpha": args.alpha},
         _run_report,
+        ("asym_dir", "full_dir", "paired", "alpha"),
     ),
 }
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    args_from_flags, run = _RUNS[args.command]
+    args_from_flags, run, keys = _RUNS[args.command]
     if args.manifest:
         run_args = load_manifest(args.manifest, args.command)["args"]
+        missing = [key for key in keys if key not in run_args]
+        if missing:
+            raise ConfigError(
+                f"{args.manifest}: manifest args lack {', '.join(missing)}"
+            )
     else:
         run_args = args_from_flags(args)
     out_dir = None

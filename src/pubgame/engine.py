@@ -2,7 +2,10 @@
 
 The asymmetric loop plays proposer strategy against curator scorer
 week by week, retraining the proposer's acceptance model on its own
-submit/publish history every ``retrain_period`` rounds.  The
+submit/publish history every ``retrain_period`` rounds.  A run
+tokenizes each text it scores once, into one token table: the rows
+built for the proposer's scoring serve the curator's scoring and the
+history every retrain fits on.  The
 full-information loop selects directly from the whole weekly pool with
 one of the joint heuristics, providing the denominators for estimated
 utility recovery; :func:`exact_urr` computes the exact counterpart by
@@ -22,7 +25,6 @@ from .core import (
     G_SIDE,
     GameConfig,
     GameLedger,
-    Question,
     RoundPool,
     SelectionOutcome,
     running_total,
@@ -44,7 +46,7 @@ from .strategies import (
     strategy_g_random,
     strategy_g_utility,
 )
-from .textmodel import train_acceptance
+from .textmodel import AcceptanceModel, TokenTable, tokenize_rows, train_acceptance
 
 EURR_NOTE = (
     "denominators are the best heuristic's cumulative utilities, which "
@@ -78,6 +80,11 @@ def run_asymmetric(
     multiples of ``retrain_period`` (when the utility strategy and
     learning are active).  A retrain that would collapse (single-class
     history) keeps the previous model.
+
+    Each round tokenizes only the texts it scores: the whole pool when
+    the proposer learns, otherwise the proposal when the curator scores
+    text, and nothing when it reads the precomputed column.  The history
+    keeps the proposal's rows, and only when the proposer learns.
     """
     pools = _as_pools(source)
     if len(pools) < config.rounds:
@@ -87,28 +94,39 @@ def run_asymmetric(
     pools = pools[: config.rounds]
 
     rng = random.Random(f"{config.seed}:proposer")
-    model = train_acceptance([])
-    history: list[tuple[Question, bool]] = []
+    learning = config.strategy_g == "utility" and config.learn_acceptance
+    model = AcceptanceModel()
+    table = TokenTable()
+    history = tokenize_rows([], table)
+    accepted: list[bool] = []
     outcomes = []
     for t, pool in enumerate(pools):
-        if (
-            config.strategy_g == "utility"
-            and config.learn_acceptance
-            and t > 0
-            and t % config.retrain_period == 0
-        ):
-            candidate = train_acceptance(history)
+        if learning and t > 0 and t % config.retrain_period == 0:
+            candidate = train_acceptance(history, accepted)
             if candidate.trained:
                 model = candidate
 
+        rows = None
         if config.strategy_g == "greedy":
             proposal = strategy_g_greedy(pool, config.m_cap)
+        elif learning:
+            pool_rows = tokenize_rows([q.text for q in pool.questions], table)
+            proposal = strategy_g_utility(pool, config.m_cap, model, pool_rows)
+            # the proposal holds the pool's own objects, so identity
+            # finds the row of each
+            at = {id(q): i for i, q in enumerate(pool.questions)}
+            rows = pool_rows.take([at[id(q)] for q in proposal])
         elif config.strategy_g == "utility":
-            proposal = strategy_g_utility(pool, config.m_cap, model)
+            # a model that never trains reads only how many texts there
+            # are, so none is tokenized for it
+            texts = [q.text for q in pool.questions]
+            proposal = strategy_g_utility(pool, config.m_cap, model, texts)
         else:
             proposal = strategy_g_random(pool, config.m_cap, rng)
+        if rows is None and scorer.kind == "text":
+            rows = tokenize_rows([q.text for q in proposal], table)
 
-        published = forum_select(proposal, scorer, config.k_cap)
+        published = forum_select(proposal, scorer, config.k_cap, rows)
         published_ids = {q.id for q in published}
         outcomes.append(
             SelectionOutcome(
@@ -119,7 +137,9 @@ def run_asymmetric(
                 u_f_realized=utility_of_set(published, F_SIDE),
             )
         )
-        history.extend((q, q.id in published_ids) for q in proposal)
+        if learning:
+            history += rows
+            accepted.extend(q.id in published_ids for q in proposal)
     return GameLedger.from_outcomes(outcomes)
 
 

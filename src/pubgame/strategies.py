@@ -16,7 +16,13 @@ import numpy as np
 from .core import Question, RoundPool
 from .errors import CalibrationError
 from .stats import _double_average_ranks
-from .textmodel import AcceptanceModel, train_acceptance
+from .textmodel import (
+    AcceptanceModel,
+    TokenRows,
+    TokenTable,
+    tokenize_rows,
+    train_acceptance,
+)
 
 
 def strategy_g_greedy(pool: RoundPool, m: int) -> list[Question]:
@@ -27,15 +33,31 @@ def strategy_g_greedy(pool: RoundPool, m: int) -> list[Question]:
     return [pool.questions[i] for i in order[:m]]
 
 
+def _check_rows(
+    rows: TokenRows | Sequence[str] | None, questions: Sequence[Question]
+) -> None:
+    if rows is None or len(rows) != len(questions):
+        raise ValueError(
+            f"scoring {len(questions)} questions needs their token rows, one "
+            f"per question; got {'none' if rows is None else len(rows)}"
+        )
+
+
 def strategy_g_utility(
-    pool: RoundPool, m: int, model: AcceptanceModel
+    pool: RoundPool,
+    m: int,
+    model: AcceptanceModel,
+    rows: TokenRows | Sequence[str],
 ) -> list[Question]:
     """Top m by utility weighted with predicted acceptance probability.
 
+    ``rows`` holds the pool's questions tokenized, in pool order, or
+    their texts, as :meth:`AcceptanceModel.predict_proba` takes them.
     With an untrained model every probability is 1, so the ranking is
     identical to the greedy strategy's.
     """
-    probs = model.predict_proba([q.text for q in pool.questions])
+    _check_rows(rows, pool.questions)
+    probs = model.predict_proba(rows)
     order = sorted(
         range(len(pool.questions)),
         key=lambda i: (-pool.questions[i].u_g * probs[i], i),
@@ -152,9 +174,15 @@ class ForumScorer:
         if self.kind == "text" and self.model is None:
             raise ValueError("text scorer needs a trained model")
 
-    def score(self, questions: Sequence[Question]) -> np.ndarray:
+    def score(
+        self, questions: Sequence[Question], rows: TokenRows | None
+    ) -> np.ndarray:
+        """One score per question: the text model's over ``rows``, the
+        questions tokenized in order, or the forum_score column, for
+        which ``rows`` may be None."""
         if self.kind == "text":
-            return self.model.predict_proba([q.text for q in questions])
+            _check_rows(rows, questions)
+            return self.model.predict_proba(rows)
         return _forum_scores(questions)
 
 
@@ -171,9 +199,15 @@ def _forum_scores(questions: Sequence[Question]) -> np.ndarray:
 
 
 def forum_select(
-    proposal: Sequence[Question], scorer: ForumScorer, k: int
+    proposal: Sequence[Question],
+    scorer: ForumScorer,
+    k: int,
+    rows: TokenRows | None,
 ) -> list[Question]:
     """Publish the k best-scoring questions at or above theta.
+
+    ``rows`` holds the proposal tokenized, as :meth:`ForumScorer.score`
+    reads it.
 
     The published list is ordered by descending score, ties by proposal
     position; it may be shorter than k when few questions clear the
@@ -181,7 +215,7 @@ def forum_select(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores = scorer.score(proposal)
+    scores = scorer.score(proposal, rows)
     eligible = [i for i, s in enumerate(scores) if s >= scorer.theta]
     eligible.sort(key=lambda i: (-scores[i], i))
     return [proposal[i] for i in eligible[:k]]
@@ -203,15 +237,21 @@ def train_text_scorer(
     An explicit ``theta`` skips nothing but the final choice: the sweep
     still runs so the operating point gets reported.
     """
+    # the labelled questions are tokenized once, into one table
+    table = TokenTable()
     train_labeled = _labeled(train_pools)
-    model = train_acceptance(train_labeled)
+    model = train_acceptance(
+        tokenize_rows([q.text for q, _ in train_labeled], table),
+        [lbl for _, lbl in train_labeled],
+    )
     if not model.trained:
         raise CalibrationError(
             "curator training collapsed: labels are single-class or the "
             "vocabulary is empty; widen the training window"
         )
     val_labeled = _labeled(val_pools)
-    scores = model.predict_proba([q.text for q, _ in val_labeled])
+    val_rows = tokenize_rows([q.text for q, _ in val_labeled], table)
+    scores = model.predict_proba(val_rows)
     calibration = calibrate_theta(
         [(float(s), lbl) for s, (_, lbl) in zip(scores, val_labeled)]
     )

@@ -4,6 +4,14 @@ The same stack serves two roles: the curator's publication scorer
 (trained on weekly view-percentile labels) and the proposer's learned
 acceptance predictor (trained on its own submit/publish history).
 
+The stack reads tokenized documents: :func:`tokenize_rows` tokenizes
+each text once into int32 token-id rows (:class:`TokenRows`) over an
+append-only :class:`TokenTable`, and fitting, transforming and scoring
+all work on those rows.  A game run keeps one table, so a question it
+plays is tokenized once however often it is scored or retrained on.
+``fit``, ``transform``, ``predict_proba`` and ``train_acceptance`` also
+take a list of texts, which they tokenize into a new table on entry.
+
 The recipe is fixed by the module constants ``MIN_TOKEN_LEN``, ``MIN_DF``
 and ``ALPHA``.  Models serialize to a small versioned JSON text format
 that records it; loading refuses any other recipe, and a load/save round
@@ -15,10 +23,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import Counter
-from itertools import chain, repeat
+from array import array
+from itertools import repeat
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,6 +47,69 @@ _TOKEN = re.compile(f"[a-z0-9]{{{MIN_TOKEN_LEN},}}")
 def tokenize(text: str) -> list[str]:
     """Lowercase alphanumeric runs of at least ``MIN_TOKEN_LEN`` chars."""
     return _TOKEN.findall(text.lower())
+
+
+class TokenTable(dict):
+    """Token -> id, the ids 0, 1, 2, ... in insertion order.  Looking up
+    a token the table lacks appends it, so ids are never reassigned."""
+
+    def __missing__(self, token: str) -> int:
+        self[token] = index = len(self)
+        return index
+
+
+class TokenRows:
+    """Tokenized documents over a shared :class:`TokenTable`: document r
+    is the token ids ``ids[indptr[r]:indptr[r + 1]]`` (int32) in text
+    order.  ``len()`` is the number of documents."""
+
+    __slots__ = ("table", "indptr", "ids")
+
+    def __init__(self, table: TokenTable, indptr: np.ndarray, ids: np.ndarray):
+        self.table = table
+        self.indptr = indptr
+        self.ids = ids
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def take(self, rows: Sequence[int]) -> "TokenRows":
+        """The documents at positions ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        # token j of output row r is ids[starts[r] + j]
+        at = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return TokenRows(self.table, indptr, self.ids[at])
+
+    def __add__(self, other: "TokenRows") -> "TokenRows":
+        """These documents followed by ``other``'s."""
+        if other.table is not self.table:
+            raise ValueError("token rows over different tables cannot be joined")
+        indptr = np.concatenate([self.indptr, other.indptr[1:] + self.indptr[-1]])
+        return TokenRows(self.table, indptr, np.concatenate([self.ids, other.ids]))
+
+
+def tokenize_rows(texts: Iterable[str], table: TokenTable | None = None) -> TokenRows:
+    """Tokenize each text once into ``table`` (a new one if None),
+    appending the tokens it lacks."""
+    table = TokenTable() if table is None else table
+    lookup = table.__getitem__
+    lengths = [0]
+    ids = array("i")
+    for text in texts:
+        tokens = tokenize(text)
+        lengths.append(len(tokens))
+        ids.extend(map(lookup, tokens))
+    # ids are taken in text order and never held as token strings
+    return TokenRows(table, np.cumsum(lengths), np.frombuffer(ids, dtype=np.int32))
+
+
+def _as_rows(docs: TokenRows | Sequence[str]) -> TokenRows:
+    """``docs`` as token rows: itself, or its texts tokenized."""
+    return docs if isinstance(docs, TokenRows) else tokenize_rows(docs)
 
 
 def _field(payload: dict, name: str, shape: tuple | None = None):
@@ -121,11 +192,11 @@ def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TextFeaturizer:
-    """Maps raw text to L2-normalized tf-idf weight vectors.
+    """Maps tokenized documents to L2-normalized tf-idf weight vectors.
 
     idf(t) = ln((1 + N) / (1 + df_t)) + 1 over the fitted corpus; the
     vocabulary is sorted alphabetically so indices are reproducible.
-    Transforms are returned as :class:`CsrRows`, one row per text.
+    Transforms are returned as :class:`CsrRows`, one row per document.
     """
 
     def __init__(self, vocabulary: dict[str, int], idf: np.ndarray):
@@ -133,13 +204,24 @@ class TextFeaturizer:
         self.idf = idf
 
     @classmethod
-    def fit(cls, corpus: Sequence[str]) -> "TextFeaturizer":
-        df = Counter(chain.from_iterable(set(tokenize(doc)) for doc in corpus))
-        kept = sorted(t for t, c in df.items() if c >= MIN_DF)
-        vocabulary = {t: i for i, t in enumerate(kept)}
-        n = len(corpus)
+    def fit(cls, corpus: TokenRows | Sequence[str]) -> "TextFeaturizer":
+        rows = _as_rows(corpus)
+        t = max(len(rows.table), 1)
+        # one key per (document, token id); sorted in place, the distinct
+        # keys are the heads of runs of equal keys
+        keys = np.repeat(np.arange(len(rows), dtype=np.int64) * t, np.diff(rows.indptr))
+        keys += rows.ids
+        keys.sort()
+        head = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=head[1:])
+        df = np.bincount(keys[head] % t, minlength=t).tolist()
+        del keys, head
+        # table order is id order; tokens are distinct, so no count is compared
+        kept = sorted((tok, c) for tok, c in zip(rows.table, df) if c >= MIN_DF)
+        vocabulary = {tok: i for i, (tok, _) in enumerate(kept)}
+        n = len(rows)
         idf = np.array(
-            [math.log((1 + n) / (1 + df[t])) + 1.0 for t in kept], dtype=np.float64
+            [math.log((1 + n) / (1 + c)) + 1.0 for _, c in kept], dtype=np.float64
         )
         return cls(vocabulary, idf)
 
@@ -147,28 +229,30 @@ class TextFeaturizer:
     def size(self) -> int:
         return len(self.vocabulary)
 
-    def transform(self, texts: Sequence[str]) -> CsrRows:
-        # ids, not token strings, are kept per document, so a batch's
-        # tokens are never all alive at once; -1 marks a token outside
-        # the vocabulary
-        get = self.vocabulary.get
-        ids = [list(map(get, tokenize(text), repeat(-1))) for text in texts]
-        n_tokens = np.fromiter(map(len, ids), dtype=np.int64, count=len(ids))
-        flat = np.fromiter(chain.from_iterable(ids), dtype=np.int64, count=n_tokens.sum())
-        del ids
+    def transform(self, docs: TokenRows | Sequence[str]) -> CsrRows:
+        rows = _as_rows(docs)
+        # each table entry's column, -1 outside the vocabulary: one lookup
+        # per distinct token, then a gather per token
+        columns = np.fromiter(
+            map(self.vocabulary.get, rows.table, repeat(-1)),
+            dtype=np.int64,
+            count=len(rows.table),
+        )
+        flat = columns[rows.ids]
         # one key per (row, column) token, in document order; an empty
         # vocabulary keeps no token, and v = 1 keeps the arithmetic defined
         v = max(self.size, 1)
         known = flat >= 0
-        keys = np.repeat(np.arange(len(texts), dtype=np.int64), n_tokens)[known] * v
+        keys = np.repeat(np.arange(len(rows), dtype=np.int64), np.diff(rows.indptr))
+        keys = keys[known] * v
         keys += flat[known]
         del flat, known
         # in order of first occurrence, the distinct keys run by row, then
         # by first appearance in the document
         keys, counts = _first_occurrences(keys)
         indices = keys % v
-        indptr = np.zeros(len(texts) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys // v, minlength=len(texts)), out=indptr[1:])
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // v, minlength=len(rows)), out=indptr[1:])
         del keys
         data = counts * self.idf[indices]
         norms = np.sqrt(_row_sums((data * data)[None, :], indptr, np.zeros(1))[0])
@@ -222,12 +306,12 @@ class AcceptanceModel:
     def trained(self) -> bool:
         return self.feature_log_lik is not None
 
-    def predict_proba(self, texts: Sequence[str]) -> np.ndarray:
-        """P(label == 1) per text; all ones when untrained."""
+    def predict_proba(self, docs: TokenRows | Sequence[str]) -> np.ndarray:
+        """P(label == 1) per document; all ones when untrained."""
         if not self.trained:
-            return np.ones(len(texts), dtype=np.float64)
+            return np.ones(len(docs), dtype=np.float64)
         assert self.featurizer is not None
-        indptr, indices, data = self.featurizer.transform(texts)
+        indptr, indices, data = self.featurizer.transform(docs)
         s0, s1 = _row_sums(
             data * self.feature_log_lik[:, indices], indptr, self.class_log_prior
         )
@@ -282,24 +366,31 @@ class AcceptanceModel:
         return cls.from_payload(json.loads(Path(path).read_text()))
 
 
-def train_acceptance(history: Sequence[tuple]) -> AcceptanceModel:
-    """Fit the acceptance model on (question, accepted) pairs.
+def train_acceptance(
+    history: TokenRows | Sequence[str], accepted: Sequence[bool | int]
+) -> AcceptanceModel:
+    """Fit the acceptance model on documents and whether each was accepted.
 
-    Questions may be any objects with a ``text`` attribute, or plain
-    strings.  Degenerate histories (empty, single-class, or an empty
-    surviving vocabulary) yield an untrained model; callers decide
-    whether to keep a previously trained one instead.
+    ``history`` is token rows or texts; texts are tokenized once, for
+    both the fit and the transform.  Degenerate histories (empty,
+    single-class, or an empty surviving vocabulary) yield an untrained
+    model; callers decide whether to keep a previously trained one
+    instead.
     """
-    texts = [getattr(q, "text", q) for q, _ in history]
-    labels = [1 if accepted else 0 for _, accepted in history]
+    if len(accepted) != len(history):
+        raise ValueError(
+            f"{len(history)} documents but {len(accepted)} acceptance labels"
+        )
+    labels = [1 if a else 0 for a in accepted]
     if not history or len(set(labels)) < 2:
         return AcceptanceModel()
-    featurizer = TextFeaturizer.fit(texts)
+    rows = _as_rows(history)
+    featurizer = TextFeaturizer.fit(rows)
     if featurizer.size == 0:
         return AcceptanceModel()
 
     v = featurizer.size
-    indptr, indices, data = featurizer.transform(texts)
+    indptr, indices, data = featurizer.transform(rows)
     row_labels = np.repeat(np.array(labels, dtype=np.int64), np.diff(indptr))
     # bincount adds the weights in document order, as a per-document loop does
     counts = np.bincount(

@@ -12,7 +12,7 @@ import numpy as np
 from pubgame import OracleResult, Question, RoundPool, set_utility
 from pubgame import data
 from pubgame.strategies import CalibrationResult
-from pubgame.textmodel import ALPHA, MIN_DF, MIN_TOKEN_LEN, TextFeaturizer
+from pubgame.textmodel import ALPHA, MIN_DF, MIN_TOKEN_LEN, TextFeaturizer, tokenize_rows
 
 
 def mk_q(i, *, views=10, u_g=1.0, title=None, body="body text", u_f_norm=None, **kw):
@@ -38,6 +38,34 @@ def mk_week(week, specs):
         mk_q(i, **kw, u_f_norm=u_f) for (i, kw), u_f in zip(specs, set_utility(views))
     )
     return RoundPool(week=week, questions=qs)
+
+
+def rows_of(questions):
+    """The questions' texts tokenized into a new table, as the text
+    scorers read them."""
+    return tokenize_rows([q.text for q in questions])
+
+
+def texts_labels(history):
+    """(texts, labels) of (text, label) pairs, as ``train_acceptance``
+    takes them."""
+    return [text for text, _ in history], [label for _, label in history]
+
+
+def count_tokenize(monkeypatch):
+    """The texts ``textmodel.tokenize`` is called on from now on, as a
+    list that grows with each call."""
+    from pubgame import textmodel
+
+    calls = []
+    tokenize = textmodel.tokenize
+
+    def counting(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(textmodel, "tokenize", counting)
+    return calls
 
 
 def mk_pool(week, specs):

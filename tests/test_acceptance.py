@@ -332,7 +332,8 @@ def test_criterion_8_classifier_and_threshold_calibration():
         return " ".join(rng.choices(vocab, k=6) + rng.choices(shared, k=4))
 
     corpus = [(doc(i % 2 == 0), i % 2 == 0) for i in range(500)]
-    model = train_acceptance(corpus[:400])
+    texts, labels = zip(*corpus[:400])
+    model = train_acceptance(texts, labels)
     held_out = corpus[400:]
     probs = model.predict_proba([text for text, _ in held_out])
     accuracy = sum(

@@ -437,6 +437,64 @@ def test_run_commands_reject_a_manifest_or_config_they_cannot_read(tmp_path, cap
     assert str(path) in err
 
 
+@pytest.mark.parametrize(
+    "command, missing",
+    [
+        ("simulate", ["data", *SIMULATE_KEYS]),
+        ("full-info", ["data", *FULL_INFO_KEYS]),
+        ("eurr", ["asym_dir", "full_dir"]),
+        ("analyze", ["data"]),
+        ("report", ["asym_dir", "full_dir", "paired", "alpha"]),
+    ],
+)
+def test_manifest_without_the_run_keys_is_refused(tmp_path, capsys, command, missing):
+    out = tmp_path / "run"
+    out.mkdir()
+    # a valid hash over arguments another build or a hand edit left short
+    write_manifest(out, command, {"rounds": 2}, None)
+    path = out / "manifest.json"
+    rc = main([command, "--manifest", str(path), "--out-dir", str(tmp_path / "x")])
+    assert rc == 1
+    missing = [key for key in missing if key != "rounds"]
+    assert capsys.readouterr().err == (
+        f"error: {path}: manifest args lack {', '.join(missing)}\n"
+    )
+
+
+@pytest.mark.parametrize("args", [[1, 2], "rounds", None])
+def test_manifest_args_that_are_not_an_object_are_refused(tmp_path, capsys, args):
+    out = tmp_path / "run"
+    out.mkdir()
+    write_manifest(out, "simulate", args, None)
+    path = out / "manifest.json"
+    with pytest.raises(ConfigError, match="manifest 'args' is not an object"):
+        load_manifest(path, "simulate")
+    rc = main(["simulate", "--manifest", str(path), "--out-dir", str(tmp_path / "x")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {path}: manifest 'args' is not an object\n"
+
+
+@pytest.mark.parametrize("alpha", ["0", "1", "5", "nan", "-1"])
+def test_report_refuses_alpha_outside_the_unit_interval(tmp_path, capsys, alpha):
+    # the run directories do not exist: the level is refused before any
+    # ledger is read, from the flag and from a manifest alike
+    dirs = {"asym_dir": str(tmp_path / "no-asym"), "full_dir": str(tmp_path / "no-full")}
+    message = f"error: alpha must lie in (0, 1), got {float(alpha)!r}\n"
+    rc = main([
+        "report", "--asym-dir", dirs["asym_dir"], "--full-dir", dirs["full_dir"],
+        "--alpha", alpha, "--out-dir", str(tmp_path / "flag"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == message
+
+    out = tmp_path / "run"
+    out.mkdir()
+    write_manifest(out, "report", {**dirs, "paired": True, "alpha": float(alpha)}, None)
+    rc = main(["report", "--manifest", str(out / "manifest.json"), "--out-dir", str(tmp_path / "m")])
+    assert rc == 1
+    assert capsys.readouterr().err == message
+
+
 def test_load_manifest_detects_changed_data_file(tmp_path):
     data = tmp_path / "data.jsonl"
     data.write_text("{}\n")

@@ -26,12 +26,13 @@ from pubgame import (
     run_asymmetric,
     run_full_information,
     split_pretrain,
+    train_text_scorer,
     write_ledger_csv,
 )
 from pubgame.core import RoundPool
 from pubgame.nash_opt import HEURISTICS
 
-from helpers import mk_q, mk_pool
+from helpers import count_tokenize, mk_q, mk_pool
 
 
 def scored_pools(weeks, n=10, seed=1):
@@ -107,6 +108,37 @@ def test_run_asymmetric_needs_enough_weeks():
             GameConfig(rounds=5, m_cap=5, k_cap=2),
             SCORER,
         )
+
+
+def test_a_run_tokenizes_each_text_it_scores_once(monkeypatch):
+    spec = SyntheticSpec(
+        weeks=14, questions_per_week=30, utility_correlation=-0.5, topic_effect=2.0, seed=2
+    )
+    train, val, sim = split_pretrain(normalize_weekly(generate_synthetic(spec)), 6)
+    text = train_text_scorer(train.pools, val.pools)
+    config = GameConfig(m_cap=10, k_cap=5, rounds=8, retrain_period=3, seed=1)
+    calls = count_tokenize(monkeypatch)
+
+    # the proposer scores each pool; the curator and the two retrains
+    # reuse the pool's rows
+    run_asymmetric(sim, dataclasses.replace(config, strategy_g="utility"), text)
+    assert len(calls) == sum(len(pool) for pool in sim.pools[:8])
+
+    # only the curator scores text: the proposals; a proposer that does
+    # not learn never trains a model that would read text
+    by_id = {q.id: q for pool in sim.pools for q in pool.questions}
+    frozen = dict(strategy_g="utility", learn_acceptance=False)
+    for change in (dict(strategy_g="greedy"), dict(strategy_g="random"), frozen):
+        calls.clear()
+        ledger = run_asymmetric(sim, dataclasses.replace(config, **change), text)
+        assert calls == [by_id[i].text for o in ledger.outcomes for i in o.proposed]
+
+    # no text is scored
+    calls.clear()
+    for change in (dict(strategy_g="greedy"), dict(strategy_g="random"), frozen):
+        config = GameConfig(m_cap=6, k_cap=2, rounds=4, **change)
+        run_asymmetric(scored_pools(4), config, SCORER)
+    assert calls == []
 
 
 def test_run_full_information_selects_exactly_k():

@@ -21,7 +21,7 @@ from pubgame.core import RoundPool
 from pubgame.strategies import CalibrationResult
 from pubgame.textmodel import AcceptanceModel
 
-from helpers import mk_q, mk_pool, mk_week, ref_calibrate_theta
+from helpers import count_tokenize, mk_q, mk_pool, mk_week, ref_calibrate_theta, rows_of
 
 CAL_POINTS = [
     (0.95, 1), (0.9, 1), (0.85, 0), (0.8, 1), (0.7, 1),
@@ -44,12 +44,14 @@ def test_greedy_strategy_breaks_ties_by_pool_order():
 
 def test_utility_strategy_equals_greedy_when_untrained():
     pool = mk_pool(0, [(10, 1.0), (10, 5.0), (10, 3.0)])
-    assert strategy_g_utility(pool, 2, AcceptanceModel()) == strategy_g_greedy(pool, 2)
+    untrained = AcceptanceModel()
+    utility = strategy_g_utility(pool, 2, untrained, rows_of(pool.questions))
+    assert utility == strategy_g_greedy(pool, 2)
 
 
 def test_utility_strategy_discounts_unlikely_questions():
     model = train_acceptance(
-        [("alpha topic body text", True), ("beta topic body text", False)] * 3
+        ["alpha topic body text", "beta topic body text"] * 3, [True, False] * 3
     )
     qs = (
         mk_q("hi-g", views=10, u_g=1.0, title="beta topic", u_f_norm=1.0),
@@ -57,7 +59,9 @@ def test_utility_strategy_discounts_unlikely_questions():
     )
     pool = RoundPool(week=0, questions=qs)
     assert strategy_g_greedy(pool, 1)[0].id == "qhi-g"
-    assert strategy_g_utility(pool, 1, model)[0].id == "qlo-g"
+    assert strategy_g_utility(pool, 1, model, rows_of(qs))[0].id == "qlo-g"
+    with pytest.raises(ValueError, match="2 questions needs their token rows"):
+        strategy_g_utility(pool, 1, model, rows_of(qs[:1]))
 
 
 def test_random_strategy_is_rng_driven_and_bounded():
@@ -157,17 +161,18 @@ def _precomputed_pool():
 def test_forum_select_filters_orders_and_truncates():
     pool = _precomputed_pool()
     scorer = ForumScorer(kind="precomputed", theta=0.5)
-    published = forum_select(pool.questions, scorer, 2)
+    published = forum_select(pool.questions, scorer, 2, None)
     # scores >= 0.5: p0 (0.9), p2 (0.7), p3 (0.9); tie 0.9 keeps position order
     assert [q.id for q in published] == ["qp0", "qp3"]
-    assert [q.id for q in forum_select(pool.questions, scorer, 10)] == ["qp0", "qp3", "qp2"]
+    ten = forum_select(pool.questions, scorer, 10, None)
+    assert [q.id for q in ten] == ["qp0", "qp3", "qp2"]
 
 
 def test_forum_select_may_publish_nothing():
     scorer = ForumScorer(kind="precomputed", theta=0.95)
-    assert forum_select(_precomputed_pool().questions, scorer, 3) == []
+    assert forum_select(_precomputed_pool().questions, scorer, 3, None) == []
     with pytest.raises(ValueError):
-        forum_select(_precomputed_pool().questions, scorer, 0)
+        forum_select(_precomputed_pool().questions, scorer, 0, None)
 
 
 def test_forum_scorer_validation():
@@ -177,7 +182,7 @@ def test_forum_scorer_validation():
         ForumScorer(kind="text", theta=0.5)
     scorer = ForumScorer(kind="precomputed", theta=0.5)
     with pytest.raises(ValueError, match="'q1' has no forum_score"):
-        scorer.score([mk_q(1, u_f_norm=0.5)])
+        scorer.score([mk_q(1, u_f_norm=0.5)], None)
 
 
 def test_make_precomputed_scorer_needs_the_forum_score_column():
@@ -219,8 +224,21 @@ def test_train_text_scorer_learns_topic_threshold():
     assert scorer.calibration is not None
     hot = mk_q("hot", title="alpha question", body="alpha detail", u_f_norm=1.0)
     cold = mk_q("cold", title="beta question", body="beta detail", u_f_norm=0.0)
-    s_hot, s_cold = scorer.score([hot, cold])
+    s_hot, s_cold = scorer.score([hot, cold], rows_of([hot, cold]))
     assert s_hot > s_cold
+    with pytest.raises(ValueError, match="needs their token rows, one per question; got none"):
+        scorer.score([hot, cold], None)
+    with pytest.raises(ValueError, match="got 1$"):
+        forum_select([hot, cold], scorer, 1, rows_of([cold]))
+
+
+def test_train_text_scorer_tokenizes_each_labelled_question_once(monkeypatch):
+    pools = _topic_pools(6)
+    calls = count_tokenize(monkeypatch)
+    train_text_scorer(pools[:4], pools[4:])
+    # fit and transform share the train rows; validation is scored once
+    labelled = [q.text for q, lbl in label_by_percentile(pools) if lbl is not None]
+    assert calls == labelled
 
 
 def test_train_text_scorer_explicit_theta_keeps_calibration():

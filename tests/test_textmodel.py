@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pubgame import AcceptanceModel, TextFeaturizer, tokenize, train_acceptance
+from pubgame import (
+    AcceptanceModel,
+    TextFeaturizer,
+    TokenTable,
+    tokenize,
+    tokenize_rows,
+    train_acceptance,
+)
 from pubgame.errors import SchemaError
 from pubgame.textmodel import MODEL_FORMAT, MODEL_VERSION
 
@@ -19,6 +26,7 @@ from helpers import (
     ref_train_acceptance,
     ref_transform,
     rows_as_dicts,
+    texts_labels,
 )
 
 # every token in two documents, so the vocabulary keeps them all
@@ -90,7 +98,7 @@ def test_untrained_model_predicts_ones():
 
 
 def test_nb_hand_example():
-    model = train_acceptance(HISTORY)
+    model = train_acceptance(*texts_labels(HISTORY))
     assert model.trained
     (p,) = model.predict_proba(["great"])
     assert p > 0.5
@@ -98,7 +106,7 @@ def test_nb_hand_example():
 
 
 def test_nb_class_probabilities_sum_to_one():
-    model = train_acceptance(HISTORY)
+    model = train_acceptance(*texts_labels(HISTORY))
     rng = random.Random(0)
     vocab = ["great", "question", "bad", "spam", "stuff", "zzz"]
     for _ in range(20):
@@ -107,26 +115,26 @@ def test_nb_class_probabilities_sum_to_one():
         assert 0.0 < p < 1.0
 
 
-def test_train_acceptance_accepts_text_objects():
-    class Doc:
-        def __init__(self, text):
-            self.text = text
-
-    by_str = train_acceptance(HISTORY)
-    by_obj = train_acceptance([(Doc(text), label) for text, label in HISTORY])
-    assert by_obj.predict_proba(["great"]) == by_str.predict_proba(["great"])
+def test_train_acceptance_takes_rows_or_texts():
+    texts, labels = texts_labels(HISTORY)
+    by_text = train_acceptance(texts, labels)
+    by_rows = train_acceptance(tokenize_rows(texts), labels)
+    assert by_rows.predict_proba(["great"]) == by_text.predict_proba(["great"])
+    with pytest.raises(ValueError, match="5 documents but 4 acceptance labels"):
+        train_acceptance(texts, labels[:4])
 
 
 def test_degenerate_histories_yield_untrained_models():
-    assert not train_acceptance([]).trained
-    assert not train_acceptance([("only one class", True)] * 4).trained
+    assert not train_acceptance([], []).trained
+    assert not train_acceptance(tokenize_rows([]), []).trained
+    assert not train_acceptance(["only one class"] * 4, [True] * 4).trained
     # tokens all filtered out by the document frequency, then by length
-    assert not train_acceptance([("aaa", True), ("bbb", False)]).trained
-    assert not train_acceptance([("a b", True), ("a b", False)]).trained
+    assert not train_acceptance(["aaa", "bbb"], [True, False]).trained
+    assert not train_acceptance(["a b", "a b"], [True, False]).trained
 
 
 def test_model_save_load_round_trip(tmp_path):
-    model = train_acceptance(HISTORY + [("nice question", True)])
+    model = train_acceptance(*texts_labels(HISTORY + [("nice question", True)]))
     path = tmp_path / "model.json"
     model.save(path)
     clone = AcceptanceModel.load(path)
@@ -177,7 +185,7 @@ def test_model_file_of_earlier_build_loads_bit_identically(tmp_path):
     ]
     model.save(tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == MODEL_V1.read_bytes()
-    train_acceptance(HISTORY).save(tmp_path / "trained.json")
+    train_acceptance(*texts_labels(HISTORY)).save(tmp_path / "trained.json")
     assert (tmp_path / "trained.json").read_bytes() == MODEL_V1.read_bytes()
 
 
@@ -277,7 +285,7 @@ def test_separable_corpus_classifies_cleanly():
         vocab = pos_vocab if i % 2 == 0 else neg_vocab
         doc = " ".join(rng.choices(vocab, k=8))
         history.append((doc, i % 2 == 0))
-    model = train_acceptance(history)
+    model = train_acceptance(*texts_labels(history))
     held_out = []
     for i in range(40):
         vocab = pos_vocab if i % 2 == 0 else neg_vocab
@@ -328,7 +336,7 @@ def test_featurizer_matches_per_document_reference(corpus, texts):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(_docs(), st.booleans()), max_size=12), _score_batches)
 def test_acceptance_model_matches_per_document_reference(history, texts):
-    model = train_acceptance(history)
+    model = train_acceptance(*texts_labels(history))
     ref = ref_train_acceptance(history)
     assert model.trained == (ref is not None)
     if ref is not None:
@@ -337,3 +345,84 @@ def test_acceptance_model_matches_per_document_reference(history, texts):
     probs = model.predict_proba(texts)
     assert probs.dtype == np.float64
     assert np.array_equal(probs, ref_predict_proba(model, texts))
+
+
+def _same_rows(a, b):
+    return (
+        len(a) == len(b)
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.ids, b.ids)
+        and a.ids.dtype == np.int32
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_docs(), st.booleans()), max_size=12), _score_batches)
+def test_token_rows_match_the_string_path_and_the_reference(history, texts):
+    # the scored batch is tokenized into the table first, so the table
+    # holds tokens the history lacks, and the other way round
+    table = TokenTable()
+    scored = tokenize_rows(texts, table)
+    train_texts, labels = texts_labels(history)
+    rows = tokenize_rows(train_texts, table)
+    tokens = list(table)
+    for batch, batch_rows in ((texts, scored), (train_texts, rows)):
+        assert [
+            [tokens[i] for i in batch_rows.ids[a:b]]
+            for a, b in zip(batch_rows.indptr[:-1], batch_rows.indptr[1:])
+        ] == [ref_tokenize(text) for text in batch]
+
+    feat = TextFeaturizer.fit(rows)
+    vocabulary, idf = ref_fit(train_texts)
+    assert list(feat.vocabulary.items()) == list(vocabulary.items())
+    assert np.array_equal(feat.idf, idf)
+    for batch, batch_rows in ((texts, scored), (train_texts, rows)):
+        got = feat.transform(batch_rows)
+        for a, b in zip(got, feat.transform(batch)):
+            assert np.array_equal(a, b)
+        assert [list(d.items()) for d in rows_as_dicts(got)] == [
+            list(d.items()) for d in ref_transform(feat, batch)
+        ]
+
+    model = train_acceptance(rows, labels)
+    by_text = train_acceptance(train_texts, labels)
+    ref = ref_train_acceptance(history)
+    assert model.trained == by_text.trained == (ref is not None)
+    if ref is not None:
+        for got in (model, by_text):
+            assert np.array_equal(got.class_log_prior, ref[0])
+            assert np.array_equal(got.feature_log_lik, ref[1])
+    probs = model.predict_proba(scored)
+    assert np.array_equal(probs, model.predict_proba(texts))
+    assert np.array_equal(probs, ref_predict_proba(model, texts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_docs(), max_size=8), st.lists(_docs(), max_size=8), st.data())
+def test_row_subsets_and_appends_equal_rows_of_the_chosen_texts(first, second, data):
+    table = TokenTable()
+    a = tokenize_rows(first, table)
+    b = tokenize_rows(second, table)
+    # every token is in the table now, so rebuilding appends none
+    size = len(table)
+    joined = a + b
+    assert joined.table is table
+    assert _same_rows(joined, tokenize_rows(first + second, table))
+    everything = first + second
+    picks = data.draw(st.lists(st.integers(0, max(len(everything) - 1, 0)), max_size=10))
+    picks = picks if everything else []
+    subset = joined.take(picks)
+    assert subset.table is table
+    assert _same_rows(subset, tokenize_rows([everything[i] for i in picks], table))
+    assert _same_rows(a.take(range(len(a))) + b.take([]), a)
+    assert len(table) == size
+    with pytest.raises(ValueError, match="different tables"):
+        a + tokenize_rows(second)
+
+
+def test_an_empty_batch_is_falsy_and_scores_nothing():
+    rows = tokenize_rows([])
+    assert not rows and len(rows) == 0
+    model = train_acceptance(*texts_labels(HISTORY))
+    assert model.predict_proba(rows).shape == (0,)
+    assert AcceptanceModel().predict_proba(rows).shape == (0,)
