@@ -8,7 +8,7 @@ surrogate ratio can be checked against it directly.
 """
 
 from pubgame.core import GameConfig
-from pubgame.data import SyntheticSpec, generate_synthetic, normalize_weekly, split_pretrain
+from pubgame.data import Dataset, SyntheticSpec, generate_synthetic, normalize_weekly, split_pretrain
 from pubgame.engine import (
     HEURISTICS,
     compute_eurr,
@@ -62,8 +62,9 @@ def main() -> None:
     print(asymmetric_table(entries).to_text())
 
     print("surrogate vs exact recovery (proposer, curator):")
+    played = Dataset(sim.pools[:ROUNDS])
     for strategy, (ledger, eurr) in entries.items():
-        urr = exact_urr(ledger, sim.pools[:ROUNDS], K)
+        urr = exact_urr(ledger, played, K)
         print(
             f"  {strategy:<8} eurr {eurr.eurr_g:.3f}/{eurr.eurr_f:.3f}"
             f"  urr {urr.urr_g:.3f}/{urr.urr_f:.3f}"

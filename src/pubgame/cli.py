@@ -159,11 +159,15 @@ def write_manifest(
     return payload["manifest_hash"]
 
 
-def load_manifest(path: str | Path, command: str) -> dict:
+def _read_json(path: str | Path):
     try:
-        payload = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: not valid JSON ({e.msg})")
+
+
+def load_manifest(path: str | Path, command: str) -> dict:
+    payload = _read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != MANIFEST_FORMAT:
         raise ConfigError(f"{path}: not a run manifest")
     if payload.get("version") != MANIFEST_VERSION:
@@ -492,7 +496,10 @@ def _run_report(run_args: dict, out_dir: Path) -> int:
     summary_path = Path(run_args["asym_dir"]) / "summary.json"
     strategy = "asym"
     if summary_path.exists():
-        strategy = json.loads(summary_path.read_text()).get("strategy_g", "asym")
+        summary = _read_json(summary_path)
+        strategy = summary.get("strategy_g", "asym") if isinstance(summary, dict) else None
+        if not isinstance(strategy, str):
+            raise ConfigError(f"{summary_path}: not a simulate summary")
 
     eurr = compute_eurr(asym, runs)
     t_full = full_information_table(runs)

@@ -17,9 +17,6 @@ from typing import Iterable, Sequence
 
 from .errors import ConfigError
 
-G_SIDE = "G"
-F_SIDE = "F"
-
 STRATEGIES_G = ("greedy", "utility", "random")
 
 
@@ -89,16 +86,15 @@ def set_utility(view_counts: Sequence[int]) -> list[float]:
     return [v / stat if stat > 0 else 0.0 for v in view_counts]
 
 
-def utility_of_set(questions: Iterable[Question], side: str) -> float:
-    """Additive utility of a published set for one side, ``"G"`` or ``"F"``,
-    added left to right from 0.0: a loop, since ``sum()`` of floats
-    compensates from Python 3.12."""
-    if side not in (G_SIDE, F_SIDE):
-        raise ValueError(f"unknown side {side!r}; expected 'G' or 'F'")
-    total = 0.0
+def utility_of_set(questions: Iterable[Question]) -> tuple[float, float]:
+    """Additive utilities ``(u_g, u_f)`` of a published set to the
+    proposer and the curator, each added left to right from 0.0: a loop,
+    since ``sum()`` of floats compensates from Python 3.12."""
+    u_g = u_f = 0.0
     for q in questions:
-        total += q.u_g if side == G_SIDE else q.u_f_norm
-    return total
+        u_g += q.u_g
+        u_f += q.u_f_norm
+    return u_g, u_f
 
 
 @dataclass(frozen=True)
@@ -147,6 +143,19 @@ class SelectionOutcome:
     published: tuple[str, ...]
     u_g_realized: float
     u_f_realized: float
+
+    @classmethod
+    def of(
+        cls, week: int, proposed: Sequence[Question], published: Sequence[Question]
+    ) -> SelectionOutcome:
+        """The outcome of publishing ``published`` out of ``proposed``,
+        with the realized utilities of the published set."""
+        return cls(
+            week,
+            tuple(q.id for q in proposed),
+            tuple(q.id for q in published),
+            *utility_of_set(published),
+        )
 
     def __post_init__(self) -> None:
         missing = set(self.published) - set(self.proposed)

@@ -2,14 +2,18 @@
 
 The asymmetric loop plays proposer strategy against curator scorer
 week by week, retraining the proposer's acceptance model on its own
-submit/publish history every ``retrain_period`` rounds.  A run
-tokenizes each text it scores once, into one token table: the rows
-built for the proposer's scoring serve the curator's scoring and the
-history every retrain fits on.  The
+submit/publish history every ``retrain_period`` rounds.  Each round
+runs one strategy, which returns positions into the pool, and the
+curator's :func:`~pubgame.strategies.forum_select`, which returns
+positions into the proposal.  A run tokenizes each text it scores once,
+into one token table: the rows built for the proposer's scoring serve
+the curator's scoring and the history every retrain fits on.  The
 full-information loop selects directly from the whole weekly pool with
 one of the joint heuristics, providing the denominators for estimated
 utility recovery; :func:`exact_urr` computes the exact counterpart by
-oracle enumeration where feasible.
+oracle enumeration where feasible.  Both loops record a round with
+:meth:`~pubgame.core.SelectionOutcome.of`, and every loop takes a
+:class:`~pubgame.data.Dataset`.
 """
 
 from __future__ import annotations
@@ -18,11 +22,11 @@ import csv
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
+
+import numpy as np
 
 from .core import (
-    F_SIDE,
-    G_SIDE,
     GameConfig,
     GameLedger,
     RoundPool,
@@ -55,43 +59,32 @@ EURR_NOTE = (
 )
 
 
-def _as_pools(source: Dataset | Sequence[RoundPool]) -> list[RoundPool]:
-    pools = list(source.pools) if isinstance(source, Dataset) else list(source)
-    if not pools:
-        raise ConfigError("no weekly pools to simulate")
-    return pools
-
-
 def _pool_instance(pool: RoundPool, k: int) -> BilinearInstance:
     items = tuple((q.u_g, q.u_f_norm) for q in pool.questions)
     return BilinearInstance(items=items, k=min(k, len(items)))
 
 
-def run_asymmetric(
-    source: Dataset | Sequence[RoundPool],
-    config: GameConfig,
-    scorer: ForumScorer,
-) -> GameLedger:
+def run_asymmetric(dataset: Dataset, config: GameConfig, scorer: ForumScorer) -> GameLedger:
     """Play the weekly proposer/curator game over the simulation window.
 
-    Only the first ``config.rounds`` pools are played; fewer available
-    pools is an error.  The curator scorer stays frozen; the proposer's
+    Only the first ``config.rounds`` weeks are played; fewer available
+    weeks is an error.  The curator scorer stays frozen; the proposer's
     acceptance model retrains on accumulated history at rounds that are
     multiples of ``retrain_period`` (when the utility strategy and
     learning are active).  A retrain that would collapse (single-class
-    history) keeps the previous model.
+    history) keeps the previous model.  A utility proposer that does not
+    learn keeps an untrained model, whose probabilities are all 1, so it
+    plays the greedy strategy.
 
     Each round tokenizes only the texts it scores: the whole pool when
     the proposer learns, otherwise the proposal when the curator scores
     text, and nothing when it reads the precomputed column.  The history
     keeps the proposal's rows, and only when the proposer learns.
     """
-    pools = _as_pools(source)
-    if len(pools) < config.rounds:
+    if dataset.n_weeks < config.rounds:
         raise ConfigError(
-            f"need {config.rounds} simulation weeks, dataset has {len(pools)}"
+            f"need {config.rounds} simulation weeks, dataset has {dataset.n_weeks}"
         )
-    pools = pools[: config.rounds]
 
     rng = random.Random(f"{config.seed}:proposer")
     learning = config.strategy_g == "utility" and config.learn_acceptance
@@ -100,55 +93,37 @@ def run_asymmetric(
     history = tokenize_rows([], table)
     accepted: list[bool] = []
     outcomes = []
-    for t, pool in enumerate(pools):
+    for t, pool in enumerate(dataset.pools[: config.rounds]):
         if learning and t > 0 and t % config.retrain_period == 0:
             candidate = train_acceptance(history, accepted)
             if candidate.trained:
                 model = candidate
 
         rows = None
-        if config.strategy_g == "greedy":
-            proposal = strategy_g_greedy(pool, config.m_cap)
-        elif learning:
+        if learning:
             pool_rows = tokenize_rows([q.text for q in pool.questions], table)
-            proposal = strategy_g_utility(pool, config.m_cap, model, pool_rows)
-            # the proposal holds the pool's own objects, so identity
-            # finds the row of each
-            at = {id(q): i for i, q in enumerate(pool.questions)}
-            rows = pool_rows.take([at[id(q)] for q in proposal])
-        elif config.strategy_g == "utility":
-            # a model that never trains reads only how many texts there
-            # are, so none is tokenized for it
-            texts = [q.text for q in pool.questions]
-            proposal = strategy_g_utility(pool, config.m_cap, model, texts)
+            chosen = strategy_g_utility(pool, config.m_cap, model, pool_rows)
+            rows = pool_rows.take(chosen)
+        elif config.strategy_g == "random":
+            chosen = strategy_g_random(pool, config.m_cap, rng)
         else:
-            proposal = strategy_g_random(pool, config.m_cap, rng)
+            chosen = strategy_g_greedy(pool, config.m_cap)
+        proposal = [pool.questions[i] for i in chosen]
         if rows is None and scorer.kind == "text":
             rows = tokenize_rows([q.text for q in proposal], table)
 
         published = forum_select(proposal, scorer, config.k_cap, rows)
-        published_ids = {q.id for q in published}
         outcomes.append(
-            SelectionOutcome(
-                week=pool.week,
-                proposed=tuple(q.id for q in proposal),
-                published=tuple(q.id for q in published),
-                u_g_realized=utility_of_set(published, G_SIDE),
-                u_f_realized=utility_of_set(published, F_SIDE),
-            )
+            SelectionOutcome.of(pool.week, proposal, [proposal[j] for j in published])
         )
         if learning:
             history += rows
-            accepted.extend(q.id in published_ids for q in proposal)
+            accepted.extend(np.isin(np.arange(len(proposal)), published).tolist())
     return GameLedger.from_outcomes(outcomes)
 
 
 def run_full_information(
-    source: Dataset | Sequence[RoundPool],
-    heuristic: str,
-    k: int,
-    seed: int = 0,
-    rounds: int | None = None,
+    dataset: Dataset, heuristic: str, k: int, seed: int = 0, rounds: int | None = None
 ) -> GameLedger:
     """Select k jointly visible questions per week with one heuristic.
 
@@ -160,29 +135,17 @@ def run_full_information(
             f"unknown heuristic {heuristic!r}; expected one of "
             f"{', '.join(HEURISTICS)}"
         )
-    pools = _as_pools(source)
-    if rounds is not None:
-        if len(pools) < rounds:
-            raise ConfigError(f"need {rounds} weeks, dataset has {len(pools)}")
-        pools = pools[:rounds]
+    if rounds is not None and dataset.n_weeks < rounds:
+        raise ConfigError(f"need {rounds} weeks, dataset has {dataset.n_weeks}")
     outcomes = []
-    for t, pool in enumerate(pools):
+    for t, pool in enumerate(dataset.pools[:rounds]):
         instance = _pool_instance(pool, k)
         if heuristic == "random":
             chosen = heuristic_random(instance, f"{seed}-{t}")
         else:
             chosen = HEURISTICS[heuristic](instance)
         selected = [pool.questions[i] for i in chosen]
-        ids = tuple(q.id for q in selected)
-        outcomes.append(
-            SelectionOutcome(
-                week=pool.week,
-                proposed=ids,
-                published=ids,
-                u_g_realized=utility_of_set(selected, G_SIDE),
-                u_f_realized=utility_of_set(selected, F_SIDE),
-            )
-        )
+        outcomes.append(SelectionOutcome.of(pool.week, selected, selected))
     return GameLedger.from_outcomes(outcomes)
 
 
@@ -216,7 +179,7 @@ class EurrReport:
 
 def exact_urr(
     ledger: GameLedger,
-    source: Dataset | Sequence[RoundPool],
+    dataset: Dataset,
     k: int,
     *,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
@@ -227,33 +190,29 @@ def exact_urr(
     feasible at desk scale; the enumeration budget propagates to the
     oracle, whose error message points at the estimated-recovery path.
     """
-    pools = _as_pools(source)
-    if len(ledger) != len(pools):
+    if len(ledger) != dataset.n_weeks:
         raise ConfigError(
             f"ledger covers {len(ledger)} rounds but the pool "
-            f"window has {len(pools)}"
+            f"window has {dataset.n_weeks}"
         )
-    star_g = 0.0
-    star_f = 0.0
-    for pool in pools:
+    star_g = star_f = 0.0
+    for pool in dataset.pools:
         result = oracle_exact(_pool_instance(pool, k), budget=budget)
-        chosen = [pool.questions[i] for i in result.indices]
-        star_g += utility_of_set(chosen, G_SIDE)
-        star_f += utility_of_set(chosen, F_SIDE)
+        u_g, u_f = utility_of_set(pool.questions[i] for i in result.indices)
+        star_g += u_g
+        star_f += u_f
     if star_g <= 0.0 or star_f <= 0.0:
         raise ValueError(
             "optimal trajectory has zero utility on one side; recovery "
             "ratios are undefined"
         )
-    realized_g = ledger.total_u_g
-    realized_f = ledger.total_u_f
     return UrrReport(
         star_u_g=star_g,
         star_u_f=star_f,
-        realized_u_g=realized_g,
-        realized_u_f=realized_f,
-        urr_g=realized_g / star_g,
-        urr_f=realized_f / star_f,
+        realized_u_g=ledger.total_u_g,
+        realized_u_f=ledger.total_u_f,
+        urr_g=ledger.total_u_g / star_g,
+        urr_f=ledger.total_u_f / star_f,
     )
 
 

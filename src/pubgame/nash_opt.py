@@ -174,8 +174,7 @@ def oracle_exact(
         gs = np.array(sg, dtype=fs.dtype)
     else:
         scale = None
-        fs = np.asarray(instance.fs, dtype=np.float64)
-        gs = np.asarray(instance.gs, dtype=np.float64)
+        fs, gs = _as_float_arrays(instance)
 
     best_val, rank, seen = None, 0, 0
     for products in _iter_combo_chunks(fs, gs, k):
@@ -256,10 +255,18 @@ def oracle_dp(instance: BilinearInstance) -> OracleResult:
     return OracleResult(tuple(reversed(chosen)), best_val)
 
 
-def _as_float_arrays(instance: BilinearInstance) -> tuple[np.ndarray, np.ndarray]:
-    fs = np.array([float(f) for f in instance.fs])
-    gs = np.array([float(g) for g in instance.gs])
-    return fs, gs
+def _as_float_arrays(instance: BilinearInstance) -> np.ndarray:
+    """The rows fs and gs in float64, rounded as float() rounds ints, big
+    ints and Fractions."""
+    return np.array(instance.items, dtype=np.float64).T
+
+
+def top_k(keys: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k largest keys, largest first; ties keep position
+    order.  Every ranking in the game uses this rule: the keys are finite
+    or infinite, never NaN, so the order is that of sorting positions by
+    (-key, position)."""
+    return np.argsort(-keys, kind="stable")[:k]
 
 
 def heuristic_mpp(instance: BilinearInstance) -> tuple[int, ...]:
@@ -282,9 +289,7 @@ def heuristic_mpp(instance: BilinearInstance) -> tuple[int, ...]:
 def heuristic_maxsp(instance: BilinearInstance) -> tuple[int, ...]:
     """Top k items by the per-item value product f_i * g_i."""
     fs, gs = _as_float_arrays(instance)
-    products = fs * gs
-    order = sorted(range(instance.n), key=lambda i: (-products[i], i))
-    return tuple(sorted(order[: instance.k]))
+    return tuple(sorted(top_k(fs * gs, instance.k).tolist()))
 
 
 def heuristic_greedy_np(instance: BilinearInstance) -> tuple[int, ...]:

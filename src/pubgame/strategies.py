@@ -2,19 +2,23 @@
 
 The proposer ranks the week's pool and submits the top m questions;
 the curator scores the submission, drops everything under a calibrated
-threshold, and publishes the k best survivors.
+threshold, and publishes the k best survivors.  A selection is an int64
+array of positions: the proposer strategies' into the pool,
+:func:`forum_select`'s into the proposal.  Every ranking is
+:func:`~pubgame.nash_opt.top_k`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import Question, RoundPool
 from .errors import CalibrationError
+from .nash_opt import top_k
 from .stats import _double_average_ranks
 from .textmodel import (
     AcceptanceModel,
@@ -25,17 +29,13 @@ from .textmodel import (
 )
 
 
-def strategy_g_greedy(pool: RoundPool, m: int) -> list[Question]:
-    """Top m questions by raw proposer utility; ties keep pool order."""
-    order = sorted(
-        range(len(pool.questions)), key=lambda i: (-pool.questions[i].u_g, i)
-    )
-    return [pool.questions[i] for i in order[:m]]
+def strategy_g_greedy(pool: RoundPool, m: int) -> np.ndarray:
+    """Positions of the top m questions by raw proposer utility; ties
+    keep pool order."""
+    return top_k(np.array([q.u_g for q in pool.questions]), m)
 
 
-def _check_rows(
-    rows: TokenRows | Sequence[str] | None, questions: Sequence[Question]
-) -> None:
+def _check_rows(rows: TokenRows | None, questions: Sequence[Question]) -> None:
     if rows is None or len(rows) != len(questions):
         raise ValueError(
             f"scoring {len(questions)} questions needs their token rows, one "
@@ -44,32 +44,25 @@ def _check_rows(
 
 
 def strategy_g_utility(
-    pool: RoundPool,
-    m: int,
-    model: AcceptanceModel,
-    rows: TokenRows | Sequence[str],
-) -> list[Question]:
-    """Top m by utility weighted with predicted acceptance probability.
+    pool: RoundPool, m: int, model: AcceptanceModel, rows: TokenRows
+) -> np.ndarray:
+    """Positions of the top m questions by utility weighted with
+    predicted acceptance probability.
 
-    ``rows`` holds the pool's questions tokenized, in pool order, or
-    their texts, as :meth:`AcceptanceModel.predict_proba` takes them.
-    With an untrained model every probability is 1, so the ranking is
-    identical to the greedy strategy's.
+    ``rows`` holds the pool's questions tokenized, in pool order.  With
+    an untrained model every probability is 1, so the ranking is the
+    greedy strategy's.
     """
     _check_rows(rows, pool.questions)
-    probs = model.predict_proba(rows)
-    order = sorted(
-        range(len(pool.questions)),
-        key=lambda i: (-pool.questions[i].u_g * probs[i], i),
-    )
-    return [pool.questions[i] for i in order[:m]]
+    u_g = np.array([q.u_g for q in pool.questions])
+    return top_k(u_g * model.predict_proba(rows), m)
 
 
-def strategy_g_random(pool: RoundPool, m: int, rng: random.Random) -> list[Question]:
-    """Uniform random batch of min(m, pool size) questions."""
+def strategy_g_random(pool: RoundPool, m: int, rng: random.Random) -> np.ndarray:
+    """Positions of a uniform random batch of min(m, pool size)
+    questions, in pool order."""
     n = len(pool.questions)
-    picked = sorted(rng.sample(range(n), min(m, n)))
-    return [pool.questions[i] for i in picked]
+    return np.array(sorted(rng.sample(range(n), min(m, n))), dtype=np.int64)
 
 
 def label_by_percentile(
@@ -203,22 +196,22 @@ def forum_select(
     scorer: ForumScorer,
     k: int,
     rows: TokenRows | None,
-) -> list[Question]:
-    """Publish the k best-scoring questions at or above theta.
+) -> np.ndarray:
+    """Positions in the proposal of the k best-scoring questions at or
+    above theta.
 
     ``rows`` holds the proposal tokenized, as :meth:`ForumScorer.score`
     reads it.
 
-    The published list is ordered by descending score, ties by proposal
-    position; it may be shorter than k when few questions clear the
+    The positions are ordered by descending score, ties by proposal
+    position; there may be fewer than k when few questions clear the
     threshold.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     scores = scorer.score(proposal, rows)
-    eligible = [i for i, s in enumerate(scores) if s >= scorer.theta]
-    eligible.sort(key=lambda i: (-scores[i], i))
-    return [proposal[i] for i in eligible[:k]]
+    eligible = np.flatnonzero(scores >= scorer.theta)
+    return eligible[top_k(scores[eligible], k)]
 
 
 def _labeled(pools: Sequence[RoundPool]) -> list[tuple[Question, int]]:

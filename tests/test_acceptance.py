@@ -12,6 +12,7 @@ import time
 from pubgame.cli import main
 from pubgame.core import GameConfig
 from pubgame.data import (
+    Dataset,
     SyntheticSpec,
     generate_synthetic,
     normalize_weekly,
@@ -236,7 +237,7 @@ def test_criterion_6_surrogate_recovery_never_exceeds_exact_recovery():
             )
             ledger = run_asymmetric(sim, config, scorer)
             eurr = compute_eurr(ledger, full)
-            urr = exact_urr(ledger, sim.pools[:12], 4)
+            urr = exact_urr(ledger, Dataset(sim.pools[:12]), 4)
             if eurr.eurr_g > urr.urr_g or eurr.eurr_f > urr.urr_f:
                 violations += 1
             for value in (eurr.eurr_g, eurr.eurr_f, urr.urr_g, urr.urr_f):

@@ -672,3 +672,76 @@ def test_eurr_rejects_malformed_ledger_values(pipeline, tmp_path, capsys, column
     err = capsys.readouterr().err
     assert err.startswith(f"error: ledger.csv line {len(lines)}: ")
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("[]", "not a simulate summary"),
+        ('{"strategy_g": ["greedy"]}', "not a simulate summary"),
+        ("{not json", "not valid JSON"),
+    ],
+)
+def test_report_refuses_an_unreadable_summary(pipeline, tmp_path, capsys, content, message):
+    _, _, asym, full = pipeline
+    bad = tmp_path / "asym"
+    bad.mkdir()
+    (bad / "ledger.csv").write_bytes((asym / "ledger.csv").read_bytes())
+    (bad / "summary.json").write_text(content)
+    rc = main(["report", "--asym-dir", str(bad), "--full-dir", str(full), "--out-dir", str(tmp_path / "rep")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad / 'summary.json'}: {message}")
+    assert err.count("\n") == 1
+
+
+PIN_DATA = [
+    "--weeks", "12", "--per-week", "40", "--rho", "-0.5",
+    "--topic-effect", "2", "--seed", "1",
+]
+PIN_PLAY = ["--pretrain-weeks", "4", "--rounds", "8", "--seed", "1"]
+
+# the sha256 of each ledger.csv as the per-question sorts wrote it,
+# without its manifest line, which holds the run's absolute paths
+LEDGER_PINS = {
+    "greedy": "3da5d19d5a44bd17a623ed6c428822354ec6b742ef18b629cb6c26b05b960d39",
+    "utility": "e6777d90dfd36e28bfac7b0e7ea72a5f2c566bc977e76d4341c95500f9d837dc",
+    "random": "31d0ae8a78c11dc6f9c62ed5d1dd1f40ffa9edb3dbce86b99017d10a7fdd1fd4",
+    "utility --no-learning": "3da5d19d5a44bd17a623ed6c428822354ec6b742ef18b629cb6c26b05b960d39",
+    "mpp": "902e80aa8732947a8c128b2689e40f7affed97990c817ab4fbd4b19be95d3df3",
+    "maxsp": "cd99fe10f4cce25d28620b41ce6bc585d5385f55af34e2c264d285d09ae6d5ae",
+    "greedy_np": "200c74f0eb9c9502071882d75674ea3de937630e7286aa615f56d96fe2907f7d",
+    "random-full": "a228afcad20aceb12505c0556046bf0a08045bba371885ef226af4ecc4052a27",
+}
+
+
+def _ledger_digest(path):
+    return hashlib.sha256(path.read_bytes().split(b"\n", 1)[1]).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def pin_data(tmp_path_factory):
+    data = tmp_path_factory.mktemp("pin") / "questions.jsonl"
+    assert main(["generate", "--out", str(data), *PIN_DATA]) == 0
+    return data
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "utility", "random", "utility --no-learning"])
+def test_simulate_ledgers_are_pinned(pin_data, tmp_path, strategy):
+    name, *flags = strategy.split()
+    rc = main([
+        "simulate", "--data", str(pin_data), "--out-dir", str(tmp_path), *PIN_PLAY,
+        "--strategy", name, *flags, "--m-cap", "12", "--k-cap", "4", "--retrain-period", "3",
+    ])
+    assert rc == 0
+    assert _ledger_digest(tmp_path / "ledger.csv") == LEDGER_PINS[strategy]
+
+
+def test_full_info_ledgers_are_pinned(pin_data, tmp_path):
+    rc = main(["full-info", "--data", str(pin_data), "--out-dir", str(tmp_path), *PIN_PLAY, "--k", "4"])
+    assert rc == 0
+    digests = {
+        name if name != "random" else "random-full": _ledger_digest(tmp_path / f"ledger_{name}.csv")
+        for name in HEURISTICS
+    }
+    assert digests == {name: LEDGER_PINS[name] for name in digests}

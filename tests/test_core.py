@@ -55,24 +55,29 @@ def test_set_utility_zero_week_maps_to_zero():
 
 
 def test_utility_of_set_sides():
+    # the proposer's (G) total, then the curator's (F)
     pool = mk_pool(0, [(10, 1.5), (20, 2.5)])
-    assert utility_of_set(pool.questions, "G") == 4.0
-    assert utility_of_set(pool.questions, "F") == 1.5
-    with pytest.raises(ValueError):
-        utility_of_set(pool.questions, "X")
+    assert utility_of_set(pool.questions) == (4.0, 1.5)
 
 
-@pytest.mark.parametrize("side", ["G", "F"])
+@pytest.mark.parametrize("side", [0, 1], ids=["G", "F"])
 def test_utility_of_set_empty_is_float_zero(side):
-    total = utility_of_set([], side)
+    total = utility_of_set([])[side]
     assert total == 0.0 and type(total) is float
 
 
 def test_utility_of_set_adds_left_to_right():
     # math.fsum and Python 3.12's sum() give 1.0 here
     qs = [mk_q(i, u_g=0.1, u_f_norm=0.1) for i in range(10)]
-    assert utility_of_set(qs, "G") == 0.9999999999999999
-    assert utility_of_set(qs, "F") == 0.9999999999999999
+    assert utility_of_set(qs) == (0.9999999999999999, 0.9999999999999999)
+
+
+def test_selection_outcome_of_ids_and_realized_utilities():
+    pool = mk_pool(3, [(10, 1.5), (20, 2.5), (40, 4.0)])
+    proposed, published = pool.questions, pool.questions[2:0:-1]
+    assert SelectionOutcome.of(3, proposed, published) == SelectionOutcome(
+        3, ("q3-0", "q3-1", "q3-2"), ("q3-2", "q3-1"), 6.5, 1.5
+    )
 
 
 def test_game_config_validation():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pubgame import (
     BilinearInstance,
     ConfigError,
+    Dataset,
     EnumerationBudgetError,
     ForumScorer,
     GameConfig,
@@ -36,8 +37,8 @@ from helpers import count_tokenize, mk_q, mk_pool
 
 
 def scored_pools(weeks, n=10, seed=1):
-    """Pools whose forum_score tracks views, so a precomputed curator
-    behaves predictably."""
+    """A dataset whose forum_score tracks views, so a precomputed
+    curator behaves predictably."""
     import random
 
     rng = random.Random(seed)
@@ -56,7 +57,7 @@ def scored_pools(weeks, n=10, seed=1):
                 )
             )
         pools.append(RoundPool(week=week, questions=tuple(qs)))
-    return pools
+    return Dataset(tuple(pools))
 
 
 SCORER = ForumScorer(kind="precomputed", theta=0.3)
@@ -67,7 +68,7 @@ def test_run_asymmetric_respects_caps_and_subsets():
     config = GameConfig(m_cap=6, k_cap=2, rounds=4, seed=0)
     ledger = run_asymmetric(pools, config, SCORER)
     assert len(ledger) == 4
-    for outcome, pool in zip(ledger.outcomes, pools):
+    for outcome, pool in zip(ledger.outcomes, pools.pools):
         assert len(outcome.proposed) == 6
         assert len(outcome.published) <= 2
         assert set(outcome.published) <= set(outcome.proposed)
@@ -173,7 +174,7 @@ def test_run_full_information_rounds_prefix_consistency():
         run_full_information(pools, "random", 3, rounds=20)
 
 
-def _spec_pool():
+def _spec_pool(week=0):
     # items (u_g, u_f_norm) = (3, 1/3), (1, 1), (2, 2/3): the oracle pair
     # is {0, 1} on the product (4) * (4/3)
     qs = (
@@ -181,14 +182,14 @@ def _spec_pool():
         mk_q("b", views=3, u_g=1.0, u_f_norm=1.0),
         mk_q("c", views=2, u_g=2.0, u_f_norm=2 / 3),
     )
-    return RoundPool(week=0, questions=qs)
+    return RoundPool(week=week, questions=qs)
 
 
 def test_exact_urr_hand_instance():
     ledger = GameLedger.from_outcomes(
         [SelectionOutcome(0, ("qa", "qb"), ("qa",), 3.0, 1 / 3)]
     )
-    report = exact_urr(ledger, [_spec_pool()], 2)
+    report = exact_urr(ledger, Dataset((_spec_pool(),)), 2)
     assert report.star_u_g == 4.0
     assert report.star_u_f == pytest.approx(4 / 3)
     assert report.urr_g == pytest.approx(0.75)
@@ -200,7 +201,7 @@ def test_exact_urr_window_mismatch():
         [SelectionOutcome(0, ("qa",), ("qa",), 1.0, 0.5)]
     )
     with pytest.raises(ConfigError):
-        exact_urr(ledger, [_spec_pool(), _spec_pool()], 2)
+        exact_urr(ledger, Dataset((_spec_pool(0), _spec_pool(1))), 2)
 
 
 def test_exact_urr_zero_optimum_is_an_error():
@@ -208,7 +209,7 @@ def test_exact_urr_zero_optimum_is_an_error():
     pool = RoundPool(week=0, questions=qs)
     ledger = GameLedger.from_outcomes([SelectionOutcome(0, ("qa",), (), 0.0, 0.0)])
     with pytest.raises(ValueError):
-        exact_urr(ledger, [pool], 1)
+        exact_urr(ledger, Dataset((pool,)), 1)
 
 
 def test_exact_urr_budget_propagates():
@@ -360,11 +361,11 @@ def test_exact_urr_on_criterion_6_pools_is_unchanged():
             weeks=18, questions_per_week=18, utility_correlation=0.3, topic_effect=2.0, seed=seed
         )
         _, _, sim = split_pretrain(normalize_weekly(generate_synthetic(spec)), 6)
-        pools = sim.pools[:12]
-        for pool in pools:
+        window = Dataset(sim.pools[:12])
+        for pool in window.pools:
             items = tuple((q.u_g, q.u_f_norm) for q in pool.questions)
             lines.append(repr(oracle_exact(BilinearInstance(items=items, k=4))))
         ledger = run_full_information(sim, "greedy_np", 4, seed=seed, rounds=12)
-        lines.append(repr(exact_urr(ledger, pools, 4)))
+        lines.append(repr(exact_urr(ledger, window, 4)))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "76d071a35055063b6c4c58a7027cc37efd2e4e0ef5be13cc86ec7b56b6e1bd05"

@@ -233,6 +233,26 @@ def test_heuristics_return_sorted_valid_subsets():
         assert len(set(chosen)) == inst.k, name
 
 
+# small ints, ints past float64's 53-bit mantissa, and Fractions
+EXACT_VALUES = st.one_of(
+    st.integers(0, 50),
+    st.integers(0, 2**200),
+    st.fractions(min_value=0, max_value=10**6),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(EXACT_VALUES, EXACT_VALUES), min_size=1, max_size=12), st.data())
+def test_heuristics_pick_on_exact_values_as_on_their_float_images(items, data):
+    k = data.draw(st.integers(1, len(items)))
+    exact = BilinearInstance(items=tuple(items), k=k)
+    image = BilinearInstance(items=tuple((float(f), float(g)) for f, g in items), k=k)
+    for got, want in zip(nash_opt._as_float_arrays(exact), nash_opt._as_float_arrays(image)):
+        assert got.tolist() == want.tolist()
+    for name, heuristic in HEURISTICS.items():
+        assert heuristic(exact) == heuristic(image), name
+
+
 def test_oracle_dominates_every_heuristic():
     rng = random.Random(1234)
     for _ in range(100):

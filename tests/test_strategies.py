@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from pubgame import (
     train_text_scorer,
 )
 from pubgame.core import RoundPool
+from pubgame.nash_opt import top_k
 from pubgame.strategies import CalibrationResult
 from pubgame.textmodel import AcceptanceModel
 
@@ -32,21 +34,21 @@ CAL_POINTS = [
 def test_greedy_strategy_takes_top_m_by_u_g():
     pool = mk_pool(0, [(10, 1.0), (10, 5.0), (10, 3.0), (10, 4.0)])
     picked = strategy_g_greedy(pool, 2)
-    assert [q.u_g for q in picked] == [5.0, 4.0]
-    assert len(strategy_g_greedy(pool, 99)) == 4
+    assert picked.dtype == np.int64
+    assert picked.tolist() == [1, 3]
+    assert strategy_g_greedy(pool, 99).tolist() == [1, 3, 2, 0]
 
 
 def test_greedy_strategy_breaks_ties_by_pool_order():
     pool = mk_pool(0, [(10, 2.0), (10, 2.0), (10, 2.0)])
-    picked = strategy_g_greedy(pool, 2)
-    assert [q.id for q in picked] == ["q0-0", "q0-1"]
+    assert strategy_g_greedy(pool, 2).tolist() == [0, 1]
 
 
 def test_utility_strategy_equals_greedy_when_untrained():
     pool = mk_pool(0, [(10, 1.0), (10, 5.0), (10, 3.0)])
     untrained = AcceptanceModel()
     utility = strategy_g_utility(pool, 2, untrained, rows_of(pool.questions))
-    assert utility == strategy_g_greedy(pool, 2)
+    assert utility.tolist() == strategy_g_greedy(pool, 2).tolist() == [1, 2]
 
 
 def test_utility_strategy_discounts_unlikely_questions():
@@ -58,8 +60,8 @@ def test_utility_strategy_discounts_unlikely_questions():
         mk_q("lo-g", views=10, u_g=0.9, title="alpha topic", u_f_norm=1.0),
     )
     pool = RoundPool(week=0, questions=qs)
-    assert strategy_g_greedy(pool, 1)[0].id == "qhi-g"
-    assert strategy_g_utility(pool, 1, model, rows_of(qs))[0].id == "qlo-g"
+    assert strategy_g_greedy(pool, 1).tolist() == [0]
+    assert strategy_g_utility(pool, 1, model, rows_of(qs)).tolist() == [1]
     with pytest.raises(ValueError, match="2 questions needs their token rows"):
         strategy_g_utility(pool, 1, model, rows_of(qs[:1]))
 
@@ -68,7 +70,8 @@ def test_random_strategy_is_rng_driven_and_bounded():
     pool = mk_pool(0, [(10, float(i)) for i in range(8)])
     a = strategy_g_random(pool, 3, random.Random(5))
     b = strategy_g_random(pool, 3, random.Random(5))
-    assert a == b
+    assert a.dtype == np.int64
+    assert a.tolist() == b.tolist() == sorted(set(a.tolist()))
     assert len(a) == 3
     assert len(strategy_g_random(pool, 99, random.Random(0))) == 8
 
@@ -163,16 +166,46 @@ def test_forum_select_filters_orders_and_truncates():
     scorer = ForumScorer(kind="precomputed", theta=0.5)
     published = forum_select(pool.questions, scorer, 2, None)
     # scores >= 0.5: p0 (0.9), p2 (0.7), p3 (0.9); tie 0.9 keeps position order
-    assert [q.id for q in published] == ["qp0", "qp3"]
-    ten = forum_select(pool.questions, scorer, 10, None)
-    assert [q.id for q in ten] == ["qp0", "qp3", "qp2"]
+    assert published.dtype == np.int64
+    assert published.tolist() == [0, 3]
+    assert forum_select(pool.questions, scorer, 10, None).tolist() == [0, 3, 2]
 
 
 def test_forum_select_may_publish_nothing():
     scorer = ForumScorer(kind="precomputed", theta=0.95)
-    assert forum_select(_precomputed_pool().questions, scorer, 3, None) == []
+    assert forum_select(_precomputed_pool().questions, scorer, 3, None).tolist() == []
     with pytest.raises(ValueError):
         forum_select(_precomputed_pool().questions, scorer, 0, None)
+
+
+# few distinct keys, signed zeros and infinities, so most ranks are ties
+RANK_KEYS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, -1.0, float("inf"), -float("inf")]),
+    st.floats(allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(RANK_KEYS, max_size=30), st.integers(0, 40))
+def test_top_k_is_the_minus_key_then_position_sort(keys, k):
+    ranked = top_k(np.array(keys, dtype=np.float64), k)
+    reference = sorted(range(len(keys)), key=lambda i: (-keys[i], i))[:k]
+    assert ranked.dtype == np.int64
+    assert ranked.tolist() == reference
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0, 1), min_size=1, max_size=20),
+    st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1),
+    st.integers(1, 25),
+)
+def test_forum_select_is_filter_then_sort(scores, theta, k):
+    proposal = [mk_q(i, u_f_norm=0.5, forum_score=s) for i, s in enumerate(scores)]
+    scorer = ForumScorer(kind="precomputed", theta=theta)
+    eligible = [i for i, s in enumerate(scores) if s >= theta]
+    reference = sorted(eligible, key=lambda i: (-scores[i], i))[:k]
+    assert forum_select(proposal, scorer, k, None).tolist() == reference
 
 
 def test_forum_scorer_validation():
