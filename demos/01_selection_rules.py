@@ -1,6 +1,6 @@
 """Compare the three selection rules against the exact oracle.
 
-Builds a small batch of (curator value, proposer value) pairs, asks each
+Builds a small batch of (proposer value, curator value) pairs, asks each
 rule to pick k of them, and prints the product-of-sums objective next to
 the exact optimum so the gap is visible per rule.
 """
@@ -22,7 +22,7 @@ def main() -> None:
     items = tuple((rng.randint(1, 50), rng.randint(1, 50)) for _ in range(N))
     instance = BilinearInstance(items=items, k=K)
 
-    print(f"{N} candidates, pick {K}; items (curator, proposer):")
+    print(f"{N} candidates, pick {K}; items (proposer, curator):")
     print("  " + " ".join(f"{f}/{g}" for f, g in items))
     print()
 

@@ -231,13 +231,12 @@ def _load_split(run_args: dict) -> tuple[Dataset, Dataset, Dataset]:
 
 
 def _build_scorer(run_args: dict, train: Dataset, val: Dataset):
-    if run_args["scorer_f"] == "text":
-        scorer = train_text_scorer(
-            train.pools, val.pools, theta=run_args.get("theta")
-        )
+    kind, theta = run_args["scorer_f"], run_args["theta"]
+    if kind == "text":
+        scorer = train_text_scorer(train.pools, val.pools, theta=theta)
     else:
-        scorer = make_precomputed_scorer(val.pools, theta=run_args.get("theta"))
-    log.info("curator scorer ready: kind=%s theta=%.4f", scorer.kind, scorer.theta)
+        scorer = make_precomputed_scorer(val.pools, theta=theta)
+    log.info("curator scorer ready: kind=%s theta=%.4f", kind, scorer.theta)
     return scorer
 
 
@@ -322,13 +321,19 @@ def _run_simulate(run_args: dict, out_dir: Path) -> int:
 
 def _full_info_args(args: argparse.Namespace) -> dict:
     run_args = _config_args(args, FULL_INFO_KEYS)
+    if run_args["k"] < 1:
+        raise ConfigError(f"--k must be at least 1, got {run_args['k']}")
     names = [h.strip() for h in run_args["heuristics"].split(",") if h.strip()]
-    for name in names:
+    if not names:
+        raise ConfigError("--heuristics names no heuristic")
+    for i, name in enumerate(names):
         if name not in HEURISTICS:
             raise ConfigError(
                 f"unknown heuristic {name!r}; expected any of "
                 f"{', '.join(HEURISTICS)}"
             )
+        if name in names[:i]:
+            raise ConfigError(f"--heuristics names {name!r} twice")
     run_args["heuristics"] = names
     return run_args
 

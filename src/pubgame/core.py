@@ -101,7 +101,7 @@ def utility_of_set(questions: Iterable[Question]) -> tuple[float, float]:
 class GameConfig:
     """Run parameters for the asymmetric simulation.
 
-    The curator's scorer kind and threshold live on the
+    The curator's threshold and text model live on the
     :class:`~pubgame.strategies.ForumScorer` passed alongside.
     ``learn_acceptance`` disables proposer-side acceptance learning when
     False, pinning the predicted acceptance probability at 1.

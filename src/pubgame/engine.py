@@ -109,7 +109,7 @@ def run_asymmetric(dataset: Dataset, config: GameConfig, scorer: ForumScorer) ->
         else:
             chosen = strategy_g_greedy(pool, config.m_cap)
         proposal = [pool.questions[i] for i in chosen]
-        if rows is None and scorer.kind == "text":
+        if rows is None and scorer.model is not None:
             rows = tokenize_rows([q.text for q in proposal], table)
 
         published = forum_select(proposal, scorer, config.k_cap, rows)

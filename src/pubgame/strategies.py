@@ -2,14 +2,18 @@
 
 The proposer ranks the week's pool and submits the top m questions;
 the curator scores the submission, drops everything under a calibrated
-threshold, and publishes the k best survivors.  A selection is an int64
-array of positions: the proposer strategies' into the pool,
-:func:`forum_select`'s into the proposal.  Every ranking is
-:func:`~pubgame.nash_opt.top_k`.
+threshold θ, and publishes the k best survivors.  A scorer is θ plus an
+optional text model; without one it reads the forum_score column.  Both
+builders calibrate θ alike: label the validation weeks, score the
+labelled questions, and pass scores and labels to
+:func:`calibrate_theta`.  A selection is an int64 array of positions:
+the proposer strategies' into the pool, :func:`forum_select`'s into the
+proposal.  Every ranking is :func:`~pubgame.nash_opt.top_k`.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
@@ -105,16 +109,19 @@ class CalibrationResult:
     low_confidence: bool
 
 
-def calibrate_theta(scored: Sequence[tuple[float, int]]) -> CalibrationResult:
-    """Pick the threshold minimizing |precision - 2 * recall|.
+def calibrate_theta(scores: Sequence[float], labels: Sequence[int]) -> CalibrationResult:
+    """Pick the threshold minimizing |precision - 2 * recall| over
+    scores and their 0/1 labels, in the same order.
 
     Sweeps every observed score as a candidate threshold (predicting
     positive at score >= theta); ties resolve to the larger threshold.
     Needs at least one example of each label; fewer than two per label
     flags the result low-confidence.
     """
-    scores = np.array([score for score, _ in scored], dtype=np.float64)
-    labels = np.array([label for _, label in scored])
+    if len(scores) != len(labels):
+        raise ValueError(f"{len(scores)} scores but {len(labels)} labels")
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
     n_pos = int(np.count_nonzero(labels == 1))
     n_neg = int(np.count_nonzero(labels == 0))
     if n_pos == 0 or n_neg == 0:
@@ -149,39 +156,30 @@ SCORER_KINDS = ("text", "precomputed")
 
 @dataclass(frozen=True)
 class ForumScorer:
-    """The curator's scoring rule: a score per question plus the
-    acceptance threshold theta.
-
-    ``kind`` is "text" (trained model over title+body) or "precomputed"
-    (scores read from the dataset's forum_score column).
+    """The curator's scoring rule: the acceptance threshold theta plus
+    an optional text model over title+body; without a model the scores
+    are the dataset's forum_score column.
     """
 
-    kind: str
     theta: float
     model: AcceptanceModel | None = None
     calibration: CalibrationResult | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in SCORER_KINDS:
-            raise ValueError(f"unknown scorer kind {self.kind!r}")
-        if self.kind == "text" and self.model is None:
-            raise ValueError("text scorer needs a trained model")
-
     def score(
         self, questions: Sequence[Question], rows: TokenRows | None
     ) -> np.ndarray:
-        """One score per question: the text model's over ``rows``, the
-        questions tokenized in order, or the forum_score column, for
-        which ``rows`` may be None."""
-        if self.kind == "text":
-            _check_rows(rows, questions)
-            return self.model.predict_proba(rows)
-        return _forum_scores(questions)
+        """One score per question: the model's over ``rows``, the
+        questions tokenized in order, or without a model the
+        forum_score column, for which ``rows`` may be None."""
+        if self.model is None:
+            return _forum_scores(questions)
+        _check_rows(rows, questions)
+        return self.model.predict_proba(rows)
 
 
 def _forum_scores(questions: Sequence[Question]) -> np.ndarray:
-    """The questions' forum_score column, which the precomputed scorer
-    reads; a question without one is an error."""
+    """The questions' forum_score column, which a scorer without a
+    model reads; a question without one is an error."""
     for q in questions:
         if q.forum_score is None:
             raise ValueError(
@@ -214,8 +212,25 @@ def forum_select(
     return eligible[top_k(scores[eligible], k)]
 
 
-def _labeled(pools: Sequence[RoundPool]) -> list[tuple[Question, int]]:
-    return [(q, lbl) for q, lbl in label_by_percentile(pools) if lbl is not None]
+def _labeled(pools: Sequence[RoundPool]) -> tuple[list[Question], list[int]]:
+    """The questions that carry a percentile label, and their labels."""
+    labeled = [(q, lbl) for q, lbl in label_by_percentile(pools) if lbl is not None]
+    return [q for q, _ in labeled], [lbl for _, lbl in labeled]
+
+
+def _calibrated(
+    val_pools: Sequence[RoundPool],
+    theta: float | None,
+    model: AcceptanceModel | None = None,
+    table: TokenTable | None = None,
+) -> ForumScorer:
+    """The scorer over ``model``, calibrated on the labelled validation
+    questions; an explicit ``theta`` replaces the calibrated one."""
+    questions, labels = _labeled(val_pools)
+    rows = None if model is None else tokenize_rows([q.text for q in questions], table)
+    scores = ForumScorer(math.nan, model).score(questions, rows)
+    calibration = calibrate_theta(scores, labels)
+    return ForumScorer(calibration.theta if theta is None else theta, model, calibration)
 
 
 def train_text_scorer(
@@ -232,28 +247,14 @@ def train_text_scorer(
     """
     # the labelled questions are tokenized once, into one table
     table = TokenTable()
-    train_labeled = _labeled(train_pools)
-    model = train_acceptance(
-        tokenize_rows([q.text for q, _ in train_labeled], table),
-        [lbl for _, lbl in train_labeled],
-    )
+    questions, labels = _labeled(train_pools)
+    model = train_acceptance(tokenize_rows([q.text for q in questions], table), labels)
     if not model.trained:
         raise CalibrationError(
             "curator training collapsed: labels are single-class or the "
             "vocabulary is empty; widen the training window"
         )
-    val_labeled = _labeled(val_pools)
-    val_rows = tokenize_rows([q.text for q, _ in val_labeled], table)
-    scores = model.predict_proba(val_rows)
-    calibration = calibrate_theta(
-        [(float(s), lbl) for s, (_, lbl) in zip(scores, val_labeled)]
-    )
-    return ForumScorer(
-        kind="text",
-        theta=calibration.theta if theta is None else theta,
-        model=model,
-        calibration=calibration,
-    )
+    return _calibrated(val_pools, theta, model, table)
 
 
 def make_precomputed_scorer(
@@ -261,13 +262,4 @@ def make_precomputed_scorer(
 ) -> ForumScorer:
     """Curator scorer that reads scores from the forum_score column,
     calibrating theta on the validation weeks unless given."""
-    if theta is not None:
-        return ForumScorer(kind="precomputed", theta=theta)
-    val_labeled = _labeled(val_pools)
-    scores = _forum_scores([q for q, _ in val_labeled])
-    calibration = calibrate_theta(
-        [(float(s), lbl) for s, (_, lbl) in zip(scores, val_labeled)]
-    )
-    return ForumScorer(
-        kind="precomputed", theta=calibration.theta, calibration=calibration
-    )
+    return ForumScorer(theta) if theta is not None else _calibrated(val_pools, None)

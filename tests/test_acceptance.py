@@ -358,7 +358,7 @@ def test_criterion_8_classifier_and_threshold_calibration():
                 best_theta, best_gap = theta, gap
         return best_theta
 
-    result = calibrate_theta(points)
+    result = calibrate_theta([s for s, _ in points], [label for _, label in points])
     theta_ok = result.theta == sweep(points) == 0.85
     _verdict(
         8,

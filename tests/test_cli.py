@@ -624,6 +624,24 @@ def test_full_info_rejects_unknown_heuristic(pipeline, tmp_path, capsys):
     assert "unknown heuristic 'frobnicate'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--heuristics", ","], "--heuristics names no heuristic"),
+        (["--heuristics", "mpp,mpp"], "--heuristics names 'mpp' twice"),
+        (["--k", "0"], "--k must be at least 1, got 0"),
+        (["--k", "-3"], "--k must be at least 1, got -3"),
+    ],
+)
+def test_full_info_refuses_unusable_flags_before_writing(pipeline, tmp_path, capsys, flags, message):
+    _, data, _, _ = pipeline
+    out = tmp_path / "x"
+    rc = main(["full-info", "--data", str(data), "--out-dir", str(out), *flags])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "manifest.json").exists()
+
+
 def test_eurr_rejects_non_run_directories(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -745,3 +763,54 @@ def test_full_info_ledgers_are_pinned(pin_data, tmp_path):
         for name in HEURISTICS
     }
     assert digests == {name: LEDGER_PINS[name] for name in digests}
+
+
+# summary.json of simulate runs, without the manifest_hash, which hashes
+# the run's absolute paths.  An explicit theta still reports the text
+# scorer's sweep, while the precomputed scorer skips it (calibration null).
+SUMMARY_PINS = {
+    "precomputed": {
+        "calibration": {
+            "low_confidence": False, "precision": 0.42857142857142855, "recall": 0.1875, "theta": 0.8,
+        },
+        "command": "simulate", "mean_published": 1.25, "realized_u_f": 0.47228384853900984,
+        "realized_u_g": 1502.4059171122408, "rounds": 8, "scorer_f": "precomputed",
+        "strategy_g": "greedy", "theta": 0.8,
+    },
+    "precomputed --theta 0.4": {
+        "calibration": None,
+        "command": "simulate", "mean_published": 4.0, "realized_u_f": 1.1162201386783035,
+        "realized_u_g": 4457.608282325022, "rounds": 8, "scorer_f": "precomputed",
+        "strategy_g": "greedy", "theta": 0.4,
+    },
+    "text --theta 0.5": {
+        "calibration": {
+            "low_confidence": False, "precision": 0.75, "recall": 0.375, "theta": 0.5938707312069149,
+        },
+        "command": "simulate", "mean_published": 3.75, "realized_u_f": 1.2852362037683578,
+        "realized_u_g": 4592.103838222907, "rounds": 8, "scorer_f": "text",
+        "strategy_g": "greedy", "theta": 0.5,
+    },
+}
+
+
+@pytest.mark.parametrize("run", list(SUMMARY_PINS))
+def test_simulate_summaries_are_pinned(pin_data, tmp_path, run):
+    scorer, *flags = run.split()
+    data = pin_data
+    if scorer == "precomputed":
+        # a forum_score column on a 0.1 grid, so the sweep meets ties
+        data = tmp_path / "scored.jsonl"
+        data.write_text("".join(
+            json.dumps(dict(r, forum_score=r["view_count"] % 11 / 10)) + "\n"
+            for r in map(json.loads, pin_data.read_text().splitlines())
+        ))
+    out = tmp_path / "run"
+    rc = main([
+        "simulate", "--data", str(data), "--out-dir", str(out), *PIN_PLAY,
+        "--scorer", scorer, *flags, "--m-cap", "12", "--k-cap", "4", "--retrain-period", "3",
+    ])
+    assert rc == 0
+    summary = json.loads((out / "summary.json").read_text())
+    del summary["manifest_hash"]
+    assert summary == SUMMARY_PINS[run]

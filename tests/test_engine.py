@@ -60,7 +60,7 @@ def scored_pools(weeks, n=10, seed=1):
     return Dataset(tuple(pools))
 
 
-SCORER = ForumScorer(kind="precomputed", theta=0.3)
+SCORER = ForumScorer(theta=0.3)
 
 
 def test_run_asymmetric_respects_caps_and_subsets():

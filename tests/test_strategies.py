@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pubgame import (
@@ -25,10 +25,8 @@ from pubgame.textmodel import AcceptanceModel
 
 from helpers import count_tokenize, mk_q, mk_pool, mk_week, ref_calibrate_theta, rows_of
 
-CAL_POINTS = [
-    (0.95, 1), (0.9, 1), (0.85, 0), (0.8, 1), (0.7, 1),
-    (0.6, 0), (0.5, 0), (0.4, 1), (0.3, 0), (0.2, 0),
-]
+CAL_SCORES = [0.95, 0.9, 0.85, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2]
+CAL_LABELS = [1, 1, 0, 1, 1, 0, 0, 1, 0, 0]
 
 
 def test_greedy_strategy_takes_top_m_by_u_g():
@@ -102,7 +100,7 @@ def test_percentile_labels_all_ties_are_excluded():
 
 
 def test_calibrate_theta_known_sweep():
-    result = calibrate_theta(CAL_POINTS)
+    result = calibrate_theta(CAL_SCORES, CAL_LABELS)
     assert result.theta == 0.85
     assert result.precision == pytest.approx(2 / 3)
     assert result.recall == pytest.approx(0.4)
@@ -110,25 +108,25 @@ def test_calibrate_theta_known_sweep():
 
 
 def test_calibrate_theta_tie_takes_larger_threshold():
-    points = [(0.9, 1), (0.8, 1), (0.8, 1), (0.5, 0), (0.3, 1)]
     # theta 0.9 and 0.8 both reach |precision - 2*recall| = 0.5
-    assert calibrate_theta(points).theta == 0.9
+    assert calibrate_theta([0.9, 0.8, 0.8, 0.5, 0.3], [1, 1, 1, 0, 1]).theta == 0.9
 
 
 def test_calibrate_theta_needs_both_labels():
     with pytest.raises(CalibrationError):
-        calibrate_theta([(0.5, 1), (0.6, 1)])
+        calibrate_theta([0.5, 0.6], [1, 1])
+    with pytest.raises(ValueError, match="2 scores but 3 labels"):
+        calibrate_theta([0.5, 0.6], [1, 0, 1])
 
 
 def test_calibrate_theta_low_confidence_flag():
-    assert calibrate_theta([(0.9, 1), (0.2, 0)]).low_confidence
+    assert calibrate_theta([0.9, 0.2], [1, 0]).low_confidence
 
 
 def test_calibrate_theta_accepts_threshold_no_positive_clears():
     # theta 0.9 clears only a negative: precision = recall = 0 gives
     # |precision - 2 * recall| = 0, the smallest difference, so it wins
-    points = [(0.9, 0), (0.5, 1), (0.4, 1), (0.1, 0)]
-    assert calibrate_theta(points) == CalibrationResult(
+    assert calibrate_theta([0.9, 0.5, 0.4, 0.1], [0, 1, 1, 0]) == CalibrationResult(
         theta=0.9, precision=0.0, recall=0.0, low_confidence=False
     )
 
@@ -146,11 +144,12 @@ def test_calibrate_theta_accepts_threshold_no_positive_clears():
     )
 )
 def test_calibrate_theta_matches_independent_sweep(scored):
-    if {lbl for _, lbl in scored} != {0, 1}:
+    scores, labels = [s for s, _ in scored], [lbl for _, lbl in scored]
+    if set(labels) != {0, 1}:
         with pytest.raises(CalibrationError):
-            calibrate_theta(scored)
+            calibrate_theta(scores, labels)
         return
-    assert calibrate_theta(scored) == ref_calibrate_theta(scored)
+    assert calibrate_theta(scores, labels) == ref_calibrate_theta(scored)
 
 
 def _precomputed_pool():
@@ -163,7 +162,7 @@ def _precomputed_pool():
 
 def test_forum_select_filters_orders_and_truncates():
     pool = _precomputed_pool()
-    scorer = ForumScorer(kind="precomputed", theta=0.5)
+    scorer = ForumScorer(theta=0.5)
     published = forum_select(pool.questions, scorer, 2, None)
     # scores >= 0.5: p0 (0.9), p2 (0.7), p3 (0.9); tie 0.9 keeps position order
     assert published.dtype == np.int64
@@ -172,7 +171,7 @@ def test_forum_select_filters_orders_and_truncates():
 
 
 def test_forum_select_may_publish_nothing():
-    scorer = ForumScorer(kind="precomputed", theta=0.95)
+    scorer = ForumScorer(theta=0.95)
     assert forum_select(_precomputed_pool().questions, scorer, 3, None).tolist() == []
     with pytest.raises(ValueError):
         forum_select(_precomputed_pool().questions, scorer, 0, None)
@@ -202,18 +201,23 @@ def test_top_k_is_the_minus_key_then_position_sort(keys, k):
 )
 def test_forum_select_is_filter_then_sort(scores, theta, k):
     proposal = [mk_q(i, u_f_norm=0.5, forum_score=s) for i, s in enumerate(scores)]
-    scorer = ForumScorer(kind="precomputed", theta=theta)
+    scorer = ForumScorer(theta=theta)
     eligible = [i for i, s in enumerate(scores) if s >= theta]
     reference = sorted(eligible, key=lambda i: (-scores[i], i))[:k]
     assert forum_select(proposal, scorer, k, None).tolist() == reference
 
 
 def test_forum_scorer_validation():
-    with pytest.raises(ValueError):
-        ForumScorer(kind="neural", theta=0.5)
-    with pytest.raises(ValueError):
-        ForumScorer(kind="text", theta=0.5)
-    scorer = ForumScorer(kind="precomputed", theta=0.5)
+    q = mk_q(0, u_f_norm=0.5, forum_score=0.25)
+    # with a model the scorer reads token rows; an untrained model
+    # scores every row 1, whatever the forum_score column says
+    with_model = ForumScorer(theta=0.5, model=AcceptanceModel())
+    assert with_model.score([q], rows_of([q])).tolist() == [1.0]
+    with pytest.raises(ValueError, match="needs their token rows"):
+        with_model.score([q], None)
+    # without one it reads the forum_score column, and needs it
+    scorer = ForumScorer(theta=0.5)
+    assert scorer.score([q], None).tolist() == [0.25]
     with pytest.raises(ValueError, match="'q1' has no forum_score"):
         scorer.score([mk_q(1, u_f_norm=0.5)], None)
 
@@ -252,7 +256,7 @@ def _topic_pools(weeks, seed=0, n=12):
 def test_train_text_scorer_learns_topic_threshold():
     pools = _topic_pools(6)
     scorer = train_text_scorer(pools[:4], pools[4:])
-    assert scorer.kind == "text"
+    assert scorer.model is not None
     assert 0.0 <= scorer.theta <= 1.0
     assert scorer.calibration is not None
     hot = mk_q("hot", title="alpha question", body="alpha detail", u_f_norm=1.0)
@@ -287,6 +291,48 @@ def test_train_text_scorer_rejects_degenerate_labels():
         train_text_scorer(flat[:2], flat[2:])
 
 
+@st.composite
+def _drawn_weeks(draw):
+    """Four weeks of questions: views from a range of three (mostly
+    tied) or of a thousand, forum_score on a 0.1 grid (tied) or any
+    float in [0, 1], and texts of three words, so text scores tie."""
+    views = st.integers(1, draw(st.sampled_from([3, 1000])))
+    grid = st.integers(0, 10).map(lambda i: i / 10)
+    score = grid if draw(st.booleans()) else st.floats(0, 1)
+    word = st.sampled_from(["alpha", "beta", "gamma"])
+    return [
+        mk_week(week, [
+            (f"{week}-{i}", {
+                "views": draw(views),
+                "forum_score": draw(score),
+                "title": f"{draw(word)} {draw(word)}",
+                "body": draw(word),
+            })
+            for i in range(draw(st.integers(5, 12)))
+        ])
+        for week in range(4)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_drawn_weeks())
+def test_each_builder_calibrates_on_its_labelled_validation_scores(pools):
+    train, val = pools[:2], pools[2:]
+    for weeks in (train, val):
+        assume({lbl for _, lbl in label_by_percentile(weeks)} >= {0, 1})
+    labelled = [(q, lbl) for q, lbl in label_by_percentile(val) if lbl is not None]
+    texts = [q.text for q, _ in labelled]
+    labels = [lbl for _, lbl in labelled]
+
+    text = train_text_scorer(train, val)
+    want = calibrate_theta(text.model.predict_proba(texts), labels)
+    assert (text.theta, text.calibration) == (want.theta, want)
+
+    precomputed = make_precomputed_scorer(val)
+    want = calibrate_theta([q.forum_score for q, _ in labelled], labels)
+    assert (precomputed.theta, precomputed.calibration) == (want.theta, want)
+
+
 def test_make_precomputed_scorer_calibrates_from_column():
     rng = random.Random(4)
     pools = []
@@ -305,7 +351,7 @@ def test_make_precomputed_scorer_calibrates_from_column():
             )
         pools.append(RoundPool(week=week, questions=tuple(qs)))
     scorer = make_precomputed_scorer(pools)
-    assert scorer.kind == "precomputed"
+    assert scorer.model is None
     assert scorer.calibration is not None
     fixed = make_precomputed_scorer(pools, theta=0.7)
     assert fixed.theta == 0.7 and fixed.calibration is None
