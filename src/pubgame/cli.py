@@ -321,24 +321,26 @@ def _run_simulate(run_args: dict, out_dir: Path) -> int:
 
 def _full_info_args(args: argparse.Namespace) -> dict:
     run_args = _config_args(args, FULL_INFO_KEYS)
-    if run_args["k"] < 1:
-        raise ConfigError(f"--k must be at least 1, got {run_args['k']}")
-    names = [h.strip() for h in run_args["heuristics"].split(",") if h.strip()]
+    names = run_args["heuristics"].split(",")
+    run_args["heuristics"] = [h.strip() for h in names if h.strip()]
+    return run_args
+
+
+def _run_full_info(run_args: dict, out_dir: Path) -> int:
+    # from flags and from a manifest alike, before any data is read
+    k, names = run_args["k"], run_args["heuristics"]
+    if type(k) is not int or k < 1:
+        raise ConfigError(f"--k must be at least 1, got {k!r}")
     if not names:
         raise ConfigError("--heuristics names no heuristic")
     for i, name in enumerate(names):
-        if name not in HEURISTICS:
+        if not isinstance(name, str) or name not in HEURISTICS:
             raise ConfigError(
                 f"unknown heuristic {name!r}; expected any of "
                 f"{', '.join(HEURISTICS)}"
             )
         if name in names[:i]:
             raise ConfigError(f"--heuristics names {name!r} twice")
-    run_args["heuristics"] = names
-    return run_args
-
-
-def _run_full_info(run_args: dict, out_dir: Path) -> int:
     _, _, sim = _load_split(run_args)
     manifest = write_manifest(out_dir, "full-info", run_args, run_args["data"])
     totals = {}
@@ -457,9 +459,10 @@ def _run_analyze(run_args: dict, out_dir: Path) -> int:
     table = misalignment_table(report)
 
     manifest = write_manifest(out_dir, "analyze", run_args, run_args["data"])
-    (out_dir / "correlations.txt").write_text(table.to_text())
+    # domain names come from the data: written as UTF-8, as they were read
+    (out_dir / "correlations.txt").write_text(table.to_text(), encoding="utf-8")
     (out_dir / "correlations.csv").write_text(
-        f"# manifest {manifest}\n" + table.to_csv_string()
+        f"# manifest {manifest}\n" + table.to_csv_string(), encoding="utf-8"
     )
     scatter_lines = ["# manifest " + manifest, "domain,week,u_f_norm,u_g"]
     for pool in dataset.pools:
@@ -467,7 +470,7 @@ def _run_analyze(run_args: dict, out_dir: Path) -> int:
             scatter_lines.append(
                 f"{q.domain},{pool.week},{q.u_f_norm!r},{q.u_g!r}"
             )
-    (out_dir / "scatter.csv").write_text("\n".join(scatter_lines) + "\n")
+    (out_dir / "scatter.csv").write_text("\n".join(scatter_lines) + "\n", encoding="utf-8")
     summary = {
         "manifest_hash": manifest,
         "command": "analyze",

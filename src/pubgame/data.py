@@ -20,6 +20,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -29,6 +30,7 @@ from .core import Question, RoundPool, set_utility
 from .errors import ConfigError, SchemaError
 
 REQUIRED_FIELDS = ("id", "timestamp", "domain", "title", "body", "view_count", "u_g")
+_required = itemgetter(*REQUIRED_FIELDS)
 
 # synthetic marginals and text mixture; view spread is deliberately much
 # heavier than utility spread so per-item products are view-dominated,
@@ -102,109 +104,114 @@ class SyntheticSpec:
             raise ValueError("topic_effect must be >= 0")
 
 
-def _parse_timestamp(raw: str, where: str) -> datetime:
-    try:
-        return datetime.fromisoformat(raw)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{where}: bad timestamp {raw!r}; expected ISO-8601")
-
-
-def _finite(raw, name: str, where: str) -> float:
+def _finite(raw, name: str) -> float:
     try:
         # float(True) is 1.0: a JSON boolean is not a number here
         if isinstance(raw, bool):
             raise TypeError
         value = float(raw)
     except (TypeError, ValueError):
-        raise SchemaError(f"{where}: {name} {raw!r} is not a number")
+        raise SchemaError(f"{name} {raw!r} is not a number")
     if not math.isfinite(value):
-        raise SchemaError(f"{where}: {name} {raw!r} is not a finite number")
+        raise SchemaError(f"{name} {raw!r} is not a finite number")
     return value
 
 
-def _read_record(rec: dict, where: str) -> tuple[datetime, tuple]:
+def _read_record(rec: dict) -> tuple[datetime, tuple]:
     """One record's timestamp and checked fields, in the order of
-    :class:`Question`'s less ``u_f_norm``, which needs the whole week;
-    SchemaError names ``where``."""
-    for name in REQUIRED_FIELDS:
-        if name not in rec or rec[name] is None or rec[name] == "":
-            if name == "u_g":
-                raise SchemaError(
-                    f"{where}: missing proposer utility 'u_g'; supply the "
-                    f"column or map one via the run configuration before "
-                    f"ingesting"
-                )
-            raise SchemaError(f"{where}: missing required field {name!r}")
-    timestamp = _parse_timestamp(str(rec["timestamp"]), where)
-    views = rec["view_count"]
+    :class:`Question`'s less ``u_f_norm``.  Presence is checked first;
+    then a value of the common type passes on type and range tests, and
+    any other goes through the general conversion, which may raise a
+    SchemaError (the caller adds the location)."""
     try:
-        if isinstance(views, bool) or (
-            isinstance(views, float) and not views.is_integer()
-        ):
-            raise ValueError
-        view_count = int(views)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{where}: view_count {views!r} is not an integer")
-    if view_count < 0:
-        raise SchemaError(f"{where}: view_count must be >= 0")
-    u_g = _finite(rec["u_g"], "u_g", where)
-    if u_g < 0:
-        raise SchemaError(f"{where}: u_g must be >= 0")
+        values = _required(rec)
+    except KeyError:
+        values = tuple(map(rec.get, REQUIRED_FIELDS))
+    # a falsy value may be present (a view count of 0): look closer
+    if not all(values):
+        for name, value in zip(REQUIRED_FIELDS, values):
+            if value is None or value == "":
+                if name == "u_g":
+                    raise SchemaError(
+                        "missing proposer utility 'u_g'; supply the column or "
+                        "map one via the run configuration before ingesting"
+                    )
+                raise SchemaError(f"missing required field {name!r}")
+    qid, raw_stamp, domain, title, body, views, u_g = values
+    try:
+        stamp = datetime.fromisoformat(str(raw_stamp))
+    except ValueError:
+        raise SchemaError(f"bad timestamp {str(raw_stamp)!r}; expected ISO-8601")
+    if type(views) is not int or views < 0:
+        try:
+            if isinstance(views, bool) or (
+                isinstance(views, float) and not views.is_integer()
+            ):
+                raise ValueError
+            views = int(views)
+        except (TypeError, ValueError):
+            raise SchemaError(f"view_count {views!r} is not an integer")
+        if views < 0:
+            raise SchemaError("view_count must be >= 0")
+    if type(u_g) is not float or not 0.0 <= u_g < math.inf:
+        u_g = _finite(u_g, "u_g")
+        if u_g < 0:
+            raise SchemaError("u_g must be >= 0")
     score = rec.get("forum_score")
-    if score is None or score == "":
-        forum_score = None
-    else:
-        forum_score = _finite(score, "forum_score", where)
-    return timestamp, (
-        str(rec["id"]),
-        str(rec["domain"]),
-        str(rec["title"]),
-        str(rec["body"]),
-        view_count,
-        u_g,
-        forum_score,
-    )
+    if score is not None and (type(score) is not float or not -math.inf < score < math.inf):
+        score = None if score == "" else _finite(score, "forum_score")
+    return stamp, (str(qid), str(domain), str(title), str(body), views, u_g, score)
 
 
-def _read_jsonl(path: Path) -> Iterator[tuple[str, dict]]:
-    with path.open() as fh:
+def _records(path: Path, fmt: str) -> Iterator[tuple[int, dict]]:
+    """The records of a UTF-8 dataset file with their line numbers, read
+    line by line.  Blank JSONL lines are skipped; CSV records are numbered
+    from 2, the header being line 1."""
+    with path.open(encoding="utf-8", newline="" if fmt == "csv" else None) as fh:
+        if fmt == "csv":
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise SchemaError(f"{path.name}: empty file")
+            missing = [f for f in REQUIRED_FIELDS if f not in reader.fieldnames]
+            if missing:
+                if "u_g" in missing:
+                    raise SchemaError(
+                        f"{path.name}: missing proposer utility column 'u_g'; "
+                        f"supply the column or map one via the run configuration"
+                    )
+                raise SchemaError(f"{path.name}: missing columns {missing}")
+            yield from enumerate(reader, start=2)
+            return
+        scan = json.JSONDecoder().scan_once
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path.name} line {lineno}"
+            # a line the scanner takes whole, up to its newline, decodes
+            # as json.loads would; any other goes through json.loads
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise SchemaError(f"{where}: bad JSON ({e.msg})")
+                rec, end = scan(line, 0)
+                whole = line[end:] in ("\n", "")
+            except (StopIteration, ValueError):
+                whole = False
+            if not whole:
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise SchemaError(f"{path.name} line {lineno}: bad JSON ({e.msg})")
             if not isinstance(rec, dict):
-                raise SchemaError(f"{where}: expected an object")
-            yield where, rec
-
-
-def _read_csv(path: Path) -> Iterator[tuple[str, dict]]:
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{path.name}: empty file")
-        missing = [f for f in REQUIRED_FIELDS if f not in reader.fieldnames]
-        if missing:
-            if "u_g" in missing:
-                raise SchemaError(
-                    f"{path.name}: missing proposer utility column 'u_g'; "
-                    f"supply the column or map one via the run configuration"
-                )
-            raise SchemaError(f"{path.name}: missing columns {missing}")
-        for lineno, row in enumerate(reader, start=2):
-            yield f"{path.name} line {lineno}", row
+                raise SchemaError(f"{path.name} line {lineno}: expected an object")
+            yield lineno, rec
 
 
 def ingest(path: str | Path, fmt: str | None = None) -> Dataset:
-    """Read a JSONL or CSV dataset and pool it by ISO week.
+    """Read a UTF-8 JSONL or CSV dataset, line by line, and pool it by
+    ISO week.
 
-    The format is inferred from the suffix unless given.  Duplicate
-    ids, missing fields, and malformed values raise SchemaError with
-    the offending line.  Each week's questions are built once the file
-    is read, with their curator utilities set.
+    The format is inferred from the suffix unless given.  Records are
+    checked in file order: the first duplicate id, missing field or
+    malformed value raises SchemaError, naming the file and line of a
+    bad record.  Each week's questions are built once the file is read,
+    with their curator utilities set.
     """
     path = Path(path)
     if fmt is None:
@@ -217,35 +224,38 @@ def ingest(path: str | Path, fmt: str | None = None) -> Dataset:
             raise ConfigError(
                 f"cannot infer format from {path.name!r}; pass jsonl or csv"
             )
-    if fmt == "jsonl":
-        rows = _read_jsonl(path)
-    elif fmt == "csv":
-        rows = _read_csv(path)
-    else:
+    if fmt not in ("jsonl", "csv"):
         raise ConfigError(f"unknown dataset format {fmt!r}; expected jsonl or csv")
 
     by_week: dict[tuple[int, int], list[tuple]] = {}
     domains: dict[str, int] = {}
     seen: set[str] = set()
-    for where, row in rows:
-        stamp, fields = _read_record(row, where)
-        qid, domain = fields[:2]
+    for lineno, rec in _records(path, fmt):
+        try:
+            stamp, fields = _read_record(rec)
+        except SchemaError as e:
+            raise SchemaError(f"{path.name} line {lineno}: {e}") from None
+        qid, domain = fields[0], fields[1]
         if qid in seen:
             raise SchemaError(f"duplicate question id {qid!r}")
         # naive and offset-aware datetimes do not compare, so one file
-        # holds one kind
-        aware = stamp.utcoffset() is not None
+        # holds one kind; fromisoformat gives an offset with any tzinfo
+        aware = stamp.tzinfo is not None
         if not seen:
-            first_where, first_aware, first, last = where, aware, stamp, stamp
+            first_line, first_aware, first, last = lineno, aware, stamp, stamp
         elif aware != first_aware:
             kinds = ("naive", "offset-aware")
             raise SchemaError(
-                f"{where}: timestamp is {kinds[aware]} but {first_where}'s is "
-                f"{kinds[first_aware]}; use one timestamp kind per file"
+                f"{path.name} line {lineno}: timestamp is {kinds[aware]} but "
+                f"{path.name} line {first_line}'s is {kinds[first_aware]}; use "
+                f"one timestamp kind per file"
             )
+        # strict comparisons keep the earliest-read of equal instants
+        elif stamp < first:
+            first = stamp
+        elif stamp > last:
+            last = stamp
         seen.add(qid)
-        # min and max keep the earliest-read of equal instants
-        first, last = min(first, stamp), max(last, stamp)
         by_week.setdefault(stamp.isocalendar()[:2], []).append(fields)
         domains[domain] = domains.get(domain, 0) + 1
     if not seen:
@@ -258,8 +268,8 @@ def ingest(path: str | Path, fmt: str | None = None) -> Dataset:
         rows = by_week.pop(key)
         u_f = set_utility([row[4] for row in rows])
         questions = tuple(
-            Question(*row[:6], u_f_norm=u, forum_score=row[6])
-            for row, u in zip(rows, u_f)
+            Question(qid, domain, title, body, views, u_g, u, score)
+            for (qid, domain, title, body, views, u_g, score), u in zip(rows, u_f)
         )
         pools.append(RoundPool(week=t, questions=questions))
     metadata = {

@@ -314,8 +314,11 @@ def read_ledger_csv(path: str | Path) -> GameLedger:
         for name, raw in zip(LEDGER_COLUMNS[:3], row):
             if not raw.isdecimal():
                 raise SchemaError(f"{where}: {name} {raw!r} is not an integer >= 0")
-        values = zip(LEDGER_COLUMNS[3:], row[3:])
-        rows.append((*map(int, row[:3]), *(_finite(v, n, where) for n, v in values)))
+        try:
+            utilities = [_finite(v, n) for n, v in zip(LEDGER_COLUMNS[3:], row[3:])]
+        except SchemaError as e:
+            raise SchemaError(f"{where}: {e}") from None
+        rows.append((*map(int, row[:3]), *utilities))
     # the CSV columns are the ledger's fields in order
     columns = list(zip(*rows)) or [()] * len(LEDGER_COLUMNS)
     ledger = GameLedger(*columns)

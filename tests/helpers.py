@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import csv
 import itertools
+import json
 import math
 import re
+from datetime import datetime
 from fractions import Fraction
+from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from pubgame import OracleResult, Question, RoundPool, set_utility
+from pubgame.errors import ConfigError, SchemaError
 from pubgame import data
 from pubgame.strategies import CalibrationResult
 from pubgame.textmodel import ALPHA, MIN_DF, MIN_TOKEN_LEN, TextFeaturizer, tokenize_rows
@@ -287,3 +293,182 @@ def ref_generate_synthetic(spec):
             )
         pools.append(RoundPool(week=t, questions=tuple(questions)))
     return tuple(pools)
+
+
+# The dataset reader with one helper call per check and each record's
+# location built before it is checked.
+
+
+def _ref_parse_timestamp(raw: str, where: str) -> datetime:
+    try:
+        return datetime.fromisoformat(raw)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{where}: bad timestamp {raw!r}; expected ISO-8601")
+
+
+def _ref_finite(raw, name: str, where: str) -> float:
+    try:
+        # float(True) is 1.0: a JSON boolean is not a number here
+        if isinstance(raw, bool):
+            raise TypeError
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{where}: {name} {raw!r} is not a number")
+    if not math.isfinite(value):
+        raise SchemaError(f"{where}: {name} {raw!r} is not a finite number")
+    return value
+
+
+def _ref_read_record(rec: dict, where: str) -> tuple[datetime, tuple]:
+    """One record's timestamp and checked fields, in the order of
+    :class:`Question`'s less ``u_f_norm``, which needs the whole week;
+    SchemaError names ``where``."""
+    for name in data.REQUIRED_FIELDS:
+        if name not in rec or rec[name] is None or rec[name] == "":
+            if name == "u_g":
+                raise SchemaError(
+                    f"{where}: missing proposer utility 'u_g'; supply the "
+                    f"column or map one via the run configuration before "
+                    f"ingesting"
+                )
+            raise SchemaError(f"{where}: missing required field {name!r}")
+    timestamp = _ref_parse_timestamp(str(rec["timestamp"]), where)
+    views = rec["view_count"]
+    try:
+        if isinstance(views, bool) or (
+            isinstance(views, float) and not views.is_integer()
+        ):
+            raise ValueError
+        view_count = int(views)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{where}: view_count {views!r} is not an integer")
+    if view_count < 0:
+        raise SchemaError(f"{where}: view_count must be >= 0")
+    u_g = _ref_finite(rec["u_g"], "u_g", where)
+    if u_g < 0:
+        raise SchemaError(f"{where}: u_g must be >= 0")
+    score = rec.get("forum_score")
+    if score is None or score == "":
+        forum_score = None
+    else:
+        forum_score = _ref_finite(score, "forum_score", where)
+    return timestamp, (
+        str(rec["id"]),
+        str(rec["domain"]),
+        str(rec["title"]),
+        str(rec["body"]),
+        view_count,
+        u_g,
+        forum_score,
+    )
+
+
+def _ref_read_jsonl(path: Path) -> Iterator[tuple[str, dict]]:
+    with path.open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"{path.name} line {lineno}"
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise SchemaError(f"{where}: bad JSON ({e.msg})")
+            if not isinstance(rec, dict):
+                raise SchemaError(f"{where}: expected an object")
+            yield where, rec
+
+
+def _ref_read_csv(path: Path) -> Iterator[tuple[str, dict]]:
+    with path.open(encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise SchemaError(f"{path.name}: empty file")
+        missing = [f for f in data.REQUIRED_FIELDS if f not in reader.fieldnames]
+        if missing:
+            if "u_g" in missing:
+                raise SchemaError(
+                    f"{path.name}: missing proposer utility column 'u_g'; "
+                    f"supply the column or map one via the run configuration"
+                )
+            raise SchemaError(f"{path.name}: missing columns {missing}")
+        for lineno, row in enumerate(reader, start=2):
+            yield f"{path.name} line {lineno}", row
+
+
+def ref_ingest(path: str | Path, fmt: str | None = None) -> data.Dataset:
+    """``data.ingest`` as it read records one helper call per check,
+    building each record's location before checking it: the definition
+    the record reader must reproduce, pools, metadata and SchemaError
+    messages alike.  Files are read as UTF-8.
+
+    The format is inferred from the suffix unless given.  Duplicate
+    ids, missing fields, and malformed values raise SchemaError with
+    the offending line.  Each week's questions are built once the file
+    is read, with their curator utilities set.
+    """
+    path = Path(path)
+    if fmt is None:
+        suffix = path.suffix.lower()
+        if suffix in (".jsonl", ".ndjson"):
+            fmt = "jsonl"
+        elif suffix == ".csv":
+            fmt = "csv"
+        else:
+            raise ConfigError(
+                f"cannot infer format from {path.name!r}; pass jsonl or csv"
+            )
+    if fmt == "jsonl":
+        rows = _ref_read_jsonl(path)
+    elif fmt == "csv":
+        rows = _ref_read_csv(path)
+    else:
+        raise ConfigError(f"unknown dataset format {fmt!r}; expected jsonl or csv")
+
+    by_week: dict[tuple[int, int], list[tuple]] = {}
+    domains: dict[str, int] = {}
+    seen: set[str] = set()
+    for where, row in rows:
+        stamp, fields = _ref_read_record(row, where)
+        qid, domain = fields[:2]
+        if qid in seen:
+            raise SchemaError(f"duplicate question id {qid!r}")
+        # naive and offset-aware datetimes do not compare, so one file
+        # holds one kind
+        aware = stamp.utcoffset() is not None
+        if not seen:
+            first_where, first_aware, first, last = where, aware, stamp, stamp
+        elif aware != first_aware:
+            kinds = ("naive", "offset-aware")
+            raise SchemaError(
+                f"{where}: timestamp is {kinds[aware]} but {first_where}'s is "
+                f"{kinds[first_aware]}; use one timestamp kind per file"
+            )
+        seen.add(qid)
+        # min and max keep the earliest-read of equal instants
+        first, last = min(first, stamp), max(last, stamp)
+        by_week.setdefault(stamp.isocalendar()[:2], []).append(fields)
+        domains[domain] = domains.get(domain, 0) + 1
+    if not seen:
+        raise SchemaError(f"{path.name}: no records")
+
+    week_keys = sorted(by_week)
+    pools = []
+    for t, key in enumerate(week_keys):
+        # a week's fields are dropped as its questions are built
+        rows = by_week.pop(key)
+        u_f = set_utility([row[4] for row in rows])
+        questions = tuple(
+            Question(*row[:6], u_f_norm=u, forum_score=row[6])
+            for row, u in zip(rows, u_f)
+        )
+        pools.append(RoundPool(week=t, questions=questions))
+    metadata = {
+        "source": str(path),
+        "format": fmt,
+        "n_questions": len(seen),
+        "n_weeks": len(pools),
+        "domains": domains,
+        "span": [first.isoformat(), last.isoformat()],
+        "iso_weeks": [list(k) for k in week_keys],
+    }
+    return data.Dataset(pools=tuple(pools), metadata=metadata)

@@ -1,12 +1,17 @@
 """End-to-end and unit coverage for the command line interface."""
 
+import csv
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import pubgame
 from pubgame.cli import (
     FULL_INFO_KEYS,
     HEURISTICS,
@@ -642,6 +647,35 @@ def test_full_info_refuses_unusable_flags_before_writing(pipeline, tmp_path, cap
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"heuristics": []}, "--heuristics names no heuristic"),
+        ({"heuristics": ["mpp", "mpp"]}, "--heuristics names 'mpp' twice"),
+        (
+            {"heuristics": ["frobnicate"]},
+            f"unknown heuristic 'frobnicate'; expected any of {', '.join(HEURISTICS)}",
+        ),
+        ({"k": 0}, "--k must be at least 1, got 0"),
+        ({"k": "3"}, "--k must be at least 1, got '3'"),
+    ],
+    ids=["no-heuristic", "repeated", "unknown", "k-0", "k-string"],
+)
+def test_full_info_refuses_unusable_manifest_args_before_writing(pipeline, tmp_path, capsys, edit, message):
+    # a valid hash over arguments the flags could not have produced
+    _, data, _, full = pipeline
+    recorded = json.loads((full / "manifest.json").read_text())["args"]
+    run = tmp_path / "run"
+    run.mkdir()
+    write_manifest(run, "full-info", {**recorded, **edit}, str(data))
+    out = tmp_path / "x"
+    rc = main(["full-info", "--manifest", str(run / "manifest.json"), "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "summary.json").exists()
+    assert not (out / "manifest.json").exists()
+
+
 def test_eurr_rejects_non_run_directories(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -814,3 +848,47 @@ def test_simulate_summaries_are_pinned(pin_data, tmp_path, run):
     summary = json.loads((out / "summary.json").read_text())
     del summary["manifest_hash"]
     assert summary == SUMMARY_PINS[run]
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_dataset_files_are_utf8_whatever_the_locale(tmp_path, fmt):
+    # the child's locale encoding is ASCII: no UTF-8 mode and, with LC_ALL
+    # set, no locale coercion; its stdio stays UTF-8, so what is tested is
+    # the dataset read and the analyze files written
+    records = [
+        {
+            "id": f"q{i}", "timestamp": f"2024-01-{1 + 7 * (i % 3):02d}T12:00:00",
+            "domain": ("café", "naïve")[i % 2], "title": "crème brûlée",
+            "body": "déjà vu", "view_count": 3 * i, "u_g": 1.0 + i,
+        }
+        for i in range(12)
+    ]
+    path = tmp_path / f"data.{fmt}"
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        if fmt == "jsonl":
+            fh.writelines(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+        else:
+            writer = csv.DictWriter(fh, fieldnames=list(records[0]))
+            writer.writeheader()
+            writer.writerows(records)
+    src = str(Path(pubgame.__file__).resolve().parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONIOENCODING": "utf-8", "PYTHONPATH": src}
+    env.pop("PYTHONUTF8", None)
+
+    def child(*args):
+        return subprocess.run(
+            [sys.executable, "-X", "utf8=0", *args], env=env, capture_output=True,
+            encoding="utf-8", timeout=120,
+        )
+
+    encoding = child("-c", "import locale; print(locale.getpreferredencoding(False))")
+    assert encoding.stdout.strip() == "ANSI_X3.4-1968"
+    validate = child("-m", "pubgame.cli", "validate", "--data", str(path))
+    assert validate.stderr == ""
+    assert validate.stdout == "ok: 12 questions, 3 weeks, domains café:6, naïve:6\n"
+    out = tmp_path / "analyze"
+    analyze = child("-m", "pubgame.cli", "analyze", "--data", str(path), "--out-dir", str(out))
+    assert (analyze.returncode, analyze.stderr) == (0, "")
+    scatter = (out / "scatter.csv").read_text(encoding="utf-8").splitlines()
+    assert sorted(line.split(",")[0] for line in scatter[2:]) == ["café"] * 6 + ["naïve"] * 6
+    assert "café" in (out / "correlations.txt").read_text(encoding="utf-8")

@@ -1,7 +1,7 @@
 import csv
 import json
 import tempfile
-from datetime import date, datetime, timedelta
+from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -22,7 +22,7 @@ from pubgame import (
     write_jsonl,
 )
 
-from helpers import mk_pool, ref_generate_synthetic
+from helpers import mk_pool, ref_generate_synthetic, ref_ingest
 
 
 def record(i, ts, **kw):
@@ -198,6 +198,270 @@ def test_ingest_rejects_duplicates_and_empty(tmp_path):
     malformed.write_text('{"id": "x",\n')
     with pytest.raises(SchemaError, match="bad JSON"):
         ingest(malformed)
+
+
+_COLUMNS = ["id", "timestamp", "domain", "title", "body", "view_count", "u_g", "forum_score"]
+
+
+def write_rows(path, rows):
+    """Records as JSONL, or as CSV with every column (a field a record
+    lacks is an empty cell); a string row is a raw JSONL line."""
+    if path.suffix == ".jsonl":
+        path.write_text("".join(r if isinstance(r, str) else json.dumps(r) + "\n" for r in rows))
+        return path
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=_COLUMNS, restval="")
+        writer.writeheader()
+        writer.writerows(rows)
+    return path
+
+
+def _without(name):
+    rec = record(1, "2024-01-01T01:00:00")
+    del rec[name]
+    return rec
+
+
+def _bad(**kw):
+    return record(1, kw.pop("ts", "2024-01-01T01:00:00"), **kw)
+
+
+_UG_REMEDY = (
+    "missing proposer utility 'u_g'; supply the column or map one via the run "
+    "configuration before ingesting"
+)
+
+# (records after one good record, JSONL message, CSV message), each
+# message recorded from the reader that built a record's location before
+# checking it; the bad record is JSONL line 2 and CSV line 3
+PINNED_ERRORS = {
+    "bad JSON": (
+        ['{"id": "x",\n'],
+        "data.jsonl line 2: bad JSON (Expecting property name enclosed in double quotes)",
+        None,
+    ),
+    "non-object line": (["[1, 2]\n"], "data.jsonl line 2: expected an object", None),
+    **{
+        f"missing {name}": (
+            [_without(name)],
+            f"data.jsonl line 2: missing required field {name!r}",
+            f"data.csv line 3: missing required field {name!r}",
+        )
+        for name in ("id", "timestamp", "domain", "title", "body", "view_count")
+    },
+    "missing u_g": (
+        [_without("u_g")],
+        f"data.jsonl line 2: {_UG_REMEDY}",
+        f"data.csv line 3: {_UG_REMEDY}",
+    ),
+    "bool view_count": (
+        [_bad(view_count=True)],
+        "data.jsonl line 2: view_count True is not an integer",
+        "data.csv line 3: view_count 'True' is not an integer",
+    ),
+    "3.5 view_count": (
+        [_bad(view_count=3.5)],
+        "data.jsonl line 2: view_count 3.5 is not an integer",
+        "data.csv line 3: view_count '3.5' is not an integer",
+    ),
+    "negative view_count": (
+        [_bad(view_count=-3)],
+        "data.jsonl line 2: view_count must be >= 0",
+        "data.csv line 3: view_count must be >= 0",
+    ),
+    "string view_count": (
+        [_bad(view_count="many")],
+        "data.jsonl line 2: view_count 'many' is not an integer",
+        "data.csv line 3: view_count 'many' is not an integer",
+    ),
+    "NaN u_g": (
+        [_bad(u_g=float("nan"))],
+        "data.jsonl line 2: u_g nan is not a finite number",
+        "data.csv line 3: u_g 'nan' is not a finite number",
+    ),
+    "infinite u_g": (
+        [_bad(u_g=float("inf"))],
+        "data.jsonl line 2: u_g inf is not a finite number",
+        "data.csv line 3: u_g 'inf' is not a finite number",
+    ),
+    "bool u_g": (
+        [_bad(u_g=True)],
+        "data.jsonl line 2: u_g True is not a number",
+        "data.csv line 3: u_g 'True' is not a number",
+    ),
+    "negative u_g": (
+        [_bad(u_g=-1.0)],
+        "data.jsonl line 2: u_g must be >= 0",
+        "data.csv line 3: u_g must be >= 0",
+    ),
+    "non-numeric forum_score": (
+        [_bad(forum_score="high")],
+        "data.jsonl line 2: forum_score 'high' is not a number",
+        "data.csv line 3: forum_score 'high' is not a number",
+    ),
+    "bad timestamp": (
+        [_bad(ts="not a date")],
+        "data.jsonl line 2: bad timestamp 'not a date'; expected ISO-8601",
+        "data.csv line 3: bad timestamp 'not a date'; expected ISO-8601",
+    ),
+    "mixed timestamp kinds": (
+        [_bad(ts="2024-01-02T00:00:00+02:00")],
+        "data.jsonl line 2: timestamp is offset-aware but data.jsonl line 1's is "
+        "naive; use one timestamp kind per file",
+        "data.csv line 3: timestamp is offset-aware but data.csv line 2's is "
+        "naive; use one timestamp kind per file",
+    ),
+    "duplicate before a malformed record": (
+        [_bad(), record(0, "2024-01-01T02:00:00"), record(2, "2024-01-01T03:00:00", view_count="many")],
+        "duplicate question id 'r0'",
+        "duplicate question id 'r0'",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "fmt, rows, message",
+    [
+        pytest.param(fmt, rows, message, id=f"{fmt}-{case}")
+        for case, (rows, *messages) in PINNED_ERRORS.items()
+        for fmt, message in zip(("jsonl", "csv"), messages)
+        if message is not None
+    ],
+)
+def test_ingest_error_messages_are_pinned(tmp_path, fmt, rows, message):
+    path = write_rows(tmp_path / f"data.{fmt}", [record(0, "2024-01-01T00:00:00"), *rows])
+    with pytest.raises(SchemaError) as err:
+        ingest(path)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            "id,timestamp,domain,title,body,view_count\nr0,2024-01-01T00:00:00,dba,t,b,5\n",
+            "data.csv: missing proposer utility column 'u_g'; supply the column or "
+            "map one via the run configuration",
+        ),
+        (
+            "id,timestamp,domain,title,view_count,u_g\nr0,2024-01-01T00:00:00,dba,t,5,1.0\n",
+            "data.csv: missing columns ['body']",
+        ),
+        ("", "data.csv: empty file"),
+        ("id,timestamp,domain,title,body,view_count,u_g\n", "data.csv: no records"),
+    ],
+)
+def test_ingest_csv_file_error_messages_are_pinned(tmp_path, text, message):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    with pytest.raises(SchemaError) as err:
+        ingest(path)
+    assert str(err.value) == message
+
+
+_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=5
+)
+_ZONES = st.sampled_from(
+    [timezone.utc, timezone(timedelta(hours=-5)), timezone(timedelta(hours=5, minutes=30))]
+)
+# values a well-formed record may carry, typed as a writer might type them
+_GOOD = {
+    "domain": st.sampled_from(["dba", "law", "café"]) | st.integers(0, 3),
+    "title": _TEXT.filter(bool) | st.integers(),
+    "body": _TEXT.filter(bool),
+    "view_count": st.integers(0, 10**9) | st.sampled_from(["7", " 8", "0"]),
+    "u_g": st.floats(0, 1e9) | st.integers(0, 100) | st.sampled_from(["1.5", " 2", "1e-3", -0.0]),
+    "forum_score": st.none() | st.just("") | st.floats(allow_nan=False, allow_infinity=False)
+    | st.integers(-5, 5),
+}
+# values that fail a check, or pass one only through the general conversion
+_ODD = {
+    "id": st.sampled_from([None, "", "q0", 0, 1.5, True]),
+    "timestamp": st.sampled_from([None, "", "not a date", "2024-02-30", 20240101, True]),
+    "domain": st.sampled_from([None, "", [1], {"a": 1}]),
+    "title": st.sampled_from([None, "", False]),
+    "body": st.sampled_from([None, "", 0.0]),
+    "view_count": st.sampled_from(
+        [None, "", True, -1, 3.5, "many", "7.0", float("nan"), float("inf"), [1], 2**70]
+    ),
+    "u_g": st.sampled_from(
+        [None, "", float("nan"), float("inf"), -1.0, -2, True, "x", "nan", "-1", [1.0]]
+    ),
+    "forum_score": st.sampled_from(["high", float("nan"), float("-inf"), True, "inf", {}]),
+}
+
+
+@st.composite
+def _dataset_rows(draw, fmt):
+    """Rows of one dataset file: well-formed records with edge-typed
+    values, and in some files records with an odd value, a missing
+    field, a duplicate id or another timestamp kind; JSONL files also
+    get blank lines, padded lines and lines that are not one object."""
+    aware = draw(st.booleans())
+    flawed = draw(st.booleans())
+    rows = []
+    for i in range(draw(st.integers(1, 8))):
+        # few instants, so that equal ones (in other zones) recur
+        days, hours = draw(st.integers(0, 90)), draw(st.sampled_from([0, 12, 23]))
+        stamp = datetime(2023, 12, 1) + timedelta(days=days, hours=hours)
+        if aware:
+            stamp = stamp.replace(tzinfo=timezone.utc).astimezone(draw(_ZONES))
+        rec = {
+            "id": draw(st.sampled_from([f"q{i}", i, f"{i}"])),
+            "timestamp": stamp.isoformat(sep=draw(st.sampled_from(["T", " "]))),
+        }
+        rec.update({name: draw(values) for name, values in _GOOD.items()})
+        if fmt == "jsonl" and draw(st.booleans()):
+            # a whole float is a view count in JSON, not in CSV
+            rec["view_count"] = float(rec["view_count"])
+        if rec["forum_score"] is None and draw(st.booleans()):
+            del rec["forum_score"]
+        flaws = [None, "odd", "missing", "duplicate", "kind"] if flawed else [None]
+        flaw = draw(st.sampled_from(flaws))
+        if flaw == "odd":
+            name = draw(st.sampled_from(sorted(_ODD)))
+            rec[name] = draw(_ODD[name])
+        elif flaw == "missing":
+            rec.pop(draw(st.sampled_from(sorted(_ODD))), None)
+        elif flaw == "duplicate" and rows:
+            rec["id"] = draw(st.sampled_from(rows)).get("id")
+        elif flaw == "kind":
+            other = stamp.replace(tzinfo=None if aware else timezone.utc)
+            rec["timestamp"] = other.isoformat()
+        rows.append(rec)
+    if fmt == "csv":
+        return rows
+    lines = []
+    ascii_only = draw(st.booleans())
+    for rec in rows:
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(pad + json.dumps(rec, ensure_ascii=ascii_only) + pad + "\n")
+        lines.extend(draw(st.lists(st.sampled_from(["\n", "  \n", "\r\n"]), max_size=1)))
+        if flawed and draw(st.integers(0, 7)) == 0:
+            lines.append(draw(st.sampled_from(['{"id": \n', "[1]\n", "7\n", "{} {}\n"])))
+    return lines
+
+
+def _ingest_outcome(read, path):
+    try:
+        ds = read(path)
+    except SchemaError as e:
+        return "SchemaError", str(e)
+    return repr(ds.pools), ds.metadata
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(["jsonl", "csv"]))
+def test_ingest_matches_reference_reader(drawn, fmt):
+    rows = drawn.draw(_dataset_rows(fmt))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"data.{fmt}"
+        if fmt == "jsonl":
+            path.write_text("".join(rows), encoding="utf-8")
+        else:
+            write_rows(path, rows)
+        assert _ingest_outcome(ingest, path) == _ingest_outcome(ref_ingest, path)
 
 
 def test_ingest_sets_week_max_and_normalize_flags_zero_weeks(tmp_path):
