@@ -3,8 +3,10 @@
 Every run-producing subcommand writes a manifest.json capturing the
 fully resolved arguments and a fingerprint of the input data; rerunning
 with --manifest reproduces the outputs byte for byte.  Configuration
-files are flat ``key = value`` text with ``#`` comments; explicit flags
-win over file values.
+files are flat UTF-8 ``key = value`` text with ``#`` comments; explicit
+flags win over file values.  Each run value is declared once, in
+:data:`RUN_VALUES`, and checked by its key whether it comes from a flag,
+a configuration file or a manifest.
 
 Set PUBGAME_LOG=INFO (or DEBUG) for progress logging.
 """
@@ -19,8 +21,10 @@ import logging
 import math
 import os
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Any, Callable
 
 from . import __version__
 from .core import STRATEGIES_G, GameConfig
@@ -53,12 +57,14 @@ from .reports import (
     misalignment_table,
     significance_table,
 )
-from .strategies import SCORER_KINDS, make_precomputed_scorer, train_text_scorer
+from .strategies import make_precomputed_scorer, train_text_scorer
 
 log = logging.getLogger("pubgame")
 
 MANIFEST_FORMAT = "pubgame-manifest"
 MANIFEST_VERSION = 1
+
+SCORER_KINDS = ("text", "precomputed")
 
 _BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False}
 
@@ -70,37 +76,138 @@ def _parse_bool(raw: str) -> bool:
     return value
 
 
-# The config keys of each run command, key -> (coercer, default).  Each
-# key is also the dest of a flag of that command whose default is None,
-# so a flag wins over the file value, which wins over the default.
-SIMULATE_KEYS = {
-    "pretrain_weeks": (int, 13),
-    "m_cap": (int, GameConfig.m_cap),
-    "k_cap": (int, GameConfig.k_cap),
-    "rounds": (int, GameConfig.rounds),
-    "retrain_period": (int, GameConfig.retrain_period),
-    "theta": (float, None),
-    "seed": (int, GameConfig.seed),
-    "strategy_g": (str, GameConfig.strategy_g),
-    "scorer_f": (str, "text"),
-    "learn_acceptance": (_parse_bool, GameConfig.learn_acceptance),
+def _parse_names(raw: str) -> list[str]:
+    return [name.strip() for name in raw.split(",") if name.strip()]
+
+
+def _resolved(path: str) -> str:
+    return str(Path(path).resolve())
+
+
+def _typed(kinds: tuple[type, ...], noun: str) -> Callable[[str, Any, dict], None]:
+    """The check that a value has a type its parser gives: a JSON
+    ``true`` is no integer, and ``4.0`` none either."""
+    def check(key: str, value, run_args: dict) -> None:
+        if type(value) not in kinds:
+            raise ConfigError(f"{key} must be {noun}, got {value!r}")
+    return check
+
+
+_INT = _typed((int,), "an integer")
+_FLOAT = _typed((float,), "a float")
+_STR = _typed((str,), "a string")
+_BOOL = _typed((bool,), "true or false")
+
+
+def _check_theta(key: str, theta, run_args: dict) -> None:
+    if theta is not None:
+        _FLOAT(key, theta, run_args)
+        # the text scorer's scores are probabilities; precomputed ones may
+        # be any finite numbers
+        text = run_args["scorer_f"] == "text"
+        if not (0 <= theta <= 1 if text else math.isfinite(theta)):
+            bound = "lie in [0, 1]" if text else "be finite"
+            raise ConfigError(f"theta must {bound}, got {theta}")
+
+
+def _check_scorer(key: str, kind, run_args: dict) -> None:
+    _STR(key, kind, run_args)
+    if kind not in SCORER_KINDS:
+        kinds = ", ".join(SCORER_KINDS)
+        raise ConfigError(f"unknown curator scorer {kind!r}; expected one of {kinds}")
+
+
+def _check_k(key: str, k, run_args: dict) -> None:
+    if type(k) is not int or k < 1:
+        raise ConfigError(f"--k must be at least 1, got {k!r}")
+
+
+def _check_heuristics(key: str, names, run_args: dict) -> None:
+    if type(names) is not list:
+        raise ConfigError(f"heuristics must be a list of names, got {names!r}")
+    if not names:
+        raise ConfigError("--heuristics names no heuristic")
+    for i, name in enumerate(names):
+        if not isinstance(name, str) or name not in HEURISTICS:
+            known = ", ".join(HEURISTICS)
+            raise ConfigError(f"unknown heuristic {name!r}; expected any of {known}")
+        if name in names[:i]:
+            raise ConfigError(f"--heuristics names {name!r} twice")
+
+
+def _check_alpha(key: str, alpha, run_args: dict) -> None:
+    _FLOAT(key, alpha, run_args)
+    if not 0 < alpha < 1:  # nan fails both comparisons
+        raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
+
+
+_REQUIRED = object()  # the default of a value that has none
+
+
+@dataclass(frozen=True)
+class RunValue:
+    """One value of the run commands: its flag, the parser of the flag's
+    or a config-file line's text, the check every value passes, from a
+    flag, a config file or a manifest, and its default.  A value without
+    one is required unless a manifest gives it; a ``bool`` value's flag
+    switches it from its default.  ``config`` values are config-file
+    keys; an ``optional`` one may be absent from a manifest."""
+
+    flag: str
+    parse: Callable[[str], Any]
+    check: Callable[[str, Any, dict], None]
+    default: Any = _REQUIRED
+    config: bool = True
+    optional: bool = False
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+
+
+# Checks the library makes (GameConfig, split_pretrain, ingest, run_*)
+# are not repeated here.
+RUN_VALUES = {
+    "data": RunValue("--data", _resolved, _STR, config=False, help="dataset file (JSONL or CSV)"),
+    "format": RunValue(
+        "--format", str, _typed((str, type(None)), "a string or null"), None, config=False,
+        optional=True, choices=("jsonl", "csv"), help="override format inference",
+    ),
+    "asym_dir": RunValue("--asym-dir", _resolved, _STR, config=False, help="simulate run dir"),
+    "full_dir": RunValue("--full-dir", _resolved, _STR, config=False, help="full-info run dir"),
+    "pretrain_weeks": RunValue("--pretrain-weeks", int, _INT, 13),
+    "m_cap": RunValue("--m-cap", int, _INT, GameConfig.m_cap),
+    "k_cap": RunValue("--k-cap", int, _INT, GameConfig.k_cap),
+    "rounds": RunValue("--rounds", int, _INT, GameConfig.rounds),
+    "retrain_period": RunValue("--retrain-period", int, _INT, GameConfig.retrain_period),
+    "theta": RunValue(
+        "--theta", float, _check_theta, None, help="override the calibrated threshold"
+    ),
+    "seed": RunValue("--seed", int, _INT, GameConfig.seed),
+    "strategy_g": RunValue("--strategy", str, _STR, GameConfig.strategy_g, choices=STRATEGIES_G),
+    "scorer_f": RunValue("--scorer", str, _check_scorer, "text", choices=SCORER_KINDS),
+    "learn_acceptance": RunValue(
+        "--no-learning", _parse_bool, _BOOL, GameConfig.learn_acceptance,
+        help="freeze the proposer acceptance model at untrained",
+    ),
+    "k": RunValue("--k", int, _check_k, GameConfig.k_cap, help="selection size per week"),
+    "heuristics": RunValue(
+        "--heuristics", _parse_names, _check_heuristics, list(HEURISTICS),
+        help=f"comma list from: {', '.join(HEURISTICS)} (default all)",
+    ),
+    "paired": RunValue(
+        "--welch", _parse_bool, _BOOL, True, config=False, help="Welch t-tests (default: paired)"
+    ),
+    "alpha": RunValue("--alpha", float, _check_alpha, 0.01, config=False),
 }
 
-FULL_INFO_KEYS = {
-    "pretrain_weeks": (int, 13),
-    "k": (int, GameConfig.k_cap),
-    "rounds": (int, GameConfig.rounds),
-    "seed": (int, 0),
-    "heuristics": (str, ",".join(HEURISTICS)),
-}
 
-
-def read_config(path: str | Path, keys: dict) -> dict:
-    """Parse a flat ``key = value`` configuration file, accepting only
-    the keys of one command's table (:data:`SIMULATE_KEYS` or
-    :data:`FULL_INFO_KEYS`)."""
+def read_config(path: str | Path, command: str) -> dict:
+    """Parse a flat UTF-8 ``key = value`` configuration file, accepting
+    only the config keys of one run command, each parsed as its flag's
+    text is."""
+    keys = [key for key in RUN_COMMANDS[command][0] if RUN_VALUES[key].config]
     values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    text = Path(path).read_text(encoding="utf-8")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -114,9 +221,8 @@ def read_config(path: str | Path, keys: dict) -> dict:
                 f"{path} line {lineno}: unknown key {key!r}; known keys: "
                 f"{', '.join(sorted(keys))}"
             )
-        coerce, _ = keys[key]
         try:
-            values[key] = coerce(val)
+            values[key] = RUN_VALUES[key].parse(val)
         except ValueError as e:
             raise ConfigError(f"{path} line {lineno}: bad value for {key}: {e}")
     return values
@@ -143,9 +249,14 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def write_manifest(
-    out_dir: Path, command: str, run_args: dict, data_path: str | None
-) -> str:
+def _print(text: str) -> None:
+    # names from the data print as escapes where the stdout encoding lacks
+    # them (an ASCII locale); an io.StringIO has no encoding and takes any
+    encoding = sys.stdout.encoding
+    print(text.encode(encoding, "backslashreplace").decode(encoding) if encoding else text)
+
+
+def write_manifest(out_dir: Path, command: str, run_args: dict, data_path: str | None) -> str:
     payload = {
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,
@@ -171,9 +282,7 @@ def load_manifest(path: str | Path, command: str) -> dict:
     if not isinstance(payload, dict) or payload.get("format") != MANIFEST_FORMAT:
         raise ConfigError(f"{path}: not a run manifest")
     if payload.get("version") != MANIFEST_VERSION:
-        raise ConfigError(
-            f"{path}: manifest version {payload.get('version')!r} unsupported"
-        )
+        raise ConfigError(f"{path}: manifest version {payload.get('version')!r} unsupported")
     if payload.get("manifest_hash") != _manifest_hash(payload):
         raise ConfigError(f"{path}: manifest hash does not match its content")
     if payload.get("command") != command:
@@ -185,7 +294,7 @@ def load_manifest(path: str | Path, command: str) -> dict:
         raise ConfigError(f"{path}: manifest 'args' is not an object")
     if payload.get("data_sha256"):
         data = payload["args"].get("data")
-        if not data or not Path(data).exists():
+        if type(data) is not str or not Path(data).is_file():
             raise ConfigError(f"{path}: recorded data file {data!r} is missing")
         actual = _sha256_file(data)
         if actual != payload["data_sha256"]:
@@ -196,36 +305,11 @@ def load_manifest(path: str | Path, command: str) -> dict:
     return payload
 
 
-def _resolved(path: str) -> str:
-    return str(Path(path).resolve())
-
-
-def _data_args(args: argparse.Namespace) -> dict:
-    return {"data": _resolved(args.data), "format": args.format}
-
-
-def _dir_args(args: argparse.Namespace) -> dict:
-    return {"asym_dir": _resolved(args.asym_dir), "full_dir": _resolved(args.full_dir)}
-
-
-def _config_args(args: argparse.Namespace, keys: dict) -> dict:
-    """The data flags, plus each key's flag, else its file value, else
-    its default."""
-    file_values = read_config(args.config, keys) if args.config else {}
-    run_args = _data_args(args)
-    for key, (_, default) in keys.items():
-        flag = getattr(args, key)
-        run_args[key] = flag if flag is not None else file_values.get(key, default)
-    return run_args
-
-
 def _load_split(run_args: dict) -> tuple[Dataset, Dataset, Dataset]:
     dataset = ingest(run_args["data"], run_args.get("format"))
     log.info(
         "ingested %s: %d questions over %d weeks",
-        run_args["data"],
-        dataset.metadata["n_questions"],
-        dataset.n_weeks,
+        run_args["data"], dataset.metadata["n_questions"], dataset.n_weeks,
     )
     return split_pretrain(dataset, run_args["pretrain_weeks"])
 
@@ -247,7 +331,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     dataset = ingest(args.data, args.format)
     meta = dataset.metadata
     domains = ", ".join(f"{d}:{c}" for d, c in sorted(meta["domains"].items()))
-    print(
+    _print(
         f"ok: {meta['n_questions']} questions, {meta['n_weeks']} weeks, "
         f"domains {domains}"
     )
@@ -274,20 +358,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _run_simulate(run_args: dict, out_dir: Path) -> int:
-    config = GameConfig(
-        **{f.name: run_args[f.name] for f in dataclasses.fields(GameConfig)}
-    )
-    if run_args["scorer_f"] not in SCORER_KINDS:
-        raise ConfigError(
-            f"unknown curator scorer {run_args['scorer_f']!r}; "
-            f"expected one of {', '.join(SCORER_KINDS)}"
-        )
-    # the text scorer's scores are probabilities; precomputed ones may be
-    # any finite numbers
-    theta, text = run_args["theta"], run_args["scorer_f"] == "text"
-    if theta is not None and not (0 <= theta <= 1 if text else math.isfinite(theta)):
-        bound = "lie in [0, 1]" if text else "be finite"
-        raise ConfigError(f"theta must {bound}, got {theta}")
+    config = GameConfig(**{f.name: run_args[f.name] for f in dataclasses.fields(GameConfig)})
     train, val, sim = _load_split(run_args)
     scorer = _build_scorer(run_args, train, val)
     ledger = run_asymmetric(sim, config, scorer)
@@ -296,9 +367,7 @@ def _run_simulate(run_args: dict, out_dir: Path) -> int:
     write_ledger_csv(ledger, out_dir / "ledger.csv", manifest_hash=manifest)
     if scorer.model is not None:
         scorer.model.save(out_dir / "forum_scorer_model.json")
-    calibration = (
-        dataclasses.asdict(scorer.calibration) if scorer.calibration else None
-    )
+    calibration = dataclasses.asdict(scorer.calibration) if scorer.calibration else None
     summary = {
         "manifest_hash": manifest,
         "command": "simulate",
@@ -319,52 +388,17 @@ def _run_simulate(run_args: dict, out_dir: Path) -> int:
     return 0
 
 
-def _full_info_args(args: argparse.Namespace) -> dict:
-    run_args = _config_args(args, FULL_INFO_KEYS)
-    names = run_args["heuristics"].split(",")
-    run_args["heuristics"] = [h.strip() for h in names if h.strip()]
-    return run_args
-
-
 def _run_full_info(run_args: dict, out_dir: Path) -> int:
-    # from flags and from a manifest alike, before any data is read
-    k, names = run_args["k"], run_args["heuristics"]
-    if type(k) is not int or k < 1:
-        raise ConfigError(f"--k must be at least 1, got {k!r}")
-    if not names:
-        raise ConfigError("--heuristics names no heuristic")
-    for i, name in enumerate(names):
-        if not isinstance(name, str) or name not in HEURISTICS:
-            raise ConfigError(
-                f"unknown heuristic {name!r}; expected any of "
-                f"{', '.join(HEURISTICS)}"
-            )
-        if name in names[:i]:
-            raise ConfigError(f"--heuristics names {name!r} twice")
     _, _, sim = _load_split(run_args)
     manifest = write_manifest(out_dir, "full-info", run_args, run_args["data"])
     totals = {}
     for name in run_args["heuristics"]:
         ledger = run_full_information(
-            sim,
-            name,
-            run_args["k"],
-            seed=run_args["seed"],
-            rounds=run_args["rounds"],
+            sim, name, run_args["k"], seed=run_args["seed"], rounds=run_args["rounds"]
         )
-        write_ledger_csv(
-            ledger, out_dir / f"ledger_{name}.csv", manifest_hash=manifest
-        )
-        totals[name] = {
-            "cum_u_g": ledger.total_u_g,
-            "cum_u_f": ledger.total_u_f,
-        }
-        log.info(
-            "full-info %s: u_g %.3f u_f %.3f",
-            name,
-            ledger.total_u_g,
-            ledger.total_u_f,
-        )
+        write_ledger_csv(ledger, out_dir / f"ledger_{name}.csv", manifest_hash=manifest)
+        totals[name] = {"cum_u_g": ledger.total_u_g, "cum_u_f": ledger.total_u_f}
+        log.info("full-info %s: u_g %.3f u_f %.3f", name, ledger.total_u_g, ledger.total_u_f)
     summary = {
         "manifest_hash": manifest,
         "command": "full-info",
@@ -490,16 +524,14 @@ def _run_analyze(run_args: dict, out_dir: Path) -> int:
         "skipped": list(report.skipped),
     }
     _write_json(out_dir / "summary.json", summary)
-    print(table.to_text(), end="")
-    print(f"mean rho {report.mean_rho:.3f} (std {report.std_rho:.3f}) -> {out_dir}")
+    _print(
+        table.to_text()
+        + f"mean rho {report.mean_rho:.3f} (std {report.std_rho:.3f}) -> {out_dir}"
+    )
     return 0
 
 
 def _run_report(run_args: dict, out_dir: Path) -> int:
-    alpha = run_args["alpha"]
-    # a manifest may hold any JSON value; nan fails both comparisons
-    if not (isinstance(alpha, (int, float)) and 0 < alpha < 1):
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha!r}")
     asym, runs = _read_run_dirs(run_args["asym_dir"], run_args["full_dir"])
     summary_path = Path(run_args["asym_dir"]) / "summary.json"
     strategy = "asym"
@@ -512,22 +544,17 @@ def _run_report(run_args: dict, out_dir: Path) -> int:
     eurr = compute_eurr(asym, runs)
     t_full = full_information_table(runs)
     t_asym = asymmetric_table({strategy: (asym, eurr)})
-    series_g = {name: run.weekly_u_g() for name, run in runs.items()}
-    series_f = {name: run.weekly_u_f() for name, run in runs.items()}
-    series_g[f"asym:{strategy}"] = asym.weekly_u_g()
-    series_f[f"asym:{strategy}"] = asym.weekly_u_f()
-    t_sig_g = significance_table(
-        series_g,
-        paired=run_args["paired"],
-        alpha=run_args["alpha"],
-        caption="weekly proposer utility",
-    )
-    t_sig_f = significance_table(
-        series_f,
-        paired=run_args["paired"],
-        alpha=run_args["alpha"],
-        caption="weekly curator utility",
-    )
+    significance = []
+    for column, player in (("u_g", "proposer"), ("u_f", "curator")):
+        series = {name: getattr(run, column) for name, run in runs.items()}
+        series[f"asym:{strategy}"] = getattr(asym, column)
+        caption = f"weekly {player} utility"
+        significance.append(
+            significance_table(
+                series, paired=run_args["paired"], alpha=run_args["alpha"], caption=caption
+            )
+        )
+    t_sig_g, t_sig_f = significance
 
     manifest = write_manifest(out_dir, "report", run_args, None)
     text = "\n".join(
@@ -543,45 +570,57 @@ def _run_report(run_args: dict, out_dir: Path) -> int:
         (out_dir / f"{stem}.csv").write_text(
             f"# manifest {manifest}\n" + table.to_csv_string()
         )
-    print(text, end="")
-    print(f"-> {out_dir}")
+    _print(text + f"-> {out_dir}")
     return 0
 
 
-# Each run command builds its arguments from flags, or takes them from a
-# manifest, and then runs; a manifest's arguments must hold every key the
-# run reads: command -> (args_from_flags, run, keys).
-_RUNS = {
+# Each run command's values, in the order a manifest's missing ones are
+# named, and the function that runs it.
+RUN_COMMANDS = {
     "simulate": (
-        lambda args: _config_args(args, SIMULATE_KEYS),
+        ("data", "format", "pretrain_weeks", "m_cap", "k_cap", "rounds", "retrain_period",
+         "theta", "seed", "strategy_g", "scorer_f", "learn_acceptance"),
         _run_simulate,
-        ("data", *SIMULATE_KEYS),
     ),
-    "full-info": (_full_info_args, _run_full_info, ("data", *FULL_INFO_KEYS)),
-    "eurr": (_dir_args, _run_eurr, ("asym_dir", "full_dir")),
-    "analyze": (_data_args, _run_analyze, ("data",)),
-    "report": (
-        lambda args: {**_dir_args(args), "paired": not args.welch, "alpha": args.alpha},
-        _run_report,
-        ("asym_dir", "full_dir", "paired", "alpha"),
+    "full-info": (
+        ("data", "format", "pretrain_weeks", "k", "rounds", "seed", "heuristics"), _run_full_info,
     ),
+    "eurr": (("asym_dir", "full_dir"), _run_eurr),
+    "analyze": (("data", "format"), _run_analyze),
+    "report": (("asym_dir", "full_dir", "paired", "alpha"), _run_report),
 }
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    args_from_flags, run, keys = _RUNS[args.command]
+    """Take a run's values from its flags, config file and defaults, or
+    from a manifest alone; check each by its key; then run."""
+    keys, run = RUN_COMMANDS[args.command]
+    given = [key for key in keys if hasattr(args, key)]
+    config = getattr(args, "config", None)
     if args.manifest:
+        extra = [RUN_VALUES[key].flag for key in given] + ["--config"] * bool(config)
+        if extra:
+            extra = ", ".join(extra)
+            raise ConfigError(f"--manifest reruns the recorded values and takes no {extra}")
         run_args = load_manifest(args.manifest, args.command)["args"]
-        missing = [key for key in keys if key not in run_args]
+        missing = [key for key in keys if key not in run_args and not RUN_VALUES[key].optional]
         if missing:
-            raise ConfigError(
-                f"{args.manifest}: manifest args lack {', '.join(missing)}"
-            )
+            raise ConfigError(f"{args.manifest}: manifest args lack {', '.join(missing)}")
     else:
-        run_args = args_from_flags(args)
-    out_dir = None
-    if args.out_dir:
-        out_dir = Path(args.out_dir)
+        for key in keys:
+            if RUN_VALUES[key].default is _REQUIRED and key not in given:
+                # main reports it as argparse reports a missing flag
+                flag = RUN_VALUES[key].flag
+                raise argparse.ArgumentError(None, f"{flag} is required without --manifest")
+        file_values = read_config(config, args.command) if config else {}
+        run_args = {
+            key: getattr(args, key, file_values.get(key, RUN_VALUES[key].default)) for key in keys
+        }
+    for key in keys:
+        if key in run_args:
+            RUN_VALUES[key].check(key, run_args[key], run_args)
+    out_dir = Path(args.out_dir) if args.out_dir else None
+    if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     return run(run_args, out_dir)
 
@@ -599,14 +638,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_data(p, required=True):
-        p.add_argument("--data", required=required, help="dataset file (JSONL or CSV)")
-        p.add_argument(
-            "--format", choices=("jsonl", "csv"), help="override format inference"
-        )
+    def add_value(p: argparse.ArgumentParser, key: str, **kw) -> None:
+        value = RUN_VALUES[key]
+        kw.update(dest=key, help=value.help)
+        if type(value.default) is bool:
+            p.add_argument(value.flag, action="store_const", const=not value.default, **kw)
+        else:
+            p.add_argument(value.flag, type=value.parse, choices=value.choices, **kw)
+
+    def add_run(command: str, help: str) -> None:
+        p = sub.add_parser(command, help=help)
+        keys, _ = RUN_COMMANDS[command]
+        for key in keys:
+            # a flag not given leaves no attribute, so that the config
+            # file's value or the default takes its place
+            add_value(p, key, default=argparse.SUPPRESS)
+        # eurr writes its output directory only when given one
+        p.add_argument("--out-dir", required=command != "eurr", dest="out_dir")
+        if any(RUN_VALUES[key].config for key in keys):
+            p.add_argument("--config", help="key = value configuration file")
+        p.add_argument("--manifest", help="rerun from a recorded manifest.json")
+        p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("validate", help="check a dataset against the schema")
-    add_data(p)
+    add_value(p, "data", required=True)
+    add_value(p, "format")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("generate", help="write a synthetic dataset")
@@ -629,54 +685,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_generate)
 
-    def add_run_common(p):
-        p.add_argument("--out-dir", required=True, dest="out_dir")
-        p.add_argument("--config", help="key = value configuration file")
-        p.add_argument(
-            "--manifest", help="rerun from a recorded manifest.json"
-        )
-        p.add_argument("--seed", type=int)
-        p.add_argument("--pretrain-weeks", type=int, dest="pretrain_weeks")
-        p.add_argument("--rounds", type=int)
-
-    p = sub.add_parser("simulate", help="play the asymmetric weekly game")
-    add_data(p, required=False)
-    add_run_common(p)
-    p.add_argument("--strategy", dest="strategy_g", choices=STRATEGIES_G)
-    p.add_argument("--scorer", dest="scorer_f", choices=SCORER_KINDS)
-    p.add_argument("--m-cap", type=int, dest="m_cap")
-    p.add_argument("--k-cap", type=int, dest="k_cap")
-    p.add_argument("--retrain-period", type=int, dest="retrain_period")
-    p.add_argument("--theta", type=float, help="override the calibrated threshold")
-    p.add_argument(
-        "--no-learning",
-        action="store_const",
-        const=False,
-        dest="learn_acceptance",
-        help="freeze the proposer acceptance model at untrained",
-    )
-    p.set_defaults(func=_cmd_run, learn_acceptance=None)
-
-    p = sub.add_parser(
-        "full-info", help="joint selection heuristics on the simulation window"
-    )
-    add_data(p, required=False)
-    add_run_common(p)
-    p.add_argument("--k", type=int, help="selection size per week")
-    p.add_argument(
-        "--heuristics",
-        help=f"comma list from: {', '.join(HEURISTICS)} (default all)",
-    )
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser(
-        "eurr", help="estimated utility recovery from recorded runs"
-    )
-    p.add_argument("--asym-dir", dest="asym_dir", help="simulate run directory")
-    p.add_argument("--full-dir", dest="full_dir", help="full-info run directory")
-    p.add_argument("--out-dir", dest="out_dir", help="optional output directory")
-    p.add_argument("--manifest", help="rerun from a recorded manifest.json")
-    p.set_defaults(func=_cmd_run)
+    add_run("simulate", "play the asymmetric weekly game")
+    add_run("full-info", "joint selection heuristics on the simulation window")
+    add_run("eurr", "estimated utility recovery from recorded runs")
 
     p = sub.add_parser("oracle", help="exact optimum of a small instance")
     p.add_argument("--items", required=True, help="CSV with columns f, g")
@@ -689,22 +700,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_oracle)
 
-    p = sub.add_parser("analyze", help="view/utility correlation report")
-    add_data(p, required=False)
-    p.add_argument("--out-dir", required=True, dest="out_dir")
-    p.add_argument("--manifest", help="rerun from a recorded manifest.json")
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("report", help="result tables and significance tests")
-    p.add_argument("--asym-dir", dest="asym_dir", help="simulate run directory")
-    p.add_argument("--full-dir", dest="full_dir", help="full-info run directory")
-    p.add_argument("--out-dir", required=True, dest="out_dir")
-    p.add_argument("--manifest", help="rerun from a recorded manifest.json")
-    p.add_argument(
-        "--welch", action="store_true", help="Welch t-tests (default: paired)"
-    )
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.set_defaults(func=_cmd_run)
+    add_run("analyze", "view/utility correlation report")
+    add_run("report", "result tables and significance tests")
 
     return parser
 
@@ -721,12 +718,10 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "manifest", None) is None:
-        for name in ("data", "asym_dir", "full_dir"):
-            if hasattr(args, name) and getattr(args, name) is None:
-                parser.error(f"--{name.replace('_', '-')} is required without --manifest")
     try:
         return args.func(args)
+    except argparse.ArgumentError as e:
+        parser.error(str(e))
     except (PubgameError, ValueError, ArithmeticError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

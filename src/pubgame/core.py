@@ -235,7 +235,5 @@ class GameLedger:
         return self.cum_u_f[-1] if self.weeks else 0.0
 
     def weekly_u_g(self) -> list[float]:
+        # the u_g column as a list, as perfbench/workloads/season.py reads it
         return list(self.u_g)
-
-    def weekly_u_f(self) -> list[float]:
-        return list(self.u_f)

@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from operator import itemgetter
@@ -31,6 +32,8 @@ from .errors import ConfigError, SchemaError
 
 REQUIRED_FIELDS = ("id", "timestamp", "domain", "title", "body", "view_count", "u_g")
 _required = itemgetter(*REQUIRED_FIELDS)
+# a view count is divided as a float when its curator utility is set
+_MAX_VIEWS = int(sys.float_info.max)
 
 # synthetic marginals and text mixture; view spread is deliberately much
 # heavier than utility spread so per-item products are view-dominated,
@@ -112,6 +115,8 @@ def _finite(raw, name: str) -> float:
         value = float(raw)
     except (TypeError, ValueError):
         raise SchemaError(f"{name} {raw!r} is not a number")
+    except OverflowError:  # an int past the float range, as a string past it reads inf
+        value = math.inf
     if not math.isfinite(value):
         raise SchemaError(f"{name} {raw!r} is not a finite number")
     return value
@@ -142,7 +147,7 @@ def _read_record(rec: dict) -> tuple[datetime, tuple]:
         stamp = datetime.fromisoformat(str(raw_stamp))
     except ValueError:
         raise SchemaError(f"bad timestamp {str(raw_stamp)!r}; expected ISO-8601")
-    if type(views) is not int or views < 0:
+    if type(views) is not int or not 0 <= views <= _MAX_VIEWS:
         try:
             if isinstance(views, bool) or (
                 isinstance(views, float) and not views.is_integer()
@@ -153,6 +158,8 @@ def _read_record(rec: dict) -> tuple[datetime, tuple]:
             raise SchemaError(f"view_count {views!r} is not an integer")
         if views < 0:
             raise SchemaError("view_count must be >= 0")
+        if views > _MAX_VIEWS:
+            raise SchemaError(f"view_count {views} is too large for a float")
     if type(u_g) is not float or not 0.0 <= u_g < math.inf:
         u_g = _finite(u_g, "u_g")
         if u_g < 0:

@@ -151,9 +151,6 @@ def calibrate_theta(scores: Sequence[float], labels: Sequence[int]) -> Calibrati
     )
 
 
-SCORER_KINDS = ("text", "precomputed")
-
-
 @dataclass(frozen=True)
 class ForumScorer:
     """The curator's scoring rule: the acceptance threshold theta plus

@@ -160,7 +160,7 @@ def test_criterion_4_learned_acceptance_beats_blind_greedy():
                 strategy_g=strategy,
             )
             ledger = run_asymmetric(sim, config, scorer)
-            totals[strategy] = (sum(ledger.weekly_u_g()[13:]), ledger.total_u_f)
+            totals[strategy] = (sum(ledger.u_g[13:]), ledger.total_u_f)
         ug_ratios.append(totals["utility"][0] / totals["greedy"][0])
         uf_ratios.append(totals["utility"][1] / totals["greedy"][1])
     elapsed = time.monotonic() - start

@@ -13,9 +13,9 @@ import pytest
 
 import pubgame
 from pubgame.cli import (
-    FULL_INFO_KEYS,
     HEURISTICS,
-    SIMULATE_KEYS,
+    RUN_COMMANDS,
+    RUN_VALUES,
     build_parser,
     load_manifest,
     main,
@@ -281,20 +281,21 @@ def test_read_config_parses_each_coercer(tmp_path):
         "learn_acceptance = no\n"
         "strategy_g = random\n"
     )
-    assert read_config(cfg, SIMULATE_KEYS) == {
+    assert read_config(cfg, "simulate") == {
         "theta": 0.25,
         "learn_acceptance": False,
         "strategy_g": "random",
     }
-    cfg.write_text("k = 7\nheuristics = mpp,random\n")
-    assert read_config(cfg, FULL_INFO_KEYS) == {"k": 7, "heuristics": "mpp,random"}
+    # a list, as the --heuristics flag parses it
+    cfg.write_text("k = 7\nheuristics = mpp, random\n")
+    assert read_config(cfg, "full-info") == {"k": 7, "heuristics": ["mpp", "random"]}
 
 
 def test_read_config_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("frobnicate = 3\n")
     with pytest.raises(ConfigError, match="unknown key 'frobnicate'; known keys"):
-        read_config(cfg, SIMULATE_KEYS)
+        read_config(cfg, "simulate")
 
 
 @pytest.mark.parametrize(
@@ -322,17 +323,10 @@ def test_config_refuses_keys_of_other_commands(pipeline, tmp_path, capsys, comma
     assert f"run.cfg line 1: unknown key {key!r}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, keys", [("simulate", SIMULATE_KEYS), ("full-info", FULL_INFO_KEYS)])
-def test_config_keys_are_flag_dests(command, keys):
-    args = vars(build_parser().parse_args([command, "--out-dir", "x"]))
-    for key in keys:
-        # a None flag default lets the file value and then the table default win
-        assert key in args and args[key] is None, key
-
-
 def test_report_has_no_paired_flag():
+    # --welch switches the paired value off; nothing switches it on
     args = vars(build_parser().parse_args(["report", "--out-dir", "x", "--welch"]))
-    assert args["welch"] is True and "paired" not in args
+    assert args["paired"] is False and "welch" not in args
     with pytest.raises(SystemExit):
         build_parser().parse_args(["report", "--out-dir", "x", "--paired"])
 
@@ -382,10 +376,10 @@ def test_read_config_rejects_bad_value_and_missing_equals(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("m_cap = many\n")
     with pytest.raises(ConfigError, match="line 1: bad value for m_cap"):
-        read_config(cfg, SIMULATE_KEYS)
+        read_config(cfg, "simulate")
     cfg.write_text("rounds\n")
     with pytest.raises(ConfigError, match="expected 'key = value'"):
-        read_config(cfg, SIMULATE_KEYS)
+        read_config(cfg, "simulate")
 
 
 def test_load_manifest_validation_paths(tmp_path):
@@ -445,8 +439,14 @@ def test_run_commands_reject_a_manifest_or_config_they_cannot_read(tmp_path, cap
 @pytest.mark.parametrize(
     "command, missing",
     [
-        ("simulate", ["data", *SIMULATE_KEYS]),
-        ("full-info", ["data", *FULL_INFO_KEYS]),
+        (
+            "simulate",
+            [
+                "data", "pretrain_weeks", "m_cap", "k_cap", "rounds", "retrain_period",
+                "theta", "seed", "strategy_g", "scorer_f", "learn_acceptance",
+            ],
+        ),
+        ("full-info", ["data", "pretrain_weeks", "k", "rounds", "seed", "heuristics"]),
         ("eurr", ["asym_dir", "full_dir"]),
         ("analyze", ["data"]),
         ("report", ["asym_dir", "full_dir", "paired", "alpha"]),
@@ -850,11 +850,23 @@ def test_simulate_summaries_are_pinned(pin_data, tmp_path, run):
     assert summary == SUMMARY_PINS[run]
 
 
-@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
-def test_dataset_files_are_utf8_whatever_the_locale(tmp_path, fmt):
-    # the child's locale encoding is ASCII: no UTF-8 mode and, with LC_ALL
-    # set, no locale coercion; its stdio stays UTF-8, so what is tested is
-    # the dataset read and the analyze files written
+def ascii_locale_child(*args, **env):
+    """Run python with ``args`` in a child whose locale encoding is ASCII:
+    no UTF-8 mode and, with LC_ALL set, no locale coercion.  ``env`` adds
+    to the child's environment only."""
+    src = str(Path(pubgame.__file__).resolve().parents[1])
+    child_env = {**os.environ, "LC_ALL": "C", "PYTHONPATH": src}
+    child_env.pop("PYTHONUTF8", None)
+    child_env.pop("PYTHONIOENCODING", None)
+    child_env.update(env)
+    return subprocess.run(
+        [sys.executable, "-X", "utf8=0", *args], env=child_env, capture_output=True,
+        encoding="utf-8", timeout=120,
+    )
+
+
+def write_accented(path):
+    """Twelve records over three weeks in two domains, café and naïve."""
     records = [
         {
             "id": f"q{i}", "timestamp": f"2024-01-{1 + 7 * (i % 3):02d}T12:00:00",
@@ -863,32 +875,237 @@ def test_dataset_files_are_utf8_whatever_the_locale(tmp_path, fmt):
         }
         for i in range(12)
     ]
-    path = tmp_path / f"data.{fmt}"
     with path.open("w", encoding="utf-8", newline="") as fh:
-        if fmt == "jsonl":
+        if path.suffix == ".jsonl":
             fh.writelines(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
         else:
             writer = csv.DictWriter(fh, fieldnames=list(records[0]))
             writer.writeheader()
             writer.writerows(records)
-    src = str(Path(pubgame.__file__).resolve().parents[1])
-    env = {**os.environ, "LC_ALL": "C", "PYTHONIOENCODING": "utf-8", "PYTHONPATH": src}
-    env.pop("PYTHONUTF8", None)
+    return path
 
-    def child(*args):
-        return subprocess.run(
-            [sys.executable, "-X", "utf8=0", *args], env=env, capture_output=True,
-            encoding="utf-8", timeout=120,
-        )
 
-    encoding = child("-c", "import locale; print(locale.getpreferredencoding(False))")
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_dataset_files_are_utf8_whatever_the_locale(tmp_path, fmt):
+    # the child's stdio stays UTF-8, so what is tested is the dataset
+    # read and the analyze files written
+    path = write_accented(tmp_path / f"data.{fmt}")
+    encoding = ascii_locale_child("-c", "import locale; print(locale.getpreferredencoding(False))")
     assert encoding.stdout.strip() == "ANSI_X3.4-1968"
-    validate = child("-m", "pubgame.cli", "validate", "--data", str(path))
+    validate = ascii_locale_child(
+        "-m", "pubgame.cli", "validate", "--data", str(path), PYTHONIOENCODING="utf-8"
+    )
     assert validate.stderr == ""
     assert validate.stdout == "ok: 12 questions, 3 weeks, domains café:6, naïve:6\n"
     out = tmp_path / "analyze"
-    analyze = child("-m", "pubgame.cli", "analyze", "--data", str(path), "--out-dir", str(out))
+    analyze = ascii_locale_child(
+        "-m", "pubgame.cli", "analyze", "--data", str(path), "--out-dir", str(out),
+        PYTHONIOENCODING="utf-8",
+    )
     assert (analyze.returncode, analyze.stderr) == (0, "")
     scatter = (out / "scatter.csv").read_text(encoding="utf-8").splitlines()
     assert sorted(line.split(",")[0] for line in scatter[2:]) == ["café"] * 6 + ["naïve"] * 6
     assert "café" in (out / "correlations.txt").read_text(encoding="utf-8")
+
+
+def test_names_from_the_data_print_on_an_ascii_stdout(tmp_path):
+    # ASCII stdio too: a name the encoding lacks prints as an escape
+    path = write_accented(tmp_path / "data.jsonl")
+    validate = ascii_locale_child("-m", "pubgame.cli", "validate", "--data", str(path))
+    assert (validate.returncode, validate.stderr) == (0, "")
+    assert validate.stdout == "ok: 12 questions, 3 weeks, domains caf\\xe9:6, na\\xefve:6\n"
+    out = tmp_path / "analyze"
+    analyze = ascii_locale_child(
+        "-m", "pubgame.cli", "analyze", "--data", str(path), "--out-dir", str(out)
+    )
+    assert (analyze.returncode, analyze.stderr) == (0, "")
+    assert "caf\\xe9" in analyze.stdout and analyze.stdout.endswith(f"-> {out}\n")
+    # the files written are UTF-8 whatever the locale
+    rerun = tmp_path / "rerun"
+    assert main(["analyze", "--data", str(path), "--out-dir", str(rerun)]) == 0
+    for name in ("correlations.txt", "correlations.csv", "scatter.csv"):
+        assert (out / name).read_bytes() == (rerun / name).read_bytes()
+
+
+def test_config_files_are_utf8_whatever_the_locale(pipeline, tmp_path):
+    _, data, _, full = pipeline
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "# café au lait\npretrain_weeks = 4\nrounds = 5\nk = 3\nseed = 3\n", encoding="utf-8"
+    )
+    out = tmp_path / "full"
+    run = ascii_locale_child(
+        "-m", "pubgame.cli", "full-info", "--data", str(data), "--config", str(cfg),
+        "--out-dir", str(out),
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    assert (out / "manifest.json").read_bytes() == (full / "manifest.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def recorded(pipeline):
+    """The manifest.json of one run of each run command."""
+    root, data, asym, full = pipeline
+    dirs = ["--asym-dir", str(asym), "--full-dir", str(full)]
+    for command, flags in (("eurr", dirs), ("analyze", ["--data", str(data)]), ("report", dirs)):
+        assert main([command, *flags, "--out-dir", str(root / command)]) == 0
+    runs = {"simulate": asym, "full-info": full, "eurr": root / "eurr", "analyze": root / "analyze", "report": root / "report"}
+    return {command: run / "manifest.json" for command, run in runs.items()}
+
+
+def rehashed(recorded_manifest, command, edit, run):
+    """A manifest with a valid hash over the recorded args changed by
+    ``edit``, as a hand edit or another build could leave one."""
+    payload = json.loads(recorded_manifest.read_text())
+    run.mkdir()
+    data = payload["args"]["data"] if payload["data_sha256"] else None
+    write_manifest(run, command, {**payload["args"], **edit}, data)
+    return run / "manifest.json"
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        # the six that ended in a TypeError traceback, or ran
+        ("simulate", "m_cap", "12"),
+        ("simulate", "retrain_period", "x"),
+        ("simulate", "theta", "0.5"),
+        ("simulate", "pretrain_weeks", 4.0),
+        ("simulate", "seed", 1.5),
+        ("simulate", "rounds", True),
+        ("simulate", "data", 5),
+        ("simulate", "format", 5),
+        ("simulate", "k_cap", None),
+        ("simulate", "strategy_g", 5),
+        ("simulate", "scorer_f", ["text"]),
+        ("simulate", "learn_acceptance", 1),
+        ("full-info", "data", None),
+        ("full-info", "format", ["csv"]),
+        ("full-info", "pretrain_weeks", "4"),
+        ("full-info", "k", 3.0),
+        ("full-info", "rounds", False),
+        ("full-info", "seed", "3"),
+        ("full-info", "heuristics", "mpp"),
+        ("eurr", "asym_dir", 1),
+        ("eurr", "full_dir", None),
+        ("analyze", "data", ["x"]),
+        ("analyze", "format", 0),
+        ("report", "asym_dir", None),
+        ("report", "full_dir", 2),
+        ("report", "paired", "yes"),
+        ("report", "alpha", "0.05"),
+    ],
+)
+def test_manifest_values_of_the_wrong_type_are_refused(recorded, tmp_path, capsys, command, key, value):
+    path = rehashed(recorded[command], command, {key: value}, tmp_path / "run")
+    out = tmp_path / "out"
+    assert main([command, "--manifest", str(path), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err
+    assert not out.exists()
+
+
+def test_manifest_value_messages():
+    # one for each kind of check, as the error line reads
+    cases = [
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("rounds", True, "rounds must be an integer, got True"),
+        ("theta", "0.5", "theta must be a float, got '0.5'"),
+        ("learn_acceptance", 1, "learn_acceptance must be true or false, got 1"),
+        ("strategy_g", 5, "strategy_g must be a string, got 5"),
+        ("format", 5, "format must be a string or null, got 5"),
+        ("heuristics", "mpp", "heuristics must be a list of names, got 'mpp'"),
+        ("scorer_f", ["text"], "scorer_f must be a string, got ['text']"),
+        ("alpha", "0.05", "alpha must be a float, got '0.05'"),
+    ]
+    for key, value, message in cases:
+        with pytest.raises(ConfigError) as err:
+            RUN_VALUES[key].check(key, value, {"scorer_f": "text"})
+        assert str(err.value) == message
+
+
+# one argument list for each run flag of each run command, and --config
+RUN_FLAGS = {
+    "simulate": [
+        ["--data", "d.jsonl"], ["--format", "csv"], ["--pretrain-weeks", "4"], ["--m-cap", "6"],
+        ["--k-cap", "3"], ["--rounds", "5"], ["--retrain-period", "3"], ["--theta", "0.5"],
+        ["--seed", "7"], ["--strategy", "random"], ["--scorer", "precomputed"], ["--no-learning"],
+        ["--config", "run.cfg"],
+    ],
+    "full-info": [
+        ["--data", "d.jsonl"], ["--format", "jsonl"], ["--pretrain-weeks", "4"], ["--k", "3"],
+        ["--rounds", "5"], ["--seed", "7"], ["--heuristics", "mpp"], ["--config", "run.cfg"],
+    ],
+    "eurr": [["--asym-dir", "a"], ["--full-dir", "f"]],
+    "analyze": [["--data", "d.jsonl"], ["--format", "csv"]],
+    "report": [["--asym-dir", "a"], ["--full-dir", "f"], ["--welch"], ["--alpha", "0.05"]],
+}
+
+
+def test_run_flags_cover_every_run_value():
+    for command, flags in RUN_FLAGS.items():
+        keys, _ = RUN_COMMANDS[command]
+        expected = [RUN_VALUES[key].flag for key in keys]
+        if any(RUN_VALUES[key].config for key in keys):
+            expected.append("--config")
+        assert [args[0] for args in flags] == expected, command
+
+
+@pytest.mark.parametrize(
+    "command, flags, named",
+    [
+        *(
+            pytest.param(command, args, args[0], id=f"{command} {args[0]}")
+            for command, flag_list in RUN_FLAGS.items()
+            for args in flag_list
+        ),
+        # named in the order the command declares them
+        pytest.param(
+            "simulate", ["--seed", "7", "--strategy", "random", "--m-cap", "30"],
+            "--m-cap, --seed, --strategy", id="simulate three flags",
+        ),
+    ],
+)
+def test_manifest_refuses_run_flags_and_config(recorded, tmp_path, capsys, command, flags, named):
+    out = tmp_path / "out"
+    rc = main([command, "--manifest", str(recorded[command]), *flags, "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: --manifest reruns the recorded values and takes no {named}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, config",
+    [
+        (
+            "simulate",
+            [
+                "--pretrain-weeks", "4", "--rounds", "5", "--m-cap", "6", "--k-cap", "3",
+                "--retrain-period", "3", "--seed", "3", "--theta", "0.5", "--strategy", "utility",
+                "--scorer", "text", "--no-learning",
+            ],
+            "pretrain_weeks = 4\nrounds = 5\nm_cap = 6\nk_cap = 3\nretrain_period = 3\n"
+            "seed = 3\ntheta = 0.5\nstrategy_g = utility\nscorer_f = text\nlearn_acceptance = no\n",
+        ),
+        (
+            "full-info",
+            ["--pretrain-weeks", "4", "--rounds", "5", "--k", "3", "--seed", "3", "--heuristics", "maxsp,mpp"],
+            "pretrain_weeks = 4\nrounds = 5\nk = 3\nseed = 3\nheuristics = maxsp, mpp\n",
+        ),
+    ],
+)
+def test_flags_config_file_and_manifest_record_the_same_args(pipeline, tmp_path, command, flags, config):
+    _, data, _, _ = pipeline
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    by_flags, by_config, by_manifest = tmp_path / "flags", tmp_path / "config", tmp_path / "manifest"
+    assert main([command, "--data", str(data), *flags, "--out-dir", str(by_flags)]) == 0
+    assert main([command, "--data", str(data), "--config", str(cfg), "--out-dir", str(by_config)]) == 0
+    rc = main([command, "--manifest", str(by_flags / "manifest.json"), "--out-dir", str(by_manifest)])
+    assert rc == 0
+    manifests = [json.loads((run / "manifest.json").read_text()) for run in (by_flags, by_config, by_manifest)]
+    assert manifests[0]["args"] == manifests[1]["args"] == manifests[2]["args"]
+    assert manifests[0] == manifests[1] == manifests[2]

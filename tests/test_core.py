@@ -112,7 +112,7 @@ def test_ledger_accumulates_left_to_right():
     assert ledger.cum_u_g == (0.0, 1.0, 3.0, 6.0, 10.0)
     assert ledger.total_u_g == 10.0
     assert ledger.total_u_f == 5.0
-    assert ledger.weekly_u_g() == [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert ledger.u_g == (0.0, 1.0, 2.0, 3.0, 4.0)
     assert ledger.weeks == (0, 1, 2, 3, 4)
     assert ledger.published_counts == (1, 1, 1, 1, 1)
     assert len(ledger) == 5

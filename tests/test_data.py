@@ -311,6 +311,23 @@ PINNED_ERRORS = {
         "data.csv line 3: timestamp is offset-aware but data.csv line 2's is "
         "naive; use one timestamp kind per file",
     ),
+    # numbers past the float range, which ended in an OverflowError
+    # without a location before they were refused here
+    "oversized u_g": (
+        [_bad(u_g=10**400)],
+        f"data.jsonl line 2: u_g {10**400} is not a finite number",
+        f"data.csv line 3: u_g '{10**400}' is not a finite number",
+    ),
+    "oversized forum_score": (
+        [_bad(forum_score=-(10**400))],
+        f"data.jsonl line 2: forum_score {-(10**400)} is not a finite number",
+        f"data.csv line 3: forum_score '{-(10**400)}' is not a finite number",
+    ),
+    "oversized view_count": (
+        [_bad(view_count=10**400)],
+        f"data.jsonl line 2: view_count {10**400} is too large for a float",
+        f"data.csv line 3: view_count {10**400} is too large for a float",
+    ),
     "duplicate before a malformed record": (
         [_bad(), record(0, "2024-01-01T02:00:00"), record(2, "2024-01-01T03:00:00", view_count="many")],
         "duplicate question id 'r0'",

@@ -275,7 +275,7 @@ def test_ledger_csv_round_trip_is_exact(tmp_path):
     assert table.outcomes == ()
     assert table.published_counts == ledger.published_counts
     assert table.weeks == tuple(o.week for o in ledger.outcomes)
-    assert table.u_g == tuple(ledger.weekly_u_g())
+    assert table.u_g == ledger.u_g
     assert table.cum_u_g == ledger.cum_u_g
     assert table.total_u_g == ledger.total_u_g
     assert table.total_u_f == ledger.total_u_f
