@@ -606,6 +606,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         missing = [key for key in keys if key not in run_args and not RUN_VALUES[key].optional]
         if missing:
             raise ConfigError(f"{args.manifest}: manifest args lack {', '.join(missing)}")
+        unknown = ", ".join(map(repr, sorted(set(run_args) - set(keys))))
+        if unknown:
+            raise ConfigError(f"{args.manifest}: {args.command} takes no {unknown}")
     else:
         for key in keys:
             if RUN_VALUES[key].default is _REQUIRED and key not in given:

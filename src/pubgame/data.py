@@ -205,6 +205,11 @@ def _records(path: Path, fmt: str) -> Iterator[tuple[int, dict]]:
                     rec = json.loads(line)
                 except json.JSONDecodeError as e:
                     raise SchemaError(f"{path.name} line {lineno}: bad JSON ({e.msg})")
+                except ValueError:  # int() refuses the integer's length
+                    raise SchemaError(
+                        f"{path.name} line {lineno}: bad JSON (an integer of more "
+                        f"than {sys.get_int_max_str_digits()} digits)"
+                    )
             if not isinstance(rec, dict):
                 raise SchemaError(f"{path.name} line {lineno}: expected an object")
             yield lineno, rec

@@ -5,12 +5,14 @@ The same stack serves two roles: the curator's publication scorer
 acceptance predictor (trained on its own submit/publish history).
 
 The stack reads tokenized documents: :func:`tokenize_rows` tokenizes
-each text once into int32 token-id rows (:class:`TokenRows`) over an
-append-only :class:`TokenTable`, and fitting, transforming and scoring
-all work on those rows.  A game run keeps one table, so a question it
-plays is tokenized once however often it is scored or retrained on.
-``fit``, ``transform``, ``predict_proba`` and ``train_acceptance`` also
-take a list of texts, which they tokenize into a new table on entry.
+each text once, by byte translation, into int32 token-id rows
+(:class:`TokenRows`) over an append-only :class:`TokenTable`, and
+fitting, transforming and scoring all work on those rows.  A game run
+keeps one table, so a question it plays is tokenized once however often
+it is scored or retrained on, and a featurizer maps each table entry to
+its column once.  ``fit``, ``transform``, ``predict_proba`` and
+``train_acceptance`` also take a list of texts, which they tokenize into
+a new table on entry.
 
 The recipe is fixed by the module constants ``MIN_TOKEN_LEN``, ``MIN_DF``
 and ``ALPHA``.  Models serialize to a small versioned JSON text format
@@ -22,9 +24,8 @@ from __future__ import annotations
 
 import json
 import math
-import re
-from array import array
-from itertools import repeat
+import weakref
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -39,19 +40,25 @@ MIN_TOKEN_LEN = 2
 MIN_DF = 2
 ALPHA = 1.0
 
-# tokens are maximal runs, so a run shorter than the minimum never
-# matches in part: this equals filtering [a-z0-9]+ runs by length
-_TOKEN = re.compile(f"[a-z0-9]{{{MIN_TOKEN_LEN},}}")
+# every byte but [a-z0-9] to a space; a character of the lower-cased
+# text outside ASCII is encoded as "?" first, so it separates tokens too
+_SEPARATE = bytes(c if c in b"abcdefghijklmnopqrstuvwxyz0123456789" else 32 for c in range(256))
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase alphanumeric runs of at least ``MIN_TOKEN_LEN`` chars."""
-    return _TOKEN.findall(text.lower())
+    text = text.lower().encode("ascii", "replace").translate(_SEPARATE).decode("ascii")
+    return [token for token in text.split() if len(token) >= MIN_TOKEN_LEN]
 
 
 class TokenTable(dict):
     """Token -> id, the ids 0, 1, 2, ... in insertion order.  Looking up
-    a token the table lacks appends it, so ids are never reassigned."""
+    a token the table lacks appends it, so ids are never reassigned.
+    ``columns`` holds each live featurizer's column of every entry."""
+
+    def __init__(self):
+        super().__init__()
+        self.columns = weakref.WeakKeyDictionary()
 
     def __missing__(self, token: str) -> int:
         self[token] = index = len(self)
@@ -98,13 +105,13 @@ def tokenize_rows(texts: Iterable[str], table: TokenTable | None = None) -> Toke
     table = TokenTable() if table is None else table
     lookup = table.__getitem__
     lengths = [0]
-    ids = array("i")
+    ids = []
     for text in texts:
         tokens = tokenize(text)
         lengths.append(len(tokens))
-        ids.extend(map(lookup, tokens))
+        ids += map(lookup, tokens)
     # ids are taken in text order and never held as token strings
-    return TokenRows(table, np.cumsum(lengths), np.frombuffer(ids, dtype=np.int32))
+    return TokenRows(table, np.cumsum(lengths), np.array(ids, dtype=np.int32))
 
 
 def _as_rows(docs: TokenRows | Sequence[str]) -> TokenRows:
@@ -153,18 +160,23 @@ def _row_sums(values: np.ndarray, indptr: np.ndarray, start: np.ndarray) -> np.n
     right onto ``start`` (shape (m,)), giving shape (m, rows).
 
     The sums are the ones a Python loop over each row's terms gives, bit
-    for bit: step j adds the j-th term of every row that has one.
+    for bit.  A grid of up to 256 rows whose term counts lie in [2**(e-1),
+    2**e) has a column per row: its start, its terms, then -0.0 (x + -0.0
+    is x), reduced down the columns; it is at most about twice the terms.
     """
     nnz = np.diff(indptr)
-    by_len = np.argsort(-nnz, kind="stable")
-    row_starts = indptr[:-1][by_len]
-    # rows with more than j terms form a prefix of by_len
-    alive = np.searchsorted(-nnz[by_len], -np.arange(nnz.max(initial=0)), side="left")
-    acc = np.repeat(start[:, None], len(nnz), axis=1)
-    for j, n_alive in enumerate(alive.tolist()):
-        acc[:, :n_alive] += values[:, row_starts[:n_alive] + j]
-    out = np.empty_like(acc)
-    out[:, by_len] = acc
+    out = np.repeat(start[:, None], len(nnz), axis=1)
+    group = np.frexp(nnz)[1] + 64 * (np.arange(len(nnz)) >> 8)
+    for g in np.flatnonzero(np.bincount(group[nnz > 0])).tolist():
+        rows = np.flatnonzero(group == g)
+        # an empty last column keeps the rows NumPy's fast axis, so it adds
+        # down each column in order (not pairwise), from -0.0, not 0.0
+        lengths = np.append(nnz[rows], 0)
+        j = np.arange(-1, lengths.max())[:, None]
+        grid = values.take(np.append(indptr[rows], 0) + j, axis=1, mode="clip")
+        grid[:, j >= lengths] = -0.0
+        grid[:, 0] = start[:, None]
+        out[:, rows] = np.add.reduce(grid, axis=1, initial=-0.0)[:, :-1]
     return out
 
 
@@ -176,19 +188,23 @@ def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     here each is dropped as soon as it is used, since ``keys`` can hold
     every token of a retrain's whole history.
     """
-    perm = np.argsort(keys, kind="stable")
+    perm = np.argsort(keys)
     ordered = keys[perm]
     head = np.ones(len(keys), dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
-    # a stable sort puts each value's first occurrence at the head of its run
-    first = perm[head]
-    del perm
-    distinct = ordered[head]
     del ordered
-    counts = np.diff(np.flatnonzero(head), append=len(keys))
-    by_first = np.argsort(first)
-    del first
-    return distinct[by_first], counts[by_first]
+    starts = np.flatnonzero(head)
+    # a value's first occurrence is the least position in its run; each
+    # run's count is put there, then read in position order
+    first = np.minimum.reduceat(perm, starts)
+    del perm, head
+    runs = np.diff(starts, append=len(keys))
+    del starts
+    counts = np.zeros(len(keys), dtype=np.int64)
+    counts[first] = runs
+    del first, runs
+    first = counts > 0
+    return keys[first], counts[first]
 
 
 class TextFeaturizer:
@@ -220,9 +236,7 @@ class TextFeaturizer:
         kept = sorted((tok, c) for tok, c in zip(rows.table, df) if c >= MIN_DF)
         vocabulary = {tok: i for i, (tok, _) in enumerate(kept)}
         n = len(rows)
-        idf = np.array(
-            [math.log((1 + n) / (1 + c)) + 1.0 for _, c in kept], dtype=np.float64
-        )
+        idf = np.array([math.log((1 + n) / (1 + c)) + 1.0 for _, c in kept], dtype=np.float64)
         return cls(vocabulary, idf)
 
     @property
@@ -231,13 +245,13 @@ class TextFeaturizer:
 
     def transform(self, docs: TokenRows | Sequence[str]) -> CsrRows:
         rows = _as_rows(docs)
-        # each table entry's column, -1 outside the vocabulary: one lookup
-        # per distinct token, then a gather per token
-        columns = np.fromiter(
-            map(self.vocabulary.get, rows.table, repeat(-1)),
-            dtype=np.int64,
-            count=len(rows.table),
-        )
+        # each table entry's column, -1 outside the vocabulary; a table only
+        # grows, so its map for this featurizer is extended, never rebuilt
+        columns = rows.table.columns.get(self, np.empty(0, np.int32))
+        if len(columns) < len(rows.table):
+            added = islice(rows.table, len(columns), None)
+            added = np.fromiter(map(self.vocabulary.get, added, repeat(-1)), np.int32)
+            columns = rows.table.columns[self] = np.concatenate([columns, added])
         flat = columns[rows.ids]
         # one key per (row, column) token, in document order; an empty
         # vocabulary keeps no token, and v = 1 keeps the arithmetic defined
@@ -312,9 +326,7 @@ class AcceptanceModel:
             return np.ones(len(docs), dtype=np.float64)
         assert self.featurizer is not None
         indptr, indices, data = self.featurizer.transform(docs)
-        s0, s1 = _row_sums(
-            data * self.feature_log_lik[:, indices], indptr, self.class_log_prior
-        )
+        s0, s1 = _row_sums(data * self.feature_log_lik[:, indices], indptr, self.class_log_prior)
         # math.exp, not np.exp, whose last bit can differ
         return np.array(
             [1.0 / (1.0 + math.exp(d)) for d in (s0 - s1).tolist()], dtype=np.float64

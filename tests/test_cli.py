@@ -1006,6 +1006,35 @@ def test_manifest_values_of_the_wrong_type_are_refused(recorded, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        # the one that reran with exit 0, carrying theta into its manifest
+        ("full-info", {"theta": 0.9}),
+        ("simulate", {"k": 3, "heuristics": ["mpp"]}),
+        ("eurr", {"data": "x.jsonl"}),
+        ("analyze", {"seed": 1}),
+        ("report", {"welch": True}),
+    ],
+)
+def test_manifest_keys_the_command_does_not_read_are_refused(
+    recorded, tmp_path, capsys, monkeypatch, command, extra
+):
+    path = rehashed(recorded[command], command, extra, tmp_path / "run")
+
+    def no_ingest(*args):
+        raise AssertionError("ingested")
+
+    monkeypatch.setattr(pubgame.cli, "ingest", no_ingest)
+    out = tmp_path / "out"
+    assert main([command, "--manifest", str(path), "--out-dir", str(out)]) == 1
+    names = ", ".join(map(repr, sorted(extra)))
+    assert capsys.readouterr().err == (
+        f"error: {path}: {command} takes no {names}\n"
+    )
+    assert not out.exists()
+
+
 def test_manifest_value_messages():
     # one for each kind of check, as the error line reads
     cases = [

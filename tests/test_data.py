@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 import tempfile
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
@@ -226,6 +227,15 @@ def _bad(**kw):
     return record(1, kw.pop("ts", "2024-01-01T01:00:00"), **kw)
 
 
+_LONG_DIGITS = 5001
+
+
+def _long_integer_line(name):
+    """A raw JSONL record whose ``name`` is an integer of
+    ``_LONG_DIGITS`` nines, which json.dumps would refuse to write."""
+    return json.dumps(_bad(**{name: "LONG"})).replace('"LONG"', "9" * _LONG_DIGITS) + "\n"
+
+
 _UG_REMEDY = (
     "missing proposer utility 'u_g'; supply the column or map one via the run "
     "configuration before ingesting"
@@ -327,6 +337,27 @@ PINNED_ERRORS = {
         [_bad(view_count=10**400)],
         f"data.jsonl line 2: view_count {10**400} is too large for a float",
         f"data.csv line 3: view_count {10**400} is too large for a float",
+    ),
+    # integers longer than int() reads, which let a ValueError without a
+    # location escape the JSON reader before they were refused here
+    **{
+        f"{_LONG_DIGITS} digit {name}": (
+            [_long_integer_line(name)],
+            f"data.jsonl line 2: bad JSON (an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits)",
+            None,
+        )
+        for name in ("u_g", "view_count")
+    },
+    f"{_LONG_DIGITS} digit string u_g": (
+        [_bad(u_g="9" * _LONG_DIGITS)],
+        f"data.jsonl line 2: u_g '{'9' * _LONG_DIGITS}' is not a finite number",
+        f"data.csv line 3: u_g '{'9' * _LONG_DIGITS}' is not a finite number",
+    ),
+    f"{_LONG_DIGITS} digit string view_count": (
+        [_bad(view_count="9" * _LONG_DIGITS)],
+        f"data.jsonl line 2: view_count '{'9' * _LONG_DIGITS}' is not an integer",
+        f"data.csv line 3: view_count '{'9' * _LONG_DIGITS}' is not an integer",
     ),
     "duplicate before a malformed record": (
         [_bad(), record(0, "2024-01-01T02:00:00"), record(2, "2024-01-01T03:00:00", view_count="many")],

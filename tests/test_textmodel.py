@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import random
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ from pubgame import (
     tokenize_rows,
     train_acceptance,
 )
+from pubgame import textmodel
 from pubgame.errors import SchemaError
 from pubgame.textmodel import MODEL_FORMAT, MODEL_VERSION
 
@@ -426,3 +429,139 @@ def test_an_empty_batch_is_falsy_and_scores_nothing():
     model = train_acceptance(*texts_labels(HISTORY))
     assert model.predict_proba(rows).shape == (0,)
     assert AcceptanceModel().predict_proba(rows).shape == (0,)
+
+
+# Characters whose lower case or encoding trips a byte-level tokenizer:
+# the Kelvin sign (lower-cases to "k"), dotted capital I (to "i" and a
+# combining dot), sharp s, capital sigma, fullwidth A, dotless i, an
+# emoji and a lone surrogate.
+_TRICKY = "KİßΣＡı\U0001f600\ud800"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet=st.sampled_from(_TRICKY + "aZ9 _-.\t\n"))))
+def test_tokenize_matches_the_reference_over_any_text(text):
+    assert tokenize(text) == ref_tokenize(text)
+
+
+def test_tokenize_of_the_tricky_characters():
+    assert tokenize("Key İd straße Σx Ａbc ıx ok\U0001f600ok a\ud800bc") == [
+        "key", "stra", "bc", "ok", "ok", "bc",
+    ]
+    # the Kelvin sign and the i of the dotted capital make one token
+    assert tokenize(_TRICKY) == ["ki"]
+
+
+def _ref_row_sums(values, indptr, start):
+    """The per-row sums of ``textmodel._row_sums`` by a Python loop."""
+    out = np.empty((len(start), len(indptr) - 1))
+    for i, s in enumerate(start.tolist()):
+        for r, (a, b) in enumerate(zip(indptr[:-1].tolist(), indptr[1:].tolist())):
+            acc = s
+            for term in values[i, a:b].tolist():
+                acc = acc + term
+            out[i, r] = acc
+    return out
+
+
+# magnitudes far apart, so the order of the additions shows in the sums
+_terms = st.one_of(
+    st.floats(-1e16, 1e16), st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 1e-300])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2), st.lists(st.integers(0, 12), max_size=9), st.data())
+def test_row_sums_match_a_python_loop_bit_for_bit(m, lengths, data):
+    # an empty batch, rows without terms, one row, and rows of different
+    # powers of two, each summed for m = 1 or 2
+    nnz = sum(lengths)
+    terms = st.lists(_terms, min_size=nnz, max_size=nnz)
+    values = np.array(data.draw(st.lists(terms, min_size=m, max_size=m)), dtype=np.float64)
+    values = values.reshape(m, nnz)
+    start = np.array(data.draw(st.lists(_terms, min_size=m, max_size=m)), dtype=np.float64)
+    indptr = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
+    got = textmodel._row_sums(values, indptr, start)
+    assert got.shape == (m, len(lengths))
+    assert got.tobytes() == _ref_row_sums(values, indptr, start).tobytes()
+
+
+def test_row_sums_keep_the_sign_of_zero():
+    # -0.0 + -0.0 is -0.0, and 0.0 anywhere in the sum would make it 0.0;
+    # the rows of 2 and 3 terms share a grid, so the first is padded
+    indptr = np.array([0, 0, 1, 3, 6])
+    values = np.full((2, 6), -0.0)
+    start = np.array([-0.0, 0.0])
+    got = textmodel._row_sums(values, indptr, start)
+    assert got.tobytes() == _ref_row_sums(values, indptr, start).tobytes()
+    assert np.signbit(got).tolist() == [[True] * 4, [False] * 4]
+
+
+def test_row_sums_of_long_rows_and_many_rows():
+    # rows past one grid's 256 and term counts across several powers of two
+    rng = np.random.default_rng(3)
+    lengths = rng.integers(0, 300, 600)
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    values = rng.standard_normal((2, indptr[-1])) * 10.0 ** rng.integers(-8, 8, (2, indptr[-1]))
+    start = np.array([-0.5, -2.0])
+    assert textmodel._row_sums(values, indptr, start).tobytes() == (
+        _ref_row_sums(values, indptr, start).tobytes()
+    )
+
+
+def _ref_first_occurrences(keys):
+    counts = {}
+    for key in keys.tolist():
+        counts[key] = counts.get(key, 0) + 1
+    return np.array(list(counts), dtype=np.int64), np.array(list(counts.values()), dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(0, 3), max_size=60),
+        st.lists(st.integers(-(2**63), 2**63 - 1), max_size=30),
+        st.lists(st.sampled_from([-(2**63), -1, 0, 7, 2**63 - 1]), max_size=40),
+    )
+)
+def test_first_occurrences_match_a_dict_bit_for_bit(keys):
+    keys = np.array(keys, dtype=np.int64)
+    distinct, counts = textmodel._first_occurrences(keys)
+    ref_distinct, ref_counts = _ref_first_occurrences(keys)
+    assert distinct.dtype == counts.dtype == np.int64
+    assert np.array_equal(distinct, ref_distinct) and np.array_equal(counts, ref_counts)
+
+
+def _same_csr(a, b):
+    return all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_docs(), min_size=1, max_size=8), st.lists(_score_batches, min_size=1, max_size=4))
+def test_a_featurizer_never_serves_stale_columns(corpus, batches):
+    # a table that grows between calls, and a second table used by turns
+    feat = TextFeaturizer.fit(corpus)
+    grown, other = TokenTable(), TokenTable()
+    for batch in batches:
+        for table in (grown, other):
+            rows = tokenize_rows(batch[::-1] if table is other else batch, table)
+            fresh = TextFeaturizer(feat.vocabulary, feat.idf)
+            assert _same_csr(feat.transform(rows), fresh.transform(rows))
+            assert _same_csr(feat.transform(rows), feat.transform(rows.take(range(len(rows)))))
+    assert len(grown.columns.get(feat, ())) == len(grown)
+
+
+def test_a_column_map_lives_no_longer_than_its_table_or_featurizer():
+    feat = TextFeaturizer.fit(CORPUS)
+    table = TokenTable()
+    feat.transform(tokenize_rows(["aa zz", "bb"], table))
+    assert table.columns[feat].tolist() == [0, -1, 1]
+    ref = weakref.ref(table)
+    del table
+    gc.collect()
+    assert ref() is None
+    table = TokenTable()
+    feat.transform(tokenize_rows(["cc"], table))
+    del feat
+    gc.collect()
+    assert len(table.columns) == 0
