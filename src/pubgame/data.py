@@ -34,6 +34,8 @@ REQUIRED_FIELDS = ("id", "timestamp", "domain", "title", "body", "view_count", "
 _required = itemgetter(*REQUIRED_FIELDS)
 # a view count is divided as a float when its curator utility is set
 _MAX_VIEWS = int(sys.float_info.max)
+# the longest repr of a refused value that a message echoes whole
+_ECHO_CHARS = 40
 
 # synthetic marginals and text mixture; view spread is deliberately much
 # heavier than utility spread so per-item products are view-dominated,
@@ -48,6 +50,8 @@ COMMON_TOKEN_P = 0.2
 TOPIC_PURITY = 0.75
 
 _SYNTH_EPOCH = date(2024, 1, 1)  # a Monday, ISO week 2024-W01
+# json.dumps(rec, sort_keys=True), without building an encoder per record
+_encode_record = json.JSONEncoder(sort_keys=True).encode
 
 
 @dataclass(frozen=True)
@@ -107,6 +111,15 @@ class SyntheticSpec:
             raise ValueError("topic_effect must be >= 0")
 
 
+def _echo(value) -> str:
+    """The repr of a value an error message names, cut after
+    ``_ECHO_CHARS`` characters, then followed by its full length."""
+    text = repr(value)
+    if len(text) <= _ECHO_CHARS:
+        return text
+    return f"{text[:_ECHO_CHARS]}... ({len(text)} characters)"
+
+
 def _finite(raw, name: str) -> float:
     try:
         # float(True) is 1.0: a JSON boolean is not a number here
@@ -114,11 +127,11 @@ def _finite(raw, name: str) -> float:
             raise TypeError
         value = float(raw)
     except (TypeError, ValueError):
-        raise SchemaError(f"{name} {raw!r} is not a number")
+        raise SchemaError(f"{name} {_echo(raw)} is not a number")
     except OverflowError:  # an int past the float range, as a string past it reads inf
         value = math.inf
     if not math.isfinite(value):
-        raise SchemaError(f"{name} {raw!r} is not a finite number")
+        raise SchemaError(f"{name} {_echo(raw)} is not a finite number")
     return value
 
 
@@ -146,20 +159,24 @@ def _read_record(rec: dict) -> tuple[datetime, tuple]:
     try:
         stamp = datetime.fromisoformat(str(raw_stamp))
     except ValueError:
-        raise SchemaError(f"bad timestamp {str(raw_stamp)!r}; expected ISO-8601")
+        raise SchemaError(f"bad timestamp {_echo(str(raw_stamp))}; expected ISO-8601")
     if type(views) is not int or not 0 <= views <= _MAX_VIEWS:
         try:
-            if isinstance(views, bool) or (
-                isinstance(views, float) and not views.is_integer()
+            # a string counts only in ASCII digits: int() would also take
+            # signs, padding, underscores and other scripts' digits
+            if (
+                isinstance(views, bool)
+                or (isinstance(views, float) and not views.is_integer())
+                or (isinstance(views, str) and not (views.isascii() and views.isdigit()))
             ):
                 raise ValueError
             views = int(views)
         except (TypeError, ValueError):
-            raise SchemaError(f"view_count {views!r} is not an integer")
+            raise SchemaError(f"view_count {_echo(views)} is not an integer")
         if views < 0:
             raise SchemaError("view_count must be >= 0")
         if views > _MAX_VIEWS:
-            raise SchemaError(f"view_count {views} is too large for a float")
+            raise SchemaError(f"view_count {_echo(views)} is too large for a float")
     if type(u_g) is not float or not 0.0 <= u_g < math.inf:
         u_g = _finite(u_g, "u_g")
         if u_g < 0:
@@ -249,7 +266,7 @@ def ingest(path: str | Path, fmt: str | None = None) -> Dataset:
             raise SchemaError(f"{path.name} line {lineno}: {e}") from None
         qid, domain = fields[0], fields[1]
         if qid in seen:
-            raise SchemaError(f"duplicate question id {qid!r}")
+            raise SchemaError(f"duplicate question id {_echo(qid)}")
         # naive and offset-aware datetimes do not compare, so one file
         # holds one kind; fromisoformat gives an offset with any tzinfo
         aware = stamp.tzinfo is not None
@@ -449,13 +466,14 @@ def write_jsonl(dataset: Dataset, path: str | Path) -> None:
     path = Path(path)
     lines = []
     for pool in dataset.pools:
-        stamp = datetime.combine(
-            _SYNTH_EPOCH + timedelta(weeks=pool.week), datetime.min.time()
-        ) + timedelta(hours=12)
+        stamp = (
+            datetime.combine(_SYNTH_EPOCH + timedelta(weeks=pool.week), datetime.min.time())
+            + timedelta(hours=12)
+        ).isoformat()
         for q in pool.questions:
             rec = {
                 "id": q.id,
-                "timestamp": stamp.isoformat(),
+                "timestamp": stamp,
                 "domain": q.domain,
                 "title": q.title,
                 "body": q.body,
@@ -464,5 +482,5 @@ def write_jsonl(dataset: Dataset, path: str | Path) -> None:
             }
             if q.forum_score is not None:
                 rec["forum_score"] = q.forum_score
-            lines.append(json.dumps(rec, sort_keys=True))
+            lines.append(_encode_record(rec))
     path.write_text("\n".join(lines) + "\n")

@@ -9,9 +9,10 @@ positions into the proposal.  A run tokenizes each text it scores once,
 into one token table: the rows built for the proposer's scoring serve
 the curator's scoring and the history every retrain fits on.  The
 full-information loop selects directly from the whole weekly pool with
-one of the joint heuristics, providing the denominators for estimated
-utility recovery; :func:`exact_urr` computes the exact counterpart by
-oracle enumeration where feasible.  Both loops record a round with
+one of the joint heuristics, run on the week's two value columns,
+providing the denominators for estimated utility recovery;
+:func:`exact_urr` computes the exact counterpart by oracle enumeration
+where feasible.  Both loops record a round with
 :meth:`~pubgame.core.SelectionOutcome.of`, and every loop takes a
 :class:`~pubgame.data.Dataset`.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 import csv
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Mapping
 
@@ -38,9 +40,9 @@ from .data import Dataset, _finite
 from .errors import ConfigError, SchemaError
 from .nash_opt import (
     DEFAULT_ENUMERATION_BUDGET,
-    BilinearInstance,
+    COLUMN_RULES,
     HEURISTICS,
-    heuristic_random,
+    BilinearInstance,
     oracle_exact,
 )
 from .strategies import (
@@ -59,9 +61,14 @@ EURR_NOTE = (
 )
 
 
-def _pool_instance(pool: RoundPool, k: int) -> BilinearInstance:
-    items = tuple((q.u_g, q.u_f_norm) for q in pool.questions)
-    return BilinearInstance(items=items, k=min(k, len(items)))
+def _value_columns(pool: RoundPool) -> tuple[np.ndarray, np.ndarray]:
+    """The week's proposer and curator values, ``u_g`` and ``u_f_norm``,
+    as float64 columns in pool order."""
+    qs = pool.questions
+    return (
+        np.fromiter(map(attrgetter("u_g"), qs), np.float64, len(qs)),
+        np.fromiter(map(attrgetter("u_f_norm"), qs), np.float64, len(qs)),
+    )
 
 
 def run_asymmetric(dataset: Dataset, config: GameConfig, scorer: ForumScorer) -> GameLedger:
@@ -127,23 +134,28 @@ def run_full_information(
 ) -> GameLedger:
     """Select k jointly visible questions per week with one heuristic.
 
-    The random heuristic reseeds per round from ``seed`` and the round
-    index, so trajectories are reproducible and rounds independent.
+    Each week's rule runs on the pool's two value columns, with k capped
+    at the pool size.  The random heuristic reseeds per round from
+    ``seed`` and the round index, so trajectories are reproducible and
+    rounds independent.
     """
     if heuristic not in HEURISTICS:
         raise ConfigError(
             f"unknown heuristic {heuristic!r}; expected one of "
             f"{', '.join(HEURISTICS)}"
         )
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
     if rounds is not None and dataset.n_weeks < rounds:
         raise ConfigError(f"need {rounds} weeks, dataset has {dataset.n_weeks}")
+    rule = COLUMN_RULES[heuristic]
     outcomes = []
     for t, pool in enumerate(dataset.pools[:rounds]):
-        instance = _pool_instance(pool, k)
+        f, g = _value_columns(pool)
         if heuristic == "random":
-            chosen = heuristic_random(instance, f"{seed}-{t}")
+            chosen = rule(f, g, min(k, len(f)), f"{seed}-{t}")
         else:
-            chosen = HEURISTICS[heuristic](instance)
+            chosen = rule(f, g, min(k, len(f)))
         selected = [pool.questions[i] for i in chosen]
         outcomes.append(SelectionOutcome.of(pool.week, selected, selected))
     return GameLedger.from_outcomes(outcomes)
@@ -197,7 +209,9 @@ def exact_urr(
         )
     star_g = star_f = 0.0
     for pool in dataset.pools:
-        result = oracle_exact(_pool_instance(pool, k), budget=budget)
+        f, g = _value_columns(pool)
+        instance = BilinearInstance(tuple(zip(f.tolist(), g.tolist())), min(k, len(f)))
+        result = oracle_exact(instance, budget=budget)
         u_g, u_f = utility_of_set(pool.questions[i] for i in result.indices)
         star_g += u_g
         star_f += u_f

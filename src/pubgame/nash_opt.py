@@ -10,7 +10,10 @@ constrained subset sum into it, which also serves as a generator of
 test instances with known answers.  :func:`oracle_exact` solves small
 instances by enumeration, :func:`oracle_dp` by dynamic programming over
 integer f-sums; the ``heuristic_*`` functions are the polynomial-time
-selection rules the simulator uses at scale.
+selection rules the simulator uses at scale.  Each rule is written once,
+on two float64 value columns (f, g) and a cap k; ``COLUMN_RULES`` names
+them for the full-information loop, and ``HEURISTICS`` runs each on the
+float64 image of a :class:`BilinearInstance`.
 
 Exactness: integer and Fraction-valued instances are evaluated in exact
 arithmetic (Fractions are rescaled to integers internally); float
@@ -25,6 +28,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -258,7 +262,9 @@ def oracle_dp(instance: BilinearInstance) -> OracleResult:
 def _as_float_arrays(instance: BilinearInstance) -> np.ndarray:
     """The rows fs and gs in float64, rounded as float() rounds ints, big
     ints and Fractions."""
-    return np.array(instance.items, dtype=np.float64).T
+    n = instance.n
+    flat = np.fromiter(chain.from_iterable(instance.items), np.float64, 2 * n)
+    return flat.reshape(n, 2).T
 
 
 def top_k(keys: np.ndarray, k: int) -> np.ndarray:
@@ -269,45 +275,55 @@ def top_k(keys: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-keys, kind="stable")[:k]
 
 
-def heuristic_mpp(instance: BilinearInstance) -> tuple[int, ...]:
-    """Alternating picks: each side in turn takes its own argmax item.
+def heuristic_mpp(f: np.ndarray, g: np.ndarray, k: int) -> tuple[int, ...]:
+    """Alternating picks: each side in turn takes its own argmax item
+    among those not yet taken.
 
-    The proposer side (f) moves first; ties go to the lowest index.
+    The proposer side (f) moves first; ties go to the lowest index.  A
+    side's next pick is the first untaken position of its own
+    :func:`top_k` order.  Each side makes at most ceil(k/2) picks and
+    passes over at most floor(k/2) items the other side took, so the
+    first k positions of each order suffice.
     """
-    fs, gs = _as_float_arrays(instance)
-    taken = np.zeros(instance.n, dtype=bool)
-    chosen: list[int] = []
-    for turn in range(instance.k):
-        scores = (fs if turn % 2 == 0 else gs).copy()
-        scores[taken] = -1.0
-        i = int(np.argmax(scores))
-        taken[i] = True
-        chosen.append(i)
-    return tuple(sorted(chosen))
+    orders = (top_k(f, k).tolist(), top_k(g, k).tolist())
+    cursors = [0, 0]
+    taken: set[int] = set()
+    for turn in range(k):
+        side = turn % 2
+        order, c = orders[side], cursors[side]
+        while order[c] in taken:
+            c += 1
+        taken.add(order[c])
+        cursors[side] = c + 1
+    return tuple(sorted(taken))
 
 
-def heuristic_maxsp(instance: BilinearInstance) -> tuple[int, ...]:
+def heuristic_maxsp(f: np.ndarray, g: np.ndarray, k: int) -> tuple[int, ...]:
     """Top k items by the per-item value product f_i * g_i."""
-    fs, gs = _as_float_arrays(instance)
-    return tuple(sorted(top_k(fs * gs, instance.k).tolist()))
+    return tuple(sorted(top_k(f * g, k).tolist()))
 
 
-def heuristic_greedy_np(instance: BilinearInstance) -> tuple[int, ...]:
+def heuristic_greedy_np(f: np.ndarray, g: np.ndarray, k: int) -> tuple[int, ...]:
     """Greedy Nash-product ascent: repeatedly add the item that yields
-    the largest objective after insertion.
+    the largest objective after insertion, the first index on ties.
 
     The first pick coincides with MaxSP's best item since both sums
-    start at zero.
+    start at zero.  Each sum adds the picked values left to right from
+    0.0.
     """
-    fs, gs = _as_float_arrays(instance)
-    taken = np.zeros(instance.n, dtype=bool)
+    fs, gs = f.tolist(), g.tolist()
+    n = len(fs)
+    scores, g_after = np.empty(n), np.empty(n)
+    taken = np.zeros(n, dtype=bool)
     chosen: list[int] = []
-    f_sum = 0.0
-    g_sum = 0.0
-    for _ in range(instance.k):
-        scores = (f_sum + fs) * (g_sum + gs)
-        scores[taken] = -1.0
-        i = int(np.argmax(scores))
+    f_sum = g_sum = 0.0
+    for _ in range(k):
+        np.add(f, f_sum, scores)
+        np.add(g, g_sum, g_after)
+        np.multiply(scores, g_after, scores)
+        # below every score: values, and so products, are never negative
+        np.putmask(scores, taken, -1.0)
+        i = int(scores.argmax())
         taken[i] = True
         chosen.append(i)
         f_sum += fs[i]
@@ -315,13 +331,33 @@ def heuristic_greedy_np(instance: BilinearInstance) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
-def heuristic_random(instance: BilinearInstance, seed: int | str = 0) -> tuple[int, ...]:
-    """Uniform random k-subset from a seeded generator."""
-    rng = random.Random(seed)
-    return tuple(sorted(rng.sample(range(instance.n), instance.k)))
+def heuristic_random(
+    f: np.ndarray, g: np.ndarray, k: int, seed: int | str = 0
+) -> tuple[int, ...]:
+    """Uniform random k-subset of the len(f) items from a seeded
+    generator; the values take no part."""
+    return tuple(sorted(random.Random(seed).sample(range(len(f)), k)))
 
 
+# The rules above take two float64 value columns, f for the proposer and
+# g for the curator, and a cap k at most their length; they return
+# ascending positions.  The entries below take a BilinearInstance of any
+# value type, and run the rule on its float64 image.  Each names its rule
+# at call time, so a wrapper installed on a rule's module name also sees
+# the calls made through an instance.
 HEURISTICS = {
+    "mpp": lambda instance: heuristic_mpp(*_as_float_arrays(instance), instance.k),
+    "maxsp": lambda instance: heuristic_maxsp(*_as_float_arrays(instance), instance.k),
+    "greedy_np": lambda instance: heuristic_greedy_np(
+        *_as_float_arrays(instance), instance.k
+    ),
+    "random": lambda instance, seed=0: heuristic_random(
+        *_as_float_arrays(instance), instance.k, seed
+    ),
+}
+
+# the column rules by heuristic name, as the full-information loop runs them
+COLUMN_RULES = {
     "mpp": heuristic_mpp,
     "maxsp": heuristic_maxsp,
     "greedy_np": heuristic_greedy_np,

@@ -238,6 +238,46 @@ def _ref_enumerate_objects(fs, gs, k):
 # draws in the same order, each token looked up in its topic's word list.
 
 
+def _ref_first_argmax(scores, taken):
+    """The first index of the largest score outside ``taken``."""
+    best = None
+    for i, score in enumerate(scores):
+        if i not in taken and (best is None or score > scores[best]):
+            best = i
+    return best
+
+
+def ref_heuristic_mpp(fs, gs, k):
+    """Alternating turns, f first: each side takes its largest untaken
+    value."""
+    taken = []
+    for turn in range(k):
+        taken.append(_ref_first_argmax(gs if turn % 2 else fs, taken))
+    return tuple(sorted(taken))
+
+
+def ref_heuristic_maxsp(fs, gs, k):
+    """k turns, each taking the largest untaken product f * g."""
+    products = [f * g for f, g in zip(fs, gs)]
+    taken = []
+    for _ in range(k):
+        taken.append(_ref_first_argmax(products, taken))
+    return tuple(sorted(taken))
+
+
+def ref_heuristic_greedy_np(fs, gs, k):
+    """k turns, each taking the untaken item with the largest product of
+    sums after it is added; sums run left to right from 0.0."""
+    taken = []
+    f_sum = g_sum = 0.0
+    for _ in range(k):
+        i = _ref_first_argmax([(f_sum + f) * (g_sum + g) for f, g in zip(fs, gs)], taken)
+        taken.append(i)
+        f_sum += fs[i]
+        g_sum += gs[i]
+    return tuple(sorted(taken))
+
+
 def ref_generate_synthetic(spec):
     """Pools of ``generate_synthetic(spec)``."""
     r = 2.0 * math.sin(math.pi * spec.utility_correlation / 6.0)
@@ -299,11 +339,18 @@ def ref_generate_synthetic(spec):
 # location built before it is checked.
 
 
+def _ref_echo(value) -> str:
+    """A value as a message names it: its repr, or past 40 characters
+    the first 40 and the full length."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + f"... ({len(text)} characters)"
+
+
 def _ref_parse_timestamp(raw: str, where: str) -> datetime:
     try:
         return datetime.fromisoformat(raw)
     except (TypeError, ValueError):
-        raise SchemaError(f"{where}: bad timestamp {raw!r}; expected ISO-8601")
+        raise SchemaError(f"{where}: bad timestamp {_ref_echo(raw)}; expected ISO-8601")
 
 
 def _ref_finite(raw, name: str, where: str) -> float:
@@ -313,9 +360,9 @@ def _ref_finite(raw, name: str, where: str) -> float:
             raise TypeError
         value = float(raw)
     except (TypeError, ValueError):
-        raise SchemaError(f"{where}: {name} {raw!r} is not a number")
+        raise SchemaError(f"{where}: {name} {_ref_echo(raw)} is not a number")
     if not math.isfinite(value):
-        raise SchemaError(f"{where}: {name} {raw!r} is not a finite number")
+        raise SchemaError(f"{where}: {name} {_ref_echo(raw)} is not a finite number")
     return value
 
 
@@ -339,9 +386,11 @@ def _ref_read_record(rec: dict, where: str) -> tuple[datetime, tuple]:
             isinstance(views, float) and not views.is_integer()
         ):
             raise ValueError
+        if isinstance(views, str) and not re.fullmatch("[0-9]+", views):
+            raise ValueError
         view_count = int(views)
     except (TypeError, ValueError):
-        raise SchemaError(f"{where}: view_count {views!r} is not an integer")
+        raise SchemaError(f"{where}: view_count {_ref_echo(views)} is not an integer")
     if view_count < 0:
         raise SchemaError(f"{where}: view_count must be >= 0")
     u_g = _ref_finite(rec["u_g"], "u_g", where)
@@ -431,7 +480,7 @@ def ref_ingest(path: str | Path, fmt: str | None = None) -> data.Dataset:
         stamp, fields = _ref_read_record(row, where)
         qid, domain = fields[:2]
         if qid in seen:
-            raise SchemaError(f"duplicate question id {qid!r}")
+            raise SchemaError(f"duplicate question id {_ref_echo(qid)}")
         # naive and offset-aware datetimes do not compare, so one file
         # holds one kind
         aware = stamp.utcoffset() is not None

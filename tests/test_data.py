@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import sys
 import tempfile
@@ -23,7 +24,7 @@ from pubgame import (
     write_jsonl,
 )
 
-from helpers import mk_pool, ref_generate_synthetic, ref_ingest
+from helpers import mk_pool, mk_week, ref_generate_synthetic, ref_ingest
 
 
 def record(i, ts, **kw):
@@ -277,13 +278,22 @@ PINNED_ERRORS = {
     "negative view_count": (
         [_bad(view_count=-3)],
         "data.jsonl line 2: view_count must be >= 0",
-        "data.csv line 3: view_count must be >= 0",
+        "data.csv line 3: view_count '-3' is not an integer",
     ),
     "string view_count": (
         [_bad(view_count="many")],
         "data.jsonl line 2: view_count 'many' is not an integer",
         "data.csv line 3: view_count 'many' is not an integer",
     ),
+    # a string view count is ASCII digits only, though int() takes more
+    **{
+        f"{value!r} view_count": (
+            [_bad(view_count=value)],
+            f"data.jsonl line 2: view_count {value!r} is not an integer",
+            f"data.csv line 3: view_count {value!r} is not an integer",
+        )
+        for value in ("1_000", " 8", "8 ", "+5", "-3", "\u0663", "\uff18")
+    },
     "NaN u_g": (
         [_bad(u_g=float("nan"))],
         "data.jsonl line 2: u_g nan is not a finite number",
@@ -323,20 +333,21 @@ PINNED_ERRORS = {
     ),
     # numbers past the float range, which ended in an OverflowError
     # without a location before they were refused here
+    # a value echoed in a message is cut after 40 characters
     "oversized u_g": (
         [_bad(u_g=10**400)],
-        f"data.jsonl line 2: u_g {10**400} is not a finite number",
-        f"data.csv line 3: u_g '{10**400}' is not a finite number",
+        f"data.jsonl line 2: u_g 1{'0' * 39}... (401 characters) is not a finite number",
+        f"data.csv line 3: u_g '1{'0' * 38}... (403 characters) is not a finite number",
     ),
     "oversized forum_score": (
         [_bad(forum_score=-(10**400))],
-        f"data.jsonl line 2: forum_score {-(10**400)} is not a finite number",
-        f"data.csv line 3: forum_score '{-(10**400)}' is not a finite number",
+        f"data.jsonl line 2: forum_score -1{'0' * 38}... (402 characters) is not a finite number",
+        f"data.csv line 3: forum_score '-1{'0' * 37}... (404 characters) is not a finite number",
     ),
     "oversized view_count": (
         [_bad(view_count=10**400)],
-        f"data.jsonl line 2: view_count {10**400} is too large for a float",
-        f"data.csv line 3: view_count {10**400} is too large for a float",
+        f"data.jsonl line 2: view_count 1{'0' * 39}... (401 characters) is too large for a float",
+        f"data.csv line 3: view_count 1{'0' * 39}... (401 characters) is too large for a float",
     ),
     # integers longer than int() reads, which let a ValueError without a
     # location escape the JSON reader before they were refused here
@@ -351,13 +362,18 @@ PINNED_ERRORS = {
     },
     f"{_LONG_DIGITS} digit string u_g": (
         [_bad(u_g="9" * _LONG_DIGITS)],
-        f"data.jsonl line 2: u_g '{'9' * _LONG_DIGITS}' is not a finite number",
-        f"data.csv line 3: u_g '{'9' * _LONG_DIGITS}' is not a finite number",
+        f"data.jsonl line 2: u_g '{'9' * 39}... (5003 characters) is not a finite number",
+        f"data.csv line 3: u_g '{'9' * 39}... (5003 characters) is not a finite number",
     ),
     f"{_LONG_DIGITS} digit string view_count": (
         [_bad(view_count="9" * _LONG_DIGITS)],
-        f"data.jsonl line 2: view_count '{'9' * _LONG_DIGITS}' is not an integer",
-        f"data.csv line 3: view_count '{'9' * _LONG_DIGITS}' is not an integer",
+        f"data.jsonl line 2: view_count '{'9' * 39}... (5003 characters) is not an integer",
+        f"data.csv line 3: view_count '{'9' * 39}... (5003 characters) is not an integer",
+    ),
+    "long bad timestamp": (
+        [_bad(ts="x" * 50)],
+        f"data.jsonl line 2: bad timestamp '{'x' * 39}... (52 characters); expected ISO-8601",
+        f"data.csv line 3: bad timestamp '{'x' * 39}... (52 characters); expected ISO-8601",
     ),
     "duplicate before a malformed record": (
         [_bad(), record(0, "2024-01-01T02:00:00"), record(2, "2024-01-01T03:00:00", view_count="many")],
@@ -418,7 +434,7 @@ _GOOD = {
     "domain": st.sampled_from(["dba", "law", "café"]) | st.integers(0, 3),
     "title": _TEXT.filter(bool) | st.integers(),
     "body": _TEXT.filter(bool),
-    "view_count": st.integers(0, 10**9) | st.sampled_from(["7", " 8", "0"]),
+    "view_count": st.integers(0, 10**9) | st.sampled_from(["7", "08", "0"]),
     "u_g": st.floats(0, 1e9) | st.integers(0, 100) | st.sampled_from(["1.5", " 2", "1e-3", -0.0]),
     "forum_score": st.none() | st.just("") | st.floats(allow_nan=False, allow_infinity=False)
     | st.integers(-5, 5),
@@ -431,7 +447,8 @@ _ODD = {
     "title": st.sampled_from([None, "", False]),
     "body": st.sampled_from([None, "", 0.0]),
     "view_count": st.sampled_from(
-        [None, "", True, -1, 3.5, "many", "7.0", float("nan"), float("inf"), [1], 2**70]
+        [None, "", True, -1, 3.5, "many", "7.0", " 8", "1_000", "+5", "-3", "\u0663",
+         float("nan"), float("inf"), [1], 2**70]
     ),
     "u_g": st.sampled_from(
         [None, "", float("nan"), float("inf"), -1.0, -2, True, "x", "nan", "-1", [1.0]]
@@ -758,6 +775,30 @@ def test_write_jsonl_is_byte_deterministic(tmp_path):
     write_jsonl(ds, a)
     write_jsonl(ds, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_write_jsonl_writes_json_dumps_of_each_record(tmp_path):
+    week0 = mk_week(0, [
+        (0, {"title": "caf\u00e9 \u2603 \U0001f600", "body": 'quote " slash \\ tab \t nl \n nul \x00'}),
+        (1, {"views": 0, "u_g": 0.1, "forum_score": -0.0, "domain": "\u00fcber"}),
+    ])
+    week2 = mk_week(2, [(2, {"views": 7, "u_g": 1e300, "forum_score": 0.25})])
+    ds = Dataset(pools=(week0, dataclasses.replace(week2, week=1)))
+    path = tmp_path / "out.jsonl"
+    write_jsonl(ds, path)
+    lines = []
+    for pool in ds.pools:
+        stamp = (datetime(2024, 1, 1, 12) + timedelta(weeks=pool.week)).isoformat()
+        for q in pool.questions:
+            rec = {
+                "id": q.id, "timestamp": stamp, "domain": q.domain, "title": q.title,
+                "body": q.body, "view_count": q.view_count, "u_g": q.u_g,
+            }
+            if q.forum_score is not None:
+                rec["forum_score"] = q.forum_score
+            lines.append(json.dumps(rec, sort_keys=True))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert ingest(path) == ds
 
 
 def test_dataset_validation():

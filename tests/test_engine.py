@@ -163,6 +163,12 @@ def test_run_full_information_unknown_heuristic():
         run_full_information(scored_pools(2), "simulated_annealing", 2)
 
 
+def test_run_full_information_refuses_k_below_one():
+    for name in HEURISTICS:
+        with pytest.raises(ConfigError, match="k must be >= 1, got 0"):
+            run_full_information(scored_pools(2), name, 0)
+
+
 def test_run_full_information_rounds_prefix_consistency():
     # the random heuristic reseeds per round, so a shorter run is a
     # prefix of a longer one

@@ -29,7 +29,12 @@ from pubgame import (
 from pubgame import nash_opt
 from pubgame.nash_opt import HEURISTICS
 
-from helpers import ref_oracle_exact
+from helpers import (
+    ref_heuristic_greedy_np,
+    ref_heuristic_maxsp,
+    ref_heuristic_mpp,
+    ref_oracle_exact,
+)
 
 TINY = BilinearInstance(items=((3, 1), (1, 3), (2, 2)), k=2)
 
@@ -187,41 +192,48 @@ def test_oracle_dp_requires_integer_f():
 
 def test_mpp_alternates_sides_f_first():
     inst = BilinearInstance(items=((5, 1), (1, 5), (4, 2), (2, 4)), k=2)
-    assert heuristic_mpp(inst) == (0, 1)
+    assert HEURISTICS["mpp"](inst) == (0, 1)
     inst3 = BilinearInstance(items=((5, 1), (1, 5), (4, 2), (2, 4)), k=3)
     # third pick is the f-side again: item 2 has the best remaining f
-    assert heuristic_mpp(inst3) == (0, 1, 2)
+    assert HEURISTICS["mpp"](inst3) == (0, 1, 2)
+    f, g = np.array([5.0, 1.0, 4.0, 2.0]), np.array([1.0, 5.0, 2.0, 4.0])
+    assert heuristic_mpp(f, g, 3) == (0, 1, 2)
 
 
 def test_maxsp_takes_top_products():
     inst = BilinearInstance(items=((5, 1), (4, 10), (3, 2), (2, 2)), k=2)
     # products: 5, 40, 6, 4
-    assert heuristic_maxsp(inst) == (1, 2)
+    assert HEURISTICS["maxsp"](inst) == (1, 2)
+    assert heuristic_maxsp(np.array([5.0, 4.0, 3.0, 2.0]), np.array([1.0, 10.0, 2.0, 2.0]), 2) == (1, 2)
 
 
 def test_greedy_np_hand_trace():
     # first pick has product 40; then {1,0} scores 9*11=99 vs {1,2}'s 7*12=84
     inst = BilinearInstance(items=((5, 1), (4, 10), (3, 2)), k=2)
-    chosen = heuristic_greedy_np(inst)
+    chosen = HEURISTICS["greedy_np"](inst)
     assert chosen == (0, 1)
     assert nash_objective(inst, chosen) == 99
+    assert heuristic_greedy_np(np.array([5.0, 4.0, 3.0]), np.array([1.0, 10.0, 2.0]), 2) == (0, 1)
 
 
 def test_greedy_np_first_pick_is_best_product():
     rng = random.Random(3)
     for _ in range(30):
         inst = random_instance(rng, n=10, k=1)
-        assert heuristic_greedy_np(inst) == heuristic_maxsp(inst)
+        assert HEURISTICS["greedy_np"](inst) == HEURISTICS["maxsp"](inst)
 
 
 def test_heuristic_random_is_seed_deterministic():
     inst = BilinearInstance(items=tuple((i + 1, i + 2) for i in range(9)), k=4)
-    a = heuristic_random(inst, seed=42)
-    assert a == heuristic_random(inst, seed=42)
-    assert a != heuristic_random(inst, seed=43) or a != heuristic_random(inst, seed=44)
-    assert heuristic_random(inst, seed="s1") == heuristic_random(inst, seed="s1")
+    rule = HEURISTICS["random"]
+    a = rule(inst, seed=42)
+    assert a == rule(inst, seed=42)
+    assert a != rule(inst, seed=43) or a != rule(inst, seed=44)
+    assert rule(inst, seed="s1") == rule(inst, seed="s1")
     assert len(set(a)) == 4
     assert all(0 <= i < 9 for i in a)
+    f, g = nash_opt._as_float_arrays(inst)
+    assert heuristic_random(f, g, 4, 42) == a
 
 
 def test_heuristics_return_sorted_valid_subsets():
@@ -251,6 +263,68 @@ def test_heuristics_pick_on_exact_values_as_on_their_float_images(items, data):
         assert got.tolist() == want.tolist()
     for name, heuristic in HEURISTICS.items():
         assert heuristic(exact) == heuristic(image), name
+
+
+# floats, ints past 2**53, Fractions, bools and the sign of zero
+FLOAT_IMAGE_VALUES = st.one_of(
+    st.floats(0.0, 1e300),
+    st.sampled_from([0.0, -0.0, True, False]),
+    st.integers(0, 2**60),
+    st.integers(2**1000, 2**1020),
+    st.fractions(min_value=0, max_value=10**9),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(FLOAT_IMAGE_VALUES, FLOAT_IMAGE_VALUES), min_size=1, max_size=8))
+def test_as_float_arrays_is_the_nested_conversion_property(items):
+    got = nash_opt._as_float_arrays(BilinearInstance(items=tuple(items), k=1))
+    want = np.array(items, dtype=np.float64).T
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_as_float_arrays_overflows_as_the_nested_conversion():
+    items = ((1.0, 2), (10**400, 0))
+    with pytest.raises(OverflowError):
+        np.array(items, dtype=np.float64)
+    with pytest.raises(OverflowError):
+        nash_opt._as_float_arrays(BilinearInstance(items=items, k=1))
+
+
+# repeated values, zeros of both signs, and floats whose products and
+# sums round
+RULE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e-300]),
+    st.floats(0.0, 1e6),
+)
+
+
+@st.composite
+def value_columns(draw):
+    n = draw(st.integers(1, 12))
+    fs = draw(st.lists(RULE_VALUES, min_size=n, max_size=n))
+    gs = draw(st.lists(RULE_VALUES, min_size=n, max_size=n))
+    return fs, gs, draw(st.integers(1, n) | st.just(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(value_columns(), st.integers() | st.text(max_size=4))
+def test_heuristics_match_reference_loops_property(columns, seed):
+    fs, gs, k = columns
+    f, g = np.array(fs), np.array(gs)
+    inst = BilinearInstance(items=tuple(zip(fs, gs)), k=k)
+    for name, ref in (
+        ("mpp", ref_heuristic_mpp),
+        ("maxsp", ref_heuristic_maxsp),
+        ("greedy_np", ref_heuristic_greedy_np),
+    ):
+        want = ref(fs, gs, k)
+        assert nash_opt.COLUMN_RULES[name](f, g, k) == want, name
+        assert HEURISTICS[name](inst) == want, name
+    want = tuple(sorted(random.Random(seed).sample(range(len(fs)), k)))
+    assert heuristic_random(f, g, k, seed) == want
+    assert HEURISTICS["random"](inst, seed) == want
 
 
 def test_oracle_dominates_every_heuristic():
