@@ -6,10 +6,12 @@ import csv
 import itertools
 import json
 import math
+import random
 import re
 from datetime import datetime
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterator
 
 import numpy as np
@@ -521,3 +523,132 @@ def ref_ingest(path: str | Path, fmt: str | None = None) -> data.Dataset:
         "iso_weeks": [list(k) for k in week_keys],
     }
     return data.Dataset(pools=tuple(pools), metadata=metadata)
+
+
+# ---------------------------------------------------------------- game
+# The two round loops with one Python step per question.  They read a
+# pool only through its ``questions`` rows, rank by sorting positions on
+# the negated key (a stable sort, so ties keep pool order), and add every
+# sum left to right from 0.0.  Nothing in pubgame.strategies or
+# pubgame.engine is called: the text model is the reference one above.
+
+
+def _ref_text(q):
+    return f"{q.title} {q.body}"
+
+
+def _ref_model(texts, accepted):
+    """The acceptance model over (texts, accepted) as ``ref_predict_proba``
+    reads it, or None where training collapses."""
+    fitted = ref_train_acceptance(list(zip(texts, accepted)))
+    if fitted is None:
+        return None
+    vocabulary, idf = ref_fit(texts)
+    return SimpleNamespace(
+        trained=True,
+        featurizer=SimpleNamespace(vocabulary=vocabulary, idf=idf),
+        class_log_prior=fitted[0],
+        feature_log_lik=fitted[1],
+    )
+
+
+def _ref_ledger(rounds):
+    """Ledger fields of (week, proposed ids, published ids, u_g, u_f) rounds."""
+    cum_g, cum_f = [], []
+    total_g = total_f = 0.0
+    for _, _, _, u_g, u_f in rounds:
+        total_g += u_g
+        total_f += u_f
+        cum_g.append(total_g)
+        cum_f.append(total_f)
+    return {
+        "weeks": tuple(r[0] for r in rounds),
+        "proposed_counts": tuple(len(r[1]) for r in rounds),
+        "published_counts": tuple(len(r[2]) for r in rounds),
+        "u_g": tuple(r[3] for r in rounds),
+        "u_f": tuple(r[4] for r in rounds),
+        "cum_u_g": tuple(cum_g),
+        "cum_u_f": tuple(cum_f),
+        "outcomes": tuple(rounds),
+    }
+
+
+def _ref_published(questions):
+    """Realized (u_g, u_f) of published questions, added from 0.0."""
+    u_g = u_f = 0.0
+    for q in questions:
+        u_g += q.u_g
+        u_f += q.u_f_norm
+    return u_g, u_f
+
+
+def ref_run_asymmetric(dataset, config, scorer):
+    """Ledger fields of ``run_asymmetric(dataset, config, scorer)``.
+
+    The proposer ranks the pool by u_g, times the predicted acceptance
+    when it learns; a random proposer draws from the same stream.  The
+    curator publishes the k best-scoring proposals at or above theta.  A
+    learning proposer retrains on its whole history every
+    ``retrain_period`` rounds and keeps the previous model when the
+    retrain collapses.
+    """
+    rng = random.Random(f"{config.seed}:proposer")
+    learning = config.strategy_g == "utility" and config.learn_acceptance
+    model = SimpleNamespace(trained=False)
+    texts, accepted, rounds = [], [], []
+    for t, pool in enumerate(dataset.pools[: config.rounds]):
+        if learning and t > 0 and t % config.retrain_period == 0:
+            retrained = _ref_model(texts, accepted)
+            if retrained is not None:
+                model = retrained
+        qs = pool.questions
+        n = len(qs)
+        if config.strategy_g == "random":
+            chosen = sorted(rng.sample(range(n), min(config.m_cap, n)))
+        else:
+            key = [q.u_g for q in qs]
+            if learning:
+                p = ref_predict_proba(model, [_ref_text(q) for q in qs])
+                key = [u * float(pi) for u, pi in zip(key, p)]
+            chosen = sorted(range(n), key=lambda i: -key[i])[: config.m_cap]
+        proposal = [qs[i] for i in chosen]
+        if scorer.model is None:
+            scores = [q.forum_score for q in proposal]
+        else:
+            scores = ref_predict_proba(scorer.model, [_ref_text(q) for q in proposal]).tolist()
+        eligible = [j for j in range(len(proposal)) if scores[j] >= scorer.theta]
+        published = sorted(eligible, key=lambda j: -scores[j])[: config.k_cap]
+        rounds.append(
+            (
+                pool.week,
+                tuple(q.id for q in proposal),
+                tuple(proposal[j].id for j in published),
+                *_ref_published(proposal[j] for j in published),
+            )
+        )
+        if learning:
+            texts.extend(_ref_text(q) for q in proposal)
+            accepted.extend(j in published for j in range(len(proposal)))
+    return _ref_ledger(rounds)
+
+
+def ref_run_full_information(dataset, heuristic, k, seed=0, rounds=None):
+    """Ledger fields of ``run_full_information``: each week the rule picks
+    min(k, pool size) positions from the rows' u_g and u_f_norm, and the
+    picks, in pool order, are both proposed and published."""
+    rules = {
+        "mpp": ref_heuristic_mpp,
+        "maxsp": ref_heuristic_maxsp,
+        "greedy_np": ref_heuristic_greedy_np,
+    }
+    out = []
+    for t, pool in enumerate(dataset.pools[:rounds]):
+        qs = pool.questions
+        n = min(k, len(qs))
+        if heuristic == "random":
+            chosen = sorted(random.Random(f"{seed}-{t}").sample(range(len(qs)), n))
+        else:
+            chosen = rules[heuristic]([q.u_g for q in qs], [q.u_f_norm for q in qs], n)
+        ids = tuple(qs[i].id for i in chosen)
+        out.append((pool.week, ids, ids, *_ref_published(qs[i] for i in chosen)))
+    return _ref_ledger(out)

@@ -30,10 +30,18 @@ from pubgame import (
     train_text_scorer,
     write_ledger_csv,
 )
-from pubgame.core import RoundPool
+from pubgame.core import STRATEGIES_G, RoundPool
 from pubgame.nash_opt import HEURISTICS
+from pubgame.textmodel import tokenize_rows, train_acceptance
 
-from helpers import count_tokenize, mk_q, mk_pool
+from helpers import (
+    count_tokenize,
+    mk_pool,
+    mk_q,
+    mk_week,
+    ref_run_asymmetric,
+    ref_run_full_information,
+)
 
 
 def scored_pools(weeks, n=10, seed=1):
@@ -375,3 +383,91 @@ def test_exact_urr_on_criterion_6_pools_is_unchanged():
         lines.append(repr(exact_urr(ledger, window, 4)))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "76d071a35055063b6c4c58a7027cc37efd2e4e0ef5be13cc86ec7b56b6e1bd05"
+
+
+# ---------------------------------------------------------------- reference game
+# Both loops against the per-question reference loops in helpers, ledger
+# field for field and floats bit for bit, on small drawn seasons with
+# heavily repeated values.
+
+_WORDS = ("alpha", "beta", "gamma", "delta", "omega", "zz")
+# a fixed curator model: "alpha" and "beta" questions were accepted
+_CURATOR_TEXTS = [f"{a} {b} {c}" for a in _WORDS for b in _WORDS for c in _WORDS[:3]]
+_CURATOR = train_acceptance(
+    tokenize_rows(_CURATOR_TEXTS), ["alpha" in t or "beta" in t for t in _CURATOR_TEXTS]
+)
+_question = st.fixed_dictionaries(
+    {
+        "views": st.sampled_from([0, 0, 1, 2, 3, 7, 100, 2**60 + 1]),
+        "u_g": st.sampled_from([-0.0, 0.0, 0.1, 0.1, 0.5, 1.0, 2.5, 1e-300, 7.0, 1e6]),
+        "title": st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".join),
+        "body": st.lists(st.sampled_from(_WORDS), max_size=6).map(" ".join),
+        "forum_score": st.sampled_from([0.0, 0.25, 0.5, 0.5, 0.75, 1.0]),
+    }
+)
+_season = st.lists(st.lists(_question, min_size=1, max_size=30), min_size=2, max_size=8).map(
+    lambda weeks: Dataset(
+        tuple(
+            mk_week(t, [(f"{t}-{i}", kw) for i, kw in enumerate(week)])
+            for t, week in enumerate(weeks)
+        )
+    )
+)
+
+
+def _assert_same_ledger(ledger, ref):
+    def exact(values):
+        assert all(type(v) is float for v in values)
+        return [v.hex() for v in values]
+
+    for name in ("weeks", "proposed_counts", "published_counts"):
+        assert getattr(ledger, name) == ref[name], name
+    for name in ("u_g", "u_f", "cum_u_g", "cum_u_f"):
+        assert exact(getattr(ledger, name)) == exact(ref[name]), name
+    assert len(ledger.outcomes) == len(ref["outcomes"])
+    for o, (week, proposed, published, u_g, u_f) in zip(ledger.outcomes, ref["outcomes"]):
+        assert (o.week, o.proposed, o.published) == (week, proposed, published)
+        assert exact([o.u_g_realized, o.u_f_realized]) == exact([u_g, u_f])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dataset=_season,
+    strategy=st.sampled_from(STRATEGIES_G),
+    learn=st.booleans(),
+    text=st.booleans(),
+    theta=st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]),
+    caps=st.tuples(st.integers(1, 8), st.integers(0, 8)),
+    rounds=st.integers(1, 8),
+    retrain_period=st.integers(1, 3),
+    seed=st.integers(0, 3),
+)
+def test_run_asymmetric_matches_the_reference_loop(
+    dataset, strategy, learn, text, theta, caps, rounds, retrain_period, seed
+):
+    config = GameConfig(
+        m_cap=caps[0] + caps[1],
+        k_cap=caps[0],
+        rounds=min(rounds, dataset.n_weeks),
+        retrain_period=retrain_period,
+        seed=seed,
+        strategy_g=strategy,
+        learn_acceptance=learn,
+    )
+    scorer = ForumScorer(theta, _CURATOR if text else None)
+    ledger = run_asymmetric(dataset, config, scorer)
+    _assert_same_ledger(ledger, ref_run_asymmetric(dataset, config, scorer))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    dataset=_season,
+    heuristic=st.sampled_from(sorted(HEURISTICS)),
+    k=st.integers(1, 12),
+    seed=st.integers(0, 3),
+    rounds=st.none() | st.integers(1, 8),
+)
+def test_run_full_information_matches_the_reference_loop(dataset, heuristic, k, seed, rounds):
+    rounds = rounds if rounds is None else min(rounds, dataset.n_weeks)
+    ledger = run_full_information(dataset, heuristic, k, seed=seed, rounds=rounds)
+    _assert_same_ledger(ledger, ref_run_full_information(dataset, heuristic, k, seed, rounds))
