@@ -500,10 +500,8 @@ def _run_analyze(run_args: dict, out_dir: Path) -> int:
     )
     scatter_lines = ["# manifest " + manifest, "domain,week,u_f_norm,u_g"]
     for pool in dataset.pools:
-        for q in pool.questions:
-            scatter_lines.append(
-                f"{q.domain},{pool.week},{q.u_f_norm!r},{q.u_g!r}"
-            )
+        for domain, u_f, u_g in zip(pool.domains, pool.u_f_norm.tolist(), pool.u_g.tolist()):
+            scatter_lines.append(f"{domain},{pool.week},{u_f!r},{u_g!r}")
     (out_dir / "scatter.csv").write_text("\n".join(scatter_lines) + "\n", encoding="utf-8")
     summary = {
         "manifest_hash": manifest,

@@ -4,16 +4,18 @@ A round is one week.  The proposer (player G) submits a capped batch of
 candidate questions, the curator (player F) publishes a capped subset of
 them.  Both sides draw additive utility from the published set: the
 proposer from a per-question quality score ``u_g``, the curator from
-view counts normalized within the week (:func:`set_utility`), which
-every question carries from the moment its week is built.
+view counts normalized within the week (:func:`set_utility`).  A week
+is a :class:`RoundPool` of columns, one entry per question, and a
+selection is a set of positions into it.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import accumulate
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -22,15 +24,8 @@ STRATEGIES_G = ("greedy", "utility", "random")
 
 @dataclass(frozen=True)
 class Question:
-    """One candidate question with both players' raw utility signals.
-
-    The question's week is the week of the :class:`RoundPool` holding it.
-    ``u_f_norm`` is the curator-side utility: the view count divided by
-    the week's maximum view count, as :func:`set_utility` gives it to
-    whoever builds the week.
-    ``forum_score`` is an optional externally supplied acceptance score,
-    used only by the precomputed curator scorer.
-    """
+    """One question as a row: a copy of its entries in the columns of its
+    pool (:attr:`RoundPool.questions`); a missing forum_score is None."""
 
     id: str
     domain: str
@@ -41,59 +36,119 @@ class Question:
     u_f_norm: float
     forum_score: float | None = None
 
-    def __post_init__(self) -> None:
-        if not (self.view_count >= 0 and self.view_count % 1 == 0):
-            raise ValueError(
-                f"question {self.id!r}: view_count must be a whole number >= 0"
-            )
-        if not (math.isfinite(self.u_g) and self.u_g >= 0):
-            raise ValueError(f"question {self.id!r}: u_g must be finite and >= 0")
-        if self.forum_score is not None and not math.isfinite(self.forum_score):
-            raise ValueError(f"question {self.id!r}: forum_score must be finite")
-        if not 0.0 <= self.u_f_norm <= 1.0:
-            raise ValueError(f"question {self.id!r}: u_f_norm outside [0, 1]")
-
-    @property
-    def text(self) -> str:
-        return f"{self.title} {self.body}"
-
 
 @dataclass(frozen=True)
 class RoundPool:
-    """All questions available in one week."""
+    """All questions available in one week, as columns of one length.
+
+    ``view_counts`` are exact ints; ``u_g`` (the proposer's utility),
+    ``u_f_norm`` (the curator's, as :func:`set_utility` gives it) and
+    ``forum_score`` (an optional externally supplied acceptance score,
+    NaN where a question has none) are read-only float64 arrays.  The
+    columns are checked once, as the pool is built, and each error
+    names the first offending question.
+    """
 
     week: int
-    questions: tuple[Question, ...]
+    ids: tuple[str, ...]
+    domains: tuple[str, ...]
+    titles: tuple[str, ...]
+    bodies: tuple[str, ...]
+    view_counts: tuple[int, ...]
+    u_g: np.ndarray
+    u_f_norm: np.ndarray
+    forum_score: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.week < 0:
-            raise ValueError(f"week {self.week}: week must be >= 0")
-        if not self.questions:
-            raise ValueError(f"week {self.week}: empty round pool")
+    def __init__(
+        self, week: int, ids=(), domains=(), titles=(), bodies=(), view_counts=(), u_g=(),
+        u_f_norm=(), forum_score=None, *, questions: Sequence[Question] | None = None,
+    ) -> None:
+        """The pool of the given columns or, when ``questions`` rows are
+        given, of theirs; a missing forum_score column is all NaN."""
+        columns = [ids, domains, titles, bodies, view_counts, u_g, u_f_norm, forum_score]
+        if questions is not None:
+            columns = [[getattr(q, f.name) for q in questions] for f in fields(Question)]
+        n = len(columns[0])
+        if columns[-1] is None:
+            columns[-1] = np.full(n, np.nan)
+        object.__setattr__(self, "week", week)
+        for j, f in enumerate(fields(self)[1:]):
+            if j < 5:  # four text columns and the view counts
+                columns[j] = tuple(columns[j])
+            else:
+                columns[j] = np.asarray(columns[j], dtype=np.float64)
+                columns[j].flags.writeable = False
+            object.__setattr__(self, f.name, columns[j])
+        if week < 0:
+            raise ValueError(f"week {week}: week must be >= 0")
+        if not n:
+            raise ValueError(f"week {week}: empty round pool")
+        if any(len(c) != n for c in columns):
+            raise ValueError(f"week {week}: columns of different lengths")
+        views = np.array(self.view_counts, dtype=np.float64)
+        self._refuse((views >= 0) & (views % 1 == 0), "view_count must be a whole number >= 0")
+        self._refuse(np.isfinite(self.u_g) & (self.u_g >= 0), "u_g must be finite and >= 0")
+        self._refuse(~np.isinf(self.forum_score), "forum_score must be finite")
+        self._refuse((self.u_f_norm >= 0) & (self.u_f_norm <= 1), "u_f_norm outside [0, 1]")
+
+    def _refuse(self, ok: np.ndarray, what: str) -> None:
+        """Raise naming the first question where ``ok`` is False."""
+        if not ok.all():
+            raise ValueError(f"question {self.ids[int(ok.argmin())]!r}: {what}")
 
     def __len__(self) -> int:
-        return len(self.questions)
+        return len(self.ids)
+
+    def __eq__(self, other: object) -> bool:
+        """Same week and columns; forum scores that are both absent match."""
+        if not isinstance(other, RoundPool):
+            return NotImplemented
+        return self.week == other.week and all(
+            np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(self._columns(), other._columns())
+        )
+
+    def _columns(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self)[1:])
+
+    @property
+    def questions(self) -> tuple[Question, ...]:
+        """The pool's questions as rows, built afresh on each read."""
+        *text, views, u_g, u_f, scores = self._columns()
+        scores = [None if s != s else s for s in scores.tolist()]
+        return tuple(map(Question, *text, views, u_g.tolist(), u_f.tolist(), scores))
+
+    def texts(self, positions: Iterable[int] | None = None) -> list[str]:
+        """The scorers' text of the questions at ``positions`` (all by
+        default): title and body joined by a space."""
+        if positions is None:
+            positions = range(len(self))
+        return [f"{self.titles[i]} {self.bodies[i]}" for i in positions]
 
 
-def set_utility(view_counts: Sequence[int]) -> list[float]:
+def set_utility(view_counts: Sequence[int]) -> np.ndarray:
     """Curator utilities of one week's questions: each view count divided
-    by the week's maximum view count.
+    by the week's maximum view count, as float64.
 
-    An all-zero week maps every question to 0.0 rather than dividing by
-    zero; :func:`~pubgame.data.normalize_weekly` flags such weeks.
+    Each equals ``v / float(max(view_counts))``: both divide the
+    correctly rounded float images.  An all-zero week maps every
+    question to 0.0 rather than dividing by zero.
     """
-    stat = float(max(view_counts))
-    return [v / stat if stat > 0 else 0.0 for v in view_counts]
+    views = np.array(view_counts, dtype=np.float64)
+    top = views.max()
+    return views / top if top > 0 else np.zeros(len(views))
 
 
-def utility_of_set(questions: Iterable[Question]) -> tuple[float, float]:
-    """Additive utilities ``(u_g, u_f)`` of a published set to the
-    proposer and the curator, each added left to right from 0.0: a loop,
-    since ``sum()`` of floats compensates from Python 3.12."""
+def utility_of_set(pool: RoundPool, positions: Sequence[int]) -> tuple[float, float]:
+    """Additive utilities ``(u_g, u_f)`` of the questions at ``positions``
+    in ``pool`` to the proposer and the curator, each added left to right
+    from 0.0: a loop, since ``sum()`` of floats compensates from Python
+    3.12."""
+    positions = np.asarray(positions, dtype=np.intp)
     u_g = u_f = 0.0
-    for q in questions:
-        u_g += q.u_g
-        u_f += q.u_f_norm
+    for g, f in zip(pool.u_g[positions].tolist(), pool.u_f_norm[positions].tolist()):
+        u_g += g
+        u_f += f
     return u_g, u_f
 
 
@@ -146,15 +201,17 @@ class SelectionOutcome:
 
     @classmethod
     def of(
-        cls, week: int, proposed: Sequence[Question], published: Sequence[Question]
+        cls, pool: RoundPool, proposed: Sequence[int], published: Sequence[int]
     ) -> SelectionOutcome:
-        """The outcome of publishing ``published`` out of ``proposed``,
-        with the realized utilities of the published set."""
+        """The outcome of publishing the questions at positions
+        ``published`` in ``pool`` out of those at ``proposed``, with the
+        realized utilities of the published set."""
+        ids = pool.ids
         return cls(
-            week,
-            tuple(q.id for q in proposed),
-            tuple(q.id for q in published),
-            *utility_of_set(published),
+            pool.week,
+            tuple(ids[i] for i in proposed),
+            tuple(ids[i] for i in published),
+            *utility_of_set(pool, published),
         )
 
     def __post_init__(self) -> None:

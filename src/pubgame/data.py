@@ -3,8 +3,8 @@
 Input records (JSONL or CSV) carry: id, timestamp, domain, title, body,
 view_count, u_g, and optionally forum_score.  Records are grouped into
 round pools by ISO week of the timestamp; week indices run 0..W-1 in
-chronological order.  Each question is built once, with its curator
-utility within its week set.
+chronological order.  Each week is built once, as the columns of a
+:class:`~pubgame.core.RoundPool`, with its curator utilities set.
 
 The synthetic generator draws (view, utility) pairs from a Gaussian
 copula with lognormal marginals, hitting a target Spearman correlation,
@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .core import Question, RoundPool, set_utility
+from .core import RoundPool, set_utility
 from .errors import ConfigError, SchemaError
 
 REQUIRED_FIELDS = ("id", "timestamp", "domain", "title", "body", "view_count", "u_g")
@@ -78,10 +78,6 @@ class Dataset:
     @property
     def n_weeks(self) -> int:
         return len(self.pools)
-
-    def questions(self) -> Iterable[Question]:
-        for pool in self.pools:
-            yield from pool.questions
 
 
 @dataclass(frozen=True)
@@ -136,8 +132,8 @@ def _finite(raw, name: str) -> float:
 
 
 def _read_record(rec: dict) -> tuple[datetime, tuple]:
-    """One record's timestamp and checked fields, in the order of
-    :class:`Question`'s less ``u_f_norm``.  Presence is checked first;
+    """One record's timestamp and checked fields, in the order of a
+    pool's columns less ``u_f_norm``.  Presence is checked first;
     then a value of the common type passes on type and range tests, and
     any other goes through the general conversion, which may raise a
     SchemaError (the caller adds the location)."""
@@ -239,7 +235,7 @@ def ingest(path: str | Path, fmt: str | None = None) -> Dataset:
     The format is inferred from the suffix unless given.  Records are
     checked in file order: the first duplicate id, missing field or
     malformed value raises SchemaError, naming the file and line of a
-    bad record.  Each week's questions are built once the file is read,
+    bad record.  Each week's columns are built once the file is read,
     with their curator utilities set.
     """
     path = Path(path)
@@ -257,7 +253,7 @@ def ingest(path: str | Path, fmt: str | None = None) -> Dataset:
         raise ConfigError(f"unknown dataset format {fmt!r}; expected jsonl or csv")
 
     by_week: dict[tuple[int, int], list[tuple]] = {}
-    domains: dict[str, int] = {}
+    per_domain: dict[str, int] = {}
     seen: set[str] = set()
     for lineno, rec in _records(path, fmt):
         try:
@@ -286,27 +282,24 @@ def ingest(path: str | Path, fmt: str | None = None) -> Dataset:
             last = stamp
         seen.add(qid)
         by_week.setdefault(stamp.isocalendar()[:2], []).append(fields)
-        domains[domain] = domains.get(domain, 0) + 1
+        per_domain[domain] = per_domain.get(domain, 0) + 1
     if not seen:
         raise SchemaError(f"{path.name}: no records")
 
     week_keys = sorted(by_week)
     pools = []
     for t, key in enumerate(week_keys):
-        # a week's fields are dropped as its questions are built
-        rows = by_week.pop(key)
-        u_f = set_utility([row[4] for row in rows])
-        questions = tuple(
-            Question(qid, domain, title, body, views, u_g, u, score)
-            for (qid, domain, title, body, views, u_g, score), u in zip(rows, u_f)
+        # a week's fields are dropped as its columns are built
+        ids, domains, titles, bodies, views, u_g, scores = zip(*by_week.pop(key))
+        pools.append(
+            RoundPool(t, ids, domains, titles, bodies, views, u_g, set_utility(views), scores)
         )
-        pools.append(RoundPool(week=t, questions=questions))
     metadata = {
         "source": str(path),
         "format": fmt,
         "n_questions": len(seen),
         "n_weeks": len(pools),
-        "domains": domains,
+        "domains": per_domain,
         "span": [first.isoformat(), last.isoformat()],
         "iso_weeks": [list(k) for k in week_keys],
     }
@@ -316,20 +309,11 @@ def ingest(path: str | Path, fmt: str | None = None) -> Dataset:
 def normalize_weekly(dataset: Dataset) -> Dataset:
     """Flag the weeks whose view counts are all zero, and so whose
     curator utilities are all 0.0, in metadata["zero_view_weeks"].  The
-    pools pass through unchanged.  Idempotent."""
+    pools pass through unchanged.  Idempotent.  No run needs it: it is
+    kept for the benchmark workloads under ``perfbench/``, which call it."""
     metadata = dict(dataset.metadata)
-    metadata["zero_view_weeks"] = [
-        pool.week
-        for pool in dataset.pools
-        if not any(q.view_count for q in pool.questions)
-    ]
+    metadata["zero_view_weeks"] = [p.week for p in dataset.pools if not any(p.view_counts)]
     return dataclasses.replace(dataset, metadata=metadata)
-
-
-def _reindex(pools: Sequence[RoundPool], metadata: dict) -> Dataset:
-    """Renumber pools from week 0; the questions are shared, not copied."""
-    pools = tuple(dataclasses.replace(pool, week=t) for t, pool in enumerate(pools))
-    return Dataset(pools=pools, metadata=metadata)
 
 
 def split_pretrain(dataset: Dataset, weeks: int) -> tuple[Dataset, Dataset, Dataset]:
@@ -352,13 +336,14 @@ def split_pretrain(dataset: Dataset, weeks: int) -> tuple[Dataset, Dataset, Data
     if n_train < 1:
         raise ConfigError(f"pretraining window of {weeks} leaves no training weeks")
 
+    parent = dataset.metadata.get("source")
+
     def cut(lo: int, hi: int, name: str) -> Dataset:
-        meta = {
-            "split": name,
-            "source_weeks": list(range(lo, hi)),
-            "parent": dataset.metadata.get("source"),
-        }
-        return _reindex(dataset.pools[lo:hi], meta)
+        # renumbered from week 0, sharing the parent's columns
+        window = enumerate(dataset.pools[lo:hi])
+        pools = tuple(dataclasses.replace(pool, week=t) for t, pool in window)
+        meta = {"split": name, "source_weeks": list(range(lo, hi)), "parent": parent}
+        return Dataset(pools, meta)
 
     return (
         cut(0, n_train, "train"),
@@ -427,24 +412,15 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         )
         tokens = [_WORDS[w] for w in word.tolist()]
 
-        view_counts = views.tolist()
-        u_f = set_utility(view_counts)
-        questions = []
+        titles, bodies = [], []
         cursor = 0
-        for i, n_tok in enumerate(lengths.tolist()):
-            questions.append(
-                Question(
-                    id=f"syn-{t:03d}-{i:04d}",
-                    domain="synthetic",
-                    title=" ".join(tokens[cursor : cursor + 3]),
-                    body=" ".join(tokens[cursor + 3 : cursor + n_tok]),
-                    view_count=view_counts[i],
-                    u_g=float(u_g[i]),
-                    u_f_norm=u_f[i],
-                )
-            )
+        for n_tok in lengths.tolist():
+            titles.append(" ".join(tokens[cursor : cursor + 3]))
+            bodies.append(" ".join(tokens[cursor + 3 : cursor + n_tok]))
             cursor += n_tok
-        pools.append(RoundPool(week=t, questions=tuple(questions)))
+        ids = [f"syn-{t:03d}-{i:04d}" for i in range(q)]
+        columns = (("synthetic",) * q, titles, bodies, views.tolist(), u_g, set_utility(views))
+        pools.append(RoundPool(t, ids, *columns))
 
     metadata = {
         "source": "synthetic",
@@ -470,17 +446,13 @@ def write_jsonl(dataset: Dataset, path: str | Path) -> None:
             datetime.combine(_SYNTH_EPOCH + timedelta(weeks=pool.week), datetime.min.time())
             + timedelta(hours=12)
         ).isoformat()
-        for q in pool.questions:
-            rec = {
-                "id": q.id,
-                "timestamp": stamp,
-                "domain": q.domain,
-                "title": q.title,
-                "body": q.body,
-                "view_count": q.view_count,
-                "u_g": q.u_g,
-            }
-            if q.forum_score is not None:
-                rec["forum_score"] = q.forum_score
+        for qid, domain, title, body, views, u_g, score in zip(
+            pool.ids, pool.domains, pool.titles, pool.bodies, pool.view_counts,
+            pool.u_g.tolist(), pool.forum_score.tolist(),
+        ):
+            rec = {"id": qid, "timestamp": stamp, "domain": domain, "title": title,
+                   "body": body, "view_count": views, "u_g": u_g}
+            if score == score:  # NaN where the question has no forum_score
+                rec["forum_score"] = score
             lines.append(_encode_record(rec))
     path.write_text("\n".join(lines) + "\n")

@@ -9,12 +9,12 @@ positions into the proposal.  A run tokenizes each text it scores once,
 into one token table: the rows built for the proposer's scoring serve
 the curator's scoring and the history every retrain fits on.  The
 full-information loop selects directly from the whole weekly pool with
-one of the joint heuristics, run on the week's two value columns,
-providing the denominators for estimated utility recovery;
-:func:`exact_urr` computes the exact counterpart by oracle enumeration
-where feasible.  Both loops record a round with
-:meth:`~pubgame.core.SelectionOutcome.of`, and every loop takes a
-:class:`~pubgame.data.Dataset`.
+one of the joint heuristics, run on the pool's two value columns
+``u_g`` and ``u_f_norm``, providing the denominators for estimated
+utility recovery; :func:`exact_urr` computes the exact counterpart by
+oracle enumeration where feasible.  Both loops record a round with
+:meth:`~pubgame.core.SelectionOutcome.of` from positions into the
+pool, and every loop takes a :class:`~pubgame.data.Dataset`.
 """
 
 from __future__ import annotations
@@ -22,20 +22,12 @@ from __future__ import annotations
 import csv
 import random
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .core import (
-    GameConfig,
-    GameLedger,
-    RoundPool,
-    SelectionOutcome,
-    running_total,
-    utility_of_set,
-)
+from .core import GameConfig, GameLedger, SelectionOutcome, running_total, utility_of_set
 from .data import Dataset, _finite
 from .errors import ConfigError, SchemaError
 from .nash_opt import (
@@ -59,16 +51,6 @@ EURR_NOTE = (
     "typically exceed the exact optimum's per-player utilities, so these "
     "ratios under-estimate exact recovery"
 )
-
-
-def _value_columns(pool: RoundPool) -> tuple[np.ndarray, np.ndarray]:
-    """The week's proposer and curator values, ``u_g`` and ``u_f_norm``,
-    as float64 columns in pool order."""
-    qs = pool.questions
-    return (
-        np.fromiter(map(attrgetter("u_g"), qs), np.float64, len(qs)),
-        np.fromiter(map(attrgetter("u_f_norm"), qs), np.float64, len(qs)),
-    )
 
 
 def run_asymmetric(dataset: Dataset, config: GameConfig, scorer: ForumScorer) -> GameLedger:
@@ -108,24 +90,21 @@ def run_asymmetric(dataset: Dataset, config: GameConfig, scorer: ForumScorer) ->
 
         rows = None
         if learning:
-            pool_rows = tokenize_rows([q.text for q in pool.questions], table)
-            chosen = strategy_g_utility(pool, config.m_cap, model, pool_rows)
-            rows = pool_rows.take(chosen)
+            pool_rows = tokenize_rows(pool.texts(), table)
+            proposal = strategy_g_utility(pool, config.m_cap, model, pool_rows)
+            rows = pool_rows.take(proposal)
         elif config.strategy_g == "random":
-            chosen = strategy_g_random(pool, config.m_cap, rng)
+            proposal = strategy_g_random(pool, config.m_cap, rng)
         else:
-            chosen = strategy_g_greedy(pool, config.m_cap)
-        proposal = [pool.questions[i] for i in chosen]
+            proposal = strategy_g_greedy(pool, config.m_cap)
         if rows is None and scorer.model is not None:
-            rows = tokenize_rows([q.text for q in proposal], table)
+            rows = tokenize_rows(pool.texts(proposal.tolist()), table)
 
-        published = forum_select(proposal, scorer, config.k_cap, rows)
-        outcomes.append(
-            SelectionOutcome.of(pool.week, proposal, [proposal[j] for j in published])
-        )
+        published = proposal[forum_select(proposal, pool, scorer, config.k_cap, rows)]
+        outcomes.append(SelectionOutcome.of(pool, proposal, published))
         if learning:
             history += rows
-            accepted.extend(np.isin(np.arange(len(proposal)), published).tolist())
+            accepted.extend(np.isin(proposal, published).tolist())
     return GameLedger.from_outcomes(outcomes)
 
 
@@ -151,13 +130,9 @@ def run_full_information(
     rule = COLUMN_RULES[heuristic]
     outcomes = []
     for t, pool in enumerate(dataset.pools[:rounds]):
-        f, g = _value_columns(pool)
-        if heuristic == "random":
-            chosen = rule(f, g, min(k, len(f)), f"{seed}-{t}")
-        else:
-            chosen = rule(f, g, min(k, len(f)))
-        selected = [pool.questions[i] for i in chosen]
-        outcomes.append(SelectionOutcome.of(pool.week, selected, selected))
+        seeded = (f"{seed}-{t}",) if heuristic == "random" else ()
+        chosen = rule(pool.u_g, pool.u_f_norm, min(k, len(pool)), *seeded)
+        outcomes.append(SelectionOutcome.of(pool, chosen, chosen))
     return GameLedger.from_outcomes(outcomes)
 
 
@@ -209,10 +184,9 @@ def exact_urr(
         )
     star_g = star_f = 0.0
     for pool in dataset.pools:
-        f, g = _value_columns(pool)
-        instance = BilinearInstance(tuple(zip(f.tolist(), g.tolist())), min(k, len(f)))
-        result = oracle_exact(instance, budget=budget)
-        u_g, u_f = utility_of_set(pool.questions[i] for i in result.indices)
+        items = tuple(zip(pool.u_g.tolist(), pool.u_f_norm.tolist()))
+        result = oracle_exact(BilinearInstance(items, min(k, len(pool))), budget=budget)
+        u_g, u_f = utility_of_set(pool, result.indices)
         star_g += u_g
         star_f += u_f
     if star_g <= 0.0 or star_f <= 0.0:
@@ -324,9 +298,9 @@ def read_ledger_csv(path: str | Path) -> GameLedger:
     for where, row in body:
         if len(row) != len(LEDGER_COLUMNS):
             raise SchemaError(f"{where}: malformed row {row}")
-        # a week and two counts, then four utility columns
+        # a week and two counts in ASCII digits, then four utility columns
         for name, raw in zip(LEDGER_COLUMNS[:3], row):
-            if not raw.isdecimal():
+            if not (raw.isascii() and raw.isdigit()):
                 raise SchemaError(f"{where}: {name} {raw!r} is not an integer >= 0")
         try:
             utilities = [_finite(v, n) for n, v in zip(LEDGER_COLUMNS[3:], row[3:])]

@@ -10,7 +10,9 @@ from typing import Mapping, Sequence
 
 import math
 
-from .data import Dataset, normalize_weekly
+import numpy as np
+
+from .data import Dataset
 from .engine import EurrReport
 from .errors import ConfigError
 from .stats import CorrelationResult, spearman, weekly_ttest
@@ -50,19 +52,19 @@ def misalignment_report(
     skipped and named in the report, as are the weeks whose views are
     all zero.
     """
-    questions = list(dataset.questions())
-    if not questions:
-        raise ConfigError("dataset has no questions")
+    pools = dataset.pools
+    u_f = np.concatenate([pool.u_f_norm for pool in pools])
+    domain_of = [domain for pool in pools for domain in pool.domains]
     if utilities is None:
-        utilities = {"u_g": [q.u_g for q in questions]}
+        utilities = {"u_g": np.concatenate([pool.u_g for pool in pools])}
     for name, column in utilities.items():
-        if len(column) != len(questions):
+        if len(column) != len(u_f):
             raise ConfigError(
                 f"utility column {name!r} has {len(column)} values for "
-                f"{len(questions)} questions"
+                f"{len(u_f)} questions"
             )
 
-    domains = sorted({q.domain for q in questions})
+    domains = sorted(set(domain_of))
     groups = list(domains)
     if len(domains) > 1:
         groups.append("all")
@@ -71,16 +73,12 @@ def misalignment_report(
     skipped = []
     for name, column in utilities.items():
         for domain in groups:
-            idx = [
-                i
-                for i, q in enumerate(questions)
-                if domain == "all" or q.domain == domain
-            ]
+            idx = [i for i, d in enumerate(domain_of) if domain == "all" or d == domain]
             label = f"{name}/{domain}"
             if len(idx) < 3:
                 skipped.append(label)
                 continue
-            x = [questions[i].u_f_norm for i in idx]
+            x = u_f[idx].tolist()
             y = [float(column[i]) for i in idx]
             try:
                 result = spearman(x, y)
@@ -97,7 +95,7 @@ def misalignment_report(
         rows=tuple(rows),
         mean_rho=mean,
         std_rho=std,
-        zero_view_weeks=tuple(normalize_weekly(dataset).metadata["zero_view_weeks"]),
+        zero_view_weeks=tuple(p.week for p in pools if not any(p.view_counts)),
         skipped=tuple(skipped),
     )
 

@@ -3,24 +3,24 @@
 The proposer ranks the week's pool and submits the top m questions;
 the curator scores the submission, drops everything under a calibrated
 threshold θ, and publishes the k best survivors.  A scorer is θ plus an
-optional text model; without one it reads the forum_score column.  Both
-builders calibrate θ alike: label the validation weeks, score the
-labelled questions, and pass scores and labels to
+optional text model; without one it reads the pool's forum_score
+column.  Both builders calibrate θ alike: label the validation weeks,
+score the labelled questions, and pass scores and labels to
 :func:`calibrate_theta`.  A selection is an int64 array of positions:
 the proposer strategies' into the pool, :func:`forum_select`'s into the
-proposal.  Every ranking is :func:`~pubgame.nash_opt.top_k`.
+proposal.  Every ranking is :func:`~pubgame.nash_opt.top_k` over a
+pool's columns.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import Question, RoundPool
+from .core import RoundPool
 from .errors import CalibrationError
 from .nash_opt import top_k
 from .stats import _double_average_ranks
@@ -36,13 +36,13 @@ from .textmodel import (
 def strategy_g_greedy(pool: RoundPool, m: int) -> np.ndarray:
     """Positions of the top m questions by raw proposer utility; ties
     keep pool order."""
-    return top_k(np.array([q.u_g for q in pool.questions]), m)
+    return top_k(pool.u_g, m)
 
 
-def _check_rows(rows: TokenRows | None, questions: Sequence[Question]) -> None:
-    if rows is None or len(rows) != len(questions):
+def _check_rows(rows: TokenRows | None, n: int) -> None:
+    if rows is None or len(rows) != n:
         raise ValueError(
-            f"scoring {len(questions)} questions needs their token rows, one "
+            f"scoring {n} questions needs their token rows, one "
             f"per question; got {'none' if rows is None else len(rows)}"
         )
 
@@ -57,44 +57,33 @@ def strategy_g_utility(
     an untrained model every probability is 1, so the ranking is the
     greedy strategy's.
     """
-    _check_rows(rows, pool.questions)
-    u_g = np.array([q.u_g for q in pool.questions])
-    return top_k(u_g * model.predict_proba(rows), m)
+    _check_rows(rows, len(pool))
+    return top_k(pool.u_g * model.predict_proba(rows), m)
 
 
 def strategy_g_random(pool: RoundPool, m: int, rng: random.Random) -> np.ndarray:
     """Positions of a uniform random batch of min(m, pool size)
     questions, in pool order."""
-    n = len(pool.questions)
+    n = len(pool)
     return np.array(sorted(rng.sample(range(n), min(m, n))), dtype=np.int64)
 
 
-def label_by_percentile(
-    pools: Sequence[RoundPool],
-) -> list[tuple[Question, int | None]]:
-    """Weekly percentile labels on curator utility.
+def label_by_percentile(pools: Sequence[RoundPool]) -> list[np.ndarray]:
+    """Weekly percentile labels on curator utility, one int64 array per
+    pool in pool order.
 
     Within each week, questions at or above the 60th percentile of
     ``u_f_norm`` are labeled 1, at or below the 40th labeled 0, and the
-    middle band is excluded (None).  Percentile of a question is
+    middle band is excluded (-1).  Percentile of a question is
     (average rank - 0.5) / n with average ranks over ties; comparisons
     are exact integer arithmetic, so boundary cases are stable.
     """
-    out: list[tuple[Question, int | None]] = []
+    out = []
     for pool in pools:
-        values = [q.u_f_norm for q in pool.questions]
-        n = len(values)
-        double_rank = _double_average_ranks(values)
-        for i, q in enumerate(pool.questions):
-            # pct >= 0.6  <=>  (2r - 1) * 5 >= 6n ; pct <= 0.4 mirrored
-            lhs = (double_rank[i] - 1) * 5
-            if lhs >= 6 * n:
-                label: int | None = 1
-            elif lhs <= 4 * n:
-                label = 0
-            else:
-                label = None
-            out.append((q, label))
+        n = len(pool)
+        # pct >= 0.6  <=>  (2r - 1) * 5 >= 6n ; pct <= 0.4 mirrored
+        lhs = (np.array(_double_average_ranks(pool.u_f_norm.tolist())) - 1) * 5
+        out.append(np.where(lhs >= 6 * n, 1, np.where(lhs <= 4 * n, 0, -1)))
     return out
 
 
@@ -163,37 +152,37 @@ class ForumScorer:
     calibration: CalibrationResult | None = None
 
     def score(
-        self, questions: Sequence[Question], rows: TokenRows | None
+        self, pool: RoundPool, positions: np.ndarray, rows: TokenRows | None
     ) -> np.ndarray:
-        """One score per question: the model's over ``rows``, the
-        questions tokenized in order, or without a model the
-        forum_score column, for which ``rows`` may be None."""
+        """One score per question at ``positions`` in ``pool``: the
+        model's over ``rows``, those questions tokenized in order, or
+        without a model their forum_score, for which ``rows`` may be
+        None."""
         if self.model is None:
-            return _forum_scores(questions)
-        _check_rows(rows, questions)
+            return _forum_scores(pool, positions)
+        _check_rows(rows, len(positions))
         return self.model.predict_proba(rows)
 
 
-def _forum_scores(questions: Sequence[Question]) -> np.ndarray:
-    """The questions' forum_score column, which a scorer without a
-    model reads; a question without one is an error."""
-    for q in questions:
-        if q.forum_score is None:
-            raise ValueError(
-                f"question {q.id!r} has no forum_score; the precomputed "
-                f"scorer needs that column in the dataset"
-            )
-    return np.array([q.forum_score for q in questions], dtype=np.float64)
+def _forum_scores(pool: RoundPool, positions: np.ndarray) -> np.ndarray:
+    """The forum_score of the questions at ``positions`` in ``pool``,
+    which a scorer without a model reads; a question without one is an
+    error."""
+    scores = pool.forum_score[positions]
+    missing = np.flatnonzero(np.isnan(scores))
+    if missing.size:
+        raise ValueError(
+            f"question {pool.ids[positions[missing[0]]]!r} has no forum_score; "
+            f"the precomputed scorer needs that column in the dataset"
+        )
+    return scores
 
 
 def forum_select(
-    proposal: Sequence[Question],
-    scorer: ForumScorer,
-    k: int,
-    rows: TokenRows | None,
+    proposal: np.ndarray, pool: RoundPool, scorer: ForumScorer, k: int, rows: TokenRows | None
 ) -> np.ndarray:
-    """Positions in the proposal of the k best-scoring questions at or
-    above theta.
+    """Positions in the proposal, positions into ``pool``, of the k
+    best-scoring questions at or above theta.
 
     ``rows`` holds the proposal tokenized, as :meth:`ForumScorer.score`
     reads it.
@@ -204,15 +193,24 @@ def forum_select(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores = scorer.score(proposal, rows)
+    scores = scorer.score(pool, proposal, rows)
     eligible = np.flatnonzero(scores >= scorer.theta)
     return eligible[top_k(scores[eligible], k)]
 
 
-def _labeled(pools: Sequence[RoundPool]) -> tuple[list[Question], list[int]]:
-    """The questions that carry a percentile label, and their labels."""
-    labeled = [(q, lbl) for q, lbl in label_by_percentile(pools) if lbl is not None]
-    return [q for q, _ in labeled], [lbl for _, lbl in labeled]
+def _labeled(pools: Sequence[RoundPool]) -> tuple[list[np.ndarray], list[int]]:
+    """Per pool, the positions of the questions that carry a percentile
+    label; and their labels, pool by pool."""
+    positions, labels = [], []
+    for week_labels in label_by_percentile(pools):
+        kept = np.flatnonzero(week_labels >= 0)
+        positions.append(kept)
+        labels.extend(week_labels[kept].tolist())
+    return positions, labels
+
+
+def _texts(pools: Sequence[RoundPool], positions: Sequence[np.ndarray]) -> list[str]:
+    return [text for pool, kept in zip(pools, positions) for text in pool.texts(kept.tolist())]
 
 
 def _calibrated(
@@ -223,9 +221,11 @@ def _calibrated(
 ) -> ForumScorer:
     """The scorer over ``model``, calibrated on the labelled validation
     questions; an explicit ``theta`` replaces the calibrated one."""
-    questions, labels = _labeled(val_pools)
-    rows = None if model is None else tokenize_rows([q.text for q in questions], table)
-    scores = ForumScorer(math.nan, model).score(questions, rows)
+    positions, labels = _labeled(val_pools)
+    if model is None:
+        scores = np.concatenate([_forum_scores(*pair) for pair in zip(val_pools, positions)])
+    else:
+        scores = model.predict_proba(tokenize_rows(_texts(val_pools, positions), table))
     calibration = calibrate_theta(scores, labels)
     return ForumScorer(calibration.theta if theta is None else theta, model, calibration)
 
@@ -244,8 +244,8 @@ def train_text_scorer(
     """
     # the labelled questions are tokenized once, into one table
     table = TokenTable()
-    questions, labels = _labeled(train_pools)
-    model = train_acceptance(tokenize_rows([q.text for q in questions], table), labels)
+    positions, labels = _labeled(train_pools)
+    model = train_acceptance(tokenize_rows(_texts(train_pools, positions), table), labels)
     if not model.trained:
         raise CalibrationError(
             "curator training collapsed: labels are single-class or the "

@@ -24,8 +24,8 @@ from pubgame.textmodel import ALPHA, MIN_DF, MIN_TOKEN_LEN, TextFeaturizer, toke
 
 
 def mk_q(i, *, views=10, u_g=1.0, title=None, body="body text", u_f_norm=None, **kw):
-    """A question; ``u_f_norm`` defaults to that of a question alone in
-    its week."""
+    """A question row; ``u_f_norm`` defaults to that of a question alone
+    in its week."""
     return Question(
         id=f"q{i}",
         domain=kw.pop("domain", "dom"),
@@ -33,7 +33,7 @@ def mk_q(i, *, views=10, u_g=1.0, title=None, body="body text", u_f_norm=None, *
         body=body,
         view_count=views,
         u_g=u_g,
-        u_f_norm=set_utility([views])[0] if u_f_norm is None else u_f_norm,
+        u_f_norm=set_utility([views]).tolist()[0] if u_f_norm is None else u_f_norm,
         **kw,
     )
 
@@ -43,15 +43,16 @@ def mk_week(week, specs):
     given its curator utility within the week."""
     views = [kw.get("views", 10) for _, kw in specs]
     qs = tuple(
-        mk_q(i, **kw, u_f_norm=u_f) for (i, kw), u_f in zip(specs, set_utility(views))
+        mk_q(i, **kw, u_f_norm=u_f)
+        for (i, kw), u_f in zip(specs, set_utility(views).tolist())
     )
     return RoundPool(week=week, questions=qs)
 
 
-def rows_of(questions):
-    """The questions' texts tokenized into a new table, as the text
-    scorers read them."""
-    return tokenize_rows([q.text for q in questions])
+def rows_of(pool, positions=None):
+    """The texts of the pool's questions at ``positions`` (all by
+    default) tokenized into a new table, as the text scorers read them."""
+    return tokenize_rows(pool.texts(positions))
 
 
 def texts_labels(history):
@@ -309,7 +310,7 @@ def ref_generate_synthetic(spec):
         own_topic = rng.random(total) < data.TOPIC_PURITY
         topic_idx = rng.integers(0, data.TOPIC_VOCAB, size=total)
         common_idx = rng.integers(0, data.COMMON_VOCAB, size=total)
-        u_f = set_utility(views)
+        u_f = set_utility(views).tolist()
         questions = []
         cursor = 0
         for i in range(q):
@@ -446,11 +447,14 @@ def _ref_read_csv(path: Path) -> Iterator[tuple[str, dict]]:
             yield f"{path.name} line {lineno}", row
 
 
-def ref_ingest(path: str | Path, fmt: str | None = None) -> data.Dataset:
+def ref_ingest(path: str | Path, fmt: str | None = None) -> tuple[list, dict]:
     """``data.ingest`` as it read records one helper call per check,
     building each record's location before checking it: the definition
     the record reader must reproduce, pools, metadata and SchemaError
-    messages alike.  Files are read as UTF-8.
+    messages alike.  Files are read as UTF-8.  The pools come back as
+    one list per week of row tuples, in the field order of
+    ``pubgame.Question``, with each ``u_f_norm`` the view count over the
+    week's largest as Python divides them.
 
     The format is inferred from the suffix unless given.  Duplicate
     ids, missing fields, and malformed values raise SchemaError with
@@ -504,15 +508,10 @@ def ref_ingest(path: str | Path, fmt: str | None = None) -> data.Dataset:
 
     week_keys = sorted(by_week)
     pools = []
-    for t, key in enumerate(week_keys):
-        # a week's fields are dropped as its questions are built
+    for key in week_keys:
         rows = by_week.pop(key)
-        u_f = set_utility([row[4] for row in rows])
-        questions = tuple(
-            Question(*row[:6], u_f_norm=u, forum_score=row[6])
-            for row, u in zip(rows, u_f)
-        )
-        pools.append(RoundPool(week=t, questions=questions))
+        top = float(max(row[4] for row in rows))
+        pools.append([(*row[:6], row[4] / top if top > 0 else 0.0, row[6]) for row in rows])
     metadata = {
         "source": str(path),
         "format": fmt,
@@ -522,7 +521,7 @@ def ref_ingest(path: str | Path, fmt: str | None = None) -> data.Dataset:
         "span": [first.isoformat(), last.isoformat()],
         "iso_weeks": [list(k) for k in week_keys],
     }
-    return data.Dataset(pools=tuple(pools), metadata=metadata)
+    return pools, metadata
 
 
 # ---------------------------------------------------------------- game

@@ -1,6 +1,10 @@
 import dataclasses
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pubgame import (
     ConfigError,
@@ -16,18 +20,23 @@ from pubgame import (
 from helpers import mk_q, mk_pool
 
 
+def pool_of(*questions, week=0):
+    return RoundPool(week=week, questions=questions)
+
+
 def test_question_text_joins_title_and_body():
-    q = mk_q(1, title="how to sort", body="use a stable sort")
-    assert q.text == "how to sort use a stable sort"
+    pool = pool_of(mk_q(1, title="how to sort", body="use a stable sort"), mk_q(2, body=""))
+    assert pool.texts() == ["how to sort use a stable sort", "title 2 "]
+    assert pool.texts([1, 0]) == ["title 2 ", "how to sort use a stable sort"]
 
 
 def test_question_rejects_negative_fields():
-    with pytest.raises(ValueError):
-        mk_q(1, views=-5)
-    with pytest.raises(ValueError):
-        mk_q(1, u_g=-0.1)
-    with pytest.raises(ValueError):
-        mk_q(1, u_f_norm=1.5)
+    with pytest.raises(ValueError, match="^question 'q1': view_count must be a whole number >= 0$"):
+        pool_of(mk_q(1, views=-5))
+    with pytest.raises(ValueError, match="^question 'q1': u_g must be finite and >= 0$"):
+        pool_of(mk_q(1, u_g=-0.1))
+    with pytest.raises(ValueError, match=r"^question 'q1': u_f_norm outside \[0, 1\]$"):
+        pool_of(mk_q(1, u_f_norm=1.5))
 
 
 def test_pool_rejects_negative_week_and_empty():
@@ -43,39 +52,66 @@ def test_question_requires_u_f_norm():
 
 
 def test_set_utility_divides_by_week_max():
-    assert set_utility([10, 40, 20]) == [0.25, 1.0, 0.5]
+    utilities = set_utility([10, 40, 20])
+    assert utilities.dtype == np.float64
+    assert utilities.tolist() == [0.25, 1.0, 0.5]
     pool = mk_pool(0, [(10, 1.0), (40, 2.0), (20, 3.0)])
     assert [q.u_f_norm for q in pool.questions] == [0.25, 1.0, 0.5]
 
 
 def test_set_utility_zero_week_maps_to_zero():
-    utilities = set_utility([0, 0])
+    utilities = set_utility([0, 0]).tolist()
     assert utilities == [0.0, 0.0]
-    assert all(type(u) is float for u in utilities)
+    assert all(type(u) is float and math.copysign(1.0, u) == 1.0 for u in utilities)
+
+
+def test_set_utility_is_python_division_above_2_53():
+    # past 2**53 a count and its float image differ; both sides divide
+    # the correctly rounded images
+    views = [2**53 + 1, 2**60 + 3, 3 * 2**70 + 7, 5, 2**200 - 1, 10**300]
+    top = float(max(views))
+    assert set_utility(views).tolist() == [v / top for v in views]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**200), min_size=1, max_size=20))
+def test_set_utility_matches_python_division(views):
+    top = float(max(views))
+    want = [v / top if top > 0 else 0.0 for v in views]
+    assert [u.hex() for u in set_utility(views).tolist()] == [u.hex() for u in want]
 
 
 def test_utility_of_set_sides():
     # the proposer's (G) total, then the curator's (F)
     pool = mk_pool(0, [(10, 1.5), (20, 2.5)])
-    assert utility_of_set(pool.questions) == (4.0, 1.5)
+    assert utility_of_set(pool, [0, 1]) == (4.0, 1.5)
 
 
 @pytest.mark.parametrize("side", [0, 1], ids=["G", "F"])
 def test_utility_of_set_empty_is_float_zero(side):
-    total = utility_of_set([])[side]
+    total = utility_of_set(mk_pool(0, [(10, 1.5)]), [])[side]
     assert total == 0.0 and type(total) is float
 
 
 def test_utility_of_set_adds_left_to_right():
     # math.fsum and Python 3.12's sum() give 1.0 here
-    qs = [mk_q(i, u_g=0.1, u_f_norm=0.1) for i in range(10)]
-    assert utility_of_set(qs) == (0.9999999999999999, 0.9999999999999999)
+    pool = pool_of(*(mk_q(i, u_g=0.1, u_f_norm=0.1) for i in range(10)))
+    assert utility_of_set(pool, np.arange(10)) == (0.9999999999999999, 0.9999999999999999)
+    u_g, u_f = utility_of_set(pool, np.arange(10))
+    assert type(u_g) is float and type(u_f) is float
+
+
+def test_negative_zero_utility_realizes_zero():
+    pool = pool_of(mk_q(0, u_g=-0.0, views=0))
+    assert pool.questions[0].u_g.hex() == "-0x0.0p+0"
+    u_g, u_f = utility_of_set(pool, [0])
+    assert (u_g.hex(), u_f.hex()) == ("0x0.0p+0", "0x0.0p+0")
+    assert SelectionOutcome.of(pool, [0], [0]).u_g_realized.hex() == "0x0.0p+0"
 
 
 def test_selection_outcome_of_ids_and_realized_utilities():
     pool = mk_pool(3, [(10, 1.5), (20, 2.5), (40, 4.0)])
-    proposed, published = pool.questions, pool.questions[2:0:-1]
-    assert SelectionOutcome.of(3, proposed, published) == SelectionOutcome(
+    assert SelectionOutcome.of(pool, np.array([0, 1, 2]), [2, 1]) == SelectionOutcome(
         3, ("q3-0", "q3-1", "q3-2"), ("q3-2", "q3-1"), 6.5, 1.5
     )
 
@@ -150,18 +186,73 @@ def test_empty_ledger_totals_are_zero():
     [
         {"u_g": float("nan")},
         {"u_g": float("inf")},
-        {"forum_score": float("nan")},
+        {"forum_score": float("inf")},
         {"forum_score": float("-inf")},
         {"views": 3.7},
         {"views": float("nan")},
     ],
 )
 def test_question_rejects_non_finite_and_fractional_values(fields):
-    with pytest.raises(ValueError):
-        mk_q(1, **fields)
+    what = {
+        "u_g": "u_g must be finite and >= 0",
+        "forum_score": "forum_score must be finite",
+        "views": "view_count must be a whole number >= 0",
+    }[next(iter(fields))]
+    with pytest.raises(ValueError, match=f"^question 'q1': {what}$"):
+        pool_of(mk_q(0), mk_q(1, **fields), mk_q(2, **fields))
+
+
+def test_pool_refuses_columns_of_different_lengths():
+    with pytest.raises(ValueError, match="^week 2: columns of different lengths$"):
+        RoundPool(2, ("a", "b"), ("d",) * 2, ("t",) * 2, ("b",) * 2, (1, 2), [1.0, 1.0], [0.5])
+
+
+def test_a_nan_forum_score_is_an_absent_one():
+    pool = pool_of(mk_q(0, forum_score=float("nan")), mk_q(1, forum_score=0.5))
+    assert [q.forum_score for q in pool.questions] == [None, 0.5]
+    assert pool == pool_of(mk_q(0), mk_q(1, forum_score=0.5))
 
 
 def test_question_is_immutable():
     q = mk_q(1)
     with pytest.raises(dataclasses.FrozenInstanceError):
         q.u_g = 2.0
+    # so is a pool, columns included: splits share them
+    pool = pool_of(q)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pool.week = 2
+    for column in (pool.u_g, pool.u_f_norm, pool.forum_score):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0.5
+
+
+_texts = st.text(max_size=8)
+_rows = st.lists(
+    st.tuples(
+        _texts,
+        _texts,
+        _texts,
+        st.integers(0, 2**200),
+        st.sampled_from([-0.0, 0.0, 0.1, 1e-300]) | st.floats(0, 1e300),
+        st.floats(0, 1),
+        st.none() | st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rows, st.integers(0, 60))
+def test_question_rows_round_trip_every_column(rows, week):
+    ids = tuple(f"q{i}" for i in range(len(rows)))
+    domains, titles, bodies, views, u_g, u_f, scores = (tuple(c) for c in zip(*rows))
+    pool = RoundPool(week, ids, domains, titles, bodies, views, u_g, u_f, scores)
+    want = [(i, *row) for i, row in zip(ids, rows)]
+    # repr tells -0.0 from 0.0, and a float from a NumPy scalar
+    assert repr([dataclasses.astuple(q) for q in pool.questions]) == repr(want)
+    assert pool.questions is not pool.questions
+    assert RoundPool(week, questions=pool.questions) == pool
+    # with no forum_score column every question has none
+    bare = RoundPool(week, ids, domains, titles, bodies, views, u_g, u_f)
+    assert [q.forum_score for q in bare.questions] == [None] * len(rows)

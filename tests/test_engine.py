@@ -31,6 +31,7 @@ from pubgame import (
     write_ledger_csv,
 )
 from pubgame.core import STRATEGIES_G, RoundPool
+from pubgame.engine import LEDGER_COLUMNS
 from pubgame.nash_opt import HEURISTICS
 from pubgame.textmodel import tokenize_rows, train_acceptance
 
@@ -135,12 +136,12 @@ def test_a_run_tokenizes_each_text_it_scores_once(monkeypatch):
 
     # only the curator scores text: the proposals; a proposer that does
     # not learn never trains a model that would read text
-    by_id = {q.id: q for pool in sim.pools for q in pool.questions}
+    text_of = {qid: t for pool in sim.pools for qid, t in zip(pool.ids, pool.texts())}
     frozen = dict(strategy_g="utility", learn_acceptance=False)
     for change in (dict(strategy_g="greedy"), dict(strategy_g="random"), frozen):
         calls.clear()
         ledger = run_asymmetric(sim, dataclasses.replace(config, **change), text)
-        assert calls == [by_id[i].text for o in ledger.outcomes for i in o.proposed]
+        assert calls == [text_of[i] for o in ledger.outcomes for i in o.proposed]
 
     # no text is scored
     calls.clear()
@@ -335,6 +336,24 @@ def test_read_ledger_csv_rejects_drifted_cumulatives(tmp_path):
         "1,2,1,1.0,0.5,2.5,1.0\n"
     )
     with pytest.raises(SchemaError, match="disagree"):
+        read_ledger_csv(path)
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("\u0663,5,1", "week '\u0663' is not an integer >= 0"),
+        ("3,\uff15,1", "proposed_count '\uff15' is not an integer >= 0"),
+        ("3,5,\u00b9", "published_count '\u00b9' is not an integer >= 0"),
+        ("3,+5,1", "proposed_count '\\+5' is not an integer >= 0"),
+        ("3, 5,1", "proposed_count ' 5' is not an integer >= 0"),
+    ],
+)
+def test_read_ledger_csv_takes_ascii_digits_only(tmp_path, row, message):
+    # int() reads an Arabic-Indic three and a fullwidth five as 3 and 5
+    path = tmp_path / "ledger.csv"
+    path.write_text(",".join(LEDGER_COLUMNS) + f"\n{row},1.0,0.5,1.0,0.5\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"^ledger.csv line 2: {message}$"):
         read_ledger_csv(path)
 
 

@@ -55,7 +55,7 @@ def test_misalignment_report_external_utility_columns():
     ds = _domain_dataset()
     n = sum(len(p) for p in ds.pools)
     cols = {
-        "views_again": [float(q.view_count) for q in ds.questions()],
+        "views_again": [float(v) for pool in ds.pools for v in pool.view_counts],
         "flat_noise": [float((i * 7) % 5) for i in range(n)],
     }
     report = misalignment_report(ds, utilities=cols)

@@ -45,7 +45,7 @@ def test_greedy_strategy_breaks_ties_by_pool_order():
 def test_utility_strategy_equals_greedy_when_untrained():
     pool = mk_pool(0, [(10, 1.0), (10, 5.0), (10, 3.0)])
     untrained = AcceptanceModel()
-    utility = strategy_g_utility(pool, 2, untrained, rows_of(pool.questions))
+    utility = strategy_g_utility(pool, 2, untrained, rows_of(pool))
     assert utility.tolist() == strategy_g_greedy(pool, 2).tolist() == [1, 2]
 
 
@@ -59,9 +59,9 @@ def test_utility_strategy_discounts_unlikely_questions():
     )
     pool = RoundPool(week=0, questions=qs)
     assert strategy_g_greedy(pool, 1).tolist() == [0]
-    assert strategy_g_utility(pool, 1, model, rows_of(qs)).tolist() == [1]
+    assert strategy_g_utility(pool, 1, model, rows_of(pool)).tolist() == [1]
     with pytest.raises(ValueError, match="2 questions needs their token rows"):
-        strategy_g_utility(pool, 1, model, rows_of(qs[:1]))
+        strategy_g_utility(pool, 1, model, rows_of(pool, [0]))
 
 
 def test_random_strategy_is_rng_driven_and_bounded():
@@ -75,28 +75,32 @@ def test_random_strategy_is_rng_driven_and_bounded():
 
 
 def test_percentile_labels_ten_distinct_values():
-    pool = mk_pool(0, [(v, 1.0) for v in (10, 20, 30, 40, 50, 60, 70, 80, 90, 100)])
-    labels = {q.view_count: lbl for q, lbl in label_by_percentile([pool])}
-    assert [labels[v] for v in (10, 20, 30, 40)] == [0, 0, 0, 0]
-    assert [labels[v] for v in (50, 60)] == [None, None]
-    assert [labels[v] for v in (70, 80, 90, 100)] == [1, 1, 1, 1]
+    pool = mk_pool(0, [(v, 1.0) for v in (100, 20, 30, 40, 50, 60, 70, 80, 90, 10)])
+    (labels,) = label_by_percentile([pool])
+    assert labels.dtype == np.int64
+    by_views = dict(zip(pool.view_counts, labels.tolist()))
+    assert [by_views[v] for v in (10, 20, 30, 40)] == [0, 0, 0, 0]
+    assert [by_views[v] for v in (50, 60)] == [-1, -1]
+    assert [by_views[v] for v in (70, 80, 90, 100)] == [1, 1, 1, 1]
 
 
 def test_percentile_labels_five_distinct_values():
     pool = mk_pool(0, [(v, 1.0) for v in (10, 20, 30, 40, 50)])
-    labels = [lbl for _, lbl in label_by_percentile([pool])]
-    assert labels == [0, 0, None, 1, 1]
+    pools = [pool, mk_pool(1, [(v, 1.0) for v in (50, 40, 30)])]
+    assert [labels.tolist() for labels in label_by_percentile(pools)] == [
+        [0, 0, -1, 1, 1],
+        [1, -1, 0],
+    ]
 
 
 def test_percentile_labels_tie_runs_share_average_rank():
     pool = mk_pool(0, [(10, 1.0), (10, 1.0), (20, 1.0), (30, 1.0)])
-    labels = [lbl for _, lbl in label_by_percentile([pool])]
-    assert labels == [0, 0, 1, 1]
+    assert label_by_percentile([pool])[0].tolist() == [0, 0, 1, 1]
 
 
 def test_percentile_labels_all_ties_are_excluded():
     pool = mk_pool(0, [(10, 1.0)] * 6)
-    assert [lbl for _, lbl in label_by_percentile([pool])] == [None] * 6
+    assert label_by_percentile([pool])[0].tolist() == [-1] * 6
 
 
 def test_calibrate_theta_known_sweep():
@@ -163,18 +167,22 @@ def _precomputed_pool():
 def test_forum_select_filters_orders_and_truncates():
     pool = _precomputed_pool()
     scorer = ForumScorer(theta=0.5)
-    published = forum_select(pool.questions, scorer, 2, None)
+    everyone = np.arange(len(pool))
+    published = forum_select(everyone, pool, scorer, 2, None)
     # scores >= 0.5: p0 (0.9), p2 (0.7), p3 (0.9); tie 0.9 keeps position order
     assert published.dtype == np.int64
     assert published.tolist() == [0, 3]
-    assert forum_select(pool.questions, scorer, 10, None).tolist() == [0, 3, 2]
+    assert forum_select(everyone, pool, scorer, 10, None).tolist() == [0, 3, 2]
+    # positions in the proposal, which holds positions into the pool
+    assert forum_select(np.array([4, 3, 1, 2]), pool, scorer, 10, None).tolist() == [1, 3]
 
 
 def test_forum_select_may_publish_nothing():
     scorer = ForumScorer(theta=0.95)
-    assert forum_select(_precomputed_pool().questions, scorer, 3, None).tolist() == []
+    pool = _precomputed_pool()
+    assert forum_select(np.arange(len(pool)), pool, scorer, 3, None).tolist() == []
     with pytest.raises(ValueError):
-        forum_select(_precomputed_pool().questions, scorer, 0, None)
+        forum_select(np.arange(len(pool)), pool, scorer, 0, None)
 
 
 # few distinct keys, signed zeros and infinities, so most ranks are ties
@@ -200,26 +208,27 @@ def test_top_k_is_the_minus_key_then_position_sort(keys, k):
     st.integers(1, 25),
 )
 def test_forum_select_is_filter_then_sort(scores, theta, k):
-    proposal = [mk_q(i, u_f_norm=0.5, forum_score=s) for i, s in enumerate(scores)]
+    pool = RoundPool(0, questions=[mk_q(i, u_f_norm=0.5, forum_score=s) for i, s in enumerate(scores)])
     scorer = ForumScorer(theta=theta)
     eligible = [i for i, s in enumerate(scores) if s >= theta]
     reference = sorted(eligible, key=lambda i: (-scores[i], i))[:k]
-    assert forum_select(proposal, scorer, k, None).tolist() == reference
+    assert forum_select(np.arange(len(pool)), pool, scorer, k, None).tolist() == reference
 
 
 def test_forum_scorer_validation():
-    q = mk_q(0, u_f_norm=0.5, forum_score=0.25)
+    pool = RoundPool(0, questions=[mk_q(0, u_f_norm=0.5, forum_score=0.25), mk_q(1, u_f_norm=0.5)])
+    first = np.array([0])
     # with a model the scorer reads token rows; an untrained model
     # scores every row 1, whatever the forum_score column says
     with_model = ForumScorer(theta=0.5, model=AcceptanceModel())
-    assert with_model.score([q], rows_of([q])).tolist() == [1.0]
+    assert with_model.score(pool, first, rows_of(pool, first)).tolist() == [1.0]
     with pytest.raises(ValueError, match="needs their token rows"):
-        with_model.score([q], None)
+        with_model.score(pool, first, None)
     # without one it reads the forum_score column, and needs it
     scorer = ForumScorer(theta=0.5)
-    assert scorer.score([q], None).tolist() == [0.25]
+    assert scorer.score(pool, first, None).tolist() == [0.25]
     with pytest.raises(ValueError, match="'q1' has no forum_score"):
-        scorer.score([mk_q(1, u_f_norm=0.5)], None)
+        scorer.score(pool, np.array([0, 1]), None)
 
 
 def test_make_precomputed_scorer_needs_the_forum_score_column():
@@ -261,12 +270,13 @@ def test_train_text_scorer_learns_topic_threshold():
     assert scorer.calibration is not None
     hot = mk_q("hot", title="alpha question", body="alpha detail", u_f_norm=1.0)
     cold = mk_q("cold", title="beta question", body="beta detail", u_f_norm=0.0)
-    s_hot, s_cold = scorer.score([hot, cold], rows_of([hot, cold]))
+    pool, both = RoundPool(0, questions=[hot, cold]), np.array([0, 1])
+    s_hot, s_cold = scorer.score(pool, both, rows_of(pool))
     assert s_hot > s_cold
     with pytest.raises(ValueError, match="needs their token rows, one per question; got none"):
-        scorer.score([hot, cold], None)
+        scorer.score(pool, both, None)
     with pytest.raises(ValueError, match="got 1$"):
-        forum_select([hot, cold], scorer, 1, rows_of([cold]))
+        forum_select(both, pool, scorer, 1, rows_of(pool, [1]))
 
 
 def test_train_text_scorer_tokenizes_each_labelled_question_once(monkeypatch):
@@ -274,7 +284,12 @@ def test_train_text_scorer_tokenizes_each_labelled_question_once(monkeypatch):
     calls = count_tokenize(monkeypatch)
     train_text_scorer(pools[:4], pools[4:])
     # fit and transform share the train rows; validation is scored once
-    labelled = [q.text for q, lbl in label_by_percentile(pools) if lbl is not None]
+    labelled = [
+        text
+        for pool, labels in zip(pools, label_by_percentile(pools))
+        for text, label in zip(pool.texts(), labels.tolist())
+        if label >= 0
+    ]
     assert calls == labelled
 
 
@@ -319,17 +334,22 @@ def _drawn_weeks(draw):
 def test_each_builder_calibrates_on_its_labelled_validation_scores(pools):
     train, val = pools[:2], pools[2:]
     for weeks in (train, val):
-        assume({lbl for _, lbl in label_by_percentile(weeks)} >= {0, 1})
-    labelled = [(q, lbl) for q, lbl in label_by_percentile(val) if lbl is not None]
-    texts = [q.text for q, _ in labelled]
-    labels = [lbl for _, lbl in labelled]
+        assume(set(np.concatenate(label_by_percentile(weeks)).tolist()) >= {0, 1})
+    labelled = [
+        (text, q, label)
+        for pool, labels in zip(val, label_by_percentile(val))
+        for text, q, label in zip(pool.texts(), pool.questions, labels.tolist())
+        if label >= 0
+    ]
+    texts = [text for text, _, _ in labelled]
+    labels = [label for _, _, label in labelled]
 
     text = train_text_scorer(train, val)
     want = calibrate_theta(text.model.predict_proba(texts), labels)
     assert (text.theta, text.calibration) == (want.theta, want)
 
     precomputed = make_precomputed_scorer(val)
-    want = calibrate_theta([q.forum_score for q, _ in labelled], labels)
+    want = calibrate_theta([q.forum_score for _, q, _ in labelled], labels)
     assert (precomputed.theta, precomputed.calibration) == (want.theta, want)
 
 
