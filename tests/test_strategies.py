@@ -75,7 +75,7 @@ def test_random_strategy_is_rng_driven_and_bounded():
 
 
 def test_percentile_labels_ten_distinct_values():
-    pool = mk_pool(0, [(v, 1.0) for v in (100, 20, 30, 40, 50, 60, 70, 80, 90, 10)])
+    pool = mk_pool(0, [(v, 1.0) for v in (10, 20, 30, 40, 50, 60, 70, 80, 90, 100)])
     (labels,) = label_by_percentile([pool])
     assert labels.dtype == np.int64
     by_views = dict(zip(pool.view_counts, labels.tolist()))
