@@ -490,3 +490,40 @@ def test_run_full_information_matches_the_reference_loop(dataset, heuristic, k, 
     rounds = rounds if rounds is None else min(rounds, dataset.n_weeks)
     ledger = run_full_information(dataset, heuristic, k, seed=seed, rounds=rounds)
     _assert_same_ledger(ledger, ref_run_full_information(dataset, heuristic, k, seed, rounds))
+
+
+# seasons long enough for several retrains, and a proposer that learns:
+# the case the property above draws in about one example of six
+_long_season = st.lists(st.lists(_question, min_size=5, max_size=30), min_size=4, max_size=8).map(
+    lambda weeks: Dataset(
+        tuple(
+            mk_week(t, [(f"{t}-{i}", kw) for i, kw in enumerate(week)])
+            for t, week in enumerate(weeks)
+        )
+    )
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dataset=_long_season,
+    text=st.booleans(),
+    theta=st.sampled_from([0.0, 0.3, 0.5, 0.7]),
+    caps=st.tuples(st.integers(1, 8), st.integers(0, 8)),
+    retrain_period=st.integers(1, 2),
+    seed=st.integers(0, 3),
+)
+def test_a_learning_proposer_matches_the_reference_loop(
+    dataset, text, theta, caps, retrain_period, seed
+):
+    config = GameConfig(
+        m_cap=caps[0] + caps[1],
+        k_cap=caps[0],
+        rounds=dataset.n_weeks,
+        retrain_period=retrain_period,
+        seed=seed,
+        strategy_g="utility",
+    )
+    scorer = ForumScorer(theta, _CURATOR if text else None)
+    ledger = run_asymmetric(dataset, config, scorer)
+    _assert_same_ledger(ledger, ref_run_asymmetric(dataset, config, scorer))
