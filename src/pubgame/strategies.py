@@ -181,8 +181,8 @@ def _forum_scores(pool: RoundPool, positions: np.ndarray) -> np.ndarray:
 def forum_select(
     proposal: np.ndarray, pool: RoundPool, scorer: ForumScorer, k: int, rows: TokenRows | None
 ) -> np.ndarray:
-    """Positions in the proposal, positions into ``pool``, of the k
-    best-scoring questions at or above theta.
+    """Positions in ``proposal``, itself positions into ``pool``, of the
+    k best-scoring questions at or above theta.
 
     ``rows`` holds the proposal tokenized, as :meth:`ForumScorer.score`
     reads it.

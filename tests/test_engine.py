@@ -37,7 +37,6 @@ from pubgame.textmodel import tokenize_rows, train_acceptance
 
 from helpers import (
     count_tokenize,
-    mk_pool,
     mk_q,
     mk_week,
     ref_run_asymmetric,
