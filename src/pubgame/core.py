@@ -99,6 +99,13 @@ class RoundPool:
     def __len__(self) -> int:
         return len(self.ids)
 
+    def renumbered(self, week: int) -> RoundPool:
+        """The same pool as week ``week``, sharing these columns; they
+        were checked when this pool was built and are not checked again."""
+        pool = object.__new__(RoundPool)
+        pool.__dict__.update(self.__dict__, week=week)
+        return pool
+
     def __eq__(self, other: object) -> bool:
         """Same week and columns; forum scores that are both absent match."""
         if not isinstance(other, RoundPool):

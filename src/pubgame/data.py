@@ -341,7 +341,7 @@ def split_pretrain(dataset: Dataset, weeks: int) -> tuple[Dataset, Dataset, Data
     def cut(lo: int, hi: int, name: str) -> Dataset:
         # renumbered from week 0, sharing the parent's columns
         window = enumerate(dataset.pools[lo:hi])
-        pools = tuple(dataclasses.replace(pool, week=t) for t, pool in window)
+        pools = tuple(pool.renumbered(t) for t, pool in window)
         meta = {"split": name, "source_weeks": list(range(lo, hi)), "parent": parent}
         return Dataset(pools, meta)
 

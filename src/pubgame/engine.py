@@ -60,10 +60,9 @@ def run_asymmetric(dataset: Dataset, config: GameConfig, scorer: ForumScorer) ->
     weeks is an error.  The curator scorer stays frozen; the proposer's
     acceptance model retrains on accumulated history at rounds that are
     multiples of ``retrain_period`` (when the utility strategy and
-    learning are active).  A retrain that would collapse (single-class
-    history) keeps the previous model.  A utility proposer that does not
-    learn keeps an untrained model, whose probabilities are all 1, so it
-    plays the greedy strategy.
+    learning are active).  A utility proposer that does not learn keeps
+    an untrained model, whose probabilities are all 1, so it plays the
+    greedy strategy.
 
     Each round tokenizes only the texts it scores: the whole pool when
     the proposer learns, otherwise the proposal when the curator scores
@@ -84,9 +83,7 @@ def run_asymmetric(dataset: Dataset, config: GameConfig, scorer: ForumScorer) ->
     outcomes = []
     for t, pool in enumerate(dataset.pools[: config.rounds]):
         if learning and t > 0 and t % config.retrain_period == 0:
-            candidate = train_acceptance(history, accepted)
-            if candidate.trained:
-                model = candidate
+            model = train_acceptance(history, accepted)
 
         rows = None
         if learning:

@@ -19,7 +19,12 @@ Exactness: integer and Fraction-valued instances are evaluated in exact
 arithmetic (Fractions are rescaled to integers internally); float
 instances in float64, each sum added left to right in index order.
 :func:`oracle_exact` enumerates the k-subsets in lexicographic order,
-in NumPy blocks of at most ``_CHUNK`` subsets.
+in NumPy blocks of at most ``_CHUNK`` subsets, and skips every prefix
+whose separable bound (the prefix's sums plus the largest values left
+on each side, multiplied) is strictly below the best value found so
+far.  No optimal subset is skipped, so ties still go to the
+lexicographically smallest index tuple; the budget still caps C(n, k),
+not the number of subsets scored.
 """
 
 from __future__ import annotations
@@ -124,29 +129,93 @@ def _scaled_integer_values(values: Sequence) -> tuple[list[int], int]:
     return [int(v * scale) for v in values], scale
 
 
-def _iter_combo_chunks(fs: np.ndarray, gs: np.ndarray, k: int):
-    """Nash products of all k-subsets, in lexicographic order, in blocks
-    of at most ``_CHUNK``: a stack of groups of prefixes (last index,
-    f-sum, g-sum), each grown by one index or cut to fit the block."""
+def _suffix_top_sums(values: np.ndarray, k: int) -> np.ndarray:
+    """``top[r, j]``: the sum of the r largest values at positions j and
+    after, added largest first, for r up to k.  Where fewer than r
+    positions remain the entry is a smaller sum; no prefix reads it."""
+    n = len(values)
+    # row j holds the values from position j on, zeros before them; the
+    # values are nonnegative, so sorted descending the zeros come last
+    suffixes = np.triu(np.broadcast_to(values, (n, n)))
+    top = np.zeros((k + 1, n + 1), dtype=values.dtype)
+    with np.errstate(over="ignore"):  # an inf sum only keeps prefixes
+        top[1:, :n] = np.cumsum(np.sort(suffixes, axis=1)[:, : -k - 1 : -1], axis=1).T
+    return top
+
+
+def _iter_combo_chunks(fs: np.ndarray, gs: np.ndarray, k: int, incumbent=None):
+    """Nash products of the k-subsets with their lexicographic ranks, in
+    lexicographic order, in structured blocks of at most ``_CHUNK`` rows
+    (fields ``value`` and ``rank``): a stack of groups of prefixes (last
+    index, f-sum, g-sum, rank of the first completion), each pruned,
+    grown by one index or cut to fit the block.
+
+    Without an ``incumbent`` every subset is scored.  With one (the
+    value of some k-subset, as this function scores it), a prefix is
+    dropped when the bound below is strictly under the largest value
+    yet seen, the incumbent included; so no subset that attains the
+    maximum is dropped.  A prefix with sums (F, G), r picks left and
+    last index ``last`` is bounded by (F + the r largest f after
+    ``last``) * (G + the r largest g after ``last``).  A block's length
+    is the number of subsets scored in it.
+    """
     n = len(fs)
     # below[m][r]: completions of an m-prefix with r indices after its last
     below = [np.array([math.comb(r, k - m) for r in range(n + 1)]) for m in range(k + 1)]
-    stack = [(0, np.array([-1]), np.zeros(1, dtype=fs.dtype), np.zeros(1, dtype=gs.dtype))]
+    top_f, top_g = _suffix_top_sums(fs, k), _suffix_top_sums(gs, k)
+    # Float sums round, so the bound's sums get an outward slack.  A
+    # completion adds r <= k nonnegative terms to F left to right, each
+    # addition rounding up by at most a factor (1 + u), u = 2**-53; the
+    # table's top-r sum and F + it each round down by at most a factor
+    # (1 - u) per addition.  So a completion's f-sum is at most
+    # fl(F + top) * ((1 + u) / (1 - u))**k <= fl(F + top) * (1 + 3ku)
+    # for any ku below 0.01, and a factor 1 + 4(k + 1)u covers that and
+    # its own rounding.  (Where F + top is below 2**-1022 every one of
+    # these sums is exact.)  The scaled sums then bound every
+    # completion's sums as floats, and rounding is monotone, so their
+    # product bounds every completion's product.  An inf sum against a
+    # zero one gives a NaN bound, and the test ``not (bound < best)``
+    # keeps it.  Integer sums are exact, and in int64 the bound never
+    # exceeds the product of the top-k sums, which the caller keeps
+    # below 2**62.
+    slack = 1 + 4 * (k + 1) * 2.0**-53 if fs.dtype.kind == "f" else None
+    best = incumbent
+    stack = [
+        (0, np.array([-1]), np.zeros(1, fs.dtype), np.zeros(1, gs.dtype), np.zeros(1, np.int64))
+    ]
     while stack:
-        m, last, f, g = stack.pop()
+        m, last, f, g, rank = stack.pop()
+        if best is not None and m < k:
+            with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN keep
+                f_bound, g_bound = f + top_f[k - m, last + 1], g + top_g[k - m, last + 1]
+                if slack is not None:
+                    f_bound *= slack
+                    g_bound *= slack
+                keep = ~(f_bound * g_bound < best)
+            if not keep.all():
+                last, f, g, rank = last[keep], f[keep], g[keep], rank[keep]
+                if not len(last):
+                    continue
         sizes = below[m][n - 1 - last]
         if len(last) > 1 and sizes.sum() > _CHUNK:
             cut = max(1, int(np.searchsorted(np.cumsum(sizes), _CHUNK, side="right")))
-            stack.append((m, last[cut:], f[cut:], g[cut:]))
-            stack.append((m, last[:cut], f[:cut], g[:cut]))
+            stack.append((m, last[cut:], f[cut:], g[cut:], rank[cut:]))
+            stack.append((m, last[:cut], f[:cut], g[:cut], rank[:cut]))
         elif m == k:
-            yield f * g
+            block = np.empty(len(f), dtype=[("value", f.dtype), ("rank", rank.dtype)])
+            values = np.multiply(f, g, out=block["value"])
+            block["rank"] = rank
+            if best is not None and (top := values.max()) > best:
+                best = top
+            yield block
         else:
             # every later index that leaves room for the rest of the subset
             counts = n - k + m - last
             parent = np.repeat(np.arange(len(last)), counts)
             child = np.arange(len(parent)) + (last + 1 + counts - np.cumsum(counts))[parent]
-            stack.append((m + 1, child, f[parent] + fs[child], g[parent] + gs[child]))
+            # a child's first completion follows those of its earlier siblings
+            child_rank = (rank + sizes)[parent] - below[m][::-1][child]
+            stack.append((m + 1, child, f[parent] + fs[child], g[parent] + gs[child], child_rank))
 
 
 def oracle_exact(
@@ -154,14 +223,20 @@ def oracle_exact(
     *,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> OracleResult:
-    """Optimal k-subset by full enumeration.
+    """Optimal k-subset by enumeration, pruned by a separable bound.
 
     Subsets are scored in lexicographic order, in blocks of at most
-    ``_CHUNK`` rows that bound memory; ties resolve to the
-    lexicographically smallest index tuple.  Sums are added left to
-    right, so a float value equals ``nash_objective`` of the indices.
-    C(n, k) must not exceed ``budget``; pass a larger budget explicitly
-    to push past the default.
+    ``_CHUNK`` rows that bound memory.  The incumbent starts at the
+    value of the top k items by f * g and rises with each block's
+    maximum; a prefix whose bound (see :func:`_iter_combo_chunks`) is
+    strictly below it is not extended, so no optimal subset is skipped
+    and ties resolve to the lexicographically smallest index tuple.
+    Sums are added left to right, so a float value equals
+    ``nash_objective`` of the indices; a NaN product (an inf sum
+    against a zero one) wins as it would in one NumPy argmax over every
+    subset.  C(n, k), not the number scored, must not exceed
+    ``budget``; pass a larger budget explicitly to push past the
+    default.
     """
     n, k = instance.n, instance.k
     count = math.comb(n, k)
@@ -180,14 +255,22 @@ def oracle_exact(
         scale = None
         fs, gs = _as_float_arrays(instance)
 
-    best_val, rank, seen = None, 0, 0
-    for products in _iter_combo_chunks(fs, gs, k):
+    # the incumbent: the top k by f * g, valued as the enumeration values
+    # a subset, each sum added in index order from zero in the columns' dtype
+    f, g = np.zeros(1, fs.dtype), np.zeros(1, gs.dtype)
+    for i in sorted(top_k(fs * gs, k).tolist()):
+        f, g = f + fs[i], g + gs[i]
+    incumbent = (f * g)[0]
+    best_val, rank = None, 0
+    for block in _iter_combo_chunks(fs, gs, k, incumbent):
         # the first maximum of a block, and a strict > across blocks,
-        # keep the lexicographically smallest optimal subset
-        i = int(np.argmax(products))
-        if best_val is None or products[i] > best_val:
-            best_val, rank = products[i], seen + i
-        seen += len(products)
+        # keep the lexicographically smallest optimal subset; the first
+        # NaN, which argmax takes over any number, wins the same way
+        values = block["value"]
+        i = int(np.argmax(values))
+        v = values[i]
+        if best_val is None or v > best_val or (v != v and best_val == best_val):
+            best_val, rank = v, int(block["rank"][i])
     combo, c = [], 0
     for left in range(k, 0, -1):  # unrank: skip subsets whose next index is c
         while rank >= (after := math.comb(n - 1 - c, left - 1)):

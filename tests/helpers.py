@@ -196,10 +196,10 @@ def ref_calibrate_theta(scored):
 
 
 # ---------------------------------------------------------------- oracle
-# The enumeration oracle as tuples from itertools.combinations: NumPy sums
-# along each row while int64 or float64 holds the values, a Python loop
-# over big integers past that.  The block enumerator must pick the same
-# subset and value wherever its sums are added in the same order.
+# The enumeration oracle as tuples from itertools.combinations, every
+# subset scored: NumPy sums added left to right from zero while int64 or
+# float64 holds the values, a Python loop over big integers past that.
+# The pruned block enumerator must pick the same subset and value.
 
 
 def ref_oracle_exact(instance):
@@ -223,7 +223,10 @@ def ref_oracle_exact(instance):
 
 def _ref_enumerate_numpy(fs, gs, k):
     combos = np.array(list(itertools.combinations(range(len(fs)), k)), dtype=np.intp)
-    products = fs[combos].sum(axis=1) * gs[combos].sum(axis=1)
+    f_sums, g_sums = np.zeros(len(combos), fs.dtype), np.zeros(len(combos), gs.dtype)
+    for column in combos.T:  # each subset's values added left to right from zero
+        f_sums, g_sums = f_sums + fs[column], g_sums + gs[column]
+    products = f_sums * g_sums
     i = int(np.argmax(products))
     return tuple(int(j) for j in combos[i]), products[i]
 
