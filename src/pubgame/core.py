@@ -102,7 +102,7 @@ class RoundPool:
     def renumbered(self, week: int) -> RoundPool:
         """The same pool as week ``week``, sharing these columns; they
         were checked when this pool was built and are not checked again."""
-        pool = object.__new__(RoundPool)
+        pool = object.__new__(type(self))
         pool.__dict__.update(self.__dict__, week=week)
         return pool
 

@@ -143,12 +143,25 @@ def _suffix_top_sums(values: np.ndarray, k: int) -> np.ndarray:
     return top
 
 
+@dataclass(frozen=True)
+class _Block:
+    """Subsets scored together: each one's Nash product and its rank in
+    the lexicographic order of all k-subsets."""
+
+    value: np.ndarray
+    rank: np.ndarray
+
+    def __len__(self) -> int:
+        """The number of subsets scored in the block."""
+        return len(self.value)
+
+
 def _iter_combo_chunks(fs: np.ndarray, gs: np.ndarray, k: int, incumbent=None):
     """Nash products of the k-subsets with their lexicographic ranks, in
-    lexicographic order, in structured blocks of at most ``_CHUNK`` rows
-    (fields ``value`` and ``rank``): a stack of groups of prefixes (last
-    index, f-sum, g-sum, rank of the first completion), each pruned,
-    grown by one index or cut to fit the block.
+    lexicographic order, in blocks (:class:`_Block`) of at most
+    ``_CHUNK`` subsets: a stack of groups of prefixes (last index,
+    f-sum, g-sum, rank of the first completion), each pruned, grown by
+    one index or cut to fit the block.
 
     Without an ``incumbent`` every subset is scored.  With one (the
     value of some k-subset, as this function scores it), a prefix is
@@ -156,8 +169,7 @@ def _iter_combo_chunks(fs: np.ndarray, gs: np.ndarray, k: int, incumbent=None):
     yet seen, the incumbent included; so no subset that attains the
     maximum is dropped.  A prefix with sums (F, G), r picks left and
     last index ``last`` is bounded by (F + the r largest f after
-    ``last``) * (G + the r largest g after ``last``).  A block's length
-    is the number of subsets scored in it.
+    ``last``) * (G + the r largest g after ``last``).
     """
     n = len(fs)
     # below[m][r]: completions of an m-prefix with r indices after its last
@@ -202,10 +214,8 @@ def _iter_combo_chunks(fs: np.ndarray, gs: np.ndarray, k: int, incumbent=None):
             stack.append((m, last[cut:], f[cut:], g[cut:], rank[cut:]))
             stack.append((m, last[:cut], f[:cut], g[:cut], rank[:cut]))
         elif m == k:
-            block = np.empty(len(f), dtype=[("value", f.dtype), ("rank", rank.dtype)])
-            values = np.multiply(f, g, out=block["value"])
-            block["rank"] = rank
-            if best is not None and (top := values.max()) > best:
+            block = _Block(f * g, rank)
+            if best is not None and (top := block.value.max()) > best:
                 best = top
             yield block
         else:
@@ -266,11 +276,10 @@ def oracle_exact(
         # the first maximum of a block, and a strict > across blocks,
         # keep the lexicographically smallest optimal subset; the first
         # NaN, which argmax takes over any number, wins the same way
-        values = block["value"]
-        i = int(np.argmax(values))
-        v = values[i]
+        i = int(np.argmax(block.value))
+        v = block.value[i]
         if best_val is None or v > best_val or (v != v and best_val == best_val):
-            best_val, rank = v, int(block["rank"][i])
+            best_val, rank = v, int(block.rank[i])
     combo, c = [], 0
     for left in range(k, 0, -1):  # unrank: skip subsets whose next index is c
         while rank >= (after := math.comb(n - 1 - c, left - 1)):

@@ -630,6 +630,8 @@ def test_split_pretrain_shares_columns_with_parent():
     for parent, child in zip(ds.pools, pools):
         for f in dataclasses.fields(RoundPool)[1:]:
             assert getattr(child, f.name) is getattr(parent, f.name)
+    # renumbering leaves the parent's pools as they were
+    assert [pool.week for pool in ds.pools] == list(range(10))
 
 
 def test_split_pretrain_validation():

@@ -175,9 +175,9 @@ def test_combo_blocks_are_bounded_and_lexicographic(monkeypatch, chunk):
             assert sum(len(b) for b in blocks) == math.comb(n, k)
             assert max(len(b) for b in blocks) <= chunk
             masks = [k * sum(2**i for i in c) for c in itertools.combinations(range(n), k)]
-            scored = np.concatenate(blocks)
-            assert scored["value"].tolist() == masks
-            assert scored["rank"].tolist() == list(range(math.comb(n, k)))
+            assert np.concatenate([b.value for b in blocks]).tolist() == masks
+            ranks = np.concatenate([b.rank for b in blocks])
+            assert ranks.tolist() == list(range(math.comb(n, k)))
 
 
 def test_pruning_keeps_an_optimum_whose_sums_round_above_the_bound():
@@ -204,12 +204,14 @@ def test_pruning_never_drops_a_nan_bound(monkeypatch, chunk):
     monkeypatch.setattr(nash_opt, "_CHUNK", chunk)
     inst = BilinearInstance(items=((1.0, 1.0), (1e308, 0.0), (1e308, 0.0)), k=2)
     fs, gs = nash_opt._as_float_arrays(inst)
-    scored = np.concatenate(list(nash_opt._iter_combo_chunks(fs, gs, inst.k)))
-    i = int(np.argmax(scored["value"]))
+    blocks = list(nash_opt._iter_combo_chunks(fs, gs, inst.k))
+    values = np.concatenate([b.value for b in blocks])
+    ranks = np.concatenate([b.rank for b in blocks])
+    i = int(np.argmax(values))
     result = oracle_exact(inst)
-    unpruned = list(itertools.combinations(range(inst.n), inst.k))[scored["rank"][i]]
+    unpruned = list(itertools.combinations(range(inst.n), inst.k))[ranks[i]]
     assert result.indices == unpruned == (1, 2)
-    assert result.value.hex() == float(scored["value"][i]).hex() == "nan"
+    assert result.value.hex() == float(values[i]).hex() == "nan"
     # the maxsp seed (0, 1) is worth 1e308, so a NaN bound must not prune
     assert nash_objective(inst, (0, 1)) == 1e308
 
