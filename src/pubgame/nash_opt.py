@@ -131,15 +131,15 @@ def _scaled_integer_values(values: Sequence) -> tuple[list[int], int]:
 
 def _suffix_top_sums(values: np.ndarray, k: int) -> np.ndarray:
     """``top[r, j]``: the sum of the r largest values at positions j and
-    after, added largest first, for r up to k.  Where fewer than r
-    positions remain the entry is a smaller sum; no prefix reads it."""
+    after, for r up to k, in O(n * k).  Where fewer than r positions
+    remain the entry is a smaller sum; no prefix reads it."""
     n = len(values)
-    # row j holds the values from position j on, zeros before them; the
-    # values are nonnegative, so sorted descending the zeros come last
-    suffixes = np.triu(np.broadcast_to(values, (n, n)))
     top = np.zeros((k + 1, n + 1), dtype=values.dtype)
+    # the r largest from j on: the best first pick j' >= j plus the r - 1
+    # largest after j'; column n, past the last position, stays zero
     with np.errstate(over="ignore"):  # an inf sum only keeps prefixes
-        top[1:, :n] = np.cumsum(np.sort(suffixes, axis=1)[:, : -k - 1 : -1], axis=1).T
+        for r in range(1, k + 1):
+            top[r, :n] = np.maximum.accumulate((values + top[r - 1, 1:])[::-1])[::-1]
     return top
 
 
@@ -177,9 +177,10 @@ def _iter_combo_chunks(fs: np.ndarray, gs: np.ndarray, k: int, incumbent=None):
     top_f, top_g = _suffix_top_sums(fs, k), _suffix_top_sums(gs, k)
     # Float sums round, so the bound's sums get an outward slack.  A
     # completion adds r <= k nonnegative terms to F left to right, each
-    # addition rounding up by at most a factor (1 + u), u = 2**-53; the
-    # table's top-r sum and F + it each round down by at most a factor
-    # (1 - u) per addition.  So a completion's f-sum is at most
+    # addition rounding up by at most a factor (1 + u), u = 2**-53.  The
+    # table's top-r entry is at least its chain through the exact r
+    # largest, whose r - 1 additions each round down by at most a factor
+    # (1 - u), and F + it rounds down once more.  So a completion's f-sum is at most
     # fl(F + top) * ((1 + u) / (1 - u))**k <= fl(F + top) * (1 + 3ku)
     # for any ku below 0.01, and a factor 1 + 4(k + 1)u covers that and
     # its own rounding.  (Where F + top is below 2**-1022 every one of

@@ -233,6 +233,30 @@ def test_pruning_scores_under_one_percent_of_a_random_instance(monkeypatch):
     assert result == ref_oracle_exact(inst)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_suffix_top_sums_match_sorted_suffixes(dtype):
+    rng = random.Random(11)
+    for n in range(1, 9):
+        values = np.array([rng.randrange(6) for _ in range(n)], dtype=dtype)
+        for k in range(1, n + 1):
+            top = nash_opt._suffix_top_sums(values, k)
+            assert top.shape == (k + 1, n + 1)
+            for r in range(k + 1):
+                for j in range(n + 1):
+                    assert top[r, j] == sum(sorted(values[j:].tolist(), reverse=True)[:r])
+
+
+def test_oracle_exact_k1_on_a_large_pool_is_the_argmax_of_f_times_g():
+    # the bound tables take O(n * k) memory, so C(n, 1) within the
+    # default budget runs at any n; small values make ties, which go to
+    # the first index
+    rng = np.random.default_rng(5)
+    f, g = rng.integers(0, 50, size=(2, 200_000))
+    inst = BilinearInstance(items=tuple(zip(f.tolist(), g.tolist())), k=1)
+    best = int(np.argmax(f * g))
+    assert oracle_exact(inst) == OracleResult((best,), int(f[best] * g[best]))
+
+
 def test_oracle_dp_agrees_with_enumeration():
     rng = random.Random(7)
     for _ in range(50):
