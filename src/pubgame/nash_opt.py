@@ -15,16 +15,22 @@ on two float64 value columns (f, g) and a cap k; ``COLUMN_RULES`` names
 them for the full-information loop, and ``HEURISTICS`` runs each on the
 float64 image of a :class:`BilinearInstance`.
 
-Exactness: integer and Fraction-valued instances are evaluated in exact
-arithmetic (Fractions are rescaled to integers internally); float
-instances in float64, each sum added left to right in index order.
+Exactness: both oracles read the same value columns.  Integer and
+Fraction-valued instances are evaluated in exact arithmetic (Fractions
+are rescaled to integers internally); any other instance in float64,
+each sum added left to right in index order, and one whose k largest f
+or k largest g sum to inf is refused with a ``ValueError``.
 :func:`oracle_exact` enumerates the k-subsets in lexicographic order,
 in NumPy blocks of at most ``_CHUNK`` subsets, and skips every prefix
 whose separable bound (the prefix's sums plus the largest values left
 on each side, multiplied) is strictly below the best value found so
 far.  No optimal subset is skipped, so ties still go to the
 lexicographically smallest index tuple; the budget still caps C(n, k),
-not the number of subsets scored.
+not the number of subsets scored.  :func:`oracle_dp` fills a table of
+the best g-sum per (size, f-sum) for sizes up to k and f-sums up to S,
+the sum of the k largest f, and keeps one bool cell per item and table
+cell for its walk back; those n * (k + 1) * (S + 1) cells are capped by
+the same default budget.
 """
 
 from __future__ import annotations
@@ -243,28 +249,17 @@ def oracle_exact(
     strictly below it is not extended, so no optimal subset is skipped
     and ties resolve to the lexicographically smallest index tuple.
     Sums are added left to right, so a float value equals
-    ``nash_objective`` of the indices; a NaN product (an inf sum
-    against a zero one) wins as it would in one NumPy argmax over every
-    subset.  C(n, k), not the number scored, must not exceed
-    ``budget``; pass a larger budget explicitly to push past the
-    default.
+    ``nash_objective`` of the indices.  A float instance whose k largest
+    f or k largest g sum to inf is refused with a ``ValueError``.  C(n,
+    k), not the number scored, must not exceed ``budget``; pass a larger
+    budget explicitly to push past the default.
     """
     n, k = instance.n, instance.k
     count = math.comb(n, k)
     if count > budget:
         raise EnumerationBudgetError(n, k, count, budget)
 
-    if _is_exact(instance):
-        sf, scale_f = _scaled_integer_values(instance.fs)
-        sg, scale_g = _scaled_integer_values(instance.gs)
-        scale = scale_f * scale_g
-        # int64 while no product can reach 2**62, Python integers past it
-        fits = sum(sorted(sf)[-k:]) * sum(sorted(sg)[-k:]) < _INT64_SAFE
-        fs = np.array(sf, dtype=np.int64 if fits else object)
-        gs = np.array(sg, dtype=fs.dtype)
-    else:
-        scale = None
-        fs, gs = _as_float_arrays(instance)
+    fs, gs, scale = _columns(instance)
 
     # the incumbent: the top k by f * g, valued as the enumeration values
     # a subset, each sum added in index order from zero in the columns' dtype
@@ -289,67 +284,100 @@ def oracle_exact(
         combo.append(c)
         c += 1
 
-    if scale is None:
-        return OracleResult(tuple(combo), float(best_val))
-    val = int(best_val)
-    return OracleResult(tuple(combo), val if scale == 1 else Fraction(val, scale))
+    return OracleResult(tuple(combo), _value(best_val, scale))
 
 
 def oracle_dp(instance: BilinearInstance) -> OracleResult:
     """Optimal k-subset by dynamic programming over integer f-sums.
 
-    Requires integer f values.  State: (selected count, f-sum) mapped to
-    the best attainable g-sum; pseudo-polynomial in sum(f).  Both
-    oracles add float g in index order, so the returned value equals
-    the enumeration oracle's exactly (for float g, while f-sums stay
-    below 2**53).  The index tuple may differ on ties.
+    Requires integer f values.  ``best[size, F]`` is the largest g-sum
+    of a subset of the items seen so far with ``size`` items and f-sum
+    F, for sizes up to k and F up to S, the sum of the k largest f.
+    Each item updates the table with one shifted comparison and records
+    the cells it strictly improved in a bool table of n * (k + 1) *
+    (S + 1) cells, which the walk back reads.  That table must not
+    exceed ``DEFAULT_ENUMERATION_BUDGET`` cells; a larger one is
+    refused with a ``ValueError`` before anything is allocated.
+
+    The g column is the one :func:`oracle_exact` uses: exact for integer
+    and Fraction values, float64 for any other instance (refused when
+    its k largest g sum to inf), each g-sum added in index order.  So
+    the value equals the enumeration oracle's; the index tuple may
+    differ on ties.  Among optimal f-sums the smallest wins, and the
+    walk back skips a late item wherever the cell holds without it.
     """
-    fs, gs, k = instance.fs, instance.gs, instance.k
+    n, k, fs = instance.n, instance.k, instance.fs
     for i, f in enumerate(fs):
         if not isinstance(f, int):
             raise ValueError(f"item {i}: DP oracle needs integer f values, got {f!r}")
+    s = sum(sorted(fs)[-k:])
+    cells = n * (k + 1) * (s + 1)
+    if cells > DEFAULT_ENUMERATION_BUDGET:
+        raise ValueError(
+            f"DP table of {n} x {k + 1} x {s + 1} = {cells} cells exceeds "
+            f"the budget of {DEFAULT_ENUMERATION_BUDGET}"
+        )
+    _, gs, scale = _columns(instance)
 
-    base = {(0, 0): 0}
-    layers: list[dict[tuple[int, int], float]] = []
-    dp = base
-    for f, g in instance.items:
-        new = dict(dp)
-        for (size, f_sum), g_best in dp.items():
-            if size == k:
-                continue
-            key = (size + 1, f_sum + f)
-            cand = g_best + g
-            cur = new.get(key)
-            if cur is None or cand > cur:
-                new[key] = cand
-        layers.append(new)
-        dp = new
+    # an unreachable cell holds a value below every g-sum, and stays below
+    # zero after the at most k additions a cell's chain makes: -inf in
+    # float64, and for integers one less than minus the k largest g's sum
+    unreachable = -math.inf if scale is None else -1 - np.sort(gs)[n - k :].sum()
+    best = np.full((k + 1, s + 1), unreachable, dtype=gs.dtype)
+    best[0, 0] = 0
+    took = np.zeros((n, k + 1, s + 1), dtype=bool)
+    for i, (f, g) in enumerate(zip(fs, gs)):
+        # the candidates read the table before this item's writes
+        cur, improved = best[1:, f:], took[i, 1:, f:]
+        cand = best[:-1, : s + 1 - f] + g
+        np.greater(cand, cur, out=improved)
+        np.copyto(cur, cand, where=improved)
 
-    best_val = None
-    best_state = None
-    for (size, f_sum), g_best in dp.items():
-        if size != k:
-            continue
-        v = f_sum * g_best
-        if best_val is None or v > best_val or (v == best_val and f_sum < best_state[1]):
-            best_val = v
-            best_state = (size, f_sum, g_best)
-    assert best_state is not None
-
-    # walk back, preferring to skip late items so early indices stay chosen
-    chosen: list[int] = []
-    size, f_sum, g_best = best_state
-    for i in reversed(range(instance.n)):
-        prev = layers[i - 1] if i > 0 else base
-        if prev.get((size, f_sum)) == g_best:
-            continue
-        chosen.append(i)
-        size, f_sum = size - 1, f_sum - fs[i]
-        # read the g-sum from the layer before: with float g, g_best - g
-        # need not undo the addition that reached g_best
-        g_best = prev[(size, f_sum)]
+    reachable = np.flatnonzero(best[k] >= 0)
+    values = reachable * best[k, reachable]
+    j = int(np.argmax(values))  # the first maximum: the smallest f-sum
+    chosen, size, f_sum = [], k, int(reachable[j])
+    for i in reversed(range(n)):
+        if took[i, size, f_sum]:
+            chosen.append(i)
+            size, f_sum = size - 1, f_sum - fs[i]
     assert (size, f_sum) == (0, 0)
-    return OracleResult(tuple(reversed(chosen)), best_val)
+    return OracleResult(tuple(reversed(chosen)), _value(values[j], scale))
+
+
+def _columns(instance: BilinearInstance) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """The value columns fs and gs in one dtype, as both oracles add them,
+    and the scale that divides a product of their sums back.
+
+    Integer and Fraction instances are rescaled to exact integers, held
+    in int64 while no sum of k values, nor a product of two such sums,
+    can reach 2**62, and in Python integers past it.  Any other instance
+    is float64, with scale None, and is refused when its k largest f or
+    its k largest g sum to inf: a subset with such a sum against a zero
+    sum on the other side has a NaN product, not a value.
+    """
+    k = instance.k
+    if _is_exact(instance):
+        sf, scale_f = _scaled_integer_values(instance.fs)
+        sg, scale_g = _scaled_integer_values(instance.gs)
+        top_f, top_g = sum(sorted(sf)[-k:]), sum(sorted(sg)[-k:])
+        fits = max(top_f, 1) * max(top_g, 1) < _INT64_SAFE
+        fs = np.array(sf, dtype=np.int64 if fits else object)
+        return fs, np.array(sg, dtype=fs.dtype), scale_f * scale_g
+    fs, gs = _as_float_arrays(instance)
+    for side, column in (("f", fs), ("g", gs)):
+        if math.isinf(_suffix_top_sums(column, k)[k, 0]):
+            raise ValueError(f"the {k} largest {side} values sum to inf in float64")
+    return fs, gs, None
+
+
+def _value(v, scale: int | None):
+    """A product of column sums as the instance's value: a float for
+    float64 columns, else an int, or a Fraction when scaled."""
+    if scale is None:
+        return float(v)
+    v = int(v)
+    return v if scale == 1 else Fraction(v, scale)
 
 
 def _as_float_arrays(instance: BilinearInstance) -> np.ndarray:

@@ -240,6 +240,61 @@ def _ref_enumerate_objects(fs, gs, k):
     return best
 
 
+# The DP oracle as a dict over (size, f-sum) states, rebuilt item by
+# item, with g added in Python arithmetic.  The table oracle must pick
+# the same indices and, where the g column needs no conversion (all
+# ints, all Fractions or all floats), the same value bit for bit.
+
+
+def ref_oracle_dp(instance):
+    fs, gs, k = instance.fs, instance.gs, instance.k
+    for i, f in enumerate(fs):
+        if not isinstance(f, int):
+            raise ValueError(f"item {i}: DP oracle needs integer f values, got {f!r}")
+
+    base = {(0, 0): 0}
+    layers: list[dict[tuple[int, int], float]] = []
+    dp = base
+    for f, g in instance.items:
+        new = dict(dp)
+        for (size, f_sum), g_best in dp.items():
+            if size == k:
+                continue
+            key = (size + 1, f_sum + f)
+            cand = g_best + g
+            cur = new.get(key)
+            if cur is None or cand > cur:
+                new[key] = cand
+        layers.append(new)
+        dp = new
+
+    best_val = None
+    best_state = None
+    for (size, f_sum), g_best in dp.items():
+        if size != k:
+            continue
+        v = f_sum * g_best
+        if best_val is None or v > best_val or (v == best_val and f_sum < best_state[1]):
+            best_val = v
+            best_state = (size, f_sum, g_best)
+    assert best_state is not None
+
+    # walk back, preferring to skip late items so early indices stay chosen
+    chosen: list[int] = []
+    size, f_sum, g_best = best_state
+    for i in reversed(range(instance.n)):
+        prev = layers[i - 1] if i > 0 else base
+        if prev.get((size, f_sum)) == g_best:
+            continue
+        chosen.append(i)
+        size, f_sum = size - 1, f_sum - fs[i]
+        # read the g-sum from the layer before: with float g, g_best - g
+        # need not undo the addition that reached g_best
+        g_best = prev[(size, f_sum)]
+    assert (size, f_sum) == (0, 0)
+    return OracleResult(tuple(reversed(chosen)), best_val)
+
+
 # The synthetic generator with one Python step per token: the same RNG
 # draws in the same order, each token looked up in its topic's word list.
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -34,6 +35,7 @@ from helpers import (
     ref_heuristic_greedy_np,
     ref_heuristic_maxsp,
     ref_heuristic_mpp,
+    ref_oracle_dp,
     ref_oracle_exact,
 )
 
@@ -204,16 +206,18 @@ def test_pruning_never_drops_a_nan_bound(monkeypatch, chunk):
     monkeypatch.setattr(nash_opt, "_CHUNK", chunk)
     inst = BilinearInstance(items=((1.0, 1.0), (1e308, 0.0), (1e308, 0.0)), k=2)
     fs, gs = nash_opt._as_float_arrays(inst)
-    blocks = list(nash_opt._iter_combo_chunks(fs, gs, inst.k))
+    blocks = list(nash_opt._iter_combo_chunks(fs, gs, inst.k, incumbent=1e308))
     values = np.concatenate([b.value for b in blocks])
     ranks = np.concatenate([b.rank for b in blocks])
     i = int(np.argmax(values))
-    result = oracle_exact(inst)
     unpruned = list(itertools.combinations(range(inst.n), inst.k))[ranks[i]]
-    assert result.indices == unpruned == (1, 2)
-    assert result.value.hex() == float(values[i]).hex() == "nan"
-    # the maxsp seed (0, 1) is worth 1e308, so a NaN bound must not prune
+    assert unpruned == (1, 2)
+    assert float(values[i]).hex() == "nan"
+    # (0, 1) is worth 1e308, yet an optimum read from these products would
+    # be NaN: the oracle refuses the instance for its overflowing f side
     assert nash_objective(inst, (0, 1)) == 1e308
+    with pytest.raises(ValueError, match="2 largest f values sum to inf"):
+        oracle_exact(inst)
 
 
 def test_pruning_scores_under_one_percent_of_a_random_instance(monkeypatch):
@@ -504,6 +508,71 @@ def test_oracle_dp_float_g_property(inst):
     assert len(set(chosen)) == inst.k == len(chosen)
     assert all(0 <= i < inst.n for i in chosen)
     assert result.value == oracle_exact(inst).value == nash_objective(inst, chosen)
+
+
+@st.composite
+def reductions(draw):
+    """``reduce_ccss`` of a planted yes-instance or of its parity-no
+    perturbation: integer f, and g that is a Fraction whenever k does
+    not divide twice the target."""
+    n = draw(st.integers(1, 12))
+    yes = plant_yes_instance(n, draw(st.integers(1, n)), seed=draw(st.integers(0, 2**16)))
+    return reduce_ccss(draw(st.sampled_from([yes, perturb_to_no_instance(yes)])))
+
+
+def _same_result(got, want):
+    """Equal indices and values, floats compared bit for bit."""
+    if isinstance(got.value, float) or isinstance(want.value, float):
+        return got.indices == want.indices and got.value.hex() == want.value.hex()
+    return got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        small_instances(_int_values),
+        small_instances(_int_values, _float_values),
+        small_instances(_int_values, _fraction_values),
+        small_instances(_int_values, _big_values),
+        reductions(),
+    )
+)
+def test_oracle_dp_matches_reference_property(inst):
+    assert _same_result(oracle_dp(inst), ref_oracle_dp(inst))
+
+
+def test_oracle_dp_refuses_a_table_over_the_budget_before_allocating():
+    inst = BilinearInstance(items=((10**12, 1), (1, 1)), k=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"2 x 2 x 1000000000001 = 4000000000004 cells"):
+            oracle_dp(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # n * (k + 1) * (S + 1) is exactly the budget, then one cell row past it
+    s = nash_opt.DEFAULT_ENUMERATION_BUDGET // 4 - 1
+    assert oracle_dp(BilinearInstance(items=((s, 1), (1, 1)), k=1)) == OracleResult((0,), s)
+    with pytest.raises(ValueError, match="exceeds the budget"):
+        oracle_dp(BilinearInstance(items=((s + 1, 1), (1, 1)), k=1))
+
+
+def test_oracles_refuse_float_sides_that_sum_to_inf():
+    inst = BilinearInstance(items=((1, 1e308), (1, 1e308), (1, 0.0)), k=2)
+    for oracle in (oracle_exact, oracle_dp):
+        with pytest.raises(ValueError, match="2 largest g values sum to inf"):
+            oracle(inst)
+    # one of them alone is a finite sum
+    assert oracle_dp(BilinearInstance(items=inst.items, k=1)) == OracleResult((0,), 1e308)
+
+
+def test_oracles_hold_a_sum_past_int64_against_a_zero_side():
+    # each product of sums is zero, but one side's sum is past int64
+    g_big = BilinearInstance(items=((0, 2**70), (0, 1)), k=1)
+    f_big = BilinearInstance(items=((2**70, 0), (1, 0)), k=1)
+    assert oracle_exact(g_big) == oracle_exact(f_big) == OracleResult((0,), 0)
+    assert oracle_dp(g_big) == ref_oracle_dp(g_big) == OracleResult((0,), 0)
 
 
 def test_reduce_ccss_hand_example():
