@@ -18,8 +18,8 @@ float64 image of a :class:`BilinearInstance`.
 Exactness: both oracles read the same value columns.  Integer and
 Fraction-valued instances are evaluated in exact arithmetic (Fractions
 are rescaled to integers internally); any other instance in float64,
-each sum added left to right in index order, and one whose k largest f
-or k largest g sum to inf is refused with a ``ValueError``.
+each sum added left to right in index order, and one where k of the f,
+or k of the g, can sum to inf is refused with a ``ValueError``.
 :func:`oracle_exact` enumerates the k-subsets in lexicographic order,
 in NumPy blocks of at most ``_CHUNK`` subsets, and skips every prefix
 whose separable bound (the prefix's sums plus the largest values left
@@ -149,6 +149,14 @@ def _suffix_top_sums(values: np.ndarray, k: int) -> np.ndarray:
     return top
 
 
+def _outward_slack(k: int) -> float:
+    """The factor that lifts a float64 bound sum, a prefix's sum plus a
+    top-r entry of :func:`_suffix_top_sums`, above every left-to-right
+    sum of the prefix and r more values; derived in
+    :func:`_iter_combo_chunks`."""
+    return 1 + 4 * (k + 1) * 2.0**-53
+
+
 @dataclass(frozen=True)
 class _Block:
     """Subsets scored together: each one's Nash product and its rank in
@@ -197,7 +205,7 @@ def _iter_combo_chunks(fs: np.ndarray, gs: np.ndarray, k: int, incumbent=None):
     # keeps it.  Integer sums are exact, and in int64 the bound never
     # exceeds the product of the top-k sums, which the caller keeps
     # below 2**62.
-    slack = 1 + 4 * (k + 1) * 2.0**-53 if fs.dtype.kind == "f" else None
+    slack = _outward_slack(k) if fs.dtype.kind == "f" else None
     best = incumbent
     stack = [
         (0, np.array([-1]), np.zeros(1, fs.dtype), np.zeros(1, gs.dtype), np.zeros(1, np.int64))
@@ -249,10 +257,10 @@ def oracle_exact(
     strictly below it is not extended, so no optimal subset is skipped
     and ties resolve to the lexicographically smallest index tuple.
     Sums are added left to right, so a float value equals
-    ``nash_objective`` of the indices.  A float instance whose k largest
-    f or k largest g sum to inf is refused with a ``ValueError``.  C(n,
-    k), not the number scored, must not exceed ``budget``; pass a larger
-    budget explicitly to push past the default.
+    ``nash_objective`` of the indices.  A float instance where k of the
+    f, or k of the g, can sum to inf is refused with a ``ValueError``.
+    C(n, k), not the number scored, must not exceed ``budget``; pass a
+    larger budget explicitly to push past the default.
     """
     n, k = instance.n, instance.k
     count = math.comb(n, k)
@@ -270,11 +278,10 @@ def oracle_exact(
     best_val, rank = None, 0
     for block in _iter_combo_chunks(fs, gs, k, incumbent):
         # the first maximum of a block, and a strict > across blocks,
-        # keep the lexicographically smallest optimal subset; the first
-        # NaN, which argmax takes over any number, wins the same way
+        # keep the lexicographically smallest optimal subset
         i = int(np.argmax(block.value))
         v = block.value[i]
-        if best_val is None or v > best_val or (v != v and best_val == best_val):
+        if best_val is None or v > best_val:
             best_val, rank = v, int(block.rank[i])
     combo, c = [], 0
     for left in range(k, 0, -1):  # unrank: skip subsets whose next index is c
@@ -301,7 +308,7 @@ def oracle_dp(instance: BilinearInstance) -> OracleResult:
 
     The g column is the one :func:`oracle_exact` uses: exact for integer
     and Fraction values, float64 for any other instance (refused when
-    its k largest g sum to inf), each g-sum added in index order.  So
+    k of its g can sum to inf), each g-sum added in index order.  So
     the value equals the enumeration oracle's; the index tuple may
     differ on ties.  Among optimal f-sums the smallest wins, and the
     walk back skips a late item wherever the cell holds without it.
@@ -352,9 +359,11 @@ def _columns(instance: BilinearInstance) -> tuple[np.ndarray, np.ndarray, int | 
     Integer and Fraction instances are rescaled to exact integers, held
     in int64 while no sum of k values, nor a product of two such sums,
     can reach 2**62, and in Python integers past it.  Any other instance
-    is float64, with scale None, and is refused when its k largest f or
-    its k largest g sum to inf: a subset with such a sum against a zero
-    sum on the other side has a NaN product, not a value.
+    is float64, with scale None, and is refused when k of its f, or k of
+    its g, can sum to inf: a subset with such a sum against a zero sum
+    on the other side has a NaN product, not a value.  The test lifts
+    the top-k sum by the slack that bounds every order of addition, so
+    no subset that passes it overflows.
     """
     k = instance.k
     if _is_exact(instance):
@@ -366,8 +375,8 @@ def _columns(instance: BilinearInstance) -> tuple[np.ndarray, np.ndarray, int | 
         return fs, np.array(sg, dtype=fs.dtype), scale_f * scale_g
     fs, gs = _as_float_arrays(instance)
     for side, column in (("f", fs), ("g", gs)):
-        if math.isinf(_suffix_top_sums(column, k)[k, 0]):
-            raise ValueError(f"the {k} largest {side} values sum to inf in float64")
+        if math.isinf(float(_suffix_top_sums(column, k)[k, 0]) * _outward_slack(k)):
+            raise ValueError(f"the {k} largest {side} values can sum to inf in float64")
     return fs, gs, None
 
 

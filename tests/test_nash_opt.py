@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -216,7 +217,7 @@ def test_pruning_never_drops_a_nan_bound(monkeypatch, chunk):
     # (0, 1) is worth 1e308, yet an optimum read from these products would
     # be NaN: the oracle refuses the instance for its overflowing f side
     assert nash_objective(inst, (0, 1)) == 1e308
-    with pytest.raises(ValueError, match="2 largest f values sum to inf"):
+    with pytest.raises(ValueError, match="2 largest f values can sum to inf"):
         oracle_exact(inst)
 
 
@@ -558,13 +559,22 @@ def test_oracle_dp_refuses_a_table_over_the_budget_before_allocating():
         oracle_dp(BilinearInstance(items=((s + 1, 1), (1, 1)), k=1))
 
 
-def test_oracles_refuse_float_sides_that_sum_to_inf():
+def test_oracles_refuse_float_sides_that_can_sum_to_inf():
     inst = BilinearInstance(items=((1, 1e308), (1, 1e308), (1, 0.0)), k=2)
     for oracle in (oracle_exact, oracle_dp):
-        with pytest.raises(ValueError, match="2 largest g values sum to inf"):
+        with pytest.raises(ValueError, match="2 largest g values can sum to inf"):
             oracle(inst)
     # one of them alone is a finite sum
     assert oracle_dp(BilinearInstance(items=inst.items, k=1)) == OracleResult((0,), 1e308)
+    # added right to left these three reach the largest float, left to
+    # right inf, and the subset's product against the zero g side is NaN
+    top = sys.float_info.max
+    ulp = top - math.nextafter(top, 0)
+    x, y = top - ulp, 0.6 * ulp
+    assert x + (y + y) == top and (x + y) + y == math.inf
+    inst = BilinearInstance(items=((x, 0.0), (y, 0.0), (y, 0.0), (1.0, 1.0)), k=3)
+    with pytest.raises(ValueError, match="3 largest f values can sum to inf"):
+        oracle_exact(inst)
 
 
 def test_oracles_hold_a_sum_past_int64_against_a_zero_side():
