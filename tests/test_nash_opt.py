@@ -552,7 +552,7 @@ def test_oracle_dp_refuses_a_table_over_the_budget_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    # n * (k + 1) * (S + 1) is exactly the budget, then one cell row past it
+    # n * (k + 1) * (S + 1) is exactly the budget, then four cells past it
     s = nash_opt.DEFAULT_ENUMERATION_BUDGET // 4 - 1
     assert oracle_dp(BilinearInstance(items=((s, 1), (1, 1)), k=1)) == OracleResult((0,), s)
     with pytest.raises(ValueError, match="exceeds the budget"):
