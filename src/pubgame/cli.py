@@ -499,9 +499,9 @@ def _run_analyze(run_args: dict, out_dir: Path) -> int:
         f"# manifest {manifest}\n" + table.to_csv_string(), encoding="utf-8"
     )
     scatter_lines = ["# manifest " + manifest, "domain,week,u_f_norm,u_g"]
-    for pool in dataset.pools:
+    for t, pool in enumerate(dataset.pools):
         for domain, u_f, u_g in zip(pool.domains, pool.u_f_norm.tolist(), pool.u_g.tolist()):
-            scatter_lines.append(f"{domain},{pool.week},{u_f!r},{u_g!r}")
+            scatter_lines.append(f"{domain},{t},{u_f!r},{u_g!r}")
     (out_dir / "scatter.csv").write_text("\n".join(scatter_lines) + "\n", encoding="utf-8")
     summary = {
         "manifest_hash": manifest,

@@ -5,8 +5,8 @@ candidate questions, the curator (player F) publishes a capped subset of
 them.  Both sides draw additive utility from the published set: the
 proposer from a per-question quality score ``u_g``, the curator from
 view counts normalized within the week (:func:`set_utility`).  A week
-is a :class:`RoundPool` of columns, one entry per question, and a
-selection is a set of positions into it.
+is a :class:`RoundPool` of columns, one entry per question, numbered by
+its position in its dataset; a selection is a set of positions into it.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ class RoundPool:
     ``forum_score`` (an optional externally supplied acceptance score,
     NaN where a question has none) are read-only float64 arrays.  The
     columns are checked once, as the pool is built, and each error
-    names the first offending question.
+    names the first offending question.  The week is the pool's
+    position in its :class:`~pubgame.data.Dataset`, not a field.
     """
 
-    week: int
     ids: tuple[str, ...]
     domains: tuple[str, ...]
     titles: tuple[str, ...]
@@ -60,7 +60,7 @@ class RoundPool:
     forum_score: np.ndarray
 
     def __init__(
-        self, week: int, ids=(), domains=(), titles=(), bodies=(), view_counts=(), u_g=(),
+        self, ids=(), domains=(), titles=(), bodies=(), view_counts=(), u_g=(),
         u_f_norm=(), forum_score=None, *, questions: Sequence[Question] | None = None,
     ) -> None:
         """The pool of the given columns or, when ``questions`` rows are
@@ -71,20 +71,17 @@ class RoundPool:
         n = len(columns[0])
         if columns[-1] is None:
             columns[-1] = np.full(n, np.nan)
-        object.__setattr__(self, "week", week)
-        for j, f in enumerate(fields(self)[1:]):
+        for j, f in enumerate(fields(self)):
             if j < 5:  # four text columns and the view counts
                 columns[j] = tuple(columns[j])
             else:
                 columns[j] = np.asarray(columns[j], dtype=np.float64)
                 columns[j].flags.writeable = False
             object.__setattr__(self, f.name, columns[j])
-        if week < 0:
-            raise ValueError(f"week {week}: week must be >= 0")
         if not n:
-            raise ValueError(f"week {week}: empty round pool")
+            raise ValueError("empty round pool")
         if any(len(c) != n for c in columns):
-            raise ValueError(f"week {week}: columns of different lengths")
+            raise ValueError("columns of different lengths")
         views = np.array(self.view_counts, dtype=np.float64)
         self._refuse((views >= 0) & (views % 1 == 0), "view_count must be a whole number >= 0")
         self._refuse(np.isfinite(self.u_g) & (self.u_g >= 0), "u_g must be finite and >= 0")
@@ -99,24 +96,17 @@ class RoundPool:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def renumbered(self, week: int) -> RoundPool:
-        """The same pool as week ``week``, sharing these columns; they
-        were checked when this pool was built and are not checked again."""
-        pool = object.__new__(type(self))
-        pool.__dict__.update(self.__dict__, week=week)
-        return pool
-
     def __eq__(self, other: object) -> bool:
-        """Same week and columns; forum scores that are both absent match."""
+        """Same columns; forum scores that are both absent match."""
         if not isinstance(other, RoundPool):
             return NotImplemented
-        return self.week == other.week and all(
+        return all(
             np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
             for a, b in zip(self._columns(), other._columns())
         )
 
     def _columns(self) -> tuple:
-        return tuple(getattr(self, f.name) for f in fields(self)[1:])
+        return tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def questions(self) -> tuple[Question, ...]:
@@ -208,14 +198,14 @@ class SelectionOutcome:
 
     @classmethod
     def of(
-        cls, pool: RoundPool, proposed: Sequence[int], published: Sequence[int]
+        cls, week: int, pool: RoundPool, proposed: Sequence[int], published: Sequence[int]
     ) -> SelectionOutcome:
-        """The outcome of publishing the questions at positions
+        """Week ``week``'s outcome: publishing the questions at positions
         ``published`` in ``pool`` out of those at ``proposed``, with the
         realized utilities of the published set."""
         ids = pool.ids
         return cls(
-            pool.week,
+            week,
             tuple(ids[i] for i in proposed),
             tuple(ids[i] for i in published),
             *utility_of_set(pool, published),

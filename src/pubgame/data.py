@@ -2,9 +2,10 @@
 
 Input records (JSONL or CSV) carry: id, timestamp, domain, title, body,
 view_count, u_g, and optionally forum_score.  Records are grouped into
-round pools by ISO week of the timestamp; week indices run 0..W-1 in
-chronological order.  Each week is built once, as the columns of a
-:class:`~pubgame.core.RoundPool`, with its curator utilities set.
+round pools by ISO week of the timestamp, in chronological order; a
+week's number is its pool's position in the dataset.  Each week is built
+once, as the columns of a :class:`~pubgame.core.RoundPool`, with its
+curator utilities set.
 
 The synthetic generator draws (view, utility) pairs from a Gaussian
 copula with lognormal marginals, hitting a target Spearman correlation,
@@ -56,7 +57,7 @@ _encode_record = json.JSONEncoder(sort_keys=True).encode
 
 @dataclass(frozen=True)
 class Dataset:
-    """Ordered weekly pools, weeks numbered from 0, plus bookkeeping.
+    """Ordered weekly pools, plus bookkeeping.  Week t is ``pools[t]``.
 
     ``metadata`` records where the pools came from; it takes no part
     in equality.
@@ -68,12 +69,6 @@ class Dataset:
     def __post_init__(self) -> None:
         if not self.pools:
             raise ValueError("dataset has no weeks")
-        for t, pool in enumerate(self.pools):
-            if pool.week != t:
-                raise ValueError(
-                    f"pool at position {t} carries week {pool.week}; weeks "
-                    f"must be contiguous from 0"
-                )
 
     @property
     def n_weeks(self) -> int:
@@ -288,11 +283,11 @@ def ingest(path: str | Path, fmt: str | None = None) -> Dataset:
 
     week_keys = sorted(by_week)
     pools = []
-    for t, key in enumerate(week_keys):
+    for key in week_keys:
         # a week's fields are dropped as its columns are built
         ids, domains, titles, bodies, views, u_g, scores = zip(*by_week.pop(key))
         pools.append(
-            RoundPool(t, ids, domains, titles, bodies, views, u_g, set_utility(views), scores)
+            RoundPool(ids, domains, titles, bodies, views, u_g, set_utility(views), scores)
         )
     metadata = {
         "source": str(path),
@@ -312,7 +307,9 @@ def normalize_weekly(dataset: Dataset) -> Dataset:
     pools pass through unchanged.  Idempotent.  No run needs it: it is
     kept for the benchmark workloads under ``perfbench/``, which call it."""
     metadata = dict(dataset.metadata)
-    metadata["zero_view_weeks"] = [p.week for p in dataset.pools if not any(p.view_counts)]
+    metadata["zero_view_weeks"] = [
+        t for t, p in enumerate(dataset.pools) if not any(p.view_counts)
+    ]
     return dataclasses.replace(dataset, metadata=metadata)
 
 
@@ -321,8 +318,8 @@ def split_pretrain(dataset: Dataset, weeks: int) -> tuple[Dataset, Dataset, Data
 
     The first ``weeks`` pools form the pretraining window; its last
     ceil(20%) weeks are held out for threshold calibration.  Remaining
-    pools are the simulation window.  Each split is reindexed from week
-    0; original week indices land in metadata["source_weeks"].
+    pools are the simulation window.  Each split holds the dataset's own
+    pools; their weeks in the dataset land in metadata["source_weeks"].
     """
     if weeks < 2:
         raise ConfigError("pretraining window needs at least 2 weeks (train + val)")
@@ -333,17 +330,12 @@ def split_pretrain(dataset: Dataset, weeks: int) -> tuple[Dataset, Dataset, Data
         )
     n_val = -(-weeks // 5)  # ceil(0.2 * weeks)
     n_train = weeks - n_val
-    if n_train < 1:
-        raise ConfigError(f"pretraining window of {weeks} leaves no training weeks")
 
     parent = dataset.metadata.get("source")
 
     def cut(lo: int, hi: int, name: str) -> Dataset:
-        # renumbered from week 0, sharing the parent's columns
-        window = enumerate(dataset.pools[lo:hi])
-        pools = tuple(pool.renumbered(t) for t, pool in window)
         meta = {"split": name, "source_weeks": list(range(lo, hi)), "parent": parent}
-        return Dataset(pools, meta)
+        return Dataset(dataset.pools[lo:hi], meta)
 
     return (
         cut(0, n_train, "train"),
@@ -420,7 +412,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
             cursor += n_tok
         ids = [f"syn-{t:03d}-{i:04d}" for i in range(q)]
         columns = (("synthetic",) * q, titles, bodies, views.tolist(), u_g, set_utility(views))
-        pools.append(RoundPool(t, ids, *columns))
+        pools.append(RoundPool(ids, *columns))
 
     metadata = {
         "source": "synthetic",
@@ -441,9 +433,9 @@ def write_jsonl(dataset: Dataset, path: str | Path) -> None:
     """
     path = Path(path)
     lines = []
-    for pool in dataset.pools:
+    for t, pool in enumerate(dataset.pools):
         stamp = (
-            datetime.combine(_SYNTH_EPOCH + timedelta(weeks=pool.week), datetime.min.time())
+            datetime.combine(_SYNTH_EPOCH + timedelta(weeks=t), datetime.min.time())
             + timedelta(hours=12)
         ).isoformat()
         for qid, domain, title, body, views, u_g, score in zip(

@@ -98,7 +98,7 @@ def run_asymmetric(dataset: Dataset, config: GameConfig, scorer: ForumScorer) ->
             rows = tokenize_rows(pool.texts(proposal.tolist()), table)
 
         published = proposal[forum_select(proposal, pool, scorer, config.k_cap, rows)]
-        outcomes.append(SelectionOutcome.of(pool, proposal, published))
+        outcomes.append(SelectionOutcome.of(t, pool, proposal, published))
         if learning:
             history += rows
             accepted.extend(np.isin(proposal, published).tolist())
@@ -129,7 +129,7 @@ def run_full_information(
     for t, pool in enumerate(dataset.pools[:rounds]):
         seeded = (f"{seed}-{t}",) if heuristic == "random" else ()
         chosen = rule(pool.u_g, pool.u_f_norm, min(k, len(pool)), *seeded)
-        outcomes.append(SelectionOutcome.of(pool, chosen, chosen))
+        outcomes.append(SelectionOutcome.of(t, pool, chosen, chosen))
     return GameLedger.from_outcomes(outcomes)
 
 

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from .core import running_total
 from .data import Dataset
 from .engine import EurrReport
 from .errors import ConfigError
@@ -88,14 +89,15 @@ def misalignment_report(
             rows.append(MisalignmentRow(utility=name, domain=domain, result=result))
     if not rows:
         raise ConfigError("no group had enough points to correlate")
+    # left-to-right sums from 0.0: sum() of floats compensates from Python 3.12
     rhos = [r.result.rho for r in rows]
-    mean = sum(rhos) / len(rhos)
-    std = math.sqrt(sum((v - mean) ** 2 for v in rhos) / len(rhos))
+    mean = running_total(rhos)[-1] / len(rhos)
+    std = math.sqrt(running_total((v - mean) ** 2 for v in rhos)[-1] / len(rhos))
     return MisalignmentReport(
         rows=tuple(rows),
         mean_rho=mean,
         std_rho=std,
-        zero_view_weeks=tuple(p.week for p in pools if not any(p.view_counts)),
+        zero_view_weeks=tuple(t for t, p in enumerate(pools) if not any(p.view_counts)),
         skipped=tuple(skipped),
     )
 

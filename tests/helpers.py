@@ -38,7 +38,7 @@ def mk_q(i, *, views=10, u_g=1.0, title=None, body="body text", u_f_norm=None, *
     )
 
 
-def mk_week(week, specs):
+def mk_week(specs):
     """A week pool of ``mk_q(i, **kw)`` questions from (i, kw) pairs, each
     given its curator utility within the week."""
     views = [kw.get("views", 10) for _, kw in specs]
@@ -46,7 +46,7 @@ def mk_week(week, specs):
         mk_q(i, **kw, u_f_norm=u_f)
         for (i, kw), u_f in zip(specs, set_utility(views).tolist())
     )
-    return RoundPool(week=week, questions=qs)
+    return RoundPool(questions=qs)
 
 
 def rows_of(pool, positions=None):
@@ -78,10 +78,8 @@ def count_tokenize(monkeypatch):
 
 
 def mk_pool(week, specs):
-    """A week pool from (views, u_g) pairs."""
-    return mk_week(
-        week, [(f"{week}-{i}", {"views": v, "u_g": g}) for i, (v, g) in enumerate(specs)]
-    )
+    """A week pool from (views, u_g) pairs, its ids prefixed with ``week``."""
+    return mk_week([(f"{week}-{i}", {"views": v, "u_g": g}) for i, (v, g) in enumerate(specs)])
 
 
 # ---------------------------------------------------------------- references
@@ -392,7 +390,7 @@ def ref_generate_synthetic(spec):
                     u_f_norm=u_f[i],
                 )
             )
-        pools.append(RoundPool(week=t, questions=tuple(questions)))
+        pools.append(RoundPool(questions=tuple(questions)))
     return tuple(pools)
 
 
@@ -677,7 +675,7 @@ def ref_run_asymmetric(dataset, config, scorer):
         published = sorted(eligible, key=lambda j: -scores[j])[: config.k_cap]
         rounds.append(
             (
-                pool.week,
+                t,
                 tuple(q.id for q in proposal),
                 tuple(proposal[j].id for j in published),
                 *_ref_published(proposal[j] for j in published),
@@ -707,5 +705,5 @@ def ref_run_full_information(dataset, heuristic, k, seed=0, rounds=None):
         else:
             chosen = rules[heuristic]([q.u_g for q in qs], [q.u_f_norm for q in qs], n)
         ids = tuple(qs[i].id for i in chosen)
-        out.append((pool.week, ids, ids, *_ref_published(qs[i] for i in chosen)))
+        out.append((t, ids, ids, *_ref_published(qs[i] for i in chosen)))
     return _ref_ledger(out)

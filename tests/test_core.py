@@ -20,8 +20,8 @@ from pubgame import (
 from helpers import mk_q, mk_pool
 
 
-def pool_of(*questions, week=0):
-    return RoundPool(week=week, questions=questions)
+def pool_of(*questions):
+    return RoundPool(questions=questions)
 
 
 def test_question_text_joins_title_and_body():
@@ -39,11 +39,12 @@ def test_question_rejects_negative_fields():
         pool_of(mk_q(1, u_f_norm=1.5))
 
 
-def test_pool_rejects_negative_week_and_empty():
-    with pytest.raises(ValueError):
-        RoundPool(week=-1, questions=(mk_q(1),))
-    with pytest.raises(ValueError):
-        RoundPool(week=0, questions=())
+def test_pool_takes_no_week_and_refuses_empty():
+    # a week is its pool's position in the dataset, not a field
+    with pytest.raises(TypeError):
+        RoundPool(week=0, questions=(mk_q(1),))
+    with pytest.raises(ValueError, match="^empty round pool$"):
+        RoundPool(questions=())
 
 
 def test_question_requires_u_f_norm():
@@ -106,12 +107,12 @@ def test_negative_zero_utility_realizes_zero():
     assert pool.questions[0].u_g.hex() == "-0x0.0p+0"
     u_g, u_f = utility_of_set(pool, [0])
     assert (u_g.hex(), u_f.hex()) == ("0x0.0p+0", "0x0.0p+0")
-    assert SelectionOutcome.of(pool, [0], [0]).u_g_realized.hex() == "0x0.0p+0"
+    assert SelectionOutcome.of(0, pool, [0], [0]).u_g_realized.hex() == "0x0.0p+0"
 
 
 def test_selection_outcome_of_ids_and_realized_utilities():
     pool = mk_pool(3, [(10, 1.5), (20, 2.5), (40, 4.0)])
-    assert SelectionOutcome.of(pool, np.array([0, 1, 2]), [2, 1]) == SelectionOutcome(
+    assert SelectionOutcome.of(3, pool, np.array([0, 1, 2]), [2, 1]) == SelectionOutcome(
         3, ("q3-0", "q3-1", "q3-2"), ("q3-2", "q3-1"), 6.5, 1.5
     )
 
@@ -203,8 +204,8 @@ def test_question_rejects_non_finite_and_fractional_values(fields):
 
 
 def test_pool_refuses_columns_of_different_lengths():
-    with pytest.raises(ValueError, match="^week 2: columns of different lengths$"):
-        RoundPool(2, ("a", "b"), ("d",) * 2, ("t",) * 2, ("b",) * 2, (1, 2), [1.0, 1.0], [0.5])
+    with pytest.raises(ValueError, match="^columns of different lengths$"):
+        RoundPool(("a", "b"), ("d",) * 2, ("t",) * 2, ("b",) * 2, (1, 2), [1.0, 1.0], [0.5])
 
 
 def test_a_nan_forum_score_is_an_absent_one():
@@ -220,7 +221,7 @@ def test_question_is_immutable():
     # so is a pool, columns included: splits share them
     pool = pool_of(q)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        pool.week = 2
+        pool.ids = ("q2",)
     for column in (pool.u_g, pool.u_f_norm, pool.forum_score):
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 0.5
@@ -243,16 +244,16 @@ _rows = st.lists(
 
 
 @settings(max_examples=200, deadline=None)
-@given(_rows, st.integers(0, 60))
-def test_question_rows_round_trip_every_column(rows, week):
+@given(_rows)
+def test_question_rows_round_trip_every_column(rows):
     ids = tuple(f"q{i}" for i in range(len(rows)))
     domains, titles, bodies, views, u_g, u_f, scores = (tuple(c) for c in zip(*rows))
-    pool = RoundPool(week, ids, domains, titles, bodies, views, u_g, u_f, scores)
+    pool = RoundPool(ids, domains, titles, bodies, views, u_g, u_f, scores)
     want = [(i, *row) for i, row in zip(ids, rows)]
     # repr tells -0.0 from 0.0, and a float from a NumPy scalar
     assert repr([dataclasses.astuple(q) for q in pool.questions]) == repr(want)
     assert pool.questions is not pool.questions
-    assert RoundPool(week, questions=pool.questions) == pool
+    assert RoundPool(questions=pool.questions) == pool
     # with no forum_score column every question has none
-    bare = RoundPool(week, ids, domains, titles, bodies, views, u_g, u_f)
+    bare = RoundPool(ids, domains, titles, bodies, views, u_g, u_f)
     assert [q.forum_score for q in bare.questions] == [None] * len(rows)

@@ -14,7 +14,6 @@ import pubgame
 from pubgame import (
     ConfigError,
     Dataset,
-    RoundPool,
     SchemaError,
     SyntheticSpec,
     generate_synthetic,
@@ -63,8 +62,7 @@ def test_ingest_groups_by_iso_week(tmp_path):
     )
     ds = ingest(path)
     assert ds.n_weeks == 2
-    assert [len(p) for p in ds.pools] == [2, 1]
-    assert [p.week for p in ds.pools] == [0, 1]
+    assert [p.ids for p in ds.pools] == [("r0", "r1"), ("r2",)]
     assert ds.metadata["n_questions"] == 3
     assert ds.metadata["domains"] == {"dba": 3}
     assert ds.metadata["iso_weeks"] == [[2024, 1], [2024, 2]]
@@ -83,10 +81,10 @@ def test_ingest_splits_iso_year_boundary(tmp_path):
 def test_ingest_weeks_are_contiguous_even_with_gaps(tmp_path):
     path = write_records(
         tmp_path / "data.jsonl",
-        [record(0, "2024-01-01T00:00:00"), record(1, "2024-03-04T00:00:00")],
+        [record(1, "2024-03-04T00:00:00"), record(0, "2024-01-01T00:00:00")],
     )
     ds = ingest(path)
-    assert [p.week for p in ds.pools] == [0, 1]
+    assert [p.ids for p in ds.pools] == [("r0",), ("r1",)]
 
 
 def test_ingest_csv(tmp_path):
@@ -617,7 +615,7 @@ def test_split_pretrain_partitions_and_reindexes():
     assert val.metadata["source_weeks"] == [4]
     assert sim.metadata["source_weeks"] == [5, 6, 7, 8, 9]
     for split in (train, val, sim):
-        assert [p.week for p in split.pools] == list(range(split.n_weeks))
+        assert split.pools == tuple(ds.pools[w] for w in split.metadata["source_weeks"])
     total = train.n_weeks + val.n_weeks + sim.n_weeks
     assert total == ds.n_weeks
 
@@ -628,10 +626,7 @@ def test_split_pretrain_shares_columns_with_parent():
     pools = [pool for split in splits for pool in split.pools]
     assert len(pools) == ds.n_weeks
     for parent, child in zip(ds.pools, pools):
-        for f in dataclasses.fields(RoundPool)[1:]:
-            assert getattr(child, f.name) is getattr(parent, f.name)
-    # renumbering leaves the parent's pools as they were
-    assert [pool.week for pool in ds.pools] == list(range(10))
+        assert child is parent
 
 
 def test_split_pretrain_validation():
@@ -777,7 +772,6 @@ def test_ingest_write_jsonl_ingest_is_identity(records):
         ds = ingest(write_records(Path(tmp) / "in.jsonl", records))
         write_jsonl(ds, Path(tmp) / "out.jsonl")
         back = ingest(Path(tmp) / "out.jsonl")
-    assert [p.week for p in back.pools] == [p.week for p in ds.pools]
     assert [[q.id for q in p.questions] for p in back.pools] == [
         [q.id for q in p.questions] for p in ds.pools
     ]
@@ -794,17 +788,17 @@ def test_write_jsonl_is_byte_deterministic(tmp_path):
 
 
 def test_write_jsonl_writes_json_dumps_of_each_record(tmp_path):
-    week0 = mk_week(0, [
+    week0 = mk_week([
         (0, {"title": "caf\u00e9 \u2603 \U0001f600", "body": 'quote " slash \\ tab \t nl \n nul \x00'}),
         (1, {"views": 0, "u_g": 0.1, "forum_score": -0.0, "domain": "\u00fcber"}),
     ])
-    week2 = mk_week(2, [(2, {"views": 7, "u_g": 1e300, "forum_score": 0.25})])
-    ds = Dataset(pools=(week0, dataclasses.replace(week2, week=1)))
+    week1 = mk_week([(2, {"views": 7, "u_g": 1e300, "forum_score": 0.25})])
+    ds = Dataset(pools=(week0, week1))
     path = tmp_path / "out.jsonl"
     write_jsonl(ds, path)
     lines = []
-    for pool in ds.pools:
-        stamp = (datetime(2024, 1, 1, 12) + timedelta(weeks=pool.week)).isoformat()
+    for t, pool in enumerate(ds.pools):
+        stamp = (datetime(2024, 1, 1, 12) + timedelta(weeks=t)).isoformat()
         for q in pool.questions:
             rec = {
                 "id": q.id, "timestamp": stamp, "domain": q.domain, "title": q.title,
@@ -818,8 +812,5 @@ def test_write_jsonl_writes_json_dumps_of_each_record(tmp_path):
 
 
 def test_dataset_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^dataset has no weeks$"):
         Dataset(pools=())
-    pool0 = mk_pool(0, [(10, 1.0)])
-    with pytest.raises(ValueError):
-        Dataset(pools=(pool0, mk_pool(2, [(10, 1.0)])))

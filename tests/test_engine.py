@@ -64,7 +64,7 @@ def scored_pools(weeks, n=10, seed=1):
                     u_f_norm=views / 100,
                 )
             )
-        pools.append(RoundPool(week=week, questions=tuple(qs)))
+        pools.append(RoundPool(questions=tuple(qs)))
     return Dataset(tuple(pools))
 
 
@@ -188,7 +188,7 @@ def test_run_full_information_rounds_prefix_consistency():
         run_full_information(pools, "random", 3, rounds=20)
 
 
-def _spec_pool(week=0):
+def _spec_pool():
     # items (u_g, u_f_norm) = (3, 1/3), (1, 1), (2, 2/3): the oracle pair
     # is {0, 1} on the product (4) * (4/3)
     qs = (
@@ -196,7 +196,7 @@ def _spec_pool(week=0):
         mk_q("b", views=3, u_g=1.0, u_f_norm=1.0),
         mk_q("c", views=2, u_g=2.0, u_f_norm=2 / 3),
     )
-    return RoundPool(week=week, questions=qs)
+    return RoundPool(questions=qs)
 
 
 def test_exact_urr_hand_instance():
@@ -215,12 +215,12 @@ def test_exact_urr_window_mismatch():
         [SelectionOutcome(0, ("qa",), ("qa",), 1.0, 0.5)]
     )
     with pytest.raises(ConfigError):
-        exact_urr(ledger, Dataset((_spec_pool(0), _spec_pool(1))), 2)
+        exact_urr(ledger, Dataset((_spec_pool(), _spec_pool())), 2)
 
 
 def test_exact_urr_zero_optimum_is_an_error():
     qs = (mk_q("a", views=0, u_g=1.0, u_f_norm=0.0),)
-    pool = RoundPool(week=0, questions=qs)
+    pool = RoundPool(questions=qs)
     ledger = GameLedger.from_outcomes([SelectionOutcome(0, ("qa",), (), 0.0, 0.0)])
     with pytest.raises(ValueError):
         exact_urr(ledger, Dataset((pool,)), 1)
@@ -408,7 +408,8 @@ def test_exact_urr_on_criterion_6_pools_is_unchanged():
 # field for field and floats bit for bit, on small drawn seasons with
 # heavily repeated values.
 
-_WORDS = ("alpha", "beta", "gamma", "delta", "omega", "zz")
+# the last word is non-ASCII: the tokenizer splits it into "na" and "ve"
+_WORDS = ("alpha", "beta", "gamma", "delta", "omega", "zz", "na\u00efve")
 # a fixed curator model: "alpha" and "beta" questions were accepted
 _CURATOR_TEXTS = [f"{a} {b} {c}" for a in _WORDS for b in _WORDS for c in _WORDS[:3]]
 _CURATOR = train_acceptance(
@@ -418,7 +419,7 @@ _question = st.fixed_dictionaries(
     {
         "views": st.sampled_from([0, 0, 1, 2, 3, 7, 100, 2**60 + 1]),
         "u_g": st.sampled_from([-0.0, 0.0, 0.1, 0.1, 0.5, 1.0, 2.5, 1e-300, 7.0, 1e6]),
-        "title": st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".join),
+        "title": st.lists(st.sampled_from(_WORDS), max_size=3).map(" ".join),
         "body": st.lists(st.sampled_from(_WORDS), max_size=6).map(" ".join),
         "forum_score": st.sampled_from([0.0, 0.25, 0.5, 0.5, 0.75, 1.0]),
     }
@@ -426,7 +427,7 @@ _question = st.fixed_dictionaries(
 _season = st.lists(st.lists(_question, min_size=1, max_size=30), min_size=2, max_size=8).map(
     lambda weeks: Dataset(
         tuple(
-            mk_week(t, [(f"{t}-{i}", kw) for i, kw in enumerate(week)])
+            mk_week([(f"{t}-{i}", kw) for i, kw in enumerate(week)])
             for t, week in enumerate(weeks)
         )
     )
@@ -496,7 +497,7 @@ def test_run_full_information_matches_the_reference_loop(dataset, heuristic, k, 
 _long_season = st.lists(st.lists(_question, min_size=5, max_size=30), min_size=4, max_size=8).map(
     lambda weeks: Dataset(
         tuple(
-            mk_week(t, [(f"{t}-{i}", kw) for i, kw in enumerate(week)])
+            mk_week([(f"{t}-{i}", kw) for i, kw in enumerate(week)])
             for t, week in enumerate(weeks)
         )
     )

@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from pubgame import (
@@ -30,7 +33,7 @@ def _domain_dataset():
             (f"p{week}{i}", {"views": 10 * (i + 1), "u_g": float(i + 1), "domain": "pro"})
             for i in range(6)
         ]
-        pools.append(mk_week(week, specs))
+        pools.append(mk_week(specs))
     return normalize_weekly(Dataset(pools=tuple(pools)))
 
 
@@ -75,7 +78,7 @@ def test_misalignment_report_skips_degenerate_groups():
             (f"v{week}{i}", {"views": 10 * (i + 1), "u_g": float(i), "domain": "vary"})
             for i in range(4)
         ]
-        pools.append(mk_week(week, specs))
+        pools.append(mk_week(specs))
     report = misalignment_report(normalize_weekly(Dataset(pools=tuple(pools))))
     assert "u_g/const" in report.skipped
     assert any(row.domain == "vary" for row in report.rows)
@@ -83,10 +86,32 @@ def test_misalignment_report_skips_degenerate_groups():
 
 def test_misalignment_report_flags_zero_view_weeks_itself():
     # no normalize_weekly: the report finds the all-zero week in the pools
-    zero = mk_week(0, [(f"z{i}", {"views": 0, "u_g": float(i)}) for i in range(4)])
-    live = mk_week(1, [(f"l{i}", {"views": 10 * i, "u_g": float(i)}) for i in range(4)])
-    report = misalignment_report(Dataset(pools=(zero, live)))
-    assert report.zero_view_weeks == (0,)
+    zero = mk_week([(f"z{i}", {"views": 0, "u_g": float(i)}) for i in range(4)])
+    live = mk_week([(f"l{i}", {"views": 10 * i, "u_g": float(i)}) for i in range(4)])
+    report = misalignment_report(Dataset(pools=(zero, live, zero)))
+    assert report.zero_view_weeks == (0, 2)
+
+
+def test_misalignment_report_adds_rhos_left_to_right():
+    # a compensated sum, as sum() of floats is from Python 3.12, gives a
+    # different mean and std on these rhos: summary.json would change
+    rng = random.Random(7)
+    specs = [
+        (f"{d}{i}", {"views": rng.randrange(100), "u_g": float(rng.randrange(50)), "domain": d})
+        for d in "abc"
+        for i in range(8)
+    ]
+    columns = {f"c{j}": [float(rng.randrange(100)) for _ in specs] for j in range(3)}
+    report = misalignment_report(Dataset((mk_week(specs),)), utilities=columns)
+    rhos = [row.result.rho for row in report.rows]
+    total = squares = 0.0
+    for rho in rhos:
+        total += rho
+    mean = total / len(rhos)
+    for rho in rhos:
+        squares += (rho - mean) ** 2
+    assert report.mean_rho.hex() == mean.hex()
+    assert report.std_rho.hex() == math.sqrt(squares / len(rhos)).hex()
 
 
 def _ledger(u_g, u_f):

@@ -57,7 +57,7 @@ def test_utility_strategy_discounts_unlikely_questions():
         mk_q("hi-g", views=10, u_g=1.0, title="beta topic", u_f_norm=1.0),
         mk_q("lo-g", views=10, u_g=0.9, title="alpha topic", u_f_norm=1.0),
     )
-    pool = RoundPool(week=0, questions=qs)
+    pool = RoundPool(questions=qs)
     assert strategy_g_greedy(pool, 1).tolist() == [0]
     assert strategy_g_utility(pool, 1, model, rows_of(pool)).tolist() == [1]
     with pytest.raises(ValueError, match="2 questions needs their token rows"):
@@ -161,7 +161,7 @@ def _precomputed_pool():
         mk_q(f"p{i}", views=10, u_g=1.0, u_f_norm=0.5, forum_score=s)
         for i, s in enumerate([0.9, 0.3, 0.7, 0.9, 0.4])
     )
-    return RoundPool(week=0, questions=qs)
+    return RoundPool(questions=qs)
 
 
 def test_forum_select_filters_orders_and_truncates():
@@ -208,7 +208,7 @@ def test_top_k_is_the_minus_key_then_position_sort(keys, k):
     st.integers(1, 25),
 )
 def test_forum_select_is_filter_then_sort(scores, theta, k):
-    pool = RoundPool(0, questions=[mk_q(i, u_f_norm=0.5, forum_score=s) for i, s in enumerate(scores)])
+    pool = RoundPool(questions=[mk_q(i, u_f_norm=0.5, forum_score=s) for i, s in enumerate(scores)])
     scorer = ForumScorer(theta=theta)
     eligible = [i for i, s in enumerate(scores) if s >= theta]
     reference = sorted(eligible, key=lambda i: (-scores[i], i))[:k]
@@ -216,7 +216,7 @@ def test_forum_select_is_filter_then_sort(scores, theta, k):
 
 
 def test_forum_scorer_validation():
-    pool = RoundPool(0, questions=[mk_q(0, u_f_norm=0.5, forum_score=0.25), mk_q(1, u_f_norm=0.5)])
+    pool = RoundPool(questions=[mk_q(0, u_f_norm=0.5, forum_score=0.25), mk_q(1, u_f_norm=0.5)])
     first = np.array([0])
     # with a model the scorer reads token rows; an untrained model
     # scores every row 1, whatever the forum_score column says
@@ -258,7 +258,7 @@ def _topic_pools(weeks, seed=0, n=12):
                     },
                 )
             )
-        pools.append(mk_week(week, specs))
+        pools.append(mk_week(specs))
     return pools
 
 
@@ -270,7 +270,7 @@ def test_train_text_scorer_learns_topic_threshold():
     assert scorer.calibration is not None
     hot = mk_q("hot", title="alpha question", body="alpha detail", u_f_norm=1.0)
     cold = mk_q("cold", title="beta question", body="beta detail", u_f_norm=0.0)
-    pool, both = RoundPool(0, questions=[hot, cold]), np.array([0, 1])
+    pool, both = RoundPool(questions=[hot, cold]), np.array([0, 1])
     s_hot, s_cold = scorer.score(pool, both, rows_of(pool))
     assert s_hot > s_cold
     with pytest.raises(ValueError, match="needs their token rows, one per question; got none"):
@@ -316,7 +316,7 @@ def _drawn_weeks(draw):
     score = grid if draw(st.booleans()) else st.floats(0, 1)
     word = st.sampled_from(["alpha", "beta", "gamma"])
     return [
-        mk_week(week, [
+        mk_week([
             (f"{week}-{i}", {
                 "views": draw(views),
                 "forum_score": draw(score),
@@ -369,7 +369,7 @@ def test_make_precomputed_scorer_calibrates_from_column():
                     u_f_norm=views / 100,
                 )
             )
-        pools.append(RoundPool(week=week, questions=tuple(qs)))
+        pools.append(RoundPool(questions=tuple(qs)))
     scorer = make_precomputed_scorer(pools)
     assert scorer.model is None
     assert scorer.calibration is not None
