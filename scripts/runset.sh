@@ -2,8 +2,9 @@
 # Write a fixed run set into OUT_DIR with this checkout's src/: a synthetic
 # dataset and its validation, simulate with utility, greedy and random play
 # and a rerun of the utility run from its manifest, full-info, analyze, eurr,
-# report with paired and with Welch t-tests, the exact oracle on a small items
-# file, and the stdout of every demo.  Each command's stdout goes to a .txt
+# report with paired and with Welch t-tests, analyze and a precomputed-score
+# simulate on a small CSV forum, the exact oracle on a small items file, and
+# the stdout of every demo.  Each command's stdout goes to a .txt
 # file beside its output.
 #
 # Two checkouts that should behave alike give byte-identical run sets.  Run
@@ -40,19 +41,15 @@ pubgame generate --out "$data" --weeks 24 --per-week 80 --rho -0.5 \
     --topic-effect 2 --seed 3 >"$out/generate.txt"
 pubgame validate --data "$data" >"$out/validate.txt"
 
-game="--pretrain-weeks 8 --rounds 16 --seed 1"
 for strategy in utility greedy random; do
-    # $game is split into its flags on purpose
-    # shellcheck disable=SC2086
-    pubgame simulate --data "$data" $game --m-cap 30 --k-cap 10 \
-        --retrain-period 4 --strategy "$strategy" \
+    pubgame simulate --data "$data" --pretrain-weeks 8 --rounds 16 --seed 1 \
+        --m-cap 30 --k-cap 10 --retrain-period 4 --strategy "$strategy" \
         --out-dir "$out/simulate-$strategy" >"$out/simulate-$strategy.txt"
 done
 pubgame simulate --manifest "$out/simulate-utility/manifest.json" \
     --out-dir "$out/simulate-rerun" >"$out/simulate-rerun.txt"
-# shellcheck disable=SC2086
-pubgame full-info --data "$data" $game --k 10 --out-dir "$out/full-info" \
-    >"$out/full-info.txt"
+pubgame full-info --data "$data" --pretrain-weeks 8 --rounds 16 --seed 1 \
+    --k 10 --out-dir "$out/full-info" >"$out/full-info.txt"
 pubgame analyze --data "$data" --out-dir "$out/analyze" >"$out/analyze.txt"
 pubgame eurr --asym-dir "$out/simulate-utility" --full-dir "$out/full-info" \
     --out-dir "$out/eurr" >"$out/eurr.txt"
@@ -60,6 +57,31 @@ pubgame report --asym-dir "$out/simulate-utility" --full-dir "$out/full-info" \
     --out-dir "$out/report" >"$out/report.txt"
 pubgame report --asym-dir "$out/simulate-utility" --full-dir "$out/full-info" \
     --welch --out-dir "$out/report-welch" >"$out/report-welch.txt"
+
+# a CSV forum: two domains, forum scores on a coarse grid (many ties), no
+# records in one ISO week and no views in another
+run - "$out/forum.csv" <<'PY'
+import csv
+import sys
+from datetime import datetime, timedelta
+
+with open(sys.argv[1], "w", newline="", encoding="utf-8") as fh:
+    out = csv.writer(fh)
+    out.writerow(["id", "timestamp", "domain", "title", "body", "view_count", "u_g",
+                  "forum_score"])
+    for w in (0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12):
+        for i in range(12):
+            n = 12 * w + i
+            stamp = datetime(2024, 1, 1, 10) + timedelta(weeks=w, days=i % 7)
+            out.writerow([f"f{n}", stamp.isoformat(), ("dba", "gis")[i % 2], f"q{n % 7}",
+                          "word " * (n % 5 + 1), 0 if w == 5 else n * 37 % 101,
+                          float(n * 13 % 17), n * 7 % 5 / 4])
+PY
+pubgame analyze --data "$out/forum.csv" --out-dir "$out/forum-analyze" \
+    >"$out/forum-analyze.txt"
+pubgame simulate --data "$out/forum.csv" --scorer precomputed --pretrain-weeks 4 \
+    --rounds 8 --m-cap 8 --k-cap 4 --retrain-period 3 --strategy utility \
+    --out-dir "$out/forum-simulate" >"$out/forum-simulate.txt"
 
 # ties on f, an exact fraction and a float, so the tie rule shows
 printf 'f,g\n3,1\n1,3\n2,2\n3,1\n1/2,5\n0.25,7\n4,0\n2,2\n' >"$out/items.csv"
