@@ -1,10 +1,11 @@
 #!/bin/sh
 # Write a fixed run set into OUT_DIR with this checkout's src/: a synthetic
 # dataset and its validation, simulate with utility, greedy and random play
-# and a rerun of the utility run from its manifest, full-info, analyze, eurr,
-# report with paired and with Welch t-tests, analyze and a precomputed-score
-# simulate on a small CSV forum, the exact oracle on a small items file, and
-# the stdout of every demo.  Each command's stdout goes to a .txt
+# and a rerun of the utility run from its manifest, simulate from a config
+# file, full-info and its rerun from its manifest, analyze, eurr with and
+# without an output directory, report with paired and with Welch t-tests,
+# analyze and a precomputed-score simulate on a small CSV forum, the exact
+# oracle on a small items file, and the stdout of every demo.  Each command's stdout goes to a .txt
 # file beside its output.
 #
 # Two checkouts that should behave alike give byte-identical run sets.  Run
@@ -48,11 +49,20 @@ for strategy in utility greedy random; do
 done
 pubgame simulate --manifest "$out/simulate-utility/manifest.json" \
     --out-dir "$out/simulate-rerun" >"$out/simulate-rerun.txt"
+# the file's values, and a flag that wins over one of them
+printf 'pretrain_weeks = 8\nrounds = 12\nseed = 2  # a comment\nm_cap = 30\nk_cap = 10\nstrategy_g = utility\n' \
+    >"$out/simulate.cfg"
+pubgame simulate --data "$data" --config "$out/simulate.cfg" --seed 4 \
+    --out-dir "$out/simulate-config" >"$out/simulate-config.txt"
 pubgame full-info --data "$data" --pretrain-weeks 8 --rounds 16 --seed 1 \
     --k 10 --out-dir "$out/full-info" >"$out/full-info.txt"
+pubgame full-info --manifest "$out/full-info/manifest.json" \
+    --out-dir "$out/full-info-rerun" >"$out/full-info-rerun.txt"
 pubgame analyze --data "$data" --out-dir "$out/analyze" >"$out/analyze.txt"
 pubgame eurr --asym-dir "$out/simulate-utility" --full-dir "$out/full-info" \
     --out-dir "$out/eurr" >"$out/eurr.txt"
+pubgame eurr --asym-dir "$out/simulate-utility" --full-dir "$out/full-info" \
+    >"$out/eurr-stdout.txt"
 pubgame report --asym-dir "$out/simulate-utility" --full-dir "$out/full-info" \
     --out-dir "$out/report" >"$out/report.txt"
 pubgame report --asym-dir "$out/simulate-utility" --full-dir "$out/full-info" \

@@ -1,12 +1,14 @@
 """Command-line front end.
 
-Every run-producing subcommand writes a manifest.json capturing the
-fully resolved arguments and a fingerprint of the input data; rerunning
-with --manifest reproduces the outputs byte for byte.  Configuration
-files are flat UTF-8 ``key = value`` text with ``#`` comments; explicit
-flags win over file values.  Each run value is declared once, in
-:data:`RUN_VALUES`, and checked by its key whether it comes from a flag,
-a configuration file or a manifest.
+Every run directory holds a manifest.json of the fully resolved
+arguments and a fingerprint of the input data, written once they pass
+their checks and before the command runs, and a summary.json, where the
+command has one, stamped with the manifest hash and the command's name.
+Rerunning with --manifest reproduces the outputs byte for byte.
+Configuration files are flat UTF-8 ``key = value`` text with ``#``
+comments; explicit flags win over file values.  Each value is declared
+once, in :data:`RUN_VALUES`, and a run value is checked by its key
+whether it comes from a flag, a configuration file or a manifest.
 
 Set PUBGAME_LOG=INFO (or DEBUG) for progress logging.
 """
@@ -146,11 +148,11 @@ _REQUIRED = object()  # the default of a value that has none
 
 @dataclass(frozen=True)
 class RunValue:
-    """One value of the run commands: its flag, the parser of the flag's
-    or a config-file line's text, the check every value passes, from a
+    """One value of the commands: its flag, the parser of the flag's or
+    a config-file line's text, the check every run value passes, from a
     flag, a config file or a manifest, and its default.  A value without
-    one is required unless a manifest gives it; a ``bool`` value's flag
-    switches it from its default.  ``config`` values are config-file
+    one is required unless a run's manifest gives it; a ``bool`` value's
+    flag switches it from its default.  ``config`` values are config-file
     keys; an ``optional`` one may be absent from a manifest."""
 
     flag: str
@@ -197,6 +199,20 @@ RUN_VALUES = {
         "--welch", _parse_bool, _BOOL, True, config=False, help="Welch t-tests (default: paired)"
     ),
     "alpha": RunValue("--alpha", float, _check_alpha, 0.01, config=False),
+    # generate and oracle only
+    "out": RunValue("--out", str, _STR, help="output JSONL path"),
+    "weeks": RunValue("--weeks", int, _INT),
+    "per_week": RunValue("--per-week", int, _INT),
+    "rho": RunValue(
+        "--rho", float, _FLOAT, 0.0, help="target Spearman correlation between views and utility"
+    ),
+    "topic_effect": RunValue(
+        "--topic-effect", float, _FLOAT, 0.0, help="latent view shift between the two topics"
+    ),
+    "items": RunValue("--items", str, _STR, help="CSV with columns f, g"),
+    "budget": RunValue(
+        "--budget", int, _INT, DEFAULT_ENUMERATION_BUDGET, help="max subsets to enumerate"
+    ),
 }
 
 
@@ -327,7 +343,7 @@ def _build_scorer(run_args: dict, train: Dataset, val: Dataset):
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace) -> None:
     dataset = ingest(args.data, args.format)
     meta = dataset.metadata
     domains = ", ".join(f"{d}:{c}" for d, c in sorted(meta["domains"].items()))
@@ -335,10 +351,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         f"ok: {meta['n_questions']} questions, {meta['n_weeks']} weeks, "
         f"domains {domains}"
     )
-    return 0
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
+def _cmd_generate(args: argparse.Namespace) -> None:
     spec = SyntheticSpec(
         weeks=args.weeks,
         questions_per_week=args.per_week,
@@ -354,23 +369,23 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         f"wrote {out}: {dataset.metadata['n_questions']} questions over "
         f"{dataset.n_weeks} weeks"
     )
-    return 0
 
 
-def _run_simulate(run_args: dict, out_dir: Path) -> int:
+def _run_simulate(run_args: dict, out_dir: Path, manifest: str) -> dict:
     config = GameConfig(**{f.name: run_args[f.name] for f in dataclasses.fields(GameConfig)})
     train, val, sim = _load_split(run_args)
     scorer = _build_scorer(run_args, train, val)
     ledger = run_asymmetric(sim, config, scorer)
 
-    manifest = write_manifest(out_dir, "simulate", run_args, run_args["data"])
     write_ledger_csv(ledger, out_dir / "ledger.csv", manifest_hash=manifest)
     if scorer.model is not None:
         scorer.model.save(out_dir / "forum_scorer_model.json")
     calibration = dataclasses.asdict(scorer.calibration) if scorer.calibration else None
-    summary = {
-        "manifest_hash": manifest,
-        "command": "simulate",
+    print(
+        f"simulate: {len(ledger)} rounds, strategy {config.strategy_g}, "
+        f"u_g {ledger.total_u_g:.3f}, u_f {ledger.total_u_f:.3f} -> {out_dir}"
+    )
+    return {
         "strategy_g": config.strategy_g,
         "scorer_f": run_args["scorer_f"],
         "theta": scorer.theta,
@@ -380,17 +395,10 @@ def _run_simulate(run_args: dict, out_dir: Path) -> int:
         "realized_u_f": ledger.total_u_f,
         "mean_published": sum(ledger.published_counts) / len(ledger),
     }
-    _write_json(out_dir / "summary.json", summary)
-    print(
-        f"simulate: {len(ledger)} rounds, strategy {config.strategy_g}, "
-        f"u_g {ledger.total_u_g:.3f}, u_f {ledger.total_u_f:.3f} -> {out_dir}"
-    )
-    return 0
 
 
-def _run_full_info(run_args: dict, out_dir: Path) -> int:
+def _run_full_info(run_args: dict, out_dir: Path, manifest: str) -> dict:
     _, _, sim = _load_split(run_args)
-    manifest = write_manifest(out_dir, "full-info", run_args, run_args["data"])
     totals = {}
     for name in run_args["heuristics"]:
         ledger = run_full_information(
@@ -399,20 +407,11 @@ def _run_full_info(run_args: dict, out_dir: Path) -> int:
         write_ledger_csv(ledger, out_dir / f"ledger_{name}.csv", manifest_hash=manifest)
         totals[name] = {"cum_u_g": ledger.total_u_g, "cum_u_f": ledger.total_u_f}
         log.info("full-info %s: u_g %.3f u_f %.3f", name, ledger.total_u_g, ledger.total_u_f)
-    summary = {
-        "manifest_hash": manifest,
-        "command": "full-info",
-        "k": run_args["k"],
-        "seed": run_args["seed"],
-        "rounds": run_args["rounds"],
-        "totals": totals,
-    }
-    _write_json(out_dir / "summary.json", summary)
     print(
         f"full-info: {', '.join(run_args['heuristics'])} over "
         f"{run_args['rounds']} rounds -> {out_dir}"
     )
-    return 0
+    return {"totals": totals, **{key: run_args[key] for key in ("k", "seed", "rounds")}}
 
 
 def _read_run_dirs(asym_dir: str, full_dir: str):
@@ -433,17 +432,13 @@ def _read_run_dirs(asym_dir: str, full_dir: str):
     return asym, runs
 
 
-def _run_eurr(run_args: dict, out_dir: Path | None) -> int:
+def _run_eurr(run_args: dict, out_dir: Path | None, manifest: str | None) -> None:
     asym, runs = _read_run_dirs(run_args["asym_dir"], run_args["full_dir"])
     report = compute_eurr(asym, runs)
     print(f"eurr_g {report.eurr_g:.3f} (best {report.best_heuristic_g})")
     print(f"eurr_f {report.eurr_f:.3f} (best {report.best_heuristic_f})")
     if out_dir is not None:
-        manifest = write_manifest(out_dir, "eurr", run_args, None)
-        payload = dataclasses.asdict(report)
-        payload["manifest_hash"] = manifest
-        _write_json(out_dir / "eurr.json", payload)
-    return 0
+        _write_json(out_dir / "eurr.json", dict(dataclasses.asdict(report), manifest_hash=manifest))
 
 
 def _parse_value(raw: str, where: str):
@@ -463,7 +458,7 @@ def _parse_value(raw: str, where: str):
     return value
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> None:
     import csv as _csv
 
     with open(args.items, newline="") as fh:
@@ -484,15 +479,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     result = oracle_exact(instance, budget=args.budget)
     print("indices:", " ".join(str(i) for i in result.indices))
     print("value:", result.value)
-    return 0
 
 
-def _run_analyze(run_args: dict, out_dir: Path) -> int:
+def _run_analyze(run_args: dict, out_dir: Path, manifest: str) -> dict:
     dataset = ingest(run_args["data"], run_args.get("format"))
     report = misalignment_report(dataset)
     table = misalignment_table(report)
 
-    manifest = write_manifest(out_dir, "analyze", run_args, run_args["data"])
     # domain names come from the data: written as UTF-8, as they were read
     (out_dir / "correlations.txt").write_text(table.to_text(), encoding="utf-8")
     (out_dir / "correlations.csv").write_text(
@@ -503,9 +496,11 @@ def _run_analyze(run_args: dict, out_dir: Path) -> int:
         for domain, u_f, u_g in zip(pool.domains, pool.u_f_norm.tolist(), pool.u_g.tolist()):
             scatter_lines.append(f"{domain},{t},{u_f!r},{u_g!r}")
     (out_dir / "scatter.csv").write_text("\n".join(scatter_lines) + "\n", encoding="utf-8")
-    summary = {
-        "manifest_hash": manifest,
-        "command": "analyze",
+    _print(
+        table.to_text()
+        + f"mean rho {report.mean_rho:.3f} (std {report.std_rho:.3f}) -> {out_dir}"
+    )
+    return {
         "mean_rho": report.mean_rho,
         "std_rho": report.std_rho,
         "rows": [
@@ -521,15 +516,9 @@ def _run_analyze(run_args: dict, out_dir: Path) -> int:
         "zero_view_weeks": list(report.zero_view_weeks),
         "skipped": list(report.skipped),
     }
-    _write_json(out_dir / "summary.json", summary)
-    _print(
-        table.to_text()
-        + f"mean rho {report.mean_rho:.3f} (std {report.std_rho:.3f}) -> {out_dir}"
-    )
-    return 0
 
 
-def _run_report(run_args: dict, out_dir: Path) -> int:
+def _run_report(run_args: dict, out_dir: Path, manifest: str) -> None:
     asym, runs = _read_run_dirs(run_args["asym_dir"], run_args["full_dir"])
     summary_path = Path(run_args["asym_dir"]) / "summary.json"
     strategy = "asym"
@@ -554,7 +543,6 @@ def _run_report(run_args: dict, out_dir: Path) -> int:
         )
     t_sig_g, t_sig_f = significance
 
-    manifest = write_manifest(out_dir, "report", run_args, None)
     text = "\n".join(
         t.to_text() for t in (t_full, t_asym, t_sig_g, t_sig_f)
     )
@@ -569,7 +557,6 @@ def _run_report(run_args: dict, out_dir: Path) -> int:
             f"# manifest {manifest}\n" + table.to_csv_string()
         )
     _print(text + f"-> {out_dir}")
-    return 0
 
 
 # Each run command's values, in the order a manifest's missing ones are
@@ -589,9 +576,10 @@ RUN_COMMANDS = {
 }
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> None:
     """Take a run's values from its flags, config file and defaults, or
-    from a manifest alone; check each by its key; then run."""
+    from a manifest alone; check each by its key; write the manifest;
+    then run, and write the summary the command returns."""
     keys, run = RUN_COMMANDS[args.command]
     given = [key for key in keys if hasattr(args, key)]
     config = getattr(args, "config", None)
@@ -621,9 +609,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if key in run_args:
             RUN_VALUES[key].check(key, run_args[key], run_args)
     out_dir = Path(args.out_dir) if args.out_dir else None
+    manifest = None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-    return run(run_args, out_dir)
+        manifest = write_manifest(out_dir, args.command, run_args, run_args.get("data"))
+    summary = run(run_args, out_dir, manifest)
+    if summary is not None:
+        summary.update(manifest_hash=manifest, command=args.command)
+        _write_json(out_dir / "summary.json", summary)
 
 
 # ---------------------------------------------------------------- parser
@@ -641,6 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_value(p: argparse.ArgumentParser, key: str, **kw) -> None:
         value = RUN_VALUES[key]
+        # outside a run command, a value with no default is a required flag
+        kw = {"default": value.default, "required": value.default is _REQUIRED, **kw}
         kw.update(dest=key, help=value.help)
         if type(value.default) is bool:
             p.add_argument(value.flag, action="store_const", const=not value.default, **kw)
@@ -653,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
         for key in keys:
             # a flag not given leaves no attribute, so that the config
             # file's value or the default takes its place
-            add_value(p, key, default=argparse.SUPPRESS)
+            add_value(p, key, default=argparse.SUPPRESS, required=False)
         # eurr writes its output directory only when given one
         p.add_argument("--out-dir", required=command != "eurr", dest="out_dir")
         if any(RUN_VALUES[key].config for key in keys):
@@ -662,28 +657,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("validate", help="check a dataset against the schema")
-    add_value(p, "data", required=True)
+    add_value(p, "data")
     add_value(p, "format")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("generate", help="write a synthetic dataset")
-    p.add_argument("--out", required=True, help="output JSONL path")
-    p.add_argument("--weeks", type=int, required=True)
-    p.add_argument("--per-week", type=int, required=True, dest="per_week")
-    p.add_argument(
-        "--rho",
-        type=float,
-        default=0.0,
-        help="target Spearman correlation between views and utility",
-    )
-    p.add_argument(
-        "--topic-effect",
-        type=float,
-        default=0.0,
-        dest="topic_effect",
-        help="latent view shift between the two topics",
-    )
-    p.add_argument("--seed", type=int, default=0)
+    for key in ("out", "weeks", "per_week", "rho", "topic_effect", "seed"):
+        add_value(p, key)
     p.set_defaults(func=_cmd_generate)
 
     add_run("simulate", "play the asymmetric weekly game")
@@ -691,14 +671,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_run("eurr", "estimated utility recovery from recorded runs")
 
     p = sub.add_parser("oracle", help="exact optimum of a small instance")
-    p.add_argument("--items", required=True, help="CSV with columns f, g")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument(
-        "--budget",
-        type=int,
-        default=DEFAULT_ENUMERATION_BUDGET,
-        help="max subsets to enumerate",
-    )
+    add_value(p, "items")
+    add_value(p, "k", required=True)
+    add_value(p, "budget")
     p.set_defaults(func=_cmd_oracle)
 
     add_run("analyze", "view/utility correlation report")
@@ -707,25 +682,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _setup_logging() -> None:
+def main(argv=None) -> int:
     level = os.environ.get("PUBGAME_LOG", "WARNING").upper()
     logging.basicConfig(
         level=getattr(logging, level, logging.WARNING),
         format="%(levelname)s %(name)s: %(message)s",
     )
-
-
-def main(argv=None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except argparse.ArgumentError as e:
         parser.error(str(e))
     except (PubgameError, ValueError, ArithmeticError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -299,7 +299,8 @@ def oracle_dp(instance: BilinearInstance) -> OracleResult:
 
     Requires integer f values.  ``best[size, F]`` is the largest g-sum
     of a subset of the items seen so far with ``size`` items and f-sum
-    F, for sizes up to k and F up to S, the sum of the k largest f.
+    F·d, d the gcd of all f, for sizes up to k and F up to S, the sum
+    of the k largest f / d.
     Each item updates the table with one shifted comparison and records
     the cells it strictly improved in a bool table of n * (k + 1) *
     (S + 1) cells, which the walk back reads.  That table must not
@@ -317,6 +318,9 @@ def oracle_dp(instance: BilinearInstance) -> OracleResult:
     for i, f in enumerate(fs):
         if not isinstance(f, int):
             raise ValueError(f"item {i}: DP oracle needs integer f values, got {f!r}")
+    # the table counts f-sums in units of the gcd of all f
+    d = math.gcd(*fs) or 1
+    fs = [f // d for f in fs]
     s = sum(sorted(fs)[-k:])
     cells = n * (k + 1) * (s + 1)
     if cells > DEFAULT_ENUMERATION_BUDGET:
@@ -341,7 +345,9 @@ def oracle_dp(instance: BilinearInstance) -> OracleResult:
         np.copyto(cur, cand, where=improved)
 
     reachable = np.flatnonzero(best[k] >= 0)
-    values = reachable * best[k, reachable]
+    # an f-sum that can pass int64 is held as a Python int
+    f_sums = reachable.astype(np.int64 if s * d < _INT64_SAFE else object) * d
+    values = f_sums * best[k, reachable]
     j = int(np.argmax(values))  # the first maximum: the smallest f-sum
     chosen, size, f_sum = [], k, int(reachable[j])
     for i in reversed(range(n)):

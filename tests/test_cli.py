@@ -77,8 +77,8 @@ def test_generate_output_is_pinned(tmp_path):
     assert digest == "e8baa2efe2878e596ae99d51ee137d8da3b82461e9c53b10a183473c3c796370"
 
 
-def test_simulate_outputs(pipeline):
-    _, _, asym, _ = pipeline
+def test_simulate_outputs(pipeline, tmp_path):
+    _, data, asym, full = pipeline
     manifest = json.loads((asym / "manifest.json").read_text())
     assert manifest["format"] == "pubgame-manifest"
     assert manifest["version"] == 1
@@ -99,6 +99,15 @@ def test_simulate_outputs(pipeline):
     model = (asym / "forum_scorer_model.json").read_bytes()
     digest = hashlib.sha256(model).hexdigest()
     assert digest == "ec92af05b2a8f773ce29a759b5adce623ce99f01774a228aba4c19f83ce75a4e"
+
+    # every summary carries its run's manifest hash and command
+    analyze = tmp_path / "analyze"
+    assert main(["analyze", "--data", str(data), "--out-dir", str(analyze)]) == 0
+    for command, run in (("simulate", asym), ("full-info", full), ("analyze", analyze)):
+        manifest = json.loads((run / "manifest.json").read_text())
+        summary = json.loads((run / "summary.json").read_text())
+        assert manifest["command"] == summary["command"] == command
+        assert summary["manifest_hash"] == manifest["manifest_hash"]
 
 
 @pytest.mark.parametrize("command", ["simulate", "full-info", "eurr", "analyze", "report"])
@@ -350,6 +359,24 @@ def test_simulate_checks_scorer_and_theta_before_reading_data(tmp_path, capsys, 
     ])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_run_that_fails_after_its_checks_leaves_only_its_manifest(pipeline, tmp_path, capsys):
+    # the synthetic data has no forum_score column for the precomputed scorer
+    _, data, _, _ = pipeline
+    first, rerun = tmp_path / "first", tmp_path / "rerun"
+    rc = main([
+        "simulate", "--data", str(data), "--scorer", "precomputed", "--pretrain-weeks", "4",
+        "--rounds", "5", "--m-cap", "6", "--k-cap", "3", "--out-dir", str(first),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "has no forum_score" in err
+    assert [p.name for p in first.iterdir()] == ["manifest.json"]
+    assert main(["simulate", "--manifest", str(first / "manifest.json"), "--out-dir", str(rerun)]) == 1
+    assert capsys.readouterr().err == err
+    assert [p.name for p in rerun.iterdir()] == ["manifest.json"]
+    assert (rerun / "manifest.json").read_bytes() == (first / "manifest.json").read_bytes()
 
 
 def test_precomputed_scorer_takes_theta_on_its_own_scale(pipeline, tmp_path):

@@ -559,6 +559,17 @@ def test_oracle_dp_refuses_a_table_over_the_budget_before_allocating():
         oracle_dp(BilinearInstance(items=((s + 1, 1), (1, 1)), k=1))
 
 
+def test_oracle_dp_sizes_its_table_by_f_over_the_gcd():
+    # S is 3 * 10**12 in units of 1, but 2 in units of the gcd
+    inst = BilinearInstance(items=((10**12, 1), (2 * 10**12, 1)), k=1)
+    assert oracle_dp(inst) == ref_oracle_dp(inst) == OracleResult((1,), 2 * 10**12)
+    # f-sums past int64, against float and against integer g
+    for gs in ((1.5, 0.25, 0.5), (3, 1, 2)):
+        inst = BilinearInstance(items=tuple(zip((2**70, 2**71, 3 * 2**70), gs)), k=2)
+        assert _same_result(oracle_dp(inst), ref_oracle_dp(inst))
+        assert oracle_dp(inst).indices == (0, 2)
+
+
 def test_oracles_refuse_float_sides_that_can_sum_to_inf():
     inst = BilinearInstance(items=((1, 1e308), (1, 1e308), (1, 0.0)), k=2)
     for oracle in (oracle_exact, oracle_dp):
