@@ -8,7 +8,7 @@ surrogate ratio can be checked against it directly.
 """
 
 from pubgame.core import GameConfig
-from pubgame.data import Dataset, SyntheticSpec, generate_synthetic, normalize_weekly, split_pretrain
+from pubgame.data import Dataset, SyntheticSpec, generate_synthetic, split_pretrain
 from pubgame.engine import (
     HEURISTICS,
     compute_eurr,
@@ -32,7 +32,7 @@ def main() -> None:
         topic_effect=2.0,
         seed=SEED,
     )
-    dataset = normalize_weekly(generate_synthetic(spec))
+    dataset = generate_synthetic(spec)
     train, val, sim = split_pretrain(dataset, 6)
     scorer = train_text_scorer(train.pools, val.pools)
     print(

@@ -6,7 +6,7 @@ exact t approximation. Negative correlation is the interesting regime:
 what the curator wants to publish is what the proposer values least.
 """
 
-from pubgame.data import SyntheticSpec, generate_synthetic, normalize_weekly
+from pubgame.data import SyntheticSpec, generate_synthetic
 from pubgame.reports import misalignment_report, misalignment_table
 
 SEED = 2
@@ -21,7 +21,7 @@ def main() -> None:
             topic_effect=0.0,
             seed=SEED,
         )
-        dataset = normalize_weekly(generate_synthetic(spec))
+        dataset = generate_synthetic(spec)
         report = misalignment_report(dataset)
         print(f"target rank correlation {rho:+.1f}")
         print(misalignment_table(report).to_text())

@@ -7,11 +7,13 @@ proposer from a per-question quality score ``u_g``, the curator from
 view counts normalized within the week (:func:`set_utility`).  A week
 is a :class:`RoundPool` of columns, one entry per question, numbered by
 its position in its dataset; a selection is a set of positions into it.
+A run's :class:`GameLedger` numbers its rounds the same way, round t at
+position t, and derives its running totals from the rounds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -188,9 +190,9 @@ class GameConfig:
 
 @dataclass(frozen=True)
 class SelectionOutcome:
-    """One round's result: what was proposed, what was published."""
+    """One round's result: what was proposed, what was published.  The
+    round's week is its position in its ledger, not a field."""
 
-    week: int
     proposed: tuple[str, ...]
     published: tuple[str, ...]
     u_g_realized: float
@@ -198,14 +200,13 @@ class SelectionOutcome:
 
     @classmethod
     def of(
-        cls, week: int, pool: RoundPool, proposed: Sequence[int], published: Sequence[int]
+        cls, pool: RoundPool, proposed: Sequence[int], published: Sequence[int]
     ) -> SelectionOutcome:
-        """Week ``week``'s outcome: publishing the questions at positions
+        """The outcome of publishing the questions at positions
         ``published`` in ``pool`` out of those at ``proposed``, with the
         realized utilities of the published set."""
         ids = pool.ids
         return cls(
-            week,
             tuple(ids[i] for i in proposed),
             tuple(ids[i] for i in published),
             *utility_of_set(pool, published),
@@ -214,12 +215,9 @@ class SelectionOutcome:
     def __post_init__(self) -> None:
         missing = set(self.published) - set(self.proposed)
         if missing:
-            raise ValueError(
-                f"week {self.week}: published ids not in the proposal: "
-                f"{sorted(missing)}"
-            )
+            raise ValueError(f"published ids not in the proposal: {sorted(missing)}")
         if len(set(self.published)) != len(self.published):
-            raise ValueError(f"week {self.week}: duplicate published ids")
+            raise ValueError("duplicate published ids")
 
 
 def running_total(values: Iterable[float]) -> tuple[float, ...]:
@@ -232,61 +230,51 @@ def running_total(values: Iterable[float]) -> tuple[float, ...]:
 class GameLedger:
     """Per-round columns of one run, as the ledger CSV stores them.
 
+    Round t is week t: the week is the round's position, not a column.
     ``outcomes`` holds the rounds' :class:`SelectionOutcome` records,
     with question ids, when the run was played in memory; it is empty
-    for a ledger read back from CSV.  Cumulative totals are
-    left-to-right sums from 0.0 of the per-round realized utilities
-    (:func:`running_total`).
+    for a ledger read back from CSV.  The cumulative totals are derived,
+    not given: left-to-right sums from 0.0 of the per-round realized
+    utilities (:func:`running_total`).
     """
 
-    weeks: tuple[int, ...]
     proposed_counts: tuple[int, ...]
     published_counts: tuple[int, ...]
     u_g: tuple[float, ...]
     u_f: tuple[float, ...]
-    cum_u_g: tuple[float, ...]
-    cum_u_f: tuple[float, ...]
     outcomes: tuple[SelectionOutcome, ...] = ()
+    cum_u_g: tuple[float, ...] = field(init=False)
+    cum_u_f: tuple[float, ...] = field(init=False)
 
     @classmethod
     def from_outcomes(cls, outcomes: Sequence[SelectionOutcome]) -> GameLedger:
-        u_g = tuple(o.u_g_realized for o in outcomes)
-        u_f = tuple(o.u_f_realized for o in outcomes)
         return cls(
-            weeks=tuple(o.week for o in outcomes),
             proposed_counts=tuple(len(o.proposed) for o in outcomes),
             published_counts=tuple(len(o.published) for o in outcomes),
-            u_g=u_g,
-            u_f=u_f,
-            cum_u_g=running_total(u_g),
-            cum_u_f=running_total(u_f),
+            u_g=tuple(o.u_g_realized for o in outcomes),
+            u_f=tuple(o.u_f_realized for o in outcomes),
             outcomes=tuple(outcomes),
         )
 
     def __post_init__(self) -> None:
-        columns = (
-            self.proposed_counts,
-            self.published_counts,
-            self.u_g,
-            self.u_f,
-            self.cum_u_g,
-            self.cum_u_f,
-        )
-        if any(len(c) != len(self.weeks) for c in columns):
+        n = len(self.proposed_counts)
+        if any(len(c) != n for c in (self.published_counts, self.u_g, self.u_f)):
             raise ValueError("ledger columns must all have one entry per round")
-        if self.outcomes and len(self.outcomes) != len(self.weeks):
+        if self.outcomes and len(self.outcomes) != n:
             raise ValueError("outcome count must match the round count")
+        object.__setattr__(self, "cum_u_g", running_total(self.u_g))
+        object.__setattr__(self, "cum_u_f", running_total(self.u_f))
 
     def __len__(self) -> int:
-        return len(self.weeks)
+        return len(self.u_g)
 
     @property
     def total_u_g(self) -> float:
-        return self.cum_u_g[-1] if self.weeks else 0.0
+        return self.cum_u_g[-1] if self.cum_u_g else 0.0
 
     @property
     def total_u_f(self) -> float:
-        return self.cum_u_f[-1] if self.weeks else 0.0
+        return self.cum_u_f[-1] if self.cum_u_f else 0.0
 
     def weekly_u_g(self) -> list[float]:
         # the u_g column as a list, as perfbench/workloads/season.py reads it

@@ -98,8 +98,8 @@ class SyntheticSpec:
             raise ValueError("questions_per_week must be >= 1")
         if not -1.0 <= self.utility_correlation <= 1.0:
             raise ValueError("utility_correlation must lie in [-1, 1]")
-        if self.topic_effect < 0:
-            raise ValueError("topic_effect must be >= 0")
+        if not (math.isfinite(self.topic_effect) and self.topic_effect >= 0):
+            raise ValueError(f"topic_effect must be finite and >= 0, got {self.topic_effect}")
 
 
 def _echo(value) -> str:
@@ -385,7 +385,14 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         z1 = rng.standard_normal(q)
         z2 = r_latent * z1 + residual * rng.standard_normal(q)
         z1 = z1 + d * (2 * topic - 1)
-        views = np.floor(np.exp(VIEW_MU + VIEW_SIGMA * z1)).astype(np.int64)
+        with np.errstate(over="ignore"):  # a draw past the float range is inf, refused below
+            views = np.floor(np.exp(VIEW_MU + VIEW_SIGMA * z1))
+        if views.max() >= 2.0**63:
+            raise ValueError(
+                f"topic_effect {spec.topic_effect} is too large: week {t} draws "
+                f"a view count >= 2**63, past int64"
+            )
+        views = views.astype(np.int64)
         u_g = np.exp(UG_MU + UG_SIGMA * z2)
 
         lengths = rng.integers(9, 15, size=q)

@@ -14,7 +14,9 @@ one of the joint heuristics, run on the pool's two value columns
 utility recovery; :func:`exact_urr` computes the exact counterpart by
 oracle enumeration where feasible.  Both loops record a round with
 :meth:`~pubgame.core.SelectionOutcome.of` from positions into the
-pool, and every loop takes a :class:`~pubgame.data.Dataset`.
+pool, and every loop takes a :class:`~pubgame.data.Dataset`.  The
+ledger CSV writes each round's position as its week, and its reader
+refuses a week out of position.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import GameConfig, GameLedger, SelectionOutcome, running_total, utility_of_set
+from .core import GameConfig, GameLedger, SelectionOutcome, utility_of_set
 from .data import Dataset, _finite
 from .errors import ConfigError, SchemaError
 from .nash_opt import (
@@ -98,7 +100,7 @@ def run_asymmetric(dataset: Dataset, config: GameConfig, scorer: ForumScorer) ->
             rows = tokenize_rows(pool.texts(proposal.tolist()), table)
 
         published = proposal[forum_select(proposal, pool, scorer, config.k_cap, rows)]
-        outcomes.append(SelectionOutcome.of(t, pool, proposal, published))
+        outcomes.append(SelectionOutcome.of(pool, proposal, published))
         if learning:
             history += rows
             accepted.extend(np.isin(proposal, published).tolist())
@@ -129,7 +131,7 @@ def run_full_information(
     for t, pool in enumerate(dataset.pools[:rounds]):
         seeded = (f"{seed}-{t}",) if heuristic == "random" else ()
         chosen = rule(pool.u_g, pool.u_f_norm, min(k, len(pool)), *seeded)
-        outcomes.append(SelectionOutcome.of(t, pool, chosen, chosen))
+        outcomes.append(SelectionOutcome.of(pool, chosen, chosen))
     return GameLedger.from_outcomes(outcomes)
 
 
@@ -250,28 +252,25 @@ LEDGER_COLUMNS = (
 def write_ledger_csv(
     ledger: GameLedger, path: str | Path, *, manifest_hash: str | None = None
 ) -> None:
-    """One row per round; floats use repr so reads round-trip exactly."""
+    """One row per round, its week the row's position; floats use repr
+    so reads round-trip exactly."""
     path = Path(path)
     with path.open("w", newline="") as fh:
         if manifest_hash is not None:
             fh.write(f"# manifest {manifest_hash}\n")
         writer = csv.writer(fh)
         writer.writerow(LEDGER_COLUMNS)
-        for row in zip(
-            ledger.weeks,
-            ledger.proposed_counts,
-            ledger.published_counts,
-            ledger.u_g,
-            ledger.u_f,
-            ledger.cum_u_g,
-            ledger.cum_u_f,
-        ):
-            writer.writerow(row[:3] + tuple(repr(v) for v in row[3:]))
+        counts = zip(ledger.proposed_counts, ledger.published_counts)
+        values = zip(ledger.u_g, ledger.u_f, ledger.cum_u_g, ledger.cum_u_f)
+        for t, (n, v) in enumerate(zip(counts, values)):
+            writer.writerow((t, *n, *map(repr, v)))
 
 
 def read_ledger_csv(path: str | Path) -> GameLedger:
-    """Parse a ledger CSV, checking the cumulative columns add up.
+    """Parse a ledger CSV, checking its weeks and cumulative columns.
 
+    Row t must hold week t, and the cumulative columns must equal the
+    running totals that the ledger derives from the per-round columns.
     The ledger has no outcomes: the CSV stores per-round counts and
     totals, not question ids.  A malformed value raises SchemaError
     naming the file and line.
@@ -292,27 +291,26 @@ def read_ledger_csv(path: str | Path) -> GameLedger:
             f"{list(LEDGER_COLUMNS)}"
         )
     rows = []
-    for where, row in body:
+    for t, (where, row) in enumerate(body):
         if len(row) != len(LEDGER_COLUMNS):
             raise SchemaError(f"{where}: malformed row {row}")
         # a week and two counts in ASCII digits, then four utility columns
         for name, raw in zip(LEDGER_COLUMNS[:3], row):
             if not (raw.isascii() and raw.isdigit()):
                 raise SchemaError(f"{where}: {name} {raw!r} is not an integer >= 0")
+        if int(row[0]) != t:
+            raise SchemaError(f"{where}: week {row[0]} is not the row's position, {t}")
         try:
             utilities = [_finite(v, n) for n, v in zip(LEDGER_COLUMNS[3:], row[3:])]
         except SchemaError as e:
             raise SchemaError(f"{where}: {e}") from None
-        rows.append((*map(int, row[:3]), *utilities))
-    # the CSV columns are the ledger's fields in order
-    columns = list(zip(*rows)) or [()] * len(LEDGER_COLUMNS)
-    ledger = GameLedger(*columns)
-    expected = zip(running_total(ledger.u_g), running_total(ledger.u_f))
-    stored = zip(ledger.cum_u_g, ledger.cum_u_f)
-    for week, want, got in zip(ledger.weeks, expected, stored):
-        if want != got:
+        rows.append((*map(int, row[1:3]), *utilities))
+    # each row after its week: two counts, two utilities, two totals
+    columns = list(zip(*rows)) or [()] * 6
+    ledger = GameLedger(*columns[:4])
+    for (where, _), row, cum_g, cum_f in zip(body, rows, ledger.cum_u_g, ledger.cum_u_f):
+        if row[4:] != (cum_g, cum_f):
             raise SchemaError(
-                f"{path.name}: cumulative totals disagree with per-round "
-                f"values at week {week}"
+                f"{where}: cumulative totals disagree with per-round values"
             )
     return ledger

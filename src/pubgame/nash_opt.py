@@ -475,30 +475,31 @@ def heuristic_random(
     return tuple(sorted(random.Random(seed).sample(range(len(f)), k)))
 
 
-# The rules above take two float64 value columns, f for the proposer and
-# g for the curator, and a cap k at most their length; they return
-# ascending positions.  The entries below take a BilinearInstance of any
-# value type, and run the rule on its float64 image.  Each names its rule
-# at call time, so a wrapper installed on a rule's module name also sees
-# the calls made through an instance.
-HEURISTICS = {
-    "mpp": lambda instance: heuristic_mpp(*_as_float_arrays(instance), instance.k),
-    "maxsp": lambda instance: heuristic_maxsp(*_as_float_arrays(instance), instance.k),
-    "greedy_np": lambda instance: heuristic_greedy_np(
-        *_as_float_arrays(instance), instance.k
-    ),
-    "random": lambda instance, seed=0: heuristic_random(
-        *_as_float_arrays(instance), instance.k, seed
-    ),
-}
-
-# the column rules by heuristic name, as the full-information loop runs them
+# The rules above by heuristic name, as the full-information loop runs
+# them: each takes two float64 value columns, f for the proposer and g
+# for the curator, and a cap k at most their length, and returns
+# ascending positions.
 COLUMN_RULES = {
     "mpp": heuristic_mpp,
     "maxsp": heuristic_maxsp,
     "greedy_np": heuristic_greedy_np,
     "random": heuristic_random,
 }
+
+
+def _on_instance(name: str):
+    """The column rule ``name`` on the float64 image of a BilinearInstance
+    of any value type, with random's seed passed through.  It looks the
+    rule up at call time, so a wrapper installed over a column rule also
+    sees the calls made through an instance."""
+
+    def rule(instance: BilinearInstance, *args, **kwargs) -> tuple[int, ...]:
+        return COLUMN_RULES[name](*_as_float_arrays(instance), instance.k, *args, **kwargs)
+
+    return rule
+
+
+HEURISTICS = {name: _on_instance(name) for name in COLUMN_RULES}
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from pubgame.data import (
     Dataset,
     SyntheticSpec,
     generate_synthetic,
-    normalize_weekly,
     split_pretrain,
 )
 from pubgame.engine import (
@@ -46,8 +45,8 @@ def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def _normalized_synthetic(**kwargs):
-    return normalize_weekly(generate_synthetic(SyntheticSpec(**kwargs)))
+def _synthetic(**kwargs):
+    return generate_synthetic(SyntheticSpec(**kwargs))
 
 
 def test_criterion_1_oracle_dominates_every_heuristic():
@@ -102,7 +101,7 @@ def test_criterion_3_heuristic_skew_under_anticorrelated_utilities():
     seeds = range(50)
     pattern_hits = random_worst_hits = 0
     for seed in seeds:
-        ds = _normalized_synthetic(
+        ds = _synthetic(
             weeks=52,
             questions_per_week=400,
             utility_correlation=-0.5,
@@ -140,7 +139,7 @@ def test_criterion_4_learned_acceptance_beats_blind_greedy():
     ug_ratios = []
     uf_ratios = []
     for seed in range(20):
-        ds = _normalized_synthetic(
+        ds = _synthetic(
             weeks=65,
             questions_per_week=400,
             utility_correlation=0.0,
@@ -178,7 +177,7 @@ def test_criterion_4_learned_acceptance_beats_blind_greedy():
 def test_criterion_5_untrained_model_makes_utility_equal_greedy():
     mismatches = 0
     for seed, rho in ((0, 0.0), (1, -0.5), (2, 0.5)):
-        ds = _normalized_synthetic(
+        ds = _synthetic(
             weeks=10,
             questions_per_week=20,
             utility_correlation=rho,
@@ -213,7 +212,7 @@ def test_criterion_6_surrogate_recovery_never_exceeds_exact_recovery():
     violations = 0
     out_of_range = 0
     for seed in range(20):
-        ds = _normalized_synthetic(
+        ds = _synthetic(
             weeks=18,
             questions_per_week=18,
             utility_correlation=0.3,

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -75,6 +76,24 @@ def test_generate_output_is_pinned(tmp_path):
     assert main(["generate", "--out", str(out), *args, "--seed", "1"]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "e8baa2efe2878e596ae99d51ee137d8da3b82461e9c53b10a183473c3c796370"
+
+
+@pytest.mark.parametrize(
+    "effect, message",
+    [
+        ("inf", "topic_effect must be finite and >= 0, got inf"),
+        ("nan", "topic_effect must be finite and >= 0, got nan"),
+        ("70", "topic_effect 70.0 is too large: week 0 draws a view count >= 2**63, past int64"),
+    ],
+)
+def test_generate_refuses_a_topic_effect_it_cannot_draw(tmp_path, capsys, effect, message):
+    out = tmp_path / "gen.jsonl"
+    args = ["--weeks", "3", "--per-week", "5", "--topic-effect", effect]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["generate", "--out", str(out), *args]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_simulate_outputs(pipeline, tmp_path):

@@ -107,13 +107,13 @@ def test_negative_zero_utility_realizes_zero():
     assert pool.questions[0].u_g.hex() == "-0x0.0p+0"
     u_g, u_f = utility_of_set(pool, [0])
     assert (u_g.hex(), u_f.hex()) == ("0x0.0p+0", "0x0.0p+0")
-    assert SelectionOutcome.of(0, pool, [0], [0]).u_g_realized.hex() == "0x0.0p+0"
+    assert SelectionOutcome.of(pool, [0], [0]).u_g_realized.hex() == "0x0.0p+0"
 
 
 def test_selection_outcome_of_ids_and_realized_utilities():
     pool = mk_pool(3, [(10, 1.5), (20, 2.5), (40, 4.0)])
-    assert SelectionOutcome.of(3, pool, np.array([0, 1, 2]), [2, 1]) == SelectionOutcome(
-        3, ("q3-0", "q3-1", "q3-2"), ("q3-2", "q3-1"), 6.5, 1.5
+    assert SelectionOutcome.of(pool, np.array([0, 1, 2]), [2, 1]) == SelectionOutcome(
+        ("q3-0", "q3-1", "q3-2"), ("q3-2", "q3-1"), 6.5, 1.5
     )
 
 
@@ -132,15 +132,15 @@ def test_game_config_validation():
 
 
 def test_selection_outcome_invariants():
-    SelectionOutcome(0, ("a", "b"), ("a",), 1.0, 0.5)
+    SelectionOutcome(("a", "b"), ("a",), 1.0, 0.5)
     with pytest.raises(ValueError):
-        SelectionOutcome(0, ("a",), ("b",), 1.0, 0.5)
+        SelectionOutcome(("a",), ("b",), 1.0, 0.5)
     with pytest.raises(ValueError):
-        SelectionOutcome(0, ("a", "b"), ("a", "a"), 1.0, 0.5)
+        SelectionOutcome(("a", "b"), ("a", "a"), 1.0, 0.5)
 
 
 def _outcome(week, ug, uf):
-    return SelectionOutcome(week, (f"w{week}",), (f"w{week}",), ug, uf)
+    return SelectionOutcome((f"w{week}",), (f"w{week}",), ug, uf)
 
 
 def test_ledger_accumulates_left_to_right():
@@ -150,7 +150,6 @@ def test_ledger_accumulates_left_to_right():
     assert ledger.total_u_g == 10.0
     assert ledger.total_u_f == 5.0
     assert ledger.u_g == (0.0, 1.0, 2.0, 3.0, 4.0)
-    assert ledger.weeks == (0, 1, 2, 3, 4)
     assert ledger.published_counts == (1, 1, 1, 1, 1)
     assert len(ledger) == 5
 
@@ -169,11 +168,22 @@ def test_ledger_totals_match_plain_sum_order_exactly():
 
 
 def test_ledger_rejects_mismatched_cumulative_series():
+    # the running totals are derived, so only the given columns and the
+    # outcomes can disagree with the round count
     ledger = GameLedger.from_outcomes([_outcome(0, 1.0, 1.0)])
-    with pytest.raises(ValueError):
-        dataclasses.replace(ledger, cum_u_g=())
-    with pytest.raises(ValueError):
+    for name in ("proposed_counts", "published_counts", "u_g", "u_f"):
+        with pytest.raises(ValueError, match="one entry per round"):
+            dataclasses.replace(ledger, **{name: getattr(ledger, name) * 2})
+    with pytest.raises(ValueError, match="outcome count"):
         dataclasses.replace(ledger, outcomes=ledger.outcomes * 2)
+
+
+def test_ledger_derives_its_running_totals():
+    ledger = GameLedger((2, 2), (1, 0), (1.5, 0.25), (0.5, 0.0))
+    assert (ledger.cum_u_g, ledger.cum_u_f) == ((1.5, 1.75), (0.5, 0.5))
+    assert dataclasses.replace(ledger, u_g=(3.0, 1.0)).cum_u_g == (3.0, 4.0)
+    with pytest.raises(TypeError):
+        GameLedger((2,), (1,), (1.5,), (0.5,), cum_u_g=(9.0,))
 
 
 def test_empty_ledger_totals_are_zero():

@@ -21,7 +21,6 @@ from pubgame import (
     compute_eurr,
     exact_urr,
     generate_synthetic,
-    normalize_weekly,
     oracle_exact,
     read_ledger_csv,
     run_asymmetric,
@@ -123,7 +122,7 @@ def test_a_run_tokenizes_each_text_it_scores_once(monkeypatch):
     spec = SyntheticSpec(
         weeks=14, questions_per_week=30, utility_correlation=-0.5, topic_effect=2.0, seed=2
     )
-    train, val, sim = split_pretrain(normalize_weekly(generate_synthetic(spec)), 6)
+    train, val, sim = split_pretrain(generate_synthetic(spec), 6)
     text = train_text_scorer(train.pools, val.pools)
     config = GameConfig(m_cap=10, k_cap=5, rounds=8, retrain_period=3, seed=1)
     calls = count_tokenize(monkeypatch)
@@ -201,7 +200,7 @@ def _spec_pool():
 
 def test_exact_urr_hand_instance():
     ledger = GameLedger.from_outcomes(
-        [SelectionOutcome(0, ("qa", "qb"), ("qa",), 3.0, 1 / 3)]
+        [SelectionOutcome(("qa", "qb"), ("qa",), 3.0, 1 / 3)]
     )
     report = exact_urr(ledger, Dataset((_spec_pool(),)), 2)
     assert report.star_u_g == 4.0
@@ -212,7 +211,7 @@ def test_exact_urr_hand_instance():
 
 def test_exact_urr_window_mismatch():
     ledger = GameLedger.from_outcomes(
-        [SelectionOutcome(0, ("qa",), ("qa",), 1.0, 0.5)]
+        [SelectionOutcome(("qa",), ("qa",), 1.0, 0.5)]
     )
     with pytest.raises(ConfigError):
         exact_urr(ledger, Dataset((_spec_pool(), _spec_pool())), 2)
@@ -221,7 +220,7 @@ def test_exact_urr_window_mismatch():
 def test_exact_urr_zero_optimum_is_an_error():
     qs = (mk_q("a", views=0, u_g=1.0, u_f_norm=0.0),)
     pool = RoundPool(questions=qs)
-    ledger = GameLedger.from_outcomes([SelectionOutcome(0, ("qa",), (), 0.0, 0.0)])
+    ledger = GameLedger.from_outcomes([SelectionOutcome(("qa",), (), 0.0, 0.0)])
     with pytest.raises(ValueError):
         exact_urr(ledger, Dataset((pool,)), 1)
 
@@ -229,7 +228,7 @@ def test_exact_urr_zero_optimum_is_an_error():
 def test_exact_urr_budget_propagates():
     pools = scored_pools(1, n=30)
     ledger = GameLedger.from_outcomes(
-        [SelectionOutcome(0, ("q0-0",), ("q0-0",), 1.0, 0.5)]
+        [SelectionOutcome(("q0-0",), ("q0-0",), 1.0, 0.5)]
     )
     with pytest.raises(EnumerationBudgetError):
         exact_urr(ledger, pools, 15, budget=100)
@@ -237,7 +236,7 @@ def test_exact_urr_budget_propagates():
 
 def _ledger_with_totals(u_g, u_f):
     return GameLedger.from_outcomes(
-        [SelectionOutcome(0, ("x",), ("x",), u_g, u_f)]
+        [SelectionOutcome(("x",), ("x",), u_g, u_f)]
     )
 
 
@@ -288,7 +287,8 @@ def test_ledger_csv_round_trip_is_exact(tmp_path):
     assert isinstance(table, GameLedger)
     assert table.outcomes == ()
     assert table.published_counts == ledger.published_counts
-    assert table.weeks == tuple(o.week for o in ledger.outcomes)
+    weeks = [line.split(",")[0] for line in path.read_text().splitlines()[2:]]
+    assert weeks == [str(t) for t in range(len(ledger))]
     assert table.u_g == ledger.u_g
     assert table.cum_u_g == ledger.cum_u_g
     assert table.total_u_g == ledger.total_u_g
@@ -315,7 +315,7 @@ def test_ledger_csv_round_trip_property(rounds):
     outcomes = []
     for t, (n_prop, n_pub, u_g, u_f) in enumerate(rounds):
         proposed = tuple(f"{t}-{i}" for i in range(n_prop))
-        outcomes.append(SelectionOutcome(t, proposed, proposed[:n_pub], u_g, u_f))
+        outcomes.append(SelectionOutcome(proposed, proposed[:n_pub], u_g, u_f))
     ledger = GameLedger.from_outcomes(outcomes)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
@@ -334,7 +334,26 @@ def test_read_ledger_csv_rejects_drifted_cumulatives(tmp_path):
         "0,2,1,1.0,0.5,1.0,0.5\n"
         "1,2,1,1.0,0.5,2.5,1.0\n"
     )
-    with pytest.raises(SchemaError, match="disagree"):
+    with pytest.raises(
+        SchemaError, match="^ledger.csv line 3: cumulative totals disagree with per-round values$"
+    ):
+        read_ledger_csv(path)
+
+
+@pytest.mark.parametrize(
+    "weeks, message",
+    [
+        (["1"], "line 2: week 1 is not the row's position, 0"),
+        (["0", "2"], "line 3: week 2 is not the row's position, 1"),
+        (["0", "0"], "line 3: week 0 is not the row's position, 1"),
+    ],
+)
+def test_read_ledger_csv_refuses_a_week_out_of_position(tmp_path, weeks, message):
+    # round t of a ledger is week t; eurr and report pair rounds by position
+    path = tmp_path / "ledger.csv"
+    rows = [f"{w},2,1,1.0,0.5,{t + 1.0!r},{0.5 * (t + 1)!r}" for t, w in enumerate(weeks)]
+    path.write_text("\n".join([",".join(LEDGER_COLUMNS), *rows]) + "\n")
+    with pytest.raises(SchemaError, match=f"^ledger.csv {message}$"):
         read_ledger_csv(path)
 
 
@@ -392,7 +411,7 @@ def test_exact_urr_on_criterion_6_pools_is_unchanged():
         spec = SyntheticSpec(
             weeks=18, questions_per_week=18, utility_correlation=0.3, topic_effect=2.0, seed=seed
         )
-        _, _, sim = split_pretrain(normalize_weekly(generate_synthetic(spec)), 6)
+        _, _, sim = split_pretrain(generate_synthetic(spec), 6)
         window = Dataset(sim.pools[:12])
         for pool in window.pools:
             items = tuple((q.u_g, q.u_f_norm) for q in pool.questions)
@@ -439,13 +458,14 @@ def _assert_same_ledger(ledger, ref):
         assert all(type(v) is float for v in values)
         return [v.hex() for v in values]
 
-    for name in ("weeks", "proposed_counts", "published_counts"):
+    assert ref["weeks"] == tuple(range(len(ledger)))
+    for name in ("proposed_counts", "published_counts"):
         assert getattr(ledger, name) == ref[name], name
     for name in ("u_g", "u_f", "cum_u_g", "cum_u_f"):
         assert exact(getattr(ledger, name)) == exact(ref[name]), name
     assert len(ledger.outcomes) == len(ref["outcomes"])
-    for o, (week, proposed, published, u_g, u_f) in zip(ledger.outcomes, ref["outcomes"]):
-        assert (o.week, o.proposed, o.published) == (week, proposed, published)
+    for o, (_, proposed, published, u_g, u_f) in zip(ledger.outcomes, ref["outcomes"]):
+        assert (o.proposed, o.published) == (proposed, published)
         assert exact([o.u_g_realized, o.u_f_realized]) == exact([u_g, u_f])
 
 

@@ -321,6 +321,24 @@ def test_heuristic_random_is_seed_deterministic():
     assert heuristic_random(f, g, 4, 42) == a
 
 
+def test_heuristics_call_their_column_rule_by_name_at_call_time(monkeypatch):
+    # a wrapper installed over a column rule, as the benchmark's tracer
+    # installs one, also sees the calls made through an instance
+    inst = BilinearInstance(items=((1, 2), (3, 4), (5, 1)), k=2)
+    calls = []
+    for name, rule in nash_opt.COLUMN_RULES.items():
+        def spy(*args, _rule=rule, _name=name, **kwargs):
+            calls.append(_name)
+            return _rule(*args, **kwargs)
+
+        monkeypatch.setitem(nash_opt.COLUMN_RULES, name, spy)
+    assert list(HEURISTICS) == list(nash_opt.COLUMN_RULES)
+    assert HEURISTICS["random"](inst, 0) == HEURISTICS["random"](inst, seed=0)
+    for rule in HEURISTICS.values():
+        rule(inst)
+    assert calls == ["random", "random", "mpp", "maxsp", "greedy_np", "random"]
+
+
 def test_heuristics_return_sorted_valid_subsets():
     rng = random.Random(5)
     inst = random_instance(rng, n=10, k=4)

@@ -16,7 +16,6 @@ from pubgame import (
     generate_synthetic,
     misalignment_report,
     misalignment_table,
-    normalize_weekly,
     significance_table,
 )
 from helpers import mk_week
@@ -34,7 +33,7 @@ def _domain_dataset():
             for i in range(6)
         ]
         pools.append(mk_week(specs))
-    return normalize_weekly(Dataset(pools=tuple(pools)))
+    return Dataset(pools=tuple(pools))
 
 
 def test_misalignment_report_per_domain_and_pooled():
@@ -49,7 +48,7 @@ def test_misalignment_report_per_domain_and_pooled():
 
 def test_misalignment_report_single_domain_has_no_all_row():
     ds = generate_synthetic(SyntheticSpec(weeks=3, questions_per_week=20, seed=0))
-    report = misalignment_report(normalize_weekly(ds))
+    report = misalignment_report(ds)
     assert [row.domain for row in report.rows] == ["synthetic"]
     assert report.std_rho == 0.0
 
@@ -79,13 +78,13 @@ def test_misalignment_report_skips_degenerate_groups():
             for i in range(4)
         ]
         pools.append(mk_week(specs))
-    report = misalignment_report(normalize_weekly(Dataset(pools=tuple(pools))))
+    report = misalignment_report(Dataset(pools=tuple(pools)))
     assert "u_g/const" in report.skipped
     assert any(row.domain == "vary" for row in report.rows)
 
 
 def test_misalignment_report_flags_zero_view_weeks_itself():
-    # no normalize_weekly: the report finds the all-zero week in the pools
+    # the report finds the all-zero weeks in the pools, not in metadata
     zero = mk_week([(f"z{i}", {"views": 0, "u_g": float(i)}) for i in range(4)])
     live = mk_week([(f"l{i}", {"views": 10 * i, "u_g": float(i)}) for i in range(4)])
     report = misalignment_report(Dataset(pools=(zero, live, zero)))
@@ -115,7 +114,7 @@ def test_misalignment_report_adds_rhos_left_to_right():
 
 
 def _ledger(u_g, u_f):
-    return GameLedger.from_outcomes([SelectionOutcome(0, ("q",), ("q",), u_g, u_f)])
+    return GameLedger.from_outcomes([SelectionOutcome(("q",), ("q",), u_g, u_f)])
 
 
 def test_results_table_text_and_csv():
