@@ -21,7 +21,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta
+from datetime import datetime, timedelta
+from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
@@ -50,9 +51,7 @@ COMMON_VOCAB = 20
 COMMON_TOKEN_P = 0.2
 TOPIC_PURITY = 0.75
 
-_SYNTH_EPOCH = date(2024, 1, 1)  # a Monday, ISO week 2024-W01
-# json.dumps(rec, sort_keys=True), without building an encoder per record
-_encode_record = json.JSONEncoder(sort_keys=True).encode
+_SYNTH_EPOCH = datetime(2024, 1, 1, 12)  # noon on a Monday, ISO week 2024-W01
 
 
 @dataclass(frozen=True)
@@ -431,27 +430,50 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     return Dataset(pools=tuple(pools), metadata=metadata)
 
 
-def write_jsonl(dataset: Dataset, path: str | Path) -> None:
-    """Serialize a dataset to the documented JSONL schema.
+def _refuse_unwritable(pool: RoundPool) -> None:
+    """Raise TypeError naming the first question whose view count is
+    not an exact int or whose text is not a str: written as they stand,
+    they would not be the JSON the schema documents."""
+    views = pool.view_counts
+    if {*map(type, views)} != {int}:
+        i = next(i for i, v in enumerate(views) if type(v) is not int)
+        raise TypeError(
+            f"question {_echo(pool.ids[i])}: view_count {_echo(views[i])} is not an int"
+        )
+    for name in ("ids", "domains", "titles", "bodies"):
+        column = getattr(pool, name)
+        if not all(issubclass(kind, str) for kind in {*map(type, column)}):
+            i = next(i for i, v in enumerate(column) if not isinstance(v, str))
+            raise TypeError(
+                f"question {_echo(pool.ids[i])}: {name[:-1]} {_echo(column[i])} is not a str"
+            )
 
-    Week t maps to noon Monday of the t-th ISO week from a fixed epoch,
-    so ingesting the file reproduces the same weekly pools.  Output is
-    deterministic byte for byte.
+
+def write_jsonl(dataset: Dataset, path: str | Path) -> None:
+    """Serialize a dataset to the documented JSONL schema, a week at a
+    time.
+
+    Each line is ``json.dumps(rec, sort_keys=True)`` of its record,
+    formatted directly.  Week t maps to noon Monday of the t-th ISO week
+    from a fixed epoch, so ingesting the file reproduces the same weekly
+    pools.  Output is deterministic byte for byte.  A view count that is
+    not an exact int, or a text that is not a str, raises TypeError
+    before the file is opened.
     """
-    path = Path(path)
-    lines = []
-    for t, pool in enumerate(dataset.pools):
-        stamp = (
-            datetime.combine(_SYNTH_EPOCH + timedelta(weeks=t), datetime.min.time())
-            + timedelta(hours=12)
-        ).isoformat()
-        for qid, domain, title, body, views, u_g, score in zip(
-            pool.ids, pool.domains, pool.titles, pool.bodies, pool.view_counts,
-            pool.u_g.tolist(), pool.forum_score.tolist(),
-        ):
-            rec = {"id": qid, "timestamp": stamp, "domain": domain, "title": title,
-                   "body": body, "view_count": views, "u_g": u_g}
-            if score == score:  # NaN where the question has no forum_score
-                rec["forum_score"] = score
-            lines.append(_encode_record(rec))
-    path.write_text("\n".join(lines) + "\n")
+    for pool in dataset.pools:
+        _refuse_unwritable(pool)
+    with Path(path).open("w", encoding="ascii") as fh:
+        for t, pool in enumerate(dataset.pools):
+            stamp = _quote((_SYNTH_EPOCH + timedelta(weeks=t)).isoformat())
+            scores = [  # NaN where the question has no forum_score
+                f'"forum_score": {s!r}, ' if s == s else "" for s in pool.forum_score.tolist()
+            ]
+            fh.write("".join([
+                f'{{"body": {_quote(body)}, "domain": {_quote(domain)}, {score}"id": '
+                f'{_quote(qid)}, "timestamp": {stamp}, "title": {_quote(title)}, '
+                f'"u_g": {u_g!r}, "view_count": {views}}}\n'
+                for qid, domain, title, body, views, u_g, score in zip(
+                    pool.ids, pool.domains, pool.titles, pool.bodies, pool.view_counts,
+                    pool.u_g.tolist(), scores,
+                )
+            ]))

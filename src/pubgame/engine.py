@@ -210,13 +210,19 @@ def compute_eurr(
 
     Each player's denominator is the maximum cumulative utility over
     the supplied heuristic ledgers (ties keep the first name in
-    mapping order).
+    mapping order), each of which must cover as many rounds as the
+    asymmetric ledger.
     """
     if not full_runs:
         raise ConfigError("no full-information runs supplied")
     best_g = best_f = None
     tilde_g = tilde_f = None
     for name, run in full_runs.items():
+        if len(run) != len(ledger):
+            raise ConfigError(
+                f"full-information ledger {name!r} covers {len(run)} rounds but "
+                f"the asymmetric ledger covers {len(ledger)}"
+            )
         if tilde_g is None or run.total_u_g > tilde_g:
             tilde_g, best_g = run.total_u_g, name
         if tilde_f is None or run.total_u_f > tilde_f:

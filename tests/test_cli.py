@@ -772,6 +772,40 @@ def test_eurr_rejects_malformed_ledger_values(pipeline, tmp_path, capsys, column
     assert message in err
 
 
+@pytest.fixture(scope="module")
+def season16(tmp_path_factory):
+    """A simulate run directory and a full-info one over the same 16 rounds."""
+    root = tmp_path_factory.mktemp("season16")
+    data = root / "questions.jsonl"
+    gen = ["--weeks", "20", "--per-week", "12", "--rho", "0.3", "--topic-effect", "2", "--seed", "3"]
+    assert main(["generate", "--out", str(data), *gen]) == 0
+    play = ["--data", str(data), "--pretrain-weeks", "4", "--rounds", "16", "--seed", "3"]
+    asym, full = root / "asym", root / "full"
+    assert main(["simulate", *play, "--out-dir", str(asym), "--m-cap", "6", "--k-cap", "3"]) == 0
+    assert main(["full-info", *play, "--out-dir", str(full), "--k", "3"]) == 0
+    return asym, full
+
+
+@pytest.mark.parametrize("command", ["eurr", "report"])
+def test_eurr_and_report_refuse_ledgers_of_other_lengths(season16, tmp_path, capsys, command):
+    asym, full = season16
+    # the manifest line, the header and the first 2 of 16 rounds
+    lines = (asym / "ledger.csv").read_text().splitlines()
+    assert len(lines) == 2 + 16
+    cut = tmp_path / "asym"
+    cut.mkdir()
+    (cut / "ledger.csv").write_text("\n".join(lines[:4]) + "\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = main([command, "--asym-dir", str(cut), "--full-dir", str(full), "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: full-information ledger {next(iter(HEURISTICS))!r} covers 16 rounds "
+        f"but the asymmetric ledger covers 2\n"
+    )
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
 @pytest.mark.parametrize(
     "content, message",
     [

@@ -1,11 +1,15 @@
 import csv
 import dataclasses
 import json
+import math
+import re
 import sys
 import tempfile
+import tracemalloc
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -14,11 +18,13 @@ import pubgame
 from pubgame import (
     ConfigError,
     Dataset,
+    RoundPool,
     SchemaError,
     SyntheticSpec,
     generate_synthetic,
     ingest,
     normalize_weekly,
+    set_utility,
     spearman,
     split_pretrain,
     write_jsonl,
@@ -809,6 +815,92 @@ def test_write_jsonl_writes_json_dumps_of_each_record(tmp_path):
             lines.append(json.dumps(rec, sort_keys=True))
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
     assert ingest(path) == ds
+
+
+_ODD_CHARS = st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\ud800", "\udfff", "\u2028", "\U0001f600"]
+)
+# any code point, lone surrogates included, with escapes drawn often
+_ANY_TEXT = st.text(st.characters(exclude_categories=()) | _ODD_CHARS, max_size=10)
+
+
+@st.composite
+def _writable_datasets(draw):
+    """Datasets of a few weeks, built from columns, whose values reach the
+    corners of the JSON encoder's formatting."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    ids = iter(draw(st.lists(_ANY_TEXT, min_size=sum(sizes), max_size=sum(sizes), unique=True)))
+    u_g = st.sampled_from([-0.0, 5e-324, 1e300]) | st.floats(0.0, allow_infinity=False)
+    score = (
+        st.none()
+        | st.sampled_from([-0.0, -5e-324, -1e300])
+        | st.floats(allow_nan=False, allow_infinity=False)
+    )
+    pools = []
+    for n in sizes:
+        views = draw(st.lists(st.integers(0, 10**300), min_size=n, max_size=n))
+        texts = [draw(st.lists(_ANY_TEXT, min_size=n, max_size=n)) for _ in range(3)]
+        scores = draw(st.lists(score, min_size=n, max_size=n))
+        scores = [math.nan if s is None else s for s in scores]
+        pools.append(RoundPool(
+            [next(ids) for _ in range(n)], *texts, views,
+            draw(st.lists(u_g, min_size=n, max_size=n)), set_utility(views), scores,
+        ))
+    return Dataset(pools=tuple(pools))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_writable_datasets())
+def test_write_jsonl_writes_json_dumps_of_each_record_property(ds):
+    lines = []
+    for t, pool in enumerate(ds.pools):
+        stamp = (datetime(2024, 1, 1, 12) + timedelta(weeks=t)).isoformat()
+        for qid, domain, title, body, views, u_g, score in zip(
+            pool.ids, pool.domains, pool.titles, pool.bodies, pool.view_counts,
+            pool.u_g.tolist(), pool.forum_score.tolist(),
+        ):
+            rec = {"id": qid, "timestamp": stamp, "domain": domain, "title": title,
+                   "body": body, "view_count": views, "u_g": u_g}
+            if not math.isnan(score):
+                rec["forum_score"] = score
+            lines.append(json.dumps(rec, sort_keys=True))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.jsonl"
+        write_jsonl(ds, path)
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        (4, np.int64(5), "view_count np.int64(5) is not an int"),
+        (4, True, "view_count True is not an int"),
+        (4, 3.0, "view_count 3.0 is not an int"),
+        (2, None, "title None is not a str"),
+    ],
+)
+def test_write_jsonl_refuses_odd_column_types_before_opening(tmp_path, column, value, message):
+    columns = [("a", "b"), ("dom",) * 2, ("t", "u"), ("body",) * 2, (4, 5), (1.0, 2.0)]
+    good = RoundPool(*columns, set_utility(columns[4]))
+    columns[column] = (columns[column][0], value)
+    bad = RoundPool(*columns, set_utility((4, 5)))
+    path = tmp_path / "out.jsonl"
+    # the second week is refused before the first is written
+    with pytest.raises(TypeError, match=f"^question 'b': {re.escape(message)}$"):
+        write_jsonl(Dataset(pools=(good, bad)), path)
+    assert not path.exists()
+
+
+def test_write_jsonl_peak_memory_is_under_a_quarter_of_its_file(tmp_path):
+    ds = generate_synthetic(SyntheticSpec(weeks=65, questions_per_week=400, seed=0))
+    path = tmp_path / "out.jsonl"
+    tracemalloc.start()
+    try:
+        write_jsonl(ds, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
 
 
 def test_dataset_validation():
