@@ -450,8 +450,7 @@ def _refuse_unwritable(pool: RoundPool) -> None:
 
 
 def write_jsonl(dataset: Dataset, path: str | Path) -> None:
-    """Serialize a dataset to the documented JSONL schema, a week at a
-    time.
+    """Serialize a dataset to the documented JSONL schema, week by week.
 
     Each line is ``json.dumps(rec, sort_keys=True)`` of its record,
     formatted directly.  Week t maps to noon Monday of the t-th ISO week
