@@ -4,9 +4,9 @@
 # and a rerun of the utility run from its manifest, simulate from a config
 # file, full-info and its rerun from its manifest, analyze, eurr with and
 # without an output directory, report with paired and with Welch t-tests,
-# analyze and a precomputed-score simulate on a small CSV forum, the exact
-# oracle on a small items file, and the stdout of every demo.  Each command's stdout goes to a .txt
-# file beside its output.
+# analyze, a precomputed-score simulate and full-info at two k on a small
+# CSV forum, the exact oracle on a small items file, and the stdout of
+# every demo.  Each command's stdout goes to a .txt file beside its output.
 #
 # Two checkouts that should behave alike give byte-identical run sets.  Run
 # files name the dataset by its path, so write both into the same absolute
@@ -92,6 +92,12 @@ pubgame analyze --data "$out/forum.csv" --out-dir "$out/forum-analyze" \
 pubgame simulate --data "$out/forum.csv" --scorer precomputed --pretrain-weeks 4 \
     --rounds 8 --m-cap 8 --k-cap 4 --retrain-period 3 --strategy utility \
     --out-dir "$out/forum-simulate" >"$out/forum-simulate.txt"
+# full-info on the forum's coarse grid of values (many ties), over its
+# zero-view week, picking 5 of a week's 12 questions and then all 12
+for k in 5 12; do
+    pubgame full-info --data "$out/forum.csv" --pretrain-weeks 4 --rounds 8 --k "$k" \
+        --seed 2 --out-dir "$out/forum-full-info-k$k" >"$out/forum-full-info-k$k.txt"
+done
 
 # ties on f, an exact fraction and a float, so the tie rule shows
 printf 'f,g\n3,1\n1,3\n2,2\n3,1\n1/2,5\n0.25,7\n4,0\n2,2\n' >"$out/items.csv"

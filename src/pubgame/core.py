@@ -43,12 +43,14 @@ class Question:
 class RoundPool:
     """All questions available in one week, as columns of one length.
 
-    ``view_counts`` are exact ints; ``u_g`` (the proposer's utility),
+    ``ids``, ``domains``, ``titles`` and ``bodies`` are str and
+    ``view_counts`` exact ints; ``u_g`` (the proposer's utility),
     ``u_f_norm`` (the curator's, as :func:`set_utility` gives it) and
     ``forum_score`` (an optional externally supplied acceptance score,
     NaN where a question has none) are read-only float64 arrays.  The
     columns are checked once, as the pool is built, and each error
-    names the first offending question.  The week is the pool's
+    names the first offending question: a TypeError for a value of the
+    wrong type, else a ValueError.  The week is the pool's
     position in its :class:`~pubgame.data.Dataset`, not a field.
     """
 
@@ -84,11 +86,24 @@ class RoundPool:
             raise ValueError("empty round pool")
         if any(len(c) != n for c in columns):
             raise ValueError("columns of different lengths")
+        for name, column in zip(("id", "domain", "title", "body"), columns):
+            self._refuse_type(name, column, "a str", lambda kind: issubclass(kind, str))
+        # exact ints: a bool, a NumPy int or 3.0 is not a view count
+        self._refuse_type("view_count", self.view_counts, "an int", lambda kind: kind is int)
         views = np.array(self.view_counts, dtype=np.float64)
-        self._refuse((views >= 0) & (views % 1 == 0), "view_count must be a whole number >= 0")
+        self._refuse(views >= 0, "view_count must be a whole number >= 0")
         self._refuse(np.isfinite(self.u_g) & (self.u_g >= 0), "u_g must be finite and >= 0")
         self._refuse(~np.isinf(self.forum_score), "forum_score must be finite")
         self._refuse((self.u_f_norm >= 0) & (self.u_f_norm <= 1), "u_f_norm outside [0, 1]")
+
+    def _refuse_type(self, name: str, column: tuple, want: str, ok) -> None:
+        """Raise TypeError naming the first question whose ``name`` has a
+        type that ``ok`` refuses."""
+        if not all(map(ok, {*map(type, column)})):
+            v, i = next((v, i) for i, v in enumerate(column) if not ok(type(v)))
+            raise TypeError(
+                f"question {self.ids[i]!r}: {name} must be {want}, not {type(v).__name__}"
+            )
 
     def _refuse(self, ok: np.ndarray, what: str) -> None:
         """Raise naming the first question where ``ok`` is False."""

@@ -430,37 +430,15 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     return Dataset(pools=tuple(pools), metadata=metadata)
 
 
-def _refuse_unwritable(pool: RoundPool) -> None:
-    """Raise TypeError naming the first question whose view count is
-    not an exact int or whose text is not a str: written as they stand,
-    they would not be the JSON the schema documents."""
-    views = pool.view_counts
-    if {*map(type, views)} != {int}:
-        i = next(i for i, v in enumerate(views) if type(v) is not int)
-        raise TypeError(
-            f"question {_echo(pool.ids[i])}: view_count {_echo(views[i])} is not an int"
-        )
-    for name in ("ids", "domains", "titles", "bodies"):
-        column = getattr(pool, name)
-        if not all(issubclass(kind, str) for kind in {*map(type, column)}):
-            i = next(i for i, v in enumerate(column) if not isinstance(v, str))
-            raise TypeError(
-                f"question {_echo(pool.ids[i])}: {name[:-1]} {_echo(column[i])} is not a str"
-            )
-
-
 def write_jsonl(dataset: Dataset, path: str | Path) -> None:
     """Serialize a dataset to the documented JSONL schema, week by week.
 
     Each line is ``json.dumps(rec, sort_keys=True)`` of its record,
     formatted directly.  Week t maps to noon Monday of the t-th ISO week
     from a fixed epoch, so ingesting the file reproduces the same weekly
-    pools.  Output is deterministic byte for byte.  A view count that is
-    not an exact int, or a text that is not a str, raises TypeError
-    before the file is opened.
+    pools.  Output is deterministic byte for byte: every pool already
+    holds its view counts as exact ints and its texts as str.
     """
-    for pool in dataset.pools:
-        _refuse_unwritable(pool)
     with Path(path).open("w", encoding="ascii") as fh:
         for t, pool in enumerate(dataset.pools):
             stamp = _quote((_SYNTH_EPOCH + timedelta(weeks=t)).isoformat())

@@ -9,8 +9,9 @@ positions into the proposal.  A run tokenizes each text it scores once,
 into one token table: the rows built for the proposer's scoring serve
 the curator's scoring and the history every retrain fits on.  The
 full-information loop selects directly from the whole weekly pool with
-one of the joint heuristics, run on the pool's two value columns
-``u_g`` and ``u_f_norm``, providing the denominators for estimated
+one of the joint heuristics, run once per pool size on a matrix of the
+weeks' ``u_g`` rows and one of their ``u_f_norm`` rows, providing the
+denominators for estimated
 utility recovery; :func:`exact_urr` computes the exact counterpart by
 oracle enumeration where feasible.  Both loops record a round with
 :meth:`~pubgame.core.SelectionOutcome.of` from positions into the
@@ -112,10 +113,12 @@ def run_full_information(
 ) -> GameLedger:
     """Select k jointly visible questions per week with one heuristic.
 
-    Each week's rule runs on the pool's two value columns, with k capped
-    at the pool size.  The random heuristic reseeds per round from
-    ``seed`` and the round index, so trajectories are reproducible and
-    rounds independent.
+    The weeks are grouped by pool size, in week order within a group,
+    and the rule runs once per group on a matrix of the group's ``u_g``
+    rows and one of its ``u_f_norm`` rows, with k capped at the pool
+    size; each week is then recorded in week order.  The random
+    heuristic seeds each week from ``seed`` and the week's index, so
+    trajectories are reproducible and rounds independent.
     """
     if heuristic not in HEURISTICS:
         raise ConfigError(
@@ -127,12 +130,20 @@ def run_full_information(
     if rounds is not None and dataset.n_weeks < rounds:
         raise ConfigError(f"need {rounds} weeks, dataset has {dataset.n_weeks}")
     rule = COLUMN_RULES[heuristic]
-    outcomes = []
-    for t, pool in enumerate(dataset.pools[:rounds]):
-        seeded = (f"{seed}-{t}",) if heuristic == "random" else ()
-        chosen = rule(pool.u_g, pool.u_f_norm, min(k, len(pool)), *seeded)
-        outcomes.append(SelectionOutcome.of(pool, chosen, chosen))
-    return GameLedger.from_outcomes(outcomes)
+    pools = dataset.pools[:rounds]
+    by_size: dict[int, list[int]] = {}
+    for t, pool in enumerate(pools):
+        by_size.setdefault(len(pool), []).append(t)
+    chosen: list = [None] * len(pools)
+    for n, weeks in by_size.items():
+        f = np.stack([pools[t].u_g for t in weeks])
+        g = np.stack([pools[t].u_f_norm for t in weeks])
+        seeds = ([f"{seed}-{t}" for t in weeks],) if heuristic == "random" else ()
+        for t, picks in zip(weeks, rule(f, g, min(k, n), *seeds)):
+            chosen[t] = picks
+    return GameLedger.from_outcomes(
+        [SelectionOutcome.of(pool, picks, picks) for pool, picks in zip(pools, chosen)]
+    )
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,11 @@ test instances with known answers.  :func:`oracle_exact` solves small
 instances by enumeration, :func:`oracle_dp` by dynamic programming over
 integer f-sums; the ``heuristic_*`` functions are the polynomial-time
 selection rules the simulator uses at scale.  Each rule is written once,
-on two float64 value columns (f, g) and a cap k; ``COLUMN_RULES`` names
-them for the full-information loop, and ``HEURISTICS`` runs each on the
-float64 image of a :class:`BilinearInstance`.
+on two float64 value matrices (f, g) with one row per week and a cap k,
+and returns each row's picks; ``COLUMN_RULES`` names them for the
+full-information loop, which calls each once per group of weeks of one
+pool size, and ``HEURISTICS`` runs each on the float64 image of a
+:class:`BilinearInstance` as a one-row matrix.
 
 Exactness: both oracles read the same value columns.  Integer and
 Fraction-valued instances are evaluated in exact arithmetic (Fractions
@@ -404,81 +406,92 @@ def _as_float_arrays(instance: BilinearInstance) -> np.ndarray:
 
 
 def top_k(keys: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k largest keys, largest first; ties keep position
-    order.  Every ranking in the game uses this rule: the keys are finite
-    or infinite, never NaN, so the order is that of sorting positions by
-    (-key, position)."""
-    return np.argsort(-keys, kind="stable")[:k]
+    """Positions of the k largest keys along the last axis, largest
+    first; ties keep position order.  Every ranking in the game uses this
+    rule: the keys are finite or infinite, never NaN, so the order is
+    that of sorting positions by (-key, position)."""
+    return np.argsort(-keys, axis=-1, kind="stable")[..., :k]
 
 
-def heuristic_mpp(f: np.ndarray, g: np.ndarray, k: int) -> tuple[int, ...]:
-    """Alternating picks: each side in turn takes its own argmax item
-    among those not yet taken.
+def _ascending(positions: np.ndarray) -> list[tuple[int, ...]]:
+    """Each row of a (rows x k) position matrix as an ascending tuple."""
+    return list(map(tuple, np.sort(positions, axis=1).tolist()))
+
+
+def heuristic_mpp(f: np.ndarray, g: np.ndarray, k: int) -> list[tuple[int, ...]]:
+    """Alternating picks, row by row: each side in turn takes its own
+    argmax item among those not yet taken.
 
     The proposer side (f) moves first; ties go to the lowest index.  A
     side's next pick is the first untaken position of its own
-    :func:`top_k` order.  Each side makes at most ceil(k/2) picks and
-    passes over at most floor(k/2) items the other side took, so the
-    first k positions of each order suffice.
+    :func:`top_k` order, ranked for all rows at once.  Each side makes
+    at most ceil(k/2) picks and passes over at most floor(k/2) items the
+    other side took, so the first k positions of each order suffice.
     """
-    orders = (top_k(f, k).tolist(), top_k(g, k).tolist())
-    cursors = [0, 0]
-    taken: set[int] = set()
-    for turn in range(k):
-        side = turn % 2
-        order, c = orders[side], cursors[side]
-        while order[c] in taken:
-            c += 1
-        taken.add(order[c])
-        cursors[side] = c + 1
-    return tuple(sorted(taken))
+    picks = []
+    for orders in zip(top_k(f, k).tolist(), top_k(g, k).tolist()):
+        cursors = [0, 0]
+        taken: set[int] = set()
+        for turn in range(k):
+            side = turn % 2
+            order, c = orders[side], cursors[side]
+            while order[c] in taken:
+                c += 1
+            taken.add(order[c])
+            cursors[side] = c + 1
+        picks.append(tuple(sorted(taken)))
+    return picks
 
 
-def heuristic_maxsp(f: np.ndarray, g: np.ndarray, k: int) -> tuple[int, ...]:
-    """Top k items by the per-item value product f_i * g_i."""
-    return tuple(sorted(top_k(f * g, k).tolist()))
+def heuristic_maxsp(f: np.ndarray, g: np.ndarray, k: int) -> list[tuple[int, ...]]:
+    """Top k items of each row by the per-item value product f_i * g_i."""
+    return _ascending(top_k(f * g, k))
 
 
-def heuristic_greedy_np(f: np.ndarray, g: np.ndarray, k: int) -> tuple[int, ...]:
-    """Greedy Nash-product ascent: repeatedly add the item that yields
-    the largest objective after insertion, the first index on ties.
+def heuristic_greedy_np(f: np.ndarray, g: np.ndarray, k: int) -> list[tuple[int, ...]]:
+    """Greedy Nash-product ascent: each row repeatedly adds the item that
+    yields the largest objective after insertion, the first index on
+    ties.
 
-    The first pick coincides with MaxSP's best item since both sums
-    start at zero.  Each sum adds the picked values left to right from
-    0.0.
+    The k steps run over all rows at once.  The first pick coincides
+    with MaxSP's best item since both sums start at zero.  Each row's
+    sums add its picked values left to right from 0.0, in float64 as a
+    row of its own would.
     """
-    fs, gs = f.tolist(), g.tolist()
-    n = len(fs)
-    scores, g_after = np.empty(n), np.empty(n)
-    taken = np.zeros(n, dtype=bool)
-    chosen: list[int] = []
-    f_sum = g_sum = 0.0
-    for _ in range(k):
-        np.add(f, f_sum, scores)
-        np.add(g, g_sum, g_after)
+    rows = np.arange(len(f))
+    f_sum, g_sum = np.zeros(len(f)), np.zeros(len(f))
+    scores, g_after = np.empty(f.shape), np.empty(f.shape)
+    taken = np.zeros(f.shape, dtype=bool)
+    chosen = np.empty((k, len(f)), dtype=np.intp)  # step by row
+    for picked in chosen:
+        np.add(f, f_sum[:, None], scores)
+        np.add(g, g_sum[:, None], g_after)
         np.multiply(scores, g_after, scores)
         # below every score: values, and so products, are never negative
         np.putmask(scores, taken, -1.0)
-        i = int(scores.argmax())
-        taken[i] = True
-        chosen.append(i)
-        f_sum += fs[i]
-        g_sum += gs[i]
-    return tuple(sorted(chosen))
+        np.argmax(scores, axis=1, out=picked)
+        taken[rows, picked] = True
+        f_sum += f[rows, picked]
+        g_sum += g[rows, picked]
+    return _ascending(chosen.T)
 
 
 def heuristic_random(
-    f: np.ndarray, g: np.ndarray, k: int, seed: int | str = 0
-) -> tuple[int, ...]:
-    """Uniform random k-subset of the len(f) items from a seeded
-    generator; the values take no part."""
-    return tuple(sorted(random.Random(seed).sample(range(len(f)), k)))
+    f: np.ndarray, g: np.ndarray, k: int, seeds: Sequence[int | str]
+) -> list[tuple[int, ...]]:
+    """A uniform random k-subset of each row's items, from a generator
+    seeded with that row's entry of ``seeds``; the values take no part."""
+    if len(seeds) != len(f):
+        raise ValueError(f"{len(seeds)} seeds for {len(f)} rows")
+    n = f.shape[1]
+    return [tuple(sorted(random.Random(seed).sample(range(n), k))) for seed in seeds]
 
 
 # The rules above by heuristic name, as the full-information loop runs
-# them: each takes two float64 value columns, f for the proposer and g
-# for the curator, and a cap k at most their length, and returns
-# ascending positions.
+# them: each takes two float64 value matrices of one shape, one row per
+# week, f for the proposer and g for the curator, and a cap k at most
+# their row length, and returns each row's ascending positions; random
+# also takes one seed per row.
 COLUMN_RULES = {
     "mpp": heuristic_mpp,
     "maxsp": heuristic_maxsp,
@@ -489,14 +502,18 @@ COLUMN_RULES = {
 
 def _on_instance(name: str):
     """The column rule ``name`` on the float64 image of a BilinearInstance
-    of any value type, with random's seed passed through.  It looks the
-    rule up at call time, so a wrapper installed over a column rule also
-    sees the calls made through an instance."""
+    of any value type, as a one-row matrix; random takes one seed, 0 by
+    default, for that row.  It looks the rule up at call time, so a
+    wrapper installed over a column rule also sees the calls made
+    through an instance."""
 
-    def rule(instance: BilinearInstance, *args, **kwargs) -> tuple[int, ...]:
-        return COLUMN_RULES[name](*_as_float_arrays(instance), instance.k, *args, **kwargs)
+    def one_row(instance: BilinearInstance, *seeds) -> tuple[int, ...]:
+        f, g = _as_float_arrays(instance)
+        return COLUMN_RULES[name](f[None], g[None], instance.k, *seeds)[0]
 
-    return rule
+    if name == "random":
+        return lambda instance, seed=0: one_row(instance, [seed])
+    return lambda instance: one_row(instance)
 
 
 HEURISTICS = {name: _on_instance(name) for name in COLUMN_RULES}

@@ -204,13 +204,37 @@ def test_empty_ledger_totals_are_zero():
     ],
 )
 def test_question_rejects_non_finite_and_fractional_values(fields):
-    what = {
-        "u_g": "u_g must be finite and >= 0",
-        "forum_score": "forum_score must be finite",
-        "views": "view_count must be a whole number >= 0",
+    # a float view count is refused for its type, before its value is read
+    error, what = {
+        "u_g": (ValueError, "u_g must be finite and >= 0"),
+        "forum_score": (ValueError, "forum_score must be finite"),
+        "views": (TypeError, "view_count must be an int, not float"),
     }[next(iter(fields))]
-    with pytest.raises(ValueError, match=f"^question 'q1': {what}$"):
+    with pytest.raises(error, match=f"^question 'q1': {what}$"):
         pool_of(mk_q(0), mk_q(1, **fields), mk_q(2, **fields))
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        (4, np.int64(5), "view_count must be an int, not int64"),
+        (4, True, "view_count must be an int, not bool"),
+        (4, 3.0, "view_count must be an int, not float"),
+        (2, None, "title must be a str, not NoneType"),
+        (1, b"dom", "domain must be a str, not bytes"),
+        (3, 0, "body must be a str, not int"),
+    ],
+)
+def test_pool_refuses_odd_column_types(column, value, message):
+    columns = [("a", "b"), ("dom",) * 2, ("t", "u"), ("body",) * 2, (4, 5), (1.0, 2.0)]
+    columns[column] = (columns[column][0], value)
+    with pytest.raises(TypeError, match=f"^question 'b': {message}$"):
+        RoundPool(*columns, set_utility((4, 5)))
+
+
+def test_pool_refuses_an_id_that_is_not_a_str():
+    with pytest.raises(TypeError, match="^question 7: id must be a str, not int$"):
+        RoundPool(("a", 7), ("d",) * 2, ("t",) * 2, ("b",) * 2, (1, 2), [1.0, 1.0], [0.5, 1.0])
 
 
 def test_pool_refuses_columns_of_different_lengths():

@@ -21,6 +21,7 @@ from pubgame import (
     compute_eurr,
     exact_urr,
     generate_synthetic,
+    nash_opt,
     oracle_exact,
     read_ledger_csv,
     run_asymmetric,
@@ -510,6 +511,67 @@ def test_run_full_information_matches_the_reference_loop(dataset, heuristic, k, 
     rounds = rounds if rounds is None else min(rounds, dataset.n_weeks)
     ledger = run_full_information(dataset, heuristic, k, seed=seed, rounds=rounds)
     _assert_same_ledger(ledger, ref_run_full_information(dataset, heuristic, k, seed, rounds))
+
+
+# every week of one size, so each rule runs once over the whole season;
+# values on a coarse grid, so items tie within a week and rows repeat
+_grid_question = st.fixed_dictionaries(
+    {"views": st.sampled_from([0, 1, 2, 2, 4]), "u_g": st.sampled_from([0.0, 0.5, 0.5, 1.0, 2.0])}
+)
+
+
+@st.composite
+def _one_size_season(draw):
+    n = draw(st.integers(1, 12))
+    week = st.lists(_grid_question, min_size=n, max_size=n)
+    weeks = draw(st.lists(week, min_size=1, max_size=8))
+    dataset = Dataset(
+        tuple(
+            mk_week([(f"{t}-{i}", kw) for i, kw in enumerate(week)])
+            for t, week in enumerate(weeks)
+        )
+    )
+    # k up to, at and past the pool size
+    return dataset, draw(st.integers(1, n + 3) | st.just(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(season=_one_size_season(), heuristic=st.sampled_from(sorted(HEURISTICS)), seed=st.integers(0, 3))
+def test_run_full_information_on_weeks_of_one_size_matches_the_reference_loop(
+    season, heuristic, seed
+):
+    dataset, k = season
+    ledger = run_full_information(dataset, heuristic, k, seed=seed)
+    _assert_same_ledger(ledger, ref_run_full_information(dataset, heuristic, k, seed))
+
+
+def test_run_full_information_calls_each_rule_once_per_week_size(monkeypatch):
+    sizes = (3, 5, 3, 5, 4, 3)
+    dataset = Dataset(
+        tuple(
+            mk_week([(f"{t}-{i}", {"views": (i * 7 + t) % 5, "u_g": float(i * t % 3)}) for i in range(n)])
+            for t, n in enumerate(sizes)
+        )
+    )
+    weeks_of = {3: [0, 2, 5], 5: [1, 3], 4: [4]}
+    for name, rule in nash_opt.COLUMN_RULES.items():
+        calls = []
+
+        def spy(f, g, k, *seeds, _rule=rule):
+            calls.append((f.tolist(), g.tolist(), k, seeds))
+            return _rule(f, g, k, *seeds)
+
+        monkeypatch.setitem(nash_opt.COLUMN_RULES, name, spy)
+        ledger = run_full_information(dataset, name, 4, seed=7)
+        want = []
+        for n, weeks in weeks_of.items():
+            pools = [dataset.pools[t] for t in weeks]
+            seeds = ([f"7-{t}" for t in weeks],) if name == "random" else ()
+            want.append(
+                ([p.u_g.tolist() for p in pools], [p.u_f_norm.tolist() for p in pools], min(4, n), seeds)
+            )
+        assert calls == want, name
+        _assert_same_ledger(ledger, ref_run_full_information(dataset, name, 4, 7))
 
 
 # seasons long enough for several retrains, and a proposer that learns:

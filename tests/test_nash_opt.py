@@ -282,14 +282,14 @@ def test_mpp_alternates_sides_f_first():
     # third pick is the f-side again: item 2 has the best remaining f
     assert HEURISTICS["mpp"](inst3) == (0, 1, 2)
     f, g = np.array([5.0, 1.0, 4.0, 2.0]), np.array([1.0, 5.0, 2.0, 4.0])
-    assert heuristic_mpp(f, g, 3) == (0, 1, 2)
+    assert heuristic_mpp(f[None], g[None], 3) == [(0, 1, 2)]
 
 
 def test_maxsp_takes_top_products():
     inst = BilinearInstance(items=((5, 1), (4, 10), (3, 2), (2, 2)), k=2)
     # products: 5, 40, 6, 4
     assert HEURISTICS["maxsp"](inst) == (1, 2)
-    assert heuristic_maxsp(np.array([5.0, 4.0, 3.0, 2.0]), np.array([1.0, 10.0, 2.0, 2.0]), 2) == (1, 2)
+    assert heuristic_maxsp(np.array([[5.0, 4.0, 3.0, 2.0]]), np.array([[1.0, 10.0, 2.0, 2.0]]), 2) == [(1, 2)]
 
 
 def test_greedy_np_hand_trace():
@@ -298,7 +298,11 @@ def test_greedy_np_hand_trace():
     chosen = HEURISTICS["greedy_np"](inst)
     assert chosen == (0, 1)
     assert nash_objective(inst, chosen) == 99
-    assert heuristic_greedy_np(np.array([5.0, 4.0, 3.0]), np.array([1.0, 10.0, 2.0]), 2) == (0, 1)
+    assert heuristic_greedy_np(np.array([[5.0, 4.0, 3.0]]), np.array([[1.0, 10.0, 2.0]]), 2) == [(0, 1)]
+    # each row on its own: in the second, the second pick ties,
+    # (2 + 1) * 2 == 2 * (2 + 1), and goes to the first index
+    f, g = np.array([[5.0, 4.0, 3.0], [2.0, 1.0, 0.0]]), np.array([[1.0, 10.0, 2.0], [2.0, 0.0, 1.0]])
+    assert heuristic_greedy_np(f, g, 2) == [(0, 1), (0, 1)]
 
 
 def test_greedy_np_first_pick_is_best_product():
@@ -318,7 +322,16 @@ def test_heuristic_random_is_seed_deterministic():
     assert len(set(a)) == 4
     assert all(0 <= i < 9 for i in a)
     f, g = nash_opt._as_float_arrays(inst)
-    assert heuristic_random(f, g, 4, 42) == a
+    assert heuristic_random(f[None], g[None], 4, [42]) == [a]
+
+
+def test_heuristic_random_takes_one_seed_per_row():
+    f = g = np.ones((2, 5))
+    assert heuristic_random(f, g, 3, [1, "x"]) == [
+        tuple(sorted(random.Random(s).sample(range(5), 3))) for s in (1, "x")
+    ]
+    with pytest.raises(ValueError, match="^1 seeds for 2 rows$"):
+        heuristic_random(f, g, 3, [1])
 
 
 def test_heuristics_call_their_column_rule_by_name_at_call_time(monkeypatch):
@@ -423,10 +436,10 @@ def test_heuristics_match_reference_loops_property(columns, seed):
         ("greedy_np", ref_heuristic_greedy_np),
     ):
         want = ref(fs, gs, k)
-        assert nash_opt.COLUMN_RULES[name](f, g, k) == want, name
+        assert nash_opt.COLUMN_RULES[name](f[None], g[None], k) == [want], name
         assert HEURISTICS[name](inst) == want, name
     want = tuple(sorted(random.Random(seed).sample(range(len(fs)), k)))
-    assert heuristic_random(f, g, k, seed) == want
+    assert heuristic_random(f[None], g[None], k, [seed]) == [want]
     assert HEURISTICS["random"](inst, seed) == want
 
 
