@@ -90,8 +90,10 @@ class RoundPool:
             self._refuse_type(name, column, "a str", lambda kind: issubclass(kind, str))
         # exact ints: a bool, a NumPy int or 3.0 is not a view count
         self._refuse_type("view_count", self.view_counts, "an int", lambda kind: kind is int)
-        views = np.array(self.view_counts, dtype=np.float64)
-        self._refuse(views >= 0, "view_count must be a whole number >= 0")
+        # compared as ints: a count past float64's range is still a count
+        if min(self.view_counts) < 0:
+            nonnegative = np.array([v >= 0 for v in self.view_counts])
+            self._refuse(nonnegative, "view_count must be a whole number >= 0")
         self._refuse(np.isfinite(self.u_g) & (self.u_g >= 0), "u_g must be finite and >= 0")
         self._refuse(~np.isinf(self.forum_score), "forum_score must be finite")
         self._refuse((self.u_f_norm >= 0) & (self.u_f_norm <= 1), "u_f_norm outside [0, 1]")

@@ -9,10 +9,10 @@ positions into the proposal.  A run tokenizes each text it scores once,
 into one token table: the rows built for the proposer's scoring serve
 the curator's scoring and the history every retrain fits on.  The
 full-information loop selects directly from the whole weekly pool with
-one of the joint heuristics, run once per pool size on a matrix of the
-weeks' ``u_g`` rows and one of their ``u_f_norm`` rows, providing the
-denominators for estimated
-utility recovery; :func:`exact_urr` computes the exact counterpart by
+one of the joint heuristics, run once per band of pool sizes on a
+zero-padded matrix of the weeks' ``u_g`` rows and one of their
+``u_f_norm`` rows, providing the denominators for estimated utility
+recovery; :func:`exact_urr` computes the exact counterpart by
 oracle enumeration where feasible.  Both loops record a round with
 :meth:`~pubgame.core.SelectionOutcome.of` from positions into the
 pool, and every loop takes a :class:`~pubgame.data.Dataset`.  The
@@ -113,12 +113,13 @@ def run_full_information(
 ) -> GameLedger:
     """Select k jointly visible questions per week with one heuristic.
 
-    The weeks are grouped by pool size, in week order within a group,
-    and the rule runs once per group on a matrix of the group's ``u_g``
-    rows and one of its ``u_f_norm`` rows, with k capped at the pool
-    size; each week is then recorded in week order.  The random
-    heuristic seeds each week from ``seed`` and the week's index, so
-    trajectories are reproducible and rounds independent.
+    The weeks are grouped by the bit length of their pool size, so the
+    pools of a group lie within a factor of two of each other, and the
+    rule runs once per group on a matrix of the group's ``u_g`` rows and
+    one of its ``u_f_norm`` rows, in week order, each zero-padded to the
+    group's largest pool; each week is then recorded in week order.  The
+    random heuristic seeds each week from ``seed`` and the week's index,
+    so trajectories are reproducible and rounds independent.
     """
     if heuristic not in HEURISTICS:
         raise ConfigError(
@@ -131,15 +132,18 @@ def run_full_information(
         raise ConfigError(f"need {rounds} weeks, dataset has {dataset.n_weeks}")
     rule = COLUMN_RULES[heuristic]
     pools = dataset.pools[:rounds]
-    by_size: dict[int, list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for t, pool in enumerate(pools):
-        by_size.setdefault(len(pool), []).append(t)
+        groups.setdefault(len(pool).bit_length(), []).append(t)
     chosen: list = [None] * len(pools)
-    for n, weeks in by_size.items():
-        f = np.stack([pools[t].u_g for t in weeks])
-        g = np.stack([pools[t].u_f_norm for t in weeks])
+    for weeks in groups.values():
+        sizes = [len(pools[t]) for t in weeks]
+        f, g = np.zeros((2, len(weeks), max(sizes)))
+        for row, t in enumerate(weeks):
+            f[row, : sizes[row]] = pools[t].u_g
+            g[row, : sizes[row]] = pools[t].u_f_norm
         seeds = ([f"{seed}-{t}" for t in weeks],) if heuristic == "random" else ()
-        for t, picks in zip(weeks, rule(f, g, min(k, n), *seeds)):
+        for t, picks in zip(weeks, rule(f, g, k, *seeds, sizes=sizes)):
             chosen[t] = picks
     return GameLedger.from_outcomes(
         [SelectionOutcome.of(pool, picks, picks) for pool, picks in zip(pools, chosen)]

@@ -12,10 +12,11 @@ instances by enumeration, :func:`oracle_dp` by dynamic programming over
 integer f-sums; the ``heuristic_*`` functions are the polynomial-time
 selection rules the simulator uses at scale.  Each rule is written once,
 on two float64 value matrices (f, g) with one row per week and a cap k,
-and returns each row's picks; ``COLUMN_RULES`` names them for the
-full-information loop, which calls each once per group of weeks of one
-pool size, and ``HEURISTICS`` runs each on the float64 image of a
-:class:`BilinearInstance` as a one-row matrix.
+and returns each row's picks; a row may be zero-padded past its items,
+given each row's item count.  ``COLUMN_RULES`` names them for the
+full-information loop, which calls each once per band of weeks whose
+pool sizes share a bit length, and ``HEURISTICS`` runs each on the
+float64 image of a :class:`BilinearInstance` as a one-row matrix.
 
 Exactness: both oracles read the same value columns.  Integer and
 Fraction-valued instances are evaluated in exact arithmetic (Fractions
@@ -413,12 +414,24 @@ def top_k(keys: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-keys, axis=-1, kind="stable")[..., :k]
 
 
-def _ascending(positions: np.ndarray) -> list[tuple[int, ...]]:
-    """Each row of a (rows x k) position matrix as an ascending tuple."""
-    return list(map(tuple, np.sort(positions, axis=1).tolist()))
+def _ascending(positions: np.ndarray, caps: Sequence[int]) -> list[tuple[int, ...]]:
+    """The first ``caps[r]`` positions of each row r of a position
+    matrix, as an ascending tuple."""
+    return [tuple(sorted(row[:c])) for row, c in zip(positions.tolist(), caps)]
 
 
-def heuristic_mpp(f: np.ndarray, g: np.ndarray, k: int) -> list[tuple[int, ...]]:
+def _caps(f: np.ndarray, k: int, sizes: Sequence[int] | None) -> tuple[list[int], list[int]]:
+    """Each row's item count, its length unless ``sizes`` gives one per
+    row, and its cap min(k, count)."""
+    sizes = [f.shape[1]] * len(f) if sizes is None else list(sizes)
+    if len(sizes) != len(f):
+        raise ValueError(f"{len(sizes)} sizes for {len(f)} rows")
+    return sizes, [min(k, n) for n in sizes]
+
+
+def heuristic_mpp(
+    f: np.ndarray, g: np.ndarray, k: int, *, sizes: Sequence[int] | None = None
+) -> list[tuple[int, ...]]:
     """Alternating picks, row by row: each side in turn takes its own
     argmax item among those not yet taken.
 
@@ -428,41 +441,52 @@ def heuristic_mpp(f: np.ndarray, g: np.ndarray, k: int) -> list[tuple[int, ...]]
     at most ceil(k/2) picks and passes over at most floor(k/2) items the
     other side took, so the first k positions of each order suffice.
     """
+    _, caps = _caps(f, k, sizes)
+    width = max(caps, default=0)
     picks = []
-    for orders in zip(top_k(f, k).tolist(), top_k(g, k).tolist()):
+    for c, *orders in zip(caps, top_k(f, width).tolist(), top_k(g, width).tolist()):
         cursors = [0, 0]
         taken: set[int] = set()
-        for turn in range(k):
+        for turn in range(c):
             side = turn % 2
-            order, c = orders[side], cursors[side]
-            while order[c] in taken:
-                c += 1
-            taken.add(order[c])
-            cursors[side] = c + 1
+            order, at = orders[side], cursors[side]
+            while order[at] in taken:
+                at += 1
+            taken.add(order[at])
+            cursors[side] = at + 1
         picks.append(tuple(sorted(taken)))
     return picks
 
 
-def heuristic_maxsp(f: np.ndarray, g: np.ndarray, k: int) -> list[tuple[int, ...]]:
+def heuristic_maxsp(
+    f: np.ndarray, g: np.ndarray, k: int, *, sizes: Sequence[int] | None = None
+) -> list[tuple[int, ...]]:
     """Top k items of each row by the per-item value product f_i * g_i."""
-    return _ascending(top_k(f * g, k))
+    _, caps = _caps(f, k, sizes)
+    return _ascending(top_k(f * g, max(caps, default=0)), caps)
 
 
-def heuristic_greedy_np(f: np.ndarray, g: np.ndarray, k: int) -> list[tuple[int, ...]]:
+def heuristic_greedy_np(
+    f: np.ndarray, g: np.ndarray, k: int, *, sizes: Sequence[int] | None = None
+) -> list[tuple[int, ...]]:
     """Greedy Nash-product ascent: each row repeatedly adds the item that
     yields the largest objective after insertion, the first index on
     ties.
 
-    The k steps run over all rows at once.  The first pick coincides
-    with MaxSP's best item since both sums start at zero.  Each row's
-    sums add its picked values left to right from 0.0, in float64 as a
-    row of its own would.
+    The steps run over all rows at once, a row's padding counting as
+    taken from the start.  The first pick coincides with MaxSP's best
+    item since both sums start at zero.  Each row's sums add its picked
+    values left to right from 0.0, in float64 as a row of its own would.
+    A row whose cap is below the step count keeps stepping once it is
+    full, its scores all -1 and its argmax position 0, and those picks
+    are dropped.
     """
+    sizes, caps = _caps(f, k, sizes)
     rows = np.arange(len(f))
     f_sum, g_sum = np.zeros(len(f)), np.zeros(len(f))
     scores, g_after = np.empty(f.shape), np.empty(f.shape)
-    taken = np.zeros(f.shape, dtype=bool)
-    chosen = np.empty((k, len(f)), dtype=np.intp)  # step by row
+    taken = np.arange(f.shape[1]) >= np.array(sizes, dtype=np.intp)[:, None]
+    chosen = np.empty((max(caps, default=0), len(f)), dtype=np.intp)  # step by row
     for picked in chosen:
         np.add(f, f_sum[:, None], scores)
         np.add(g, g_sum[:, None], g_after)
@@ -473,25 +497,40 @@ def heuristic_greedy_np(f: np.ndarray, g: np.ndarray, k: int) -> list[tuple[int,
         taken[rows, picked] = True
         f_sum += f[rows, picked]
         g_sum += g[rows, picked]
-    return _ascending(chosen.T)
+    return _ascending(chosen.T, caps)
 
 
 def heuristic_random(
-    f: np.ndarray, g: np.ndarray, k: int, seeds: Sequence[int | str]
+    f: np.ndarray,
+    g: np.ndarray,
+    k: int,
+    seeds: Sequence[int | str] | None = None,
+    *,
+    sizes: Sequence[int] | None = None,
 ) -> list[tuple[int, ...]]:
     """A uniform random k-subset of each row's items, from a generator
-    seeded with that row's entry of ``seeds``; the values take no part."""
+    seeded with that row's entry of ``seeds``, 0 for every row by
+    default; the values take no part."""
+    sizes, caps = _caps(f, k, sizes)
+    if seeds is None:
+        seeds = [0] * len(f)
     if len(seeds) != len(f):
         raise ValueError(f"{len(seeds)} seeds for {len(f)} rows")
-    n = f.shape[1]
-    return [tuple(sorted(random.Random(seed).sample(range(n), k))) for seed in seeds]
+    return [
+        tuple(sorted(random.Random(seed).sample(range(n), c)))
+        for seed, n, c in zip(seeds, sizes, caps)
+    ]
 
 
 # The rules above by heuristic name, as the full-information loop runs
 # them: each takes two float64 value matrices of one shape, one row per
-# week, f for the proposer and g for the curator, and a cap k at most
-# their row length, and returns each row's ascending positions; random
-# also takes one seed per row.
+# week, f for the proposer and g for the curator, and a cap k, and
+# returns each row's ascending positions, min(k, n) of a row of n items;
+# random also takes one seed per row.  Given ``sizes``, row r holds its
+# items in its first sizes[r] positions and zeros after them, and no
+# rule picks a padding position: greedy counts padding as taken, and
+# in the other rankings a zero key ranks after every item of its row,
+# since keys are never negative and ties keep position order.
 COLUMN_RULES = {
     "mpp": heuristic_mpp,
     "maxsp": heuristic_maxsp,
@@ -502,18 +541,17 @@ COLUMN_RULES = {
 
 def _on_instance(name: str):
     """The column rule ``name`` on the float64 image of a BilinearInstance
-    of any value type, as a one-row matrix; random takes one seed, 0 by
-    default, for that row.  It looks the rule up at call time, so a
+    of any value type, as a one-row matrix, with random's seed, if one
+    is given, as that row's.  It looks the rule up at call time, so a
     wrapper installed over a column rule also sees the calls made
     through an instance."""
 
-    def one_row(instance: BilinearInstance, *seeds) -> tuple[int, ...]:
+    def rule(instance: BilinearInstance, seed: int | str | None = None) -> tuple[int, ...]:
         f, g = _as_float_arrays(instance)
+        seeds = () if seed is None else ([seed],)
         return COLUMN_RULES[name](f[None], g[None], instance.k, *seeds)[0]
 
-    if name == "random":
-        return lambda instance, seed=0: one_row(instance, [seed])
-    return lambda instance: one_row(instance)
+    return rule
 
 
 HEURISTICS = {name: _on_instance(name) for name in COLUMN_RULES}

@@ -237,6 +237,14 @@ def test_pool_refuses_an_id_that_is_not_a_str():
         RoundPool(("a", 7), ("d",) * 2, ("t",) * 2, ("b",) * 2, (1, 2), [1.0, 1.0], [0.5, 1.0])
 
 
+def test_pool_checks_view_counts_past_float64_range_as_ints():
+    columns = [("a", "b"), ("d",) * 2, ("t",) * 2, ("x", "y")]
+    pool = RoundPool(*columns, (4, 10**400), (1.0, 2.0), (1.0, 0.5))
+    assert pool.view_counts == (4, 10**400)
+    with pytest.raises(ValueError, match="^question 'b': view_count must be a whole number >= 0$"):
+        RoundPool(*columns, (10**400, -(10**400)), (1.0, 2.0), (1.0, 0.5))
+
+
 def test_pool_refuses_columns_of_different_lengths():
     with pytest.raises(ValueError, match="^columns of different lengths$"):
         RoundPool(("a", "b"), ("d",) * 2, ("t",) * 2, ("b",) * 2, (1, 2), [1.0, 1.0], [0.5])

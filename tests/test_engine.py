@@ -513,17 +513,21 @@ def test_run_full_information_matches_the_reference_loop(dataset, heuristic, k, 
     _assert_same_ledger(ledger, ref_run_full_information(dataset, heuristic, k, seed, rounds))
 
 
-# every week of one size, so each rule runs once over the whole season;
-# values on a coarse grid, so items tie within a week and rows repeat
+# values on a coarse grid, so items tie within a week, rows repeat and
+# zero values tie with a padded row's zeros
 _grid_question = st.fixed_dictionaries(
     {"views": st.sampled_from([0, 1, 2, 2, 4]), "u_g": st.sampled_from([0.0, 0.5, 0.5, 1.0, 2.0])}
 )
 
 
 @st.composite
-def _one_size_season(draw):
+def _grid_season(draw):
+    """Either every week of one size, so each rule runs once on unpadded
+    rows, or each week of its own size up to the largest, so the rows
+    of a band are padded."""
     n = draw(st.integers(1, 12))
-    week = st.lists(_grid_question, min_size=n, max_size=n)
+    size = st.just(n) if draw(st.booleans()) else st.integers(1, n)
+    week = size.flatmap(lambda m: st.lists(_grid_question, min_size=m, max_size=m))
     weeks = draw(st.lists(week, min_size=1, max_size=8))
     dataset = Dataset(
         tuple(
@@ -531,44 +535,55 @@ def _one_size_season(draw):
             for t, week in enumerate(weeks)
         )
     )
-    # k up to, at and past the pool size
+    # k up to, at and past the largest pool size
     return dataset, draw(st.integers(1, n + 3) | st.just(n))
 
 
-@settings(max_examples=60, deadline=None)
-@given(season=_one_size_season(), heuristic=st.sampled_from(sorted(HEURISTICS)), seed=st.integers(0, 3))
-def test_run_full_information_on_weeks_of_one_size_matches_the_reference_loop(
-    season, heuristic, seed
-):
+@settings(max_examples=80, deadline=None)
+@given(season=_grid_season(), heuristic=st.sampled_from(sorted(HEURISTICS)), seed=st.integers(0, 3))
+def test_run_full_information_on_grid_seasons_matches_the_reference_loop(season, heuristic, seed):
     dataset, k = season
     ledger = run_full_information(dataset, heuristic, k, seed=seed)
     _assert_same_ledger(ledger, ref_run_full_information(dataset, heuristic, k, seed))
 
 
-def test_run_full_information_calls_each_rule_once_per_week_size(monkeypatch):
-    sizes = (3, 5, 3, 5, 4, 3)
+def test_run_full_information_calls_each_rule_once_per_size_band(monkeypatch):
+    # bit lengths 2, 3, 2, 3, 3, 2, 4: three bands; weeks 0, 2 and 5 hold
+    # fewer than k = 4 questions
+    sizes = (3, 5, 2, 7, 4, 3, 9)
     dataset = Dataset(
         tuple(
             mk_week([(f"{t}-{i}", {"views": (i * 7 + t) % 5, "u_g": float(i * t % 3)}) for i in range(n)])
             for t, n in enumerate(sizes)
         )
     )
-    weeks_of = {3: [0, 2, 5], 5: [1, 3], 4: [4]}
+    bands = ([0, 2, 5], [1, 3, 4], [6])
     for name, rule in nash_opt.COLUMN_RULES.items():
         calls = []
 
-        def spy(f, g, k, *seeds, _rule=rule):
-            calls.append((f.tolist(), g.tolist(), k, seeds))
-            return _rule(f, g, k, *seeds)
+        def spy(f, g, k, *seeds, _rule=rule, **kwargs):
+            calls.append((f.tolist(), g.tolist(), k, seeds, kwargs))
+            return _rule(f, g, k, *seeds, **kwargs)
 
         monkeypatch.setitem(nash_opt.COLUMN_RULES, name, spy)
         ledger = run_full_information(dataset, name, 4, seed=7)
         want = []
-        for n, weeks in weeks_of.items():
+        for weeks in bands:
             pools = [dataset.pools[t] for t in weeks]
+            width = max(map(len, pools))
+
+            def padded(column):
+                return [c.tolist() + [0.0] * (width - len(c)) for c in column]
+
             seeds = ([f"7-{t}" for t in weeks],) if name == "random" else ()
             want.append(
-                ([p.u_g.tolist() for p in pools], [p.u_f_norm.tolist() for p in pools], min(4, n), seeds)
+                (
+                    padded(p.u_g for p in pools),
+                    padded(p.u_f_norm for p in pools),
+                    4,
+                    seeds,
+                    {"sizes": [len(p) for p in pools]},
+                )
             )
         assert calls == want, name
         _assert_same_ledger(ledger, ref_run_full_information(dataset, name, 4, 7))

@@ -334,6 +334,35 @@ def test_heuristic_random_takes_one_seed_per_row():
         heuristic_random(f, g, 3, [1])
 
 
+def test_column_rules_pick_no_padding():
+    # row 0 holds 3 items, below k = 4, then 2 zeros of padding that tie
+    # with its own zeros; row 1 holds 5
+    f = np.array([[0.0, 2.0, 0.0, 0.0, 0.0], [1.0, 0.0, 3.0, 0.0, 2.0]])
+    g = np.array([[1.0, 0.0, 0.0, 0.0, 0.0], [0.0, 4.0, 1.0, 0.0, 1.0]])
+    for name, rule in nash_opt.COLUMN_RULES.items():
+        def seeds(rows):
+            return {"seeds": [3, "x"][rows]} if name == "random" else {}
+
+        alone = [
+            rule(f[r : r + 1, :n], g[r : r + 1, :n], 4, **seeds(slice(r, r + 1)))[0]
+            for r, n in enumerate((3, 5))
+        ]
+        assert [len(picks) for picks in alone] == [3, 4], name
+        assert rule(f, g, 4, sizes=[3, 5], **seeds(slice(None))) == alone, name
+        with pytest.raises(ValueError, match="^1 sizes for 2 rows$"):
+            rule(f, g, 4, sizes=[5], **seeds(slice(None)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_greedy_np_picks_no_padding_once_its_f_sum_overflows():
+    # picks 0, then 1 (its score inf * 0 is NaN, which argmax takes);
+    # then the f-sum is inf and the g-sum 0, so padding would score
+    # inf * 0 = NaN above item 2's inf, were padding not taken
+    f, g = np.array([[1e308, 1e308, 0.0, 0.0]]), np.array([[0.0, 0.0, 1.0, 0.0]])
+    assert heuristic_greedy_np(f[:, :3], g[:, :3], 3) == [(0, 1, 2)]
+    assert heuristic_greedy_np(f, g, 3, sizes=[3]) == [(0, 1, 2)]
+
+
 def test_heuristics_call_their_column_rule_by_name_at_call_time(monkeypatch):
     # a wrapper installed over a column rule, as the benchmark's tracer
     # installs one, also sees the calls made through an instance
