@@ -1,9 +1,10 @@
 #!/bin/sh
 # Write a fixed run set into OUT_DIR with this checkout's src/: a synthetic
-# dataset and its validation, simulate with utility, greedy and random play
-# and a rerun of the utility run from its manifest, simulate from a config
-# file, full-info and its rerun from its manifest, analyze, eurr with and
-# without an output directory, report with paired and with Welch t-tests,
+# dataset and its validation, simulate with utility, greedy and random play,
+# with a utility proposer that never retrains (checked to play as greedy
+# does) and a rerun of the utility run from its manifest, simulate from a
+# config file, full-info and its rerun from its manifest, analyze, eurr with
+# and without an output directory, report with paired and with Welch t-tests,
 # analyze, a precomputed-score simulate and full-info at two k on a small
 # CSV forum, the exact oracle on a small items file, and the stdout of
 # every demo.  Each command's stdout goes to a .txt file beside its output.
@@ -47,6 +48,16 @@ for strategy in utility greedy random; do
         --m-cap 30 --k-cap 10 --retrain-period 4 --strategy "$strategy" \
         --out-dir "$out/simulate-$strategy" >"$out/simulate-$strategy.txt"
 done
+# a utility proposer that never retrains keeps an untrained model, whose
+# probabilities are all 1, so it picks what greedy picks
+pubgame simulate --data "$data" --pretrain-weeks 8 --rounds 16 --seed 1 \
+    --m-cap 30 --k-cap 10 --retrain-period 16 --strategy utility \
+    --out-dir "$out/simulate-untrained" >"$out/simulate-untrained.txt"
+if [ "$(tail -n +2 "$out/simulate-untrained/ledger.csv")" != \
+     "$(tail -n +2 "$out/simulate-greedy/ledger.csv")" ]; then
+    echo "$0: the untrained utility proposer's ledger differs from greedy's" >&2
+    exit 1
+fi
 pubgame simulate --manifest "$out/simulate-utility/manifest.json" \
     --out-dir "$out/simulate-rerun" >"$out/simulate-rerun.txt"
 # the file's values, and a flag that wins over one of them

@@ -68,16 +68,6 @@ MANIFEST_VERSION = 1
 
 SCORER_KINDS = ("text", "precomputed")
 
-_BOOL_WORDS = {"true": True, "false": False, "yes": True, "no": False}
-
-
-def _parse_bool(raw: str) -> bool:
-    value = _BOOL_WORDS.get(raw.lower())
-    if value is None:
-        raise ValueError(f"expected true/false, got {raw!r}")
-    return value
-
-
 def _parse_names(raw: str) -> list[str]:
     return [name.strip() for name in raw.split(",") if name.strip()]
 
@@ -152,15 +142,15 @@ class RunValue:
     a config-file line's text, the check every run value passes, from a
     flag, a config file or a manifest, and its default.  A value without
     one is required unless a run's manifest gives it; a ``bool`` value's
-    flag switches it from its default.  ``config`` values are config-file
-    keys; an ``optional`` one may be absent from a manifest."""
+    flag switches it from its default and parses no text.  ``config``
+    values are config-file keys.  A manifest records every value of its
+    command."""
 
     flag: str
-    parse: Callable[[str], Any]
+    parse: Callable[[str], Any] | None
     check: Callable[[str, Any, dict], None]
     default: Any = _REQUIRED
     config: bool = True
-    optional: bool = False
     choices: tuple[str, ...] | None = None
     help: str | None = None
 
@@ -171,7 +161,7 @@ RUN_VALUES = {
     "data": RunValue("--data", _resolved, _STR, config=False, help="dataset file (JSONL or CSV)"),
     "format": RunValue(
         "--format", str, _typed((str, type(None)), "a string or null"), None, config=False,
-        optional=True, choices=("jsonl", "csv"), help="override format inference",
+        choices=("jsonl", "csv"), help="override format inference",
     ),
     "asym_dir": RunValue("--asym-dir", _resolved, _STR, config=False, help="simulate run dir"),
     "full_dir": RunValue("--full-dir", _resolved, _STR, config=False, help="full-info run dir"),
@@ -186,17 +176,13 @@ RUN_VALUES = {
     "seed": RunValue("--seed", int, _INT, GameConfig.seed),
     "strategy_g": RunValue("--strategy", str, _STR, GameConfig.strategy_g, choices=STRATEGIES_G),
     "scorer_f": RunValue("--scorer", str, _check_scorer, "text", choices=SCORER_KINDS),
-    "learn_acceptance": RunValue(
-        "--no-learning", _parse_bool, _BOOL, GameConfig.learn_acceptance,
-        help="freeze the proposer acceptance model at untrained",
-    ),
     "k": RunValue("--k", int, _check_k, GameConfig.k_cap, help="selection size per week"),
     "heuristics": RunValue(
         "--heuristics", _parse_names, _check_heuristics, list(HEURISTICS),
         help=f"comma list from: {', '.join(HEURISTICS)} (default all)",
     ),
     "paired": RunValue(
-        "--welch", _parse_bool, _BOOL, True, config=False, help="Welch t-tests (default: paired)"
+        "--welch", None, _BOOL, True, config=False, help="Welch t-tests (default: paired)"
     ),
     "alpha": RunValue("--alpha", float, _check_alpha, 0.01, config=False),
     # generate and oracle only
@@ -266,8 +252,9 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _print(text: str) -> None:
-    # names from the data print as escapes where the stdout encoding lacks
-    # them (an ASCII locale); an io.StringIO has no encoding and takes any
+    # every command prints through here: names from the data and paths
+    # print as escapes where the stdout encoding lacks them (an ASCII
+    # locale or stdio); an io.StringIO has no encoding and takes any
     encoding = sys.stdout.encoding
     print(text.encode(encoding, "backslashreplace").decode(encoding) if encoding else text)
 
@@ -322,7 +309,7 @@ def load_manifest(path: str | Path, command: str) -> dict:
 
 
 def _load_split(run_args: dict) -> tuple[Dataset, Dataset, Dataset]:
-    dataset = ingest(run_args["data"], run_args.get("format"))
+    dataset = ingest(run_args["data"], run_args["format"])
     log.info(
         "ingested %s: %d questions over %d weeks",
         run_args["data"], dataset.metadata["n_questions"], dataset.n_weeks,
@@ -365,7 +352,7 @@ def _cmd_generate(args: argparse.Namespace) -> None:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_jsonl(dataset, out)
-    print(
+    _print(
         f"wrote {out}: {dataset.metadata['n_questions']} questions over "
         f"{dataset.n_weeks} weeks"
     )
@@ -381,7 +368,7 @@ def _run_simulate(run_args: dict, out_dir: Path, manifest: str) -> dict:
     if scorer.model is not None:
         scorer.model.save(out_dir / "forum_scorer_model.json")
     calibration = dataclasses.asdict(scorer.calibration) if scorer.calibration else None
-    print(
+    _print(
         f"simulate: {len(ledger)} rounds, strategy {config.strategy_g}, "
         f"u_g {ledger.total_u_g:.3f}, u_f {ledger.total_u_f:.3f} -> {out_dir}"
     )
@@ -407,7 +394,7 @@ def _run_full_info(run_args: dict, out_dir: Path, manifest: str) -> dict:
         write_ledger_csv(ledger, out_dir / f"ledger_{name}.csv", manifest_hash=manifest)
         totals[name] = {"cum_u_g": ledger.total_u_g, "cum_u_f": ledger.total_u_f}
         log.info("full-info %s: u_g %.3f u_f %.3f", name, ledger.total_u_g, ledger.total_u_f)
-    print(
+    _print(
         f"full-info: {', '.join(run_args['heuristics'])} over "
         f"{run_args['rounds']} rounds -> {out_dir}"
     )
@@ -435,8 +422,8 @@ def _read_run_dirs(asym_dir: str, full_dir: str):
 def _run_eurr(run_args: dict, out_dir: Path | None, manifest: str | None) -> None:
     asym, runs = _read_run_dirs(run_args["asym_dir"], run_args["full_dir"])
     report = compute_eurr(asym, runs)
-    print(f"eurr_g {report.eurr_g:.3f} (best {report.best_heuristic_g})")
-    print(f"eurr_f {report.eurr_f:.3f} (best {report.best_heuristic_f})")
+    _print(f"eurr_g {report.eurr_g:.3f} (best {report.best_heuristic_g})")
+    _print(f"eurr_f {report.eurr_f:.3f} (best {report.best_heuristic_f})")
     if out_dir is not None:
         _write_json(out_dir / "eurr.json", dict(dataclasses.asdict(report), manifest_hash=manifest))
 
@@ -477,12 +464,12 @@ def _cmd_oracle(args: argparse.Namespace) -> None:
         raise ConfigError(f"{args.items}: no items")
     instance = BilinearInstance(items=items, k=args.k)
     result = oracle_exact(instance, budget=args.budget)
-    print("indices:", " ".join(str(i) for i in result.indices))
-    print("value:", result.value)
+    _print("indices: " + " ".join(str(i) for i in result.indices))
+    _print(f"value: {result.value}")
 
 
 def _run_analyze(run_args: dict, out_dir: Path, manifest: str) -> dict:
-    dataset = ingest(run_args["data"], run_args.get("format"))
+    dataset = ingest(run_args["data"], run_args["format"])
     report = misalignment_report(dataset)
     table = misalignment_table(report)
 
@@ -564,7 +551,7 @@ def _run_report(run_args: dict, out_dir: Path, manifest: str) -> None:
 RUN_COMMANDS = {
     "simulate": (
         ("data", "format", "pretrain_weeks", "m_cap", "k_cap", "rounds", "retrain_period",
-         "theta", "seed", "strategy_g", "scorer_f", "learn_acceptance"),
+         "theta", "seed", "strategy_g", "scorer_f"),
         _run_simulate,
     ),
     "full-info": (
@@ -589,7 +576,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
             extra = ", ".join(extra)
             raise ConfigError(f"--manifest reruns the recorded values and takes no {extra}")
         run_args = load_manifest(args.manifest, args.command)["args"]
-        missing = [key for key in keys if key not in run_args and not RUN_VALUES[key].optional]
+        missing = [key for key in keys if key not in run_args]
         if missing:
             raise ConfigError(f"{args.manifest}: manifest args lack {', '.join(missing)}")
         unknown = ", ".join(map(repr, sorted(set(run_args) - set(keys))))

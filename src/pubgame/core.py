@@ -173,9 +173,9 @@ class GameConfig:
     """Run parameters for the asymmetric simulation.
 
     The curator's threshold and text model live on the
-    :class:`~pubgame.strategies.ForumScorer` passed alongside.
-    ``learn_acceptance`` disables proposer-side acceptance learning when
-    False, pinning the predicted acceptance probability at 1.
+    :class:`~pubgame.strategies.ForumScorer` passed alongside.  The
+    proposer learns which questions get accepted exactly when
+    ``strategy_g`` is ``"utility"``.
     """
 
     m_cap: int = 100
@@ -184,7 +184,6 @@ class GameConfig:
     retrain_period: int = 13
     seed: int = 0
     strategy_g: str = "greedy"
-    learn_acceptance: bool = True
 
     def __post_init__(self) -> None:
         if self.k_cap < 1:

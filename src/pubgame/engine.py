@@ -60,12 +60,12 @@ def run_asymmetric(dataset: Dataset, config: GameConfig, scorer: ForumScorer) ->
     """Play the weekly proposer/curator game over the simulation window.
 
     Only the first ``config.rounds`` weeks are played; fewer available
-    weeks is an error.  The curator scorer stays frozen; the proposer's
-    acceptance model retrains on accumulated history at rounds that are
-    multiples of ``retrain_period`` (when the utility strategy and
-    learning are active).  A utility proposer that does not learn keeps
-    an untrained model, whose probabilities are all 1, so it plays the
-    greedy strategy.
+    weeks is an error.  The curator scorer stays frozen; a utility
+    proposer learns: its acceptance model retrains on accumulated
+    history at rounds that are multiples of ``retrain_period``.  With
+    ``retrain_period >= rounds`` it never retrains and keeps an
+    untrained model, whose probabilities are all 1, so it picks what the
+    greedy strategy picks.
 
     Each round tokenizes only the texts it scores: the whole pool when
     the proposer learns, otherwise the proposal when the curator scores
@@ -78,7 +78,7 @@ def run_asymmetric(dataset: Dataset, config: GameConfig, scorer: ForumScorer) ->
         )
 
     rng = random.Random(f"{config.seed}:proposer")
-    learning = config.strategy_g == "utility" and config.learn_acceptance
+    learning = config.strategy_g == "utility"
     model = AcceptanceModel()
     table = TokenTable()
     history = tokenize_rows([], table)
@@ -128,6 +128,8 @@ def run_full_information(
         )
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
+    if rounds is not None and rounds < 1:
+        raise ConfigError("rounds must be >= 1")
     if rounds is not None and dataset.n_weeks < rounds:
         raise ConfigError(f"need {rounds} weeks, dataset has {dataset.n_weeks}")
     rule = COLUMN_RULES[heuristic]

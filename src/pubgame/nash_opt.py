@@ -602,26 +602,24 @@ def reduce_ccss(instance: CcssInstance) -> BilinearInstance:
     return BilinearInstance(items=items, k=instance.k)
 
 
-def decide_ccss(
-    instance: CcssInstance, *, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> bool:
+def decide_ccss(instance: CcssInstance) -> bool:
     """Decide subset sum exactly through the reduction and the oracle."""
-    result = oracle_exact(reduce_ccss(instance), budget=budget)
+    result = oracle_exact(reduce_ccss(instance))
     return result.value == instance.target * instance.target
 
 
-def plant_yes_instance(
-    n: int, k: int, seed: int, *, lo: int = 20, hi: int = 40
-) -> CcssInstance:
+# the range of a planted instance's planted values
+PLANTED_LO, PLANTED_HI = 20, 40
+
+
+def plant_yes_instance(n: int, k: int, seed: int) -> CcssInstance:
     """Random instance with a planted solution: k even values in
-    [lo, hi] sum to the target, padded with even decoys that keep the
-    reduction feasible."""
+    [PLANTED_LO, PLANTED_HI] = [20, 40] sum to the target, padded with
+    even decoys that keep the reduction feasible."""
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
-    if lo < 2 or hi < lo:
-        raise ValueError("need 2 <= lo <= hi")
     rng = random.Random(seed)
-    planted = [2 * rng.randrange(lo // 2, hi // 2 + 1) for _ in range(k)]
+    planted = [2 * rng.randrange(PLANTED_LO // 2, PLANTED_HI // 2 + 1) for _ in range(k)]
     target = sum(planted)
     cap = (2 * target) // k
     decoys = [2 * rng.randrange(1, cap // 2 + 1) for _ in range(n - k)]

@@ -77,6 +77,23 @@ def count_tokenize(monkeypatch):
     return calls
 
 
+def count_utility_rounds(monkeypatch):
+    """Per call of the engine's utility strategy from now on, whether the
+    acceptance model it ranks with is trained, as a list that grows with
+    each call."""
+    from pubgame import engine
+
+    calls = []
+    strategy = engine.strategy_g_utility
+
+    def counting(pool, m_cap, model, rows):
+        calls.append(model.trained)
+        return strategy(pool, m_cap, model, rows)
+
+    monkeypatch.setattr(engine, "strategy_g_utility", counting)
+    return calls
+
+
 def mk_pool(week, specs):
     """A week pool from (views, u_g) pairs, its ids prefixed with ``week``."""
     return mk_week([(f"{week}-{i}", {"views": v, "u_g": g}) for i, (v, g) in enumerate(specs)])
@@ -648,7 +665,7 @@ def ref_run_asymmetric(dataset, config, scorer):
     retrain collapses.
     """
     rng = random.Random(f"{config.seed}:proposer")
-    learning = config.strategy_g == "utility" and config.learn_acceptance
+    learning = config.strategy_g == "utility"
     model = SimpleNamespace(trained=False)
     texts, accepted, rounds = [], [], []
     for t, pool in enumerate(dataset.pools[: config.rounds]):

@@ -36,6 +36,8 @@ from pubgame.stats import spearman, student_t_sf, weekly_ttest
 from pubgame.strategies import calibrate_theta, train_text_scorer
 from pubgame.textmodel import train_acceptance
 
+from helpers import count_utility_rounds
+
 
 def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:
     line = f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {label}"
@@ -174,7 +176,9 @@ def test_criterion_4_learned_acceptance_beats_blind_greedy():
     )
 
 
-def test_criterion_5_untrained_model_makes_utility_equal_greedy():
+def test_criterion_5_untrained_model_makes_utility_equal_greedy(monkeypatch):
+    # a utility proposer that never retrains ranks with an untrained model
+    calls = count_utility_rounds(monkeypatch)
     mismatches = 0
     for seed, rho in ((0, 0.0), (1, -0.5), (2, 0.5)):
         ds = _synthetic(
@@ -192,18 +196,18 @@ def test_criterion_5_untrained_model_makes_utility_equal_greedy():
                 m_cap=8,
                 k_cap=4,
                 rounds=6,
+                retrain_period=6,
                 seed=seed,
                 strategy_g=strategy,
-                learn_acceptance=False,
             )
             ledgers.append(run_asymmetric(sim, config, scorer))
         if ledgers[0].outcomes != ledgers[1].outcomes:
             mismatches += 1
     _verdict(
         5,
-        "with no acceptance model the utility strategy degenerates to greedy",
-        mismatches == 0,
-        f"{mismatches} mismatched ledgers of 3",
+        "a utility proposer that never retrains plays as greedy does",
+        mismatches == 0 and calls == [False] * 18,
+        f"{mismatches} mismatched ledgers of 3, {calls.count(False)} untrained utility rounds of 18",
     )
 
 

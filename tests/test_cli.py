@@ -306,12 +306,10 @@ def test_read_config_parses_each_coercer(tmp_path):
     cfg.write_text(
         "\n"
         "theta = 0.25\n"
-        "learn_acceptance = no\n"
         "strategy_g = random\n"
     )
     assert read_config(cfg, "simulate") == {
         "theta": 0.25,
-        "learn_acceptance": False,
         "strategy_g": "random",
     }
     # a list, as the --heuristics flag parses it
@@ -488,13 +486,13 @@ def test_run_commands_reject_a_manifest_or_config_they_cannot_read(tmp_path, cap
         (
             "simulate",
             [
-                "data", "pretrain_weeks", "m_cap", "k_cap", "rounds", "retrain_period",
-                "theta", "seed", "strategy_g", "scorer_f", "learn_acceptance",
+                "data", "format", "pretrain_weeks", "m_cap", "k_cap", "rounds",
+                "retrain_period", "theta", "seed", "strategy_g", "scorer_f",
             ],
         ),
-        ("full-info", ["data", "pretrain_weeks", "k", "rounds", "seed", "heuristics"]),
+        ("full-info", ["data", "format", "pretrain_weeks", "k", "rounds", "seed", "heuristics"]),
         ("eurr", ["asym_dir", "full_dir"]),
-        ("analyze", ["data"]),
+        ("analyze", ["data", "format"]),
         ("report", ["asym_dir", "full_dir", "paired", "alpha"]),
     ],
 )
@@ -839,7 +837,6 @@ LEDGER_PINS = {
     "greedy": "3da5d19d5a44bd17a623ed6c428822354ec6b742ef18b629cb6c26b05b960d39",
     "utility": "e6777d90dfd36e28bfac7b0e7ea72a5f2c566bc977e76d4341c95500f9d837dc",
     "random": "31d0ae8a78c11dc6f9c62ed5d1dd1f40ffa9edb3dbce86b99017d10a7fdd1fd4",
-    "utility --no-learning": "3da5d19d5a44bd17a623ed6c428822354ec6b742ef18b629cb6c26b05b960d39",
     "mpp": "902e80aa8732947a8c128b2689e40f7affed97990c817ab4fbd4b19be95d3df3",
     "maxsp": "cd99fe10f4cce25d28620b41ce6bc585d5385f55af34e2c264d285d09ae6d5ae",
     "greedy_np": "200c74f0eb9c9502071882d75674ea3de937630e7286aa615f56d96fe2907f7d",
@@ -858,12 +855,11 @@ def pin_data(tmp_path_factory):
     return data
 
 
-@pytest.mark.parametrize("strategy", ["greedy", "utility", "random", "utility --no-learning"])
+@pytest.mark.parametrize("strategy", ["greedy", "utility", "random"])
 def test_simulate_ledgers_are_pinned(pin_data, tmp_path, strategy):
-    name, *flags = strategy.split()
     rc = main([
         "simulate", "--data", str(pin_data), "--out-dir", str(tmp_path), *PIN_PLAY,
-        "--strategy", name, *flags, "--m-cap", "12", "--k-cap", "4", "--retrain-period", "3",
+        "--strategy", strategy, "--m-cap", "12", "--k-cap", "4", "--retrain-period", "3",
     ])
     assert rc == 0
     assert _ledger_digest(tmp_path / "ledger.csv") == LEDGER_PINS[strategy]
@@ -1005,6 +1001,24 @@ def test_names_from_the_data_print_on_an_ascii_stdout(tmp_path):
     assert main(["analyze", "--data", str(path), "--out-dir", str(rerun)]) == 0
     for name in ("correlations.txt", "correlations.csv", "scatter.csv"):
         assert (out / name).read_bytes() == (rerun / name).read_bytes()
+    # so do paths, once the run's files are written: with ASCII stdio under
+    # a UTF-8 locale, which decodes the path's bytes
+    ascii_stdio = dict(LC_ALL="C.UTF-8", PYTHONIOENCODING="ascii")
+    data = tmp_path / "\xfc" / "data.jsonl"
+    generate = ascii_locale_child(
+        "-m", "pubgame.cli", "generate", "--out", str(data), "--weeks", "8",
+        "--per-week", "20", "--seed", "1", **ascii_stdio,
+    )
+    assert (generate.returncode, generate.stderr) == (0, "")
+    assert generate.stdout.startswith(f"wrote {tmp_path}/\\xfc/data.jsonl: ")
+    sim = tmp_path / "\xfc" / "sim"
+    simulate = ascii_locale_child(
+        "-m", "pubgame.cli", "simulate", "--data", str(data), "--pretrain-weeks", "4",
+        "--rounds", "3", "--m-cap", "6", "--k-cap", "3", "--out-dir", str(sim), **ascii_stdio,
+    )
+    assert (simulate.returncode, simulate.stderr) == (0, "")
+    assert simulate.stdout.endswith(f"-> {tmp_path}/\\xfc/sim\n")
+    assert json.loads((sim / "summary.json").read_text())["rounds"] == 3
 
 
 def test_config_files_are_utf8_whatever_the_locale(pipeline, tmp_path):
@@ -1058,7 +1072,7 @@ def rehashed(recorded_manifest, command, edit, run):
         ("simulate", "k_cap", None),
         ("simulate", "strategy_g", 5),
         ("simulate", "scorer_f", ["text"]),
-        ("simulate", "learn_acceptance", 1),
+        ("simulate", "theta", True),
         ("full-info", "data", None),
         ("full-info", "format", ["csv"]),
         ("full-info", "pretrain_weeks", "4"),
@@ -1121,7 +1135,7 @@ def test_manifest_value_messages():
         ("seed", 1.5, "seed must be an integer, got 1.5"),
         ("rounds", True, "rounds must be an integer, got True"),
         ("theta", "0.5", "theta must be a float, got '0.5'"),
-        ("learn_acceptance", 1, "learn_acceptance must be true or false, got 1"),
+        ("paired", 1, "paired must be true or false, got 1"),
         ("strategy_g", 5, "strategy_g must be a string, got 5"),
         ("format", 5, "format must be a string or null, got 5"),
         ("heuristics", "mpp", "heuristics must be a list of names, got 'mpp'"),
@@ -1139,7 +1153,7 @@ RUN_FLAGS = {
     "simulate": [
         ["--data", "d.jsonl"], ["--format", "csv"], ["--pretrain-weeks", "4"], ["--m-cap", "6"],
         ["--k-cap", "3"], ["--rounds", "5"], ["--retrain-period", "3"], ["--theta", "0.5"],
-        ["--seed", "7"], ["--strategy", "random"], ["--scorer", "precomputed"], ["--no-learning"],
+        ["--seed", "7"], ["--strategy", "random"], ["--scorer", "precomputed"],
         ["--config", "run.cfg"],
     ],
     "full-info": [
@@ -1194,10 +1208,10 @@ def test_manifest_refuses_run_flags_and_config(recorded, tmp_path, capsys, comma
             [
                 "--pretrain-weeks", "4", "--rounds", "5", "--m-cap", "6", "--k-cap", "3",
                 "--retrain-period", "3", "--seed", "3", "--theta", "0.5", "--strategy", "utility",
-                "--scorer", "text", "--no-learning",
+                "--scorer", "text",
             ],
             "pretrain_weeks = 4\nrounds = 5\nm_cap = 6\nk_cap = 3\nretrain_period = 3\n"
-            "seed = 3\ntheta = 0.5\nstrategy_g = utility\nscorer_f = text\nlearn_acceptance = no\n",
+            "seed = 3\ntheta = 0.5\nstrategy_g = utility\nscorer_f = text\n",
         ),
         (
             "full-info",

@@ -37,6 +37,7 @@ from pubgame.textmodel import tokenize_rows, train_acceptance
 
 from helpers import (
     count_tokenize,
+    count_utility_rounds,
     mk_q,
     mk_week,
     ref_run_asymmetric,
@@ -87,16 +88,15 @@ def test_run_asymmetric_respects_caps_and_subsets():
         )
 
 
-def test_run_asymmetric_greedy_equals_utility_untrained():
+def test_run_asymmetric_greedy_equals_utility_untrained(monkeypatch):
+    # a utility proposer that never retrains ranks with an untrained model
     pools = scored_pools(6)
-    base = dict(m_cap=5, k_cap=3, rounds=6, seed=3)
+    base = dict(m_cap=5, k_cap=3, rounds=6, retrain_period=6, seed=3)
     greedy = run_asymmetric(pools, GameConfig(strategy_g="greedy", **base), SCORER)
-    frozen = run_asymmetric(
-        pools,
-        GameConfig(strategy_g="utility", learn_acceptance=False, **base),
-        SCORER,
-    )
-    assert greedy == frozen
+    calls = count_utility_rounds(monkeypatch)
+    untrained = run_asymmetric(pools, GameConfig(strategy_g="utility", **base), SCORER)
+    assert calls == [False] * 6
+    assert greedy == untrained
 
 
 def test_run_asymmetric_is_seed_deterministic():
@@ -136,15 +136,14 @@ def test_a_run_tokenizes_each_text_it_scores_once(monkeypatch):
     # only the curator scores text: the proposals; a proposer that does
     # not learn never trains a model that would read text
     text_of = {qid: t for pool in sim.pools for qid, t in zip(pool.ids, pool.texts())}
-    frozen = dict(strategy_g="utility", learn_acceptance=False)
-    for change in (dict(strategy_g="greedy"), dict(strategy_g="random"), frozen):
+    for change in (dict(strategy_g="greedy"), dict(strategy_g="random")):
         calls.clear()
         ledger = run_asymmetric(sim, dataclasses.replace(config, **change), text)
         assert calls == [text_of[i] for o in ledger.outcomes for i in o.proposed]
 
     # no text is scored
     calls.clear()
-    for change in (dict(strategy_g="greedy"), dict(strategy_g="random"), frozen):
+    for change in (dict(strategy_g="greedy"), dict(strategy_g="random")):
         config = GameConfig(m_cap=6, k_cap=2, rounds=4, **change)
         run_asymmetric(scored_pools(4), config, SCORER)
     assert calls == []
@@ -175,6 +174,14 @@ def test_run_full_information_refuses_k_below_one():
     for name in HEURISTICS:
         with pytest.raises(ConfigError, match="k must be >= 1, got 0"):
             run_full_information(scored_pools(2), name, 0)
+
+
+@pytest.mark.parametrize("rounds", [0, -3])
+def test_run_full_information_refuses_rounds_below_one(rounds):
+    # a negative count would slice the season from its end
+    for name in HEURISTICS:
+        with pytest.raises(ConfigError, match="rounds must be >= 1"):
+            run_full_information(scored_pools(8), name, 2, rounds=rounds)
 
 
 def test_run_full_information_rounds_prefix_consistency():
@@ -474,7 +481,6 @@ def _assert_same_ledger(ledger, ref):
 @given(
     dataset=_season,
     strategy=st.sampled_from(STRATEGIES_G),
-    learn=st.booleans(),
     text=st.booleans(),
     theta=st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]),
     caps=st.tuples(st.integers(1, 8), st.integers(0, 8)),
@@ -483,7 +489,7 @@ def _assert_same_ledger(ledger, ref):
     seed=st.integers(0, 3),
 )
 def test_run_asymmetric_matches_the_reference_loop(
-    dataset, strategy, learn, text, theta, caps, rounds, retrain_period, seed
+    dataset, strategy, text, theta, caps, rounds, retrain_period, seed
 ):
     config = GameConfig(
         m_cap=caps[0] + caps[1],
@@ -492,7 +498,6 @@ def test_run_asymmetric_matches_the_reference_loop(
         retrain_period=retrain_period,
         seed=seed,
         strategy_g=strategy,
-        learn_acceptance=learn,
     )
     scorer = ForumScorer(theta, _CURATOR if text else None)
     ledger = run_asymmetric(dataset, config, scorer)

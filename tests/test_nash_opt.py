@@ -716,3 +716,5 @@ def test_plant_yes_instance_shapes():
     assert len(inst.values) == 15
     assert inst.k == 5
     assert inst.target % 2 == 0
+    # five planted values in [20, 40]
+    assert 5 * 20 <= inst.target <= 5 * 40
