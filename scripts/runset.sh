@@ -6,8 +6,10 @@
 # config file, full-info and its rerun from its manifest, analyze, eurr with
 # and without an output directory, report with paired and with Welch t-tests,
 # analyze, a precomputed-score simulate and full-info at two k on a small
-# CSV forum, the exact oracle on a small items file, and the stdout of
-# every demo.  Each command's stdout goes to a .txt file beside its output.
+# CSV forum, analyze on a CSV whose domains hold a comma and a quote
+# (checked to write a scatter.csv whose rows all read back as 4 fields),
+# the exact oracle on a small items file, and the stdout of every demo.
+# Each command's stdout goes to a .txt file beside its output.
 #
 # Two checkouts that should behave alike give byte-identical run sets.  Run
 # files name the dataset by its path, so write both into the same absolute
@@ -109,6 +111,35 @@ for k in 5 12; do
     pubgame full-info --data "$out/forum.csv" --pretrain-weeks 4 --rounds 8 --k "$k" \
         --seed 2 --out-dir "$out/forum-full-info-k$k" >"$out/forum-full-info-k$k.txt"
 done
+
+# domains that hold a comma and a quote: scatter.csv quotes them, so each
+# of its data rows reads back as 4 fields
+run - "$out/quoted.csv" <<'PY'
+import csv
+import sys
+
+with open(sys.argv[1], "w", newline="", encoding="utf-8") as fh:
+    out = csv.writer(fh)
+    out.writerow(["id", "timestamp", "domain", "title", "body", "view_count", "u_g"])
+    for n in range(24):
+        out.writerow([f"d{n}", f"2024-01-{1 + 7 * (n % 3):02d}T12:00:00",
+                      ("a,b", 'say "hi"')[n % 2], f"q{n}", "word", n * 37 % 101,
+                      float(n * 13 % 17)])
+PY
+pubgame analyze --data "$out/quoted.csv" --out-dir "$out/quoted-analyze" \
+    >"$out/quoted-analyze.txt"
+if ! run - "$out/quoted-analyze/scatter.csv" <<'PY'
+import csv
+import sys
+
+with open(sys.argv[1], newline="", encoding="utf-8") as fh:
+    rows = list(csv.reader(fh))[2:]
+sys.exit(not rows or any(len(row) != 4 for row in rows))
+PY
+then
+    echo "$0: a data row of quoted-analyze/scatter.csv is not 4 fields" >&2
+    exit 1
+fi
 
 # ties on f, an exact fraction and a float, so the tie rule shows
 printf 'f,g\n3,1\n1,3\n2,2\n3,1\n1/2,5\n0.25,7\n4,0\n2,2\n' >"$out/items.csv"

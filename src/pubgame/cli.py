@@ -16,6 +16,7 @@ Set PUBGAME_LOG=INFO (or DEBUG) for progress logging.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -204,10 +205,11 @@ RUN_VALUES = {
 
 def read_config(path: str | Path, command: str) -> dict:
     """Parse a flat UTF-8 ``key = value`` configuration file, accepting
-    only the config keys of one run command, each parsed as its flag's
-    text is."""
+    only the config keys of one run command, each at most once and parsed
+    as its flag's text is."""
     keys = [key for key in RUN_COMMANDS[command][0] if RUN_VALUES[key].config]
     values: dict = {}
+    first_line: dict[str, int] = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -223,6 +225,11 @@ def read_config(path: str | Path, command: str) -> dict:
                 f"{path} line {lineno}: unknown key {key!r}; known keys: "
                 f"{', '.join(sorted(keys))}"
             )
+        if key in first_line:
+            raise ConfigError(
+                f"{path} line {lineno}: {key} given again (first on line {first_line[key]})"
+            )
+        first_line[key] = lineno
         try:
             values[key] = RUN_VALUES[key].parse(val)
         except ValueError as e:
@@ -446,11 +453,9 @@ def _parse_value(raw: str, where: str):
 
 
 def _cmd_oracle(args: argparse.Namespace) -> None:
-    import csv as _csv
-
     with open(args.items, newline="") as fh:
         # a short row's missing values read as "", which is not a number
-        reader = _csv.DictReader(fh, restval="")
+        reader = csv.DictReader(fh, restval="")
         if reader.fieldnames is None or not {"f", "g"} <= set(reader.fieldnames):
             raise ConfigError(f"{args.items}: expected CSV columns f, g")
         items = tuple(
@@ -478,11 +483,14 @@ def _run_analyze(run_args: dict, out_dir: Path, manifest: str) -> dict:
     (out_dir / "correlations.csv").write_text(
         f"# manifest {manifest}\n" + table.to_csv_string(), encoding="utf-8"
     )
-    scatter_lines = ["# manifest " + manifest, "domain,week,u_f_norm,u_g"]
-    for t, pool in enumerate(dataset.pools):
-        for domain, u_f, u_g in zip(pool.domains, pool.u_f_norm.tolist(), pool.u_g.tolist()):
-            scatter_lines.append(f"{domain},{t},{u_f!r},{u_g!r}")
-    (out_dir / "scatter.csv").write_text("\n".join(scatter_lines) + "\n", encoding="utf-8")
+    with open(out_dir / "scatter.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# manifest {manifest}\n")
+        # quoted only where a domain needs it; csv writes floats as repr
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("domain", "week", "u_f_norm", "u_g"))
+        for t, pool in enumerate(dataset.pools):
+            u_f, u_g = pool.u_f_norm.tolist(), pool.u_g.tolist()
+            writer.writerows(zip(pool.domains, [t] * len(pool), u_f, u_g))
     _print(
         table.to_text()
         + f"mean rho {report.mean_rho:.3f} (std {report.std_rho:.3f}) -> {out_dir}"

@@ -38,32 +38,17 @@ class MisalignmentReport:
     skipped: tuple[str, ...]
 
 
-def misalignment_report(
-    dataset: Dataset,
-    *,
-    utilities: Mapping[str, Sequence[float]] | None = None,
-) -> MisalignmentReport:
-    """Correlate weekly-normalized views against proposer utilities.
+def misalignment_report(dataset: Dataset) -> MisalignmentReport:
+    """Correlate weekly-normalized views against the proposer utility u_g.
 
-    By default the dataset's own u_g column is the single utility
-    group; ``utilities`` may supply several named columns instead, each
-    aligned with the dataset's question iteration order (week by week,
-    pool order within the week).  Each utility is correlated per domain
-    (plus "all" when several domains exist); groups under 3 points are
-    skipped and named in the report, as are the weeks whose views are
-    all zero.
+    The dataset's u_g column is correlated per domain (plus "all" when
+    several domains exist); groups under 3 points are skipped and named
+    in the report, as are the weeks whose views are all zero.
     """
     pools = dataset.pools
     u_f = np.concatenate([pool.u_f_norm for pool in pools])
+    u_g = np.concatenate([pool.u_g for pool in pools])
     domain_of = [domain for pool in pools for domain in pool.domains]
-    if utilities is None:
-        utilities = {"u_g": np.concatenate([pool.u_g for pool in pools])}
-    for name, column in utilities.items():
-        if len(column) != len(u_f):
-            raise ConfigError(
-                f"utility column {name!r} has {len(column)} values for "
-                f"{len(u_f)} questions"
-            )
 
     domains = sorted(set(domain_of))
     groups = list(domains)
@@ -72,21 +57,18 @@ def misalignment_report(
 
     rows = []
     skipped = []
-    for name, column in utilities.items():
-        for domain in groups:
-            idx = [i for i, d in enumerate(domain_of) if domain == "all" or d == domain]
-            label = f"{name}/{domain}"
-            if len(idx) < 3:
-                skipped.append(label)
-                continue
-            x = u_f[idx].tolist()
-            y = [float(column[i]) for i in idx]
-            try:
-                result = spearman(x, y)
-            except ValueError:
-                skipped.append(label)
-                continue
-            rows.append(MisalignmentRow(utility=name, domain=domain, result=result))
+    for domain in groups:
+        idx = [i for i, d in enumerate(domain_of) if domain == "all" or d == domain]
+        label = f"u_g/{domain}"
+        if len(idx) < 3:
+            skipped.append(label)
+            continue
+        try:
+            result = spearman(u_f[idx].tolist(), u_g[idx].tolist())
+        except ValueError:
+            skipped.append(label)
+            continue
+        rows.append(MisalignmentRow(utility="u_g", domain=domain, result=result))
     if not rows:
         raise ConfigError("no group had enough points to correlate")
     # left-to-right sums from 0.0: sum() of floats compensates from Python 3.12

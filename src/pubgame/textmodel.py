@@ -15,9 +15,11 @@ its column once.  ``fit``, ``transform``, ``predict_proba`` and
 a new table on entry.
 
 The recipe is fixed by the module constants ``MIN_TOKEN_LEN``, ``MIN_DF``
-and ``ALPHA``.  Models serialize to a small versioned JSON text format
-that records it; loading refuses any other recipe, and a load/save round
-trip reproduces predictions bit for bit.
+and ``ALPHA``.  :meth:`AcceptanceModel.save` writes a model as a small
+versioned JSON text that records its format, version and recipe and, for
+a trained model, the vocabulary in column order, the idf weights, the
+class log priors and the per-class feature log-likelihoods.  It is a
+record of the run; nothing reads it back.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-
-from .errors import SchemaError
 
 MODEL_FORMAT = "pubgame-acceptance-model"
 MODEL_VERSION = 1
@@ -117,32 +117,6 @@ def tokenize_rows(texts: Iterable[str], table: TokenTable | None = None) -> Toke
 def _as_rows(docs: TokenRows | Sequence[str]) -> TokenRows:
     """``docs`` as token rows: itself, or its texts tokenized."""
     return docs if isinstance(docs, TokenRows) else tokenize_rows(docs)
-
-
-def _field(payload: dict, name: str, shape: tuple | None = None):
-    """``payload[name]``; given a ``shape``, as a float64 array of that
-    shape holding finite numbers."""
-    if not isinstance(payload, dict) or name not in payload:
-        raise SchemaError(f"model file has no {name!r} field")
-    if shape is None:
-        return payload[name]
-    try:
-        array = np.asarray(payload[name])
-        ok = array.dtype.kind in "iuf" and array.shape == shape
-    except ValueError:  # a ragged nesting
-        ok = False
-    if not ok or not np.isfinite(array).all():
-        raise SchemaError(f"model file field {name!r} is not {shape} finite numbers")
-    return array.astype(np.float64)
-
-
-def _check_recipe(payload: dict, **recipe) -> None:
-    for name, expected in recipe.items():
-        value = _field(payload, name)
-        if type(value) is not type(expected) or value != expected:
-            raise SchemaError(
-                f"model file field {name!r} is {value!r}, not the recipe's {expected!r}"
-            )
 
 
 class CsrRows(NamedTuple):
@@ -283,19 +257,6 @@ class TextFeaturizer:
             "min_token_len": MIN_TOKEN_LEN,
         }
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "TextFeaturizer":
-        _check_recipe(payload, min_df=MIN_DF, min_token_len=MIN_TOKEN_LEN)
-        tokens = _field(payload, "vocabulary")
-        if not (
-            isinstance(tokens, list)
-            and all(isinstance(t, str) for t in tokens)
-            and len(set(tokens)) == len(tokens)
-        ):
-            raise SchemaError("model file field 'vocabulary' is not distinct strings")
-        idf = _field(payload, "idf", (len(tokens),))
-        return cls({t: i for i, t in enumerate(tokens)}, idf)
-
 
 class AcceptanceModel:
     """Two-class multinomial Naive Bayes over tf-idf weights.
@@ -352,31 +313,6 @@ class AcceptanceModel:
             json.dumps(self.to_payload(), indent=2, sort_keys=True) + "\n"
         )
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "AcceptanceModel":
-        """The model a payload records, refusing a recipe other than this
-        build's and fields that are missing, misshapen or not finite."""
-        if _field(payload, "format") != MODEL_FORMAT:
-            raise SchemaError(f"not an acceptance model file: {payload['format']!r}")
-        if payload.get("version") != MODEL_VERSION:
-            raise SchemaError(
-                f"unsupported model version {payload.get('version')!r}; "
-                f"this build reads version {MODEL_VERSION}"
-            )
-        _check_recipe(payload, alpha=ALPHA)
-        if not _field(payload, "trained"):
-            return cls()
-        featurizer = TextFeaturizer.from_payload(_field(payload, "featurizer"))
-        return cls(
-            featurizer,
-            _field(payload, "class_log_prior", (2,)),
-            _field(payload, "feature_log_lik", (2, featurizer.size)),
-        )
-
-    @classmethod
-    def load(cls, path: str | Path) -> "AcceptanceModel":
-        return cls.from_payload(json.loads(Path(path).read_text()))
-
 
 def train_acceptance(
     history: TokenRows | Sequence[str], accepted: Sequence[bool | int]
@@ -386,8 +322,9 @@ def train_acceptance(
     ``history`` is token rows or texts; texts are tokenized once, for
     both the fit and the transform.  Degenerate histories (empty,
     single-class, or an empty surviving vocabulary) yield an untrained
-    model; callers decide whether to keep a previously trained one
-    instead.
+    model.  A history that only grows, as a run's does, never turns
+    degenerate again: once it holds both labels and a token in two
+    documents, so does every longer history.
     """
     if len(accepted) != len(history):
         raise ValueError(

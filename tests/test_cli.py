@@ -324,6 +324,14 @@ def test_read_config_rejects_unknown_key(tmp_path):
         read_config(cfg, "simulate")
 
 
+def test_read_config_rejects_a_repeated_key(tmp_path):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("seed = 1\n# seed = 3\nk_cap = 4\nseed = 2\n")
+    with pytest.raises(ConfigError) as err:
+        read_config(cfg, "simulate")
+    assert str(err.value) == f"{cfg} line 4: seed given again (first on line 1)"
+
+
 @pytest.mark.parametrize(
     "command, line",
     [
@@ -941,12 +949,12 @@ def ascii_locale_child(*args, **env):
     )
 
 
-def write_accented(path):
-    """Twelve records over three weeks in two domains, café and naïve."""
+def write_accented(path, domains=("café", "naïve")):
+    """Twelve records over three weeks, taking ``domains`` in turn."""
     records = [
         {
             "id": f"q{i}", "timestamp": f"2024-01-{1 + 7 * (i % 3):02d}T12:00:00",
-            "domain": ("café", "naïve")[i % 2], "title": "crème brûlée",
+            "domain": domains[i % len(domains)], "title": "crème brûlée",
             "body": "déjà vu", "view_count": 3 * i, "u_g": 1.0 + i,
         }
         for i in range(12)
@@ -964,23 +972,30 @@ def write_accented(path):
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
 def test_dataset_files_are_utf8_whatever_the_locale(tmp_path, fmt):
     # the child's stdio stays UTF-8, so what is tested is the dataset
-    # read and the analyze files written
-    path = write_accented(tmp_path / f"data.{fmt}")
+    # read and the analyze files written, where scatter.csv quotes the
+    # domains that hold a comma or a quote
+    domains = ("café", "naïve", "a,b", 'say "hi"')
+    path = write_accented(tmp_path / f"data.{fmt}", domains)
     encoding = ascii_locale_child("-c", "import locale; print(locale.getpreferredencoding(False))")
     assert encoding.stdout.strip() == "ANSI_X3.4-1968"
     validate = ascii_locale_child(
         "-m", "pubgame.cli", "validate", "--data", str(path), PYTHONIOENCODING="utf-8"
     )
     assert validate.stderr == ""
-    assert validate.stdout == "ok: 12 questions, 3 weeks, domains café:6, naïve:6\n"
+    assert validate.stdout == (
+        'ok: 12 questions, 3 weeks, domains a,b:3, café:3, naïve:3, say "hi":3\n'
+    )
     out = tmp_path / "analyze"
     analyze = ascii_locale_child(
         "-m", "pubgame.cli", "analyze", "--data", str(path), "--out-dir", str(out),
         PYTHONIOENCODING="utf-8",
     )
     assert (analyze.returncode, analyze.stderr) == (0, "")
-    scatter = (out / "scatter.csv").read_text(encoding="utf-8").splitlines()
-    assert sorted(line.split(",")[0] for line in scatter[2:]) == ["café"] * 6 + ["naïve"] * 6
+    with (out / "scatter.csv").open(encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows[0] == ["domain", "week", "u_f_norm", "u_g"]
+    assert all(len(row) == 4 for row in rows[1:])
+    assert sorted(row[0] for row in rows[1:]) == sorted(domains * 3)
     assert "café" in (out / "correlations.txt").read_text(encoding="utf-8")
 
 

@@ -19,6 +19,7 @@ from pubgame import (
     SelectionOutcome,
     SyntheticSpec,
     compute_eurr,
+    engine,
     exact_urr,
     generate_synthetic,
     nash_opt,
@@ -629,3 +630,35 @@ def test_a_learning_proposer_matches_the_reference_loop(
     scorer = ForumScorer(theta, _CURATOR if text else None)
     ledger = run_asymmetric(dataset, config, scorer)
     _assert_same_ledger(ledger, ref_run_asymmetric(dataset, config, scorer))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dataset=_long_season,
+    text=st.booleans(),
+    caps=st.tuples(st.integers(1, 8), st.integers(0, 8)),
+    retrain_period=st.integers(1, 3),
+)
+def test_once_a_retrain_is_trained_every_later_one_is(dataset, text, caps, retrain_period):
+    # the history only grows, so it never loses a label or a token's
+    # second document: a retrain never falls back to an untrained model
+    config = GameConfig(
+        m_cap=caps[0] + caps[1],
+        k_cap=caps[0],
+        rounds=dataset.n_weeks,
+        retrain_period=retrain_period,
+        strategy_g="utility",
+    )
+    retrains = []
+
+    def spy(history, accepted):
+        model = train_acceptance(history, accepted)
+        retrains.append(model.trained)
+        return model
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "train_acceptance", spy)
+        run_asymmetric(dataset, config, ForumScorer(0.5, _CURATOR if text else None))
+    assert len(retrains) == (dataset.n_weeks - 1) // retrain_period
+    # untrained retrains, if any, then trained ones only
+    assert retrains == sorted(retrains)

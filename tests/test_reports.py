@@ -53,20 +53,6 @@ def test_misalignment_report_single_domain_has_no_all_row():
     assert report.std_rho == 0.0
 
 
-def test_misalignment_report_external_utility_columns():
-    ds = _domain_dataset()
-    n = sum(len(p) for p in ds.pools)
-    cols = {
-        "views_again": [float(v) for pool in ds.pools for v in pool.view_counts],
-        "flat_noise": [float((i * 7) % 5) for i in range(n)],
-    }
-    report = misalignment_report(ds, utilities=cols)
-    views_rows = [r for r in report.rows if r.utility == "views_again"]
-    assert all(r.result.rho == 1.0 for r in views_rows)
-    with pytest.raises(ConfigError):
-        misalignment_report(ds, utilities={"short": [1.0, 2.0]})
-
-
 def test_misalignment_report_skips_degenerate_groups():
     pools = []
     for week in range(2):
@@ -92,17 +78,18 @@ def test_misalignment_report_flags_zero_view_weeks_itself():
 
 
 def test_misalignment_report_adds_rhos_left_to_right():
-    # a compensated sum, as sum() of floats is from Python 3.12, gives a
-    # different mean and std on these rhos: summary.json would change
-    rng = random.Random(7)
+    # ten domains and "all" give eleven rhos, whose correctly rounded sum
+    # (math.fsum, and the compensated sum() of floats from Python 3.12)
+    # gives a different mean and std: summary.json would change
+    rng = random.Random(1)
     specs = [
         (f"{d}{i}", {"views": rng.randrange(100), "u_g": float(rng.randrange(50)), "domain": d})
-        for d in "abc"
+        for d in "abcdefghij"
         for i in range(8)
     ]
-    columns = {f"c{j}": [float(rng.randrange(100)) for _ in specs] for j in range(3)}
-    report = misalignment_report(Dataset((mk_week(specs),)), utilities=columns)
+    report = misalignment_report(Dataset((mk_week(specs),)))
     rhos = [row.result.rho for row in report.rows]
+    assert len(rhos) == 11
     total = squares = 0.0
     for rho in rhos:
         total += rho
@@ -111,6 +98,9 @@ def test_misalignment_report_adds_rhos_left_to_right():
         squares += (rho - mean) ** 2
     assert report.mean_rho.hex() == mean.hex()
     assert report.std_rho.hex() == math.sqrt(squares / len(rhos)).hex()
+    rounded = math.fsum(rhos) / len(rhos)
+    assert rounded != mean
+    assert math.sqrt(math.fsum((rho - rounded) ** 2 for rho in rhos) / len(rhos)) != report.std_rho
 
 
 def _ledger(u_g, u_f):

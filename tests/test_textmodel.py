@@ -19,7 +19,6 @@ from pubgame import (
     train_acceptance,
 )
 from pubgame import textmodel
-from pubgame.errors import SchemaError
 from pubgame.textmodel import MODEL_FORMAT, MODEL_VERSION
 
 from helpers import (
@@ -84,15 +83,6 @@ def test_transform_empty_document():
     assert weights == {}
 
 
-def test_featurizer_payload_round_trip():
-    feat = TextFeaturizer.fit(["sorting lists", "sorting dicts fast", "lists dicts"])
-    clone = TextFeaturizer.from_payload(feat.to_payload())
-    assert clone.vocabulary == feat.vocabulary
-    assert rows_as_dicts(clone.transform(["sorting dicts"])) == rows_as_dicts(
-        feat.transform(["sorting dicts"])
-    )
-
-
 def test_untrained_model_predicts_ones():
     model = AcceptanceModel()
     assert not model.trained
@@ -136,48 +126,13 @@ def test_degenerate_histories_yield_untrained_models():
     assert not train_acceptance(["a b", "a b"], [True, False]).trained
 
 
-def test_model_save_load_round_trip(tmp_path):
-    model = train_acceptance(*texts_labels(HISTORY + [("nice question", True)]))
-    path = tmp_path / "model.json"
-    model.save(path)
-    clone = AcceptanceModel.load(path)
-    docs = ["great", "spam and stuff", "question bad"]
-    assert list(clone.predict_proba(docs)) == list(model.predict_proba(docs))
-
-    payload = json.loads(path.read_text())
-    assert payload["format"] == MODEL_FORMAT
-    assert payload["version"] == MODEL_VERSION
-
-
-def test_untrained_model_round_trips(tmp_path):
-    path = tmp_path / "untrained.json"
-    AcceptanceModel().save(path)
-    assert not AcceptanceModel.load(path).trained
-    untrained = dict(AcceptanceModel().to_payload(), alpha=0.5)
-    with pytest.raises(SchemaError, match="field 'alpha' is 0.5"):
-        AcceptanceModel.from_payload(untrained)
-
-
-def test_model_load_rejects_foreign_payloads(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"format": "something-else", "version": 1}))
-    with pytest.raises(SchemaError):
-        AcceptanceModel.load(path)
-    path.write_text(json.dumps({"format": MODEL_FORMAT, "version": 99}))
-    with pytest.raises(SchemaError):
-        AcceptanceModel.load(path)
-    path.write_text(json.dumps(["not", "a", "model"]))
-    with pytest.raises(SchemaError, match="no 'format' field"):
-        AcceptanceModel.load(path)
-
-
 MODEL_V1 = Path(__file__).parent / "data" / "acceptance_model_v1.json"
 
 
-def test_model_file_of_earlier_build_loads_bit_identically(tmp_path):
+def test_model_file_of_earlier_build_is_saved_bit_identically(tmp_path):
     # saved, and its predictions printed with float.hex, by the build that
     # still took the recipe as FeaturizerConfig and alpha parameters
-    model = AcceptanceModel.load(MODEL_V1)
+    model = train_acceptance(*texts_labels(HISTORY))
     docs = ["great", "spam and stuff", "question bad", "zzz", "Great great SPAM"]
     assert [p.hex() for p in model.predict_proba(docs).tolist()] == [
         "0x1.9f4d1babbf86cp-1",
@@ -186,97 +141,41 @@ def test_model_file_of_earlier_build_loads_bit_identically(tmp_path):
         "0x1.3333333333333p-1",
         "0x1.8e737576a44c4p-1",
     ]
-    model.save(tmp_path / "again.json")
-    assert (tmp_path / "again.json").read_bytes() == MODEL_V1.read_bytes()
-    train_acceptance(*texts_labels(HISTORY)).save(tmp_path / "trained.json")
+    model.save(tmp_path / "trained.json")
     assert (tmp_path / "trained.json").read_bytes() == MODEL_V1.read_bytes()
 
 
-def _broken(edit):
-    """The saved model's payload after ``edit(payload)``."""
-    payload = json.loads(MODEL_V1.read_text())
-    edit(payload)
-    return payload
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("min_df", 1),
-        ("min_token_len", 3),
-        ("min_token_len", 2.0),
-        ("alpha", 0.5),
-        ("alpha", 1),
-    ],
-)
-def test_model_load_refuses_another_recipe(field, value):
-    def edit(payload):
-        (payload if field == "alpha" else payload["featurizer"])[field] = value
-
-    with pytest.raises(SchemaError, match=f"field '{field}' is {value!r}, not the recipe's"):
-        AcceptanceModel.from_payload(_broken(edit))
-
-
-@pytest.mark.parametrize(
-    "field",
-    ["trained", "alpha", "featurizer", "class_log_prior", "feature_log_lik",
-     "featurizer.vocabulary", "featurizer.idf", "featurizer.min_df",
-     "featurizer.min_token_len"],
-)
-def test_model_load_names_a_missing_field(field):
-    def edit(payload):
-        *parent, name = field.split(".")
-        del (payload[parent[0]] if parent else payload)[name]
-
-    with pytest.raises(SchemaError, match=f"no '{field.split('.')[-1]}' field"):
-        AcceptanceModel.from_payload(_broken(edit))
-
-
-@pytest.mark.parametrize(
-    "edit, field",
-    [
-        (lambda p: p["featurizer"]["idf"].pop(), "idf"),
-        (lambda p: p["featurizer"]["idf"].append(1.0), "idf"),
-        (lambda p: p["feature_log_lik"][1].pop(), "feature_log_lik"),
-        (lambda p: [row.append(-1.0) for row in p["feature_log_lik"]], "feature_log_lik"),
-        (lambda p: p["feature_log_lik"].pop(), "feature_log_lik"),
-        (lambda p: p["featurizer"]["vocabulary"].pop(), "idf"),
-        (lambda p: p["featurizer"].update(idf="1.0"), "idf"),
-    ],
-)
-def test_model_load_refuses_arrays_that_do_not_fit_the_vocabulary(edit, field):
-    with pytest.raises(SchemaError, match=f"field '{field}' is not"):
-        AcceptanceModel.from_payload(_broken(edit))
-
-
-@pytest.mark.parametrize("values", [[-0.5], [-0.9, -0.5, -1.0], [[-0.9, -0.5]]])
-def test_model_load_needs_two_class_log_priors(values):
-    payload = _broken(lambda p: p.update(class_log_prior=values))
-    with pytest.raises(SchemaError, match="field 'class_log_prior' is not"):
-        AcceptanceModel.from_payload(payload)
-
-
-@pytest.mark.parametrize(
-    "edit, field",
-    [
-        (lambda p: p["feature_log_lik"][0].__setitem__(2, math.nan), "feature_log_lik"),
-        (lambda p: p["featurizer"]["idf"].__setitem__(0, math.inf), "idf"),
-        (lambda p: p["class_log_prior"].__setitem__(1, -math.inf), "class_log_prior"),
-    ],
-)
-def test_model_load_refuses_values_that_are_not_finite(tmp_path, edit, field):
-    # json writes and reads NaN and Infinity, so a file can hold them
+@pytest.mark.parametrize("trained", [True, False], ids=["trained", "untrained"])
+def test_saved_model_file_holds_the_model_fields(tmp_path, trained):
+    model = train_acceptance(*texts_labels(HISTORY + [("nice question", True)]))
+    model = model if trained else AcceptanceModel()
+    assert model.trained is trained
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(_broken(edit)))
-    with pytest.raises(SchemaError, match=f"field '{field}' is not .* finite numbers"):
-        AcceptanceModel.load(path)
+    model.save(path)
+    payload = json.loads(path.read_text())
 
-
-@pytest.mark.parametrize("tokens", [["bad", "bad", "question", "spam"], "bad great", [1, 2, 3, 4]])
-def test_model_load_refuses_a_vocabulary_that_is_not_distinct_strings(tokens):
-    payload = _broken(lambda p: p["featurizer"].update(vocabulary=tokens))
-    with pytest.raises(SchemaError, match="field 'vocabulary'"):
-        AcceptanceModel.from_payload(payload)
+    want = {
+        "format": MODEL_FORMAT,
+        "version": MODEL_VERSION,
+        "trained": trained,
+        "alpha": textmodel.ALPHA,
+    }
+    if trained:
+        feat = model.featurizer
+        vocabulary = payload["featurizer"]["vocabulary"]
+        # the vocabulary in id order: token i has column i
+        assert {token: i for i, token in enumerate(vocabulary)} == feat.vocabulary
+        want["featurizer"] = {
+            "vocabulary": vocabulary,
+            "idf": feat.idf.tolist(),
+            "min_df": textmodel.MIN_DF,
+            "min_token_len": textmodel.MIN_TOKEN_LEN,
+        }
+        want["class_log_prior"] = model.class_log_prior.tolist()
+        want["feature_log_lik"] = model.feature_log_lik.tolist()
+    # the floats equal the model's exactly, and nothing else is saved
+    assert payload == want
+    assert type(payload["alpha"]) is float and type(payload["version"]) is int
 
 
 def test_separable_corpus_classifies_cleanly():
