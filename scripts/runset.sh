@@ -8,7 +8,9 @@
 # analyze, a precomputed-score simulate and full-info at two k on a small
 # CSV forum, analyze on a CSV whose domains hold a comma and a quote
 # (checked to write a scatter.csv whose rows all read back as 4 fields),
-# the exact oracle on a small items file, and the stdout of every demo.
+# a utility simulate with retrains on a CSV whose titles and bodies hold
+# characters that lower-case or encode awkwardly, the exact oracle on a
+# small items file, and the stdout of every demo.
 # Each command's stdout goes to a .txt file beside its output.
 #
 # Two checkouts that should behave alike give byte-identical run sets.  Run
@@ -140,6 +142,36 @@ then
     echo "$0: a data row of quoted-analyze/scatter.csv is not 4 fields" >&2
     exit 1
 fi
+
+# titles and bodies that trip a byte-level tokenizer: the dotted capital I
+# (two characters once lower-cased), the Kelvin sign, a capital sigma, a
+# sharp s, one-letter words, digits and quoted newlines; a utility
+# proposer that retrains reads them all, and the curator's vocabulary is
+# saved in forum_scorer_model.json
+run - "$out/unicode.csv" <<'PY'
+import csv
+import sys
+from datetime import datetime, timedelta
+
+words = ["\u0130stanbul", "\u212aelvin", "\u03a3igma", "stra\u00dfe", "a", "b", "x2", "42",
+         "caf\u00e9", "sql", "index", "map"]
+with open(sys.argv[1], "w", newline="", encoding="utf-8") as fh:
+    out = csv.writer(fh)
+    out.writerow(["id", "timestamp", "domain", "title", "body", "view_count", "u_g"])
+    for w in range(12):
+        for i in range(12):
+            n = 12 * w + i
+            stamp = datetime(2024, 1, 1, 10) + timedelta(weeks=w, days=i % 7)
+            title = " ".join(words[(n * k) % len(words)] for k in (1, 3, 5))
+            body = f"{words[n % 4]}\n{words[n % 7 + 4]} {n % 10}\n\n{words[(n + 1) % 12]}\u0130"
+            # views that the text predicts, so the curator's scorer learns
+            views = n * 37 % 101 + 200 * ("sql" in title or "\u212a" in title)
+            out.writerow([f"u{n}", stamp.isoformat(), ("dba", "gis")[i % 2], title, body,
+                          views, float(n * 13 % 17)])
+PY
+pubgame simulate --data "$out/unicode.csv" --pretrain-weeks 4 --rounds 8 --m-cap 8 \
+    --k-cap 4 --retrain-period 2 --strategy utility --seed 5 \
+    --out-dir "$out/unicode-simulate" >"$out/unicode-simulate.txt"
 
 # ties on f, an exact fraction and a float, so the tie rule shows
 printf 'f,g\n3,1\n1,3\n2,2\n3,1\n1/2,5\n0.25,7\n4,0\n2,2\n' >"$out/items.csv"

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every run directory holds a manifest.json of the fully resolved
-arguments and a fingerprint of the input data, written once they pass
-their checks and before the command runs, and a summary.json, where the
-command has one, stamped with the manifest hash and the command's name.
+arguments and a fingerprint of the input data, hashed before the
+command runs and written only once it has run, and a summary.json, where
+the command has one, stamped with the manifest hash and the command's
+name.  A run that fails leaves no manifest.
 Rerunning with --manifest reproduces the outputs byte for byte.
 Configuration files are flat UTF-8 ``key = value`` text with ``#``
 comments; explicit flags win over file values.  Each value is declared
@@ -266,7 +267,7 @@ def _print(text: str) -> None:
     print(text.encode(encoding, "backslashreplace").decode(encoding) if encoding else text)
 
 
-def write_manifest(out_dir: Path, command: str, run_args: dict, data_path: str | None) -> str:
+def _manifest(command: str, run_args: dict, data_path: str | None) -> dict:
     payload = {
         "format": MANIFEST_FORMAT,
         "version": MANIFEST_VERSION,
@@ -276,6 +277,11 @@ def write_manifest(out_dir: Path, command: str, run_args: dict, data_path: str |
         "data_sha256": _sha256_file(data_path) if data_path else None,
     }
     payload["manifest_hash"] = _manifest_hash(payload)
+    return payload
+
+
+def write_manifest(out_dir: Path, command: str, run_args: dict, data_path: str | None) -> str:
+    payload = _manifest(command, run_args, data_path)
     _write_json(out_dir / "manifest.json", payload)
     return payload["manifest_hash"]
 
@@ -573,8 +579,9 @@ RUN_COMMANDS = {
 
 def _cmd_run(args: argparse.Namespace) -> None:
     """Take a run's values from its flags, config file and defaults, or
-    from a manifest alone; check each by its key; write the manifest;
-    then run, and write the summary the command returns."""
+    from a manifest alone; check each by its key; hash the manifest, as
+    the run's files carry its hash; run; then write the manifest and the
+    summary the command returns."""
     keys, run = RUN_COMMANDS[args.command]
     given = [key for key in keys if hasattr(args, key)]
     config = getattr(args, "config", None)
@@ -604,13 +611,16 @@ def _cmd_run(args: argparse.Namespace) -> None:
         if key in run_args:
             RUN_VALUES[key].check(key, run_args[key], run_args)
     out_dir = Path(args.out_dir) if args.out_dir else None
-    manifest = None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        manifest = write_manifest(out_dir, args.command, run_args, run_args.get("data"))
-    summary = run(run_args, out_dir, manifest)
+    if out_dir is None:
+        run(run_args, None, None)
+        return
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = _manifest(args.command, run_args, run_args.get("data"))
+    summary = run(run_args, out_dir, manifest["manifest_hash"])
+    # only a run that returned has a manifest to rerun
+    _write_json(out_dir / "manifest.json", manifest)
     if summary is not None:
-        summary.update(manifest_hash=manifest, command=args.command)
+        summary.update(manifest_hash=manifest["manifest_hash"], command=args.command)
         _write_json(out_dir / "summary.json", summary)
 
 

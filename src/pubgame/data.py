@@ -229,8 +229,10 @@ def ingest(path: str | Path, fmt: str | None = None) -> Dataset:
     The format is inferred from the suffix unless given.  Records are
     checked in file order: the first duplicate id, missing field or
     malformed value raises SchemaError, naming the file and line of a
-    bad record.  Each week's columns are built once the file is read,
-    with their curator utilities set.
+    bad record.  A domain must be printable (``str.isprintable``: no line
+    break, tab or other control or format character).  Each week's
+    columns are built once the file is read, with their curator utilities
+    set.
     """
     path = Path(path)
     if fmt is None:
@@ -255,6 +257,13 @@ def ingest(path: str | Path, fmt: str | None = None) -> Dataset:
         except SchemaError as e:
             raise SchemaError(f"{path.name} line {lineno}: {e}") from None
         qid, domain = fields[0], fields[1]
+        # outputs print a domain by name, one to a line: each new one is
+        # checked, once, for line breaks and other unprintable characters
+        if domain not in per_domain and not domain.isprintable():
+            raise SchemaError(
+                f"{path.name} line {lineno}: domain {_echo(domain)} holds a "
+                f"non-printable character"
+            )
         if qid in seen:
             raise SchemaError(f"duplicate question id {_echo(qid)}")
         # naive and offset-aware datetimes do not compare, so one file

@@ -5,12 +5,15 @@ The same stack serves two roles: the curator's publication scorer
 acceptance predictor (trained on its own submit/publish history).
 
 The stack reads tokenized documents: :func:`tokenize_rows` tokenizes
-each text once, by byte translation, into int32 token-id rows
-(:class:`TokenRows`) over an append-only :class:`TokenTable`, and
-fitting, transforming and scoring all work on those rows.  A game run
-keeps one table, so a question it plays is tokenized once however often
-it is scored or retrained on, and a featurizer maps each table entry to
-its column once.  ``fit``, ``transform``, ``predict_proba`` and
+each text once into int32 token-id rows (:class:`TokenRows`) over an
+append-only :class:`TokenTable`, and fitting, transforming and scoring
+all work on those rows.  It works a slice of texts at a time, by one
+byte translation and one split of the slice joined; a slice holds about
+``_SLICE_CHARS`` characters, so token strings are held for one slice at
+most.  :func:`tokenize` is its one-text case.  A game run keeps one
+table, so a question it plays is tokenized once however often it is
+scored or retrained on, and a featurizer maps each table entry to its
+column once.  ``fit``, ``transform``, ``predict_proba`` and
 ``train_acceptance`` also take a list of texts, which they tokenize into
 a new table on entry.
 
@@ -29,7 +32,7 @@ import math
 import weakref
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,12 +46,17 @@ ALPHA = 1.0
 # every byte but [a-z0-9] to a space; a character of the lower-cased
 # text outside ASCII is encoded as "?" first, so it separates tokens too
 _SEPARATE = bytes(c if c in b"abcdefghijklmnopqrstuvwxyz0123456789" else 32 for c in range(256))
+# a slice of texts is tokenized at once, by one join, encode, translate
+# and split; it ends at the text that brings it to this many characters,
+# so the token strings held at once do not grow with the texts' length
+_SLICE_CHARS = 32768
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase alphanumeric runs of at least ``MIN_TOKEN_LEN`` chars."""
-    text = text.lower().encode("ascii", "replace").translate(_SEPARATE).decode("ascii")
-    return [token for token in text.split() if len(token) >= MIN_TOKEN_LEN]
+    rows = tokenize_rows([text])
+    tokens = list(rows.table)
+    return [tokens[i] for i in rows.ids.tolist()]
 
 
 class TokenTable(dict):
@@ -99,19 +107,49 @@ class TokenRows:
         return TokenRows(self.table, indptr, np.concatenate([self.ids, other.ids]))
 
 
+def _lowered_slices(texts: Iterable[str]) -> Iterator[list[str]]:
+    """The texts lower-cased, in slices of about ``_SLICE_CHARS``
+    characters: each slice ends at the text that reaches that many."""
+    lowered, size = [], 0
+    for text in texts:
+        text = text.lower()
+        lowered.append(text)
+        size += len(text)
+        if size >= _SLICE_CHARS:
+            yield lowered
+            lowered, size = [], 0
+    if lowered:
+        yield lowered
+
+
 def tokenize_rows(texts: Iterable[str], table: TokenTable | None = None) -> TokenRows:
     """Tokenize each text once into ``table`` (a new one if None),
-    appending the tokens it lacks."""
+    appending the tokens it lacks, a slice of texts at a time."""
     table = TokenTable() if table is None else table
     lookup = table.__getitem__
-    lengths = [0]
-    ids = []
-    for text in texts:
-        tokens = tokenize(text)
-        lengths.append(len(tokens))
-        ids += map(lookup, tokens)
-    # ids are taken in text order and never held as token strings
-    return TokenRows(table, np.cumsum(lengths), np.array(ids, dtype=np.int32))
+    counts = [np.zeros(1, dtype=np.int64)]
+    ids = [np.zeros(0, dtype=np.int32)]
+    for lowered in _lowered_slices(texts):
+        # the slice joined by spaces, one byte per character, so text i
+        # ends at ends[i] and no token spans two texts
+        ends = np.cumsum(list(map(len, lowered))) + np.arange(len(lowered))
+        joined = " ".join(lowered).encode("ascii", "replace").translate(_SEPARATE)
+        # the [a-z0-9] runs start at the even edges and stop at the odd
+        word = np.frombuffer(joined, dtype=np.uint8) != 32
+        edges = np.flatnonzero(np.diff(word, prepend=False, append=False))
+        starts, lengths = edges[0::2], edges[1::2] - edges[0::2]
+        short = lengths < MIN_TOKEN_LEN
+        if short.any():
+            joined = bytearray(joined)
+            view = np.frombuffer(joined, dtype=np.uint8)
+            for j in range(MIN_TOKEN_LEN - 1):
+                view[starts[short & (lengths > j)] + j] = 32
+        tokens = joined.decode("ascii").split()
+        # the tokens that start before a text's end are its and those before
+        counts.append(np.diff(np.searchsorted(starts[~short], ends), prepend=0))
+        ids.append(np.fromiter(map(lookup, tokens), dtype=np.int32, count=len(tokens)))
+    # ids are taken in text order, and token strings are held for one slice
+    return TokenRows(table, np.cumsum(np.concatenate(counts)), np.concatenate(ids))
 
 
 def _as_rows(docs: TokenRows | Sequence[str]) -> TokenRows:

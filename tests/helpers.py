@@ -20,7 +20,15 @@ from pubgame import OracleResult, Question, RoundPool, set_utility
 from pubgame.errors import ConfigError, SchemaError
 from pubgame import data
 from pubgame.strategies import CalibrationResult
-from pubgame.textmodel import ALPHA, MIN_DF, MIN_TOKEN_LEN, TextFeaturizer, tokenize_rows
+from pubgame.textmodel import (
+    ALPHA,
+    MIN_DF,
+    MIN_TOKEN_LEN,
+    TextFeaturizer,
+    TokenRows,
+    TokenTable,
+    tokenize_rows,
+)
 
 
 def mk_q(i, *, views=10, u_g=1.0, title=None, body="body text", u_f_norm=None, **kw):
@@ -62,18 +70,21 @@ def texts_labels(history):
 
 
 def count_tokenize(monkeypatch):
-    """The texts ``textmodel.tokenize`` is called on from now on, as a
-    list that grows with each call."""
-    from pubgame import textmodel
+    """The texts passed to ``tokenize_rows`` from now on, in order, as a
+    list that grows with each call.  It is counted where ``engine``,
+    ``strategies`` and ``textmodel`` call it."""
+    from pubgame import engine, strategies, textmodel
 
     calls = []
-    tokenize = textmodel.tokenize
+    tokenize_rows = textmodel.tokenize_rows
 
-    def counting(text):
-        calls.append(text)
-        return tokenize(text)
+    def counting(texts, table=None):
+        texts = list(texts)
+        calls.extend(texts)
+        return tokenize_rows(texts, table)
 
-    monkeypatch.setattr(textmodel, "tokenize", counting)
+    for module in (engine, strategies, textmodel):
+        monkeypatch.setattr(module, "tokenize_rows", counting)
     return calls
 
 
@@ -107,6 +118,20 @@ def mk_pool(week, specs):
 def ref_tokenize(text):
     tokens = re.findall(r"[a-z0-9]+", text.lower())
     return [t for t in tokens if len(t) >= MIN_TOKEN_LEN]
+
+
+def ref_tokenize_rows(texts, table=None):
+    """``tokenize_rows`` one text at a time, appending each text's tokens
+    to ``table`` (a new one if None) in text order."""
+    table = TokenTable() if table is None else table
+    lookup = table.__getitem__
+    lengths = [0]
+    ids = []
+    for text in texts:
+        tokens = ref_tokenize(text)
+        lengths.append(len(tokens))
+        ids += map(lookup, tokens)
+    return TokenRows(table, np.cumsum(lengths), np.array(ids, dtype=np.int32))
 
 
 def ref_fit(corpus):

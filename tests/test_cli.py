@@ -386,22 +386,47 @@ def test_simulate_checks_scorer_and_theta_before_reading_data(tmp_path, capsys, 
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_a_run_that_fails_after_its_checks_leaves_only_its_manifest(pipeline, tmp_path, capsys):
+def test_a_run_that_fails_after_its_checks_leaves_no_manifest(pipeline, tmp_path, capsys):
     # the synthetic data has no forum_score column for the precomputed scorer
     _, data, _, _ = pipeline
     first, rerun = tmp_path / "first", tmp_path / "rerun"
-    rc = main([
+    args = [
         "simulate", "--data", str(data), "--scorer", "precomputed", "--pretrain-weeks", "4",
-        "--rounds", "5", "--m-cap", "6", "--k-cap", "3", "--out-dir", str(first),
-    ])
+        "--rounds", "5", "--m-cap", "6", "--k-cap", "3",
+    ]
+    rc = main([*args, "--out-dir", str(first)])
     assert rc == 1
     err = capsys.readouterr().err
     assert "has no forum_score" in err
-    assert [p.name for p in first.iterdir()] == ["manifest.json"]
-    assert main(["simulate", "--manifest", str(first / "manifest.json"), "--out-dir", str(rerun)]) == 1
+    assert list(first.iterdir()) == []
+    # the same values from a manifest fail the same way, and write none
+    recorded = tmp_path / "recorded"
+    assert main([*args, "--scorer", "text", "--out-dir", str(recorded)]) == 0
+    edited = json.loads((recorded / "manifest.json").read_text())["args"]
+    edited["scorer_f"] = "precomputed"
+    write_manifest(recorded, "simulate", edited, str(data))
+    capsys.readouterr()
+    assert main(["simulate", "--manifest", str(recorded / "manifest.json"), "--out-dir", str(rerun)]) == 1
     assert capsys.readouterr().err == err
-    assert [p.name for p in rerun.iterdir()] == ["manifest.json"]
-    assert (rerun / "manifest.json").read_bytes() == (first / "manifest.json").read_bytes()
+    assert list(rerun.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("full-info", ["--rounds", "0"], "rounds must be >= 1"),
+        ("simulate", ["--rounds", "0"], "rounds must be >= 1"),
+        ("simulate", ["--m-cap", "5", "--k-cap", "10"], "m_cap (5) must be >= k_cap (10)"),
+    ],
+    ids=["full-info-rounds-0", "simulate-rounds-0", "m-cap-below-k-cap"],
+)
+def test_values_only_the_library_checks_leave_no_manifest(pipeline, tmp_path, capsys, command, flags, message):
+    _, data, _, _ = pipeline
+    out = tmp_path / "x"
+    rc = main([command, "--data", str(data), "--pretrain-weeks", "4", "--out-dir", str(out), *flags])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_precomputed_scorer_takes_theta_on_its_own_scale(pipeline, tmp_path):
@@ -809,7 +834,7 @@ def test_eurr_and_report_refuse_ledgers_of_other_lengths(season16, tmp_path, cap
         f"error: full-information ledger {next(iter(HEURISTICS))!r} covers 16 rounds "
         f"but the asymmetric ledger covers 2\n"
     )
-    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -384,6 +384,17 @@ PINNED_ERRORS = {
         f"data.jsonl line 2: bad timestamp '{'x' * 39}... (52 characters); expected ISO-8601",
         f"data.csv line 3: bad timestamp '{'x' * 39}... (52 characters); expected ISO-8601",
     ),
+    # a domain is printed by name, one to a line
+    "domain with a line break": (
+        [_bad(domain="x\ny")],
+        "data.jsonl line 2: domain 'x\\ny' holds a non-printable character",
+        "data.csv line 3: domain 'x\\ny' holds a non-printable character",
+    ),
+    "domain with an escape sequence": (
+        [_bad(domain="\x1b[31mred")],
+        "data.jsonl line 2: domain '\\x1b[31mred' holds a non-printable character",
+        "data.csv line 3: domain '\\x1b[31mred' holds a non-printable character",
+    ),
     "duplicate before a malformed record": (
         [_bad(), record(0, "2024-01-01T02:00:00"), record(2, "2024-01-01T03:00:00", view_count="many")],
         "duplicate question id 'r0'",
@@ -750,6 +761,11 @@ def _records(draw):
     n = draw(st.integers(1, 15))
     ids = draw(st.lists(st.text(min_size=1, max_size=6), min_size=n, max_size=n, unique=True))
     text = st.text(min_size=1, max_size=12)
+    # a domain is printable: no category C or Z character but the space
+    printable = st.characters(
+        exclude_categories=("Cc", "Cf", "Cs", "Co", "Cn", "Zl", "Zp", "Zs"), include_characters=" "
+    )
+    domain = st.text(printable, min_size=1, max_size=12)
     finite = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
     out = []
     for rid in ids:
@@ -757,7 +773,7 @@ def _records(draw):
         rec = {
             "id": rid,
             "timestamp": stamp.isoformat(),
-            "domain": draw(text),
+            "domain": draw(domain),
             "title": draw(text),
             "body": draw(text),
             "view_count": draw(st.integers(0, 10**12)),

@@ -4,10 +4,11 @@ import math
 import random
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pubgame import (
@@ -25,6 +26,7 @@ from helpers import (
     ref_fit,
     ref_predict_proba,
     ref_tokenize,
+    ref_tokenize_rows,
     ref_train_acceptance,
     ref_transform,
     rows_as_dicts,
@@ -349,6 +351,36 @@ def test_tokenize_of_the_tricky_characters():
     ]
     # the Kelvin sign and the i of the dotted capital make one token
     assert tokenize(_TRICKY) == ["ki"]
+
+
+# Characters for batches: alphanumerics that join across a text boundary
+# if the texts are run together, separators (NUL and newline among them),
+# and the tricky ones, "\u0130" (two characters once lower-cased) too.
+_BATCH_CHARS = st.sampled_from(_TRICKY + "aZ9 \x00\n.\u0130")
+_batch_texts = st.one_of(
+    st.text(alphabet=_BATCH_CHARS, max_size=6), st.sampled_from(["", "a", "\u0130", "9"])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_batch_texts, max_size=4),
+    st.lists(_batch_texts, max_size=40),
+    st.sampled_from([1, 2, 3, 7, 16, textmodel._SLICE_CHARS]),
+)
+@example([], ["ab", "cd\u0130", "a", "", "\u212a", "\x00x\ny", "\u03a3", "\ud800"], 2)
+def test_tokenize_rows_matches_the_per_text_loop(before, batch, slice_chars):
+    # small slices, so that a batch spans many, into a table that
+    # already holds tokens
+    table, ref_table = TokenTable(), TokenTable()
+    with mock.patch.object(textmodel, "_SLICE_CHARS", slice_chars):
+        tokenize_rows(before, table)
+        got = tokenize_rows(batch, table)
+    ref_tokenize_rows(before, ref_table)
+    ref = ref_tokenize_rows(batch, ref_table)
+    assert got.indptr.dtype == np.int64 and got.ids.dtype == np.int32
+    assert np.array_equal(got.indptr, ref.indptr) and np.array_equal(got.ids, ref.ids)
+    assert list(table.items()) == list(ref_table.items())
 
 
 def _ref_row_sums(values, indptr, start):
