@@ -6,8 +6,9 @@
 # config file, full-info and its rerun from its manifest, analyze, eurr with
 # and without an output directory, report with paired and with Welch t-tests,
 # analyze, a precomputed-score simulate and full-info at two k on a small
-# CSV forum, analyze on a CSV whose domains hold a comma and a quote
-# (checked to write a scatter.csv whose rows all read back as 4 fields),
+# CSV forum, validate and analyze on a CSV whose domains hold a comma and
+# a quote (analyze checked to write a scatter.csv whose rows all read back
+# as 4 fields),
 # a utility simulate with retrains on a CSV whose titles and bodies hold
 # characters that lower-case or encode awkwardly, the exact oracle on a
 # small items file, and the stdout of every demo.
@@ -114,8 +115,8 @@ for k in 5 12; do
         --seed 2 --out-dir "$out/forum-full-info-k$k" >"$out/forum-full-info-k$k.txt"
 done
 
-# domains that hold a comma and a quote: scatter.csv quotes them, so each
-# of its data rows reads back as 4 fields
+# domains that hold a comma and a quote: validate's list and scatter.csv
+# quote them, so each of scatter.csv's data rows reads back as 4 fields
 run - "$out/quoted.csv" <<'PY'
 import csv
 import sys
@@ -128,6 +129,7 @@ with open(sys.argv[1], "w", newline="", encoding="utf-8") as fh:
                       ("a,b", 'say "hi"')[n % 2], f"q{n}", "word", n * 37 % 101,
                       float(n * 13 % 17)])
 PY
+pubgame validate --data "$out/quoted.csv" >"$out/quoted-validate.txt"
 pubgame analyze --data "$out/quoted.csv" --out-dir "$out/quoted-analyze" \
     >"$out/quoted-analyze.txt"
 if ! run - "$out/quoted-analyze/scatter.csv" <<'PY'

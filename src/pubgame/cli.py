@@ -10,8 +10,6 @@ Configuration files are flat UTF-8 ``key = value`` text with ``#``
 comments; explicit flags win over file values.  Each value is declared
 once, in :data:`RUN_VALUES`, and a run value is checked by its key
 whether it comes from a flag, a configuration file or a manifest.
-
-Set PUBGAME_LOG=INFO (or DEBUG) for progress logging.
 """
 
 from __future__ import annotations
@@ -21,9 +19,7 @@ import csv
 import dataclasses
 import hashlib
 import json
-import logging
 import math
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,8 +58,6 @@ from .reports import (
     significance_table,
 )
 from .strategies import make_precomputed_scorer, train_text_scorer
-
-log = logging.getLogger("pubgame")
 
 MANIFEST_FORMAT = "pubgame-manifest"
 MANIFEST_VERSION = 1
@@ -323,34 +317,30 @@ def load_manifest(path: str | Path, command: str) -> dict:
 
 def _load_split(run_args: dict) -> tuple[Dataset, Dataset, Dataset]:
     dataset = ingest(run_args["data"], run_args["format"])
-    log.info(
-        "ingested %s: %d questions over %d weeks",
-        run_args["data"], dataset.metadata["n_questions"], dataset.n_weeks,
-    )
     return split_pretrain(dataset, run_args["pretrain_weeks"])
 
 
 def _build_scorer(run_args: dict, train: Dataset, val: Dataset):
-    kind, theta = run_args["scorer_f"], run_args["theta"]
-    if kind == "text":
-        scorer = train_text_scorer(train.pools, val.pools, theta=theta)
-    else:
-        scorer = make_precomputed_scorer(val.pools, theta=theta)
-    log.info("curator scorer ready: kind=%s theta=%.4f", kind, scorer.theta)
-    return scorer
+    theta = run_args["theta"]
+    if run_args["scorer_f"] == "text":
+        return train_text_scorer(train.pools, val.pools, theta=theta)
+    return make_precomputed_scorer(val.pools, theta=theta)
 
 
 # ---------------------------------------------------------------- commands
 
 
 def _cmd_validate(args: argparse.Namespace) -> None:
-    dataset = ingest(args.data, args.format)
-    meta = dataset.metadata
-    domains = ", ".join(f"{d}:{c}" for d, c in sorted(meta["domains"].items()))
-    _print(
-        f"ok: {meta['n_questions']} questions, {meta['n_weeks']} weeks, "
-        f"domains {domains}"
-    )
+    meta = ingest(args.data, args.format).metadata
+    domains = []
+    for name, count in sorted(meta["domains"].items()):
+        # a JSON string where a comma, colon, quote or end space could
+        # misread the list; bare otherwise
+        if name != name.strip() or set(name) & set(',:"'):
+            name = json.dumps(name, ensure_ascii=False)
+        domains.append(f"{name}:{count}")
+    counts = f"{meta['n_questions']} questions, {meta['n_weeks']} weeks"
+    _print(f"ok: {counts}, domains {', '.join(domains)}")
 
 
 def _cmd_generate(args: argparse.Namespace) -> None:
@@ -379,7 +369,7 @@ def _run_simulate(run_args: dict, out_dir: Path, manifest: str) -> dict:
 
     write_ledger_csv(ledger, out_dir / "ledger.csv", manifest_hash=manifest)
     if scorer.model is not None:
-        scorer.model.save(out_dir / "forum_scorer_model.json")
+        _write_json(out_dir / "forum_scorer_model.json", scorer.model.to_payload())
     calibration = dataclasses.asdict(scorer.calibration) if scorer.calibration else None
     _print(
         f"simulate: {len(ledger)} rounds, strategy {config.strategy_g}, "
@@ -406,7 +396,6 @@ def _run_full_info(run_args: dict, out_dir: Path, manifest: str) -> dict:
         )
         write_ledger_csv(ledger, out_dir / f"ledger_{name}.csv", manifest_hash=manifest)
         totals[name] = {"cum_u_g": ledger.total_u_g, "cum_u_f": ledger.total_u_f}
-        log.info("full-info %s: u_g %.3f u_f %.3f", name, ledger.total_u_g, ledger.total_u_f)
     _print(
         f"full-info: {', '.join(run_args['heuristics'])} over "
         f"{run_args['rounds']} rounds -> {out_dir}"
@@ -442,6 +431,9 @@ def _run_eurr(run_args: dict, out_dir: Path | None, manifest: str | None) -> Non
 
 
 def _parse_value(raw: str, where: str):
+    # int(), float() and Fraction() also take "1_0" and other scripts' digits
+    if not raw.isascii() or "_" in raw:
+        raise ConfigError(f"{where}: value {raw!r} is not a number")
     raw = raw.strip()
     try:
         return int(raw)
@@ -459,7 +451,7 @@ def _parse_value(raw: str, where: str):
 
 
 def _cmd_oracle(args: argparse.Namespace) -> None:
-    with open(args.items, newline="") as fh:
+    with open(args.items, newline="", encoding="utf-8") as fh:
         # a short row's missing values read as "", which is not a number
         reader = csv.DictReader(fh, restval="")
         if reader.fieldnames is None or not {"f", "g"} <= set(reader.fieldnames):
@@ -506,7 +498,7 @@ def _run_analyze(run_args: dict, out_dir: Path, manifest: str) -> dict:
         "std_rho": report.std_rho,
         "rows": [
             {
-                "utility": row.utility,
+                "utility": "u_g",
                 "domain": row.domain,
                 "n": row.result.n,
                 "rho": row.result.rho,
@@ -688,11 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("PUBGAME_LOG", "WARNING").upper()
-    logging.basicConfig(
-        level=getattr(logging, level, logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

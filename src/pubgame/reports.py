@@ -21,7 +21,6 @@ from .stats import CorrelationResult, spearman, weekly_ttest
 
 @dataclass(frozen=True)
 class MisalignmentRow:
-    utility: str
     domain: str
     result: CorrelationResult
 
@@ -68,7 +67,7 @@ def misalignment_report(dataset: Dataset) -> MisalignmentReport:
         except ValueError:
             skipped.append(label)
             continue
-        rows.append(MisalignmentRow(utility="u_g", domain=domain, result=result))
+        rows.append(MisalignmentRow(domain=domain, result=result))
     if not rows:
         raise ConfigError("no group had enough points to correlate")
     # left-to-right sums from 0.0: sum() of floats compensates from Python 3.12
@@ -152,7 +151,7 @@ def asymmetric_table(
 def misalignment_table(report: MisalignmentReport) -> ResultsTable:
     rows = [
         (
-            row.utility,
+            "u_g",
             row.domain,
             str(row.result.n),
             f"{row.result.rho:.3f}",

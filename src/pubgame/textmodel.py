@@ -18,20 +18,18 @@ column once.  ``fit``, ``transform``, ``predict_proba`` and
 a new table on entry.
 
 The recipe is fixed by the module constants ``MIN_TOKEN_LEN``, ``MIN_DF``
-and ``ALPHA``.  :meth:`AcceptanceModel.save` writes a model as a small
-versioned JSON text that records its format, version and recipe and, for
-a trained model, the vocabulary in column order, the idf weights, the
-class log priors and the per-class feature log-likelihoods.  It is a
-record of the run; nothing reads it back.
+and ``ALPHA``.  :meth:`AcceptanceModel.to_payload` is a model as JSON
+recording its format, version and recipe and, if trained, the vocabulary
+in column order, the idf weights, the class log priors and the per-class
+feature log-likelihoods.  ``simulate`` writes it as
+``forum_scorer_model.json``, a record of the run; nothing reads it back.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import weakref
 from itertools import islice, repeat
-from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -345,11 +343,6 @@ class AcceptanceModel:
                 [float(v) for v in row] for row in self.feature_log_lik
             ]
         return payload
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_payload(), indent=2, sort_keys=True) + "\n"
-        )
 
 
 def train_acceptance(

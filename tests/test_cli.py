@@ -1,16 +1,22 @@
 """End-to-end and unit coverage for the command line interface."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pubgame
 from pubgame.cli import (
@@ -666,13 +672,80 @@ def test_validate_accepts_integral_jsonl_float_view_count(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("ok: 1 questions")
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1/0", "abc"])
+# one "name:count" of validate's domain list: a quoted name is a JSON
+# string, a bare one holds no colon or quote
+_DOMAIN_ITEM = re.compile(r'("(?:[^"\\]|\\.)*"|[^":]*):([0-9]+)(, |$)')
+
+
+def read_domain_list(line: str) -> tuple[dict[str, int], set[str]]:
+    """The domains and counts of validate's line, read back, and the
+    domains that were quoted."""
+    match = re.fullmatch(r"ok: [0-9]+ questions, [0-9]+ weeks, domains (.*)\n", line)
+    assert match, line
+    listed, counts, quoted, pos = match[1], {}, set(), 0
+    while True:
+        item = _DOMAIN_ITEM.match(listed, pos)
+        assert item, listed[pos:]
+        name = item[1]
+        if name.startswith('"'):
+            name = json.loads(name)
+            quoted.add(name)
+        assert name not in counts
+        counts[name], pos = int(item[2]), item.end()
+        if not item[3]:
+            assert pos == len(listed)
+            return counts, quoted
+
+
+_DOMAIN_CHARS = st.sampled_from(list(',:" \\ab')) | st.characters(codec="utf-8")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.text(_DOMAIN_CHARS, min_size=1, max_size=6).filter(str.isprintable),
+        min_size=1, max_size=5, unique=True,
+    )
+)
+@example(["a, b:3", "x"])
+@example(["a,b", 'say "hi"', " lead", "trail ", "caf\u00e9", "back\\slash"])
+def test_validate_domain_list_reads_back(domains):
+    # a domain is quoted where a comma, colon or quote or an end space
+    # could misread the list, and only there, so existing lists keep
+    # their bytes
+    records = [
+        {
+            "id": f"q{i}-{j}", "timestamp": "2024-01-01T00:00:00", "domain": domain,
+            "title": "t", "body": "b", "view_count": j, "u_g": 1.0,
+        }
+        for i, domain in enumerate(domains)
+        for j in range(i + 1)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.jsonl"
+        path.write_text(
+            "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8"
+        )
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["validate", "--data", str(path)]) == 0
+    counts, quoted = read_domain_list(out.getvalue())
+    assert counts == {domain: i + 1 for i, domain in enumerate(domains)}
+    assert quoted == {d for d in domains if d != d.strip() or set(d) & set(',:"')}
+
+
+# int(), float() and Fraction() take an underscore and other scripts'
+# digits (Arabic-Indic three, fullwidth five); the oracle does not
+NOT_NUMBERS = ("1/0", "abc", "1_0", "\u0663", "\uff15", "1/2_0", "1.5_0")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", *NOT_NUMBERS])
 def test_oracle_command_rejects_non_finite_values(tmp_path, capsys, value):
     items = tmp_path / "items.csv"
-    items.write_text(f"f,g\n3,1\n1,{value}\n")
+    items.write_text(f"f,g\n3,1\n1,{value}\n", encoding="utf-8")
     assert main(["oracle", "--items", str(items), "--k", "1"]) == 1
     err = capsys.readouterr().err
-    problem = "is not a number" if value in ("1/0", "abc") else "is not finite"
+    problem = "is not a number" if value in NOT_NUMBERS else "is not finite"
     assert f"items.csv line 3: value {value!r} {problem}" in err
 
 
@@ -974,6 +1047,26 @@ def ascii_locale_child(*args, **env):
     )
 
 
+def test_runs_report_through_their_files_alone(pipeline, tmp_path):
+    # a run reports through its files and stdout alone: its stderr stays
+    # empty with PUBGAME_LOG set
+    _, data, _, _ = pipeline
+    src = str(Path(pubgame.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PUBGAME_LOG": "DEBUG"}
+    for command, flags in (
+        ("simulate", ["--m-cap", "6", "--k-cap", "3"]),
+        ("full-info", ["--k", "3"]),
+    ):
+        child = subprocess.run(
+            [sys.executable, "-m", "pubgame.cli", command, "--data", str(data),
+             "--pretrain-weeks", "4", "--rounds", "3", *flags,
+             "--out-dir", str(tmp_path / command)],
+            env=env, capture_output=True, encoding="utf-8", timeout=120,
+        )
+        assert (child.returncode, child.stderr) == (0, "")
+        assert child.stdout.endswith(f"-> {tmp_path / command}\n")
+
+
 def write_accented(path, domains=("café", "naïve")):
     """Twelve records over three weeks, taking ``domains`` in turn."""
     records = [
@@ -1008,7 +1101,7 @@ def test_dataset_files_are_utf8_whatever_the_locale(tmp_path, fmt):
     )
     assert validate.stderr == ""
     assert validate.stdout == (
-        'ok: 12 questions, 3 weeks, domains a,b:3, café:3, naïve:3, say "hi":3\n'
+        'ok: 12 questions, 3 weeks, domains "a,b":3, café:3, naïve:3, "say \\"hi\\"":3\n'
     )
     out = tmp_path / "analyze"
     analyze = ascii_locale_child(

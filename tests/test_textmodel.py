@@ -20,6 +20,7 @@ from pubgame import (
     train_acceptance,
 )
 from pubgame import textmodel
+from pubgame.cli import _write_json
 from pubgame.textmodel import MODEL_FORMAT, MODEL_VERSION
 
 from helpers import (
@@ -133,7 +134,8 @@ MODEL_V1 = Path(__file__).parent / "data" / "acceptance_model_v1.json"
 
 def test_model_file_of_earlier_build_is_saved_bit_identically(tmp_path):
     # saved, and its predictions printed with float.hex, by the build that
-    # still took the recipe as FeaturizerConfig and alpha parameters
+    # still took the recipe as FeaturizerConfig and alpha parameters; written
+    # here as simulate writes forum_scorer_model.json
     model = train_acceptance(*texts_labels(HISTORY))
     docs = ["great", "spam and stuff", "question bad", "zzz", "Great great SPAM"]
     assert [p.hex() for p in model.predict_proba(docs).tolist()] == [
@@ -143,7 +145,7 @@ def test_model_file_of_earlier_build_is_saved_bit_identically(tmp_path):
         "0x1.3333333333333p-1",
         "0x1.8e737576a44c4p-1",
     ]
-    model.save(tmp_path / "trained.json")
+    _write_json(tmp_path / "trained.json", model.to_payload())
     assert (tmp_path / "trained.json").read_bytes() == MODEL_V1.read_bytes()
 
 
@@ -153,7 +155,7 @@ def test_saved_model_file_holds_the_model_fields(tmp_path, trained):
     model = model if trained else AcceptanceModel()
     assert model.trained is trained
     path = tmp_path / "model.json"
-    model.save(path)
+    _write_json(path, model.to_payload())
     payload = json.loads(path.read_text())
 
     want = {
