@@ -15,6 +15,7 @@ whether it comes from a flag, a configuration file or a manifest.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
 import dataclasses
 import hashlib
@@ -31,6 +32,7 @@ from .core import STRATEGIES_G, GameConfig
 from .data import (
     Dataset,
     SyntheticSpec,
+    _is_number_text,
     generate_synthetic,
     ingest,
     split_pretrain,
@@ -70,6 +72,16 @@ def _parse_names(raw: str) -> list[str]:
 
 def _resolved(path: str) -> str:
     return str(Path(path).resolve())
+
+
+def _number(parse: Callable[[str], Any]) -> Callable[[str], Any]:
+    """``parse`` (int or float), for a text that ``_is_number_text`` passes."""
+    def read(raw: str):
+        if not _is_number_text(raw):
+            raise ValueError(f"{raw!r} is not a number")
+        return parse(raw)
+    read.__name__ = parse.__name__  # argparse names the type by it
+    return read
 
 
 def _typed(kinds: tuple[type, ...], noun: str) -> Callable[[str, Any, dict], None]:
@@ -161,18 +173,18 @@ RUN_VALUES = {
     ),
     "asym_dir": RunValue("--asym-dir", _resolved, _STR, config=False, help="simulate run dir"),
     "full_dir": RunValue("--full-dir", _resolved, _STR, config=False, help="full-info run dir"),
-    "pretrain_weeks": RunValue("--pretrain-weeks", int, _INT, 13),
-    "m_cap": RunValue("--m-cap", int, _INT, GameConfig.m_cap),
-    "k_cap": RunValue("--k-cap", int, _INT, GameConfig.k_cap),
-    "rounds": RunValue("--rounds", int, _INT, GameConfig.rounds),
-    "retrain_period": RunValue("--retrain-period", int, _INT, GameConfig.retrain_period),
+    "pretrain_weeks": RunValue("--pretrain-weeks", _number(int), _INT, 13),
+    "m_cap": RunValue("--m-cap", _number(int), _INT, GameConfig.m_cap),
+    "k_cap": RunValue("--k-cap", _number(int), _INT, GameConfig.k_cap),
+    "rounds": RunValue("--rounds", _number(int), _INT, GameConfig.rounds),
+    "retrain_period": RunValue("--retrain-period", _number(int), _INT, GameConfig.retrain_period),
     "theta": RunValue(
-        "--theta", float, _check_theta, None, help="override the calibrated threshold"
+        "--theta", _number(float), _check_theta, None, help="override the calibrated threshold"
     ),
-    "seed": RunValue("--seed", int, _INT, GameConfig.seed),
+    "seed": RunValue("--seed", _number(int), _INT, GameConfig.seed),
     "strategy_g": RunValue("--strategy", str, _STR, GameConfig.strategy_g, choices=STRATEGIES_G),
     "scorer_f": RunValue("--scorer", str, _check_scorer, "text", choices=SCORER_KINDS),
-    "k": RunValue("--k", int, _check_k, GameConfig.k_cap, help="selection size per week"),
+    "k": RunValue("--k", _number(int), _check_k, GameConfig.k_cap, help="selection size per week"),
     "heuristics": RunValue(
         "--heuristics", _parse_names, _check_heuristics, list(HEURISTICS),
         help=f"comma list from: {', '.join(HEURISTICS)} (default all)",
@@ -180,20 +192,22 @@ RUN_VALUES = {
     "paired": RunValue(
         "--welch", None, _BOOL, True, config=False, help="Welch t-tests (default: paired)"
     ),
-    "alpha": RunValue("--alpha", float, _check_alpha, 0.01, config=False),
+    "alpha": RunValue("--alpha", _number(float), _check_alpha, 0.01, config=False),
     # generate and oracle only
     "out": RunValue("--out", str, _STR, help="output JSONL path"),
-    "weeks": RunValue("--weeks", int, _INT),
-    "per_week": RunValue("--per-week", int, _INT),
+    "weeks": RunValue("--weeks", _number(int), _INT),
+    "per_week": RunValue("--per-week", _number(int), _INT),
     "rho": RunValue(
-        "--rho", float, _FLOAT, 0.0, help="target Spearman correlation between views and utility"
+        "--rho", _number(float), _FLOAT, 0.0,
+        help="target Spearman correlation between views and utility",
     ),
     "topic_effect": RunValue(
-        "--topic-effect", float, _FLOAT, 0.0, help="latent view shift between the two topics"
+        "--topic-effect", _number(float), _FLOAT, 0.0,
+        help="latent view shift between the two topics",
     ),
     "items": RunValue("--items", str, _STR, help="CSV with columns f, g"),
     "budget": RunValue(
-        "--budget", int, _INT, DEFAULT_ENUMERATION_BUDGET, help="max subsets to enumerate"
+        "--budget", _number(int), _INT, DEFAULT_ENUMERATION_BUDGET, help="max subsets to enumerate"
     ),
 }
 
@@ -232,10 +246,6 @@ def read_config(path: str | Path, command: str) -> dict:
     return values
 
 
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def _sha256_file(path: str | Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -246,7 +256,8 @@ def _sha256_file(path: str | Path) -> str:
 
 def _manifest_hash(payload: dict) -> str:
     trimmed = {k: v for k, v in payload.items() if k != "manifest_hash"}
-    return hashlib.sha256(_canonical_json(trimmed).encode()).hexdigest()[:16]
+    canonical = json.dumps(trimmed, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 def _write_json(path: Path, obj) -> None:
@@ -272,12 +283,6 @@ def _manifest(command: str, run_args: dict, data_path: str | None) -> dict:
     }
     payload["manifest_hash"] = _manifest_hash(payload)
     return payload
-
-
-def write_manifest(out_dir: Path, command: str, run_args: dict, data_path: str | None) -> str:
-    payload = _manifest(command, run_args, data_path)
-    _write_json(out_dir / "manifest.json", payload)
-    return payload["manifest_hash"]
 
 
 def _read_json(path: str | Path):
@@ -320,37 +325,32 @@ def _load_split(run_args: dict) -> tuple[Dataset, Dataset, Dataset]:
     return split_pretrain(dataset, run_args["pretrain_weeks"])
 
 
-def _build_scorer(run_args: dict, train: Dataset, val: Dataset):
-    theta = run_args["theta"]
-    if run_args["scorer_f"] == "text":
-        return train_text_scorer(train.pools, val.pools, theta=theta)
-    return make_precomputed_scorer(val.pools, theta=theta)
-
-
 # ---------------------------------------------------------------- commands
 
 
 def _cmd_validate(args: argparse.Namespace) -> None:
-    meta = ingest(args.data, args.format).metadata
+    dataset = ingest(args.data, args.format)
+    # where stdout's encoding is not Unicode, _print may write escapes: a
+    # name holding a backslash or a character the encoding lacks is an
+    # ASCII JSON string there
+    encoding = sys.stdout.encoding
+    escapes = encoding is not None and not codecs.lookup(encoding).name.startswith("utf")
     domains = []
-    for name, count in sorted(meta["domains"].items()):
+    for name, count in sorted(dataset.metadata["domains"].items()):
+        lacks = escapes and name.encode(encoding, "ignore").decode(encoding) != name
+        if lacks or (escapes and "\\" in name):
+            name = json.dumps(name)
         # a JSON string where a comma, colon, quote or end space could
         # misread the list; bare otherwise
-        if name != name.strip() or set(name) & set(',:"'):
+        elif name != name.strip() or set(name) & set(',:"'):
             name = json.dumps(name, ensure_ascii=False)
         domains.append(f"{name}:{count}")
-    counts = f"{meta['n_questions']} questions, {meta['n_weeks']} weeks"
+    counts = f"{dataset.metadata['n_questions']} questions, {dataset.n_weeks} weeks"
     _print(f"ok: {counts}, domains {', '.join(domains)}")
 
 
 def _cmd_generate(args: argparse.Namespace) -> None:
-    spec = SyntheticSpec(
-        weeks=args.weeks,
-        questions_per_week=args.per_week,
-        utility_correlation=args.rho,
-        topic_effect=args.topic_effect,
-        seed=args.seed,
-    )
+    spec = SyntheticSpec(args.weeks, args.per_week, args.rho, args.topic_effect, args.seed)
     dataset = generate_synthetic(spec)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -364,7 +364,11 @@ def _cmd_generate(args: argparse.Namespace) -> None:
 def _run_simulate(run_args: dict, out_dir: Path, manifest: str) -> dict:
     config = GameConfig(**{f.name: run_args[f.name] for f in dataclasses.fields(GameConfig)})
     train, val, sim = _load_split(run_args)
-    scorer = _build_scorer(run_args, train, val)
+    theta = run_args["theta"]
+    if run_args["scorer_f"] == "text":
+        scorer = train_text_scorer(train.pools, val.pools, theta=theta)
+    else:
+        scorer = make_precomputed_scorer(val.pools, theta=theta)
     ledger = run_asymmetric(sim, config, scorer)
 
     write_ledger_csv(ledger, out_dir / "ledger.csv", manifest_hash=manifest)
@@ -431,8 +435,7 @@ def _run_eurr(run_args: dict, out_dir: Path | None, manifest: str | None) -> Non
 
 
 def _parse_value(raw: str, where: str):
-    # int(), float() and Fraction() also take "1_0" and other scripts' digits
-    if not raw.isascii() or "_" in raw:
+    if not _is_number_text(raw):
         raise ConfigError(f"{where}: value {raw!r} is not a number")
     raw = raw.strip()
     try:

@@ -38,6 +38,7 @@ _required = itemgetter(*REQUIRED_FIELDS)
 _MAX_VIEWS = int(sys.float_info.max)
 # the longest repr of a refused value that a message echoes whole
 _ECHO_CHARS = 40
+_SUFFIX_FORMATS = {".jsonl": "jsonl", ".ndjson": "jsonl", ".csv": "csv"}
 
 # synthetic marginals and text mixture; view spread is deliberately much
 # heavier than utility spread so per-item products are view-dominated,
@@ -56,10 +57,10 @@ _SYNTH_EPOCH = datetime(2024, 1, 1, 12)  # noon on a Monday, ISO week 2024-W01
 
 @dataclass(frozen=True)
 class Dataset:
-    """Ordered weekly pools, plus bookkeeping.  Week t is ``pools[t]``.
+    """Ordered weekly pools.  Week t is ``pools[t]``.
 
-    ``metadata`` records where the pools came from; it takes no part
-    in equality.
+    ``metadata`` holds the counts its readers ask for (``n_questions``,
+    ``domains``, ``zero_view_weeks``); it takes no part in equality.
     """
 
     pools: tuple[RoundPool, ...]
@@ -110,10 +111,15 @@ def _echo(value) -> str:
     return f"{text[:_ECHO_CHARS]}... ({len(text)} characters)"
 
 
+def _is_number_text(raw: str) -> bool:
+    # int(), float() and Fraction() also take "1_0" and other scripts' digits
+    return raw.isascii() and "_" not in raw
+
+
 def _finite(raw, name: str) -> float:
     try:
         # float(True) is 1.0: a JSON boolean is not a number here
-        if isinstance(raw, bool):
+        if isinstance(raw, bool) or (isinstance(raw, str) and not _is_number_text(raw)):
             raise TypeError
         value = float(raw)
     except (TypeError, ValueError):
@@ -236,15 +242,9 @@ def ingest(path: str | Path, fmt: str | None = None) -> Dataset:
     """
     path = Path(path)
     if fmt is None:
-        suffix = path.suffix.lower()
-        if suffix in (".jsonl", ".ndjson"):
-            fmt = "jsonl"
-        elif suffix == ".csv":
-            fmt = "csv"
-        else:
-            raise ConfigError(
-                f"cannot infer format from {path.name!r}; pass jsonl or csv"
-            )
+        fmt = _SUFFIX_FORMATS.get(path.suffix.lower())
+        if fmt is None:
+            raise ConfigError(f"cannot infer format from {path.name!r}; pass jsonl or csv")
     if fmt not in ("jsonl", "csv"):
         raise ConfigError(f"unknown dataset format {fmt!r}; expected jsonl or csv")
 
@@ -266,11 +266,11 @@ def ingest(path: str | Path, fmt: str | None = None) -> Dataset:
             )
         if qid in seen:
             raise SchemaError(f"duplicate question id {_echo(qid)}")
-        # naive and offset-aware datetimes do not compare, so one file
-        # holds one kind; fromisoformat gives an offset with any tzinfo
+        # a file holds one clock: every timestamp carries a UTC offset or
+        # none does; fromisoformat gives an offset with any tzinfo
         aware = stamp.tzinfo is not None
         if not seen:
-            first_line, first_aware, first, last = lineno, aware, stamp, stamp
+            first_line, first_aware = lineno, aware
         elif aware != first_aware:
             kinds = ("naive", "offset-aware")
             raise SchemaError(
@@ -278,34 +278,20 @@ def ingest(path: str | Path, fmt: str | None = None) -> Dataset:
                 f"{path.name} line {first_line}'s is {kinds[first_aware]}; use "
                 f"one timestamp kind per file"
             )
-        # strict comparisons keep the earliest-read of equal instants
-        elif stamp < first:
-            first = stamp
-        elif stamp > last:
-            last = stamp
         seen.add(qid)
         by_week.setdefault(stamp.isocalendar()[:2], []).append(fields)
         per_domain[domain] = per_domain.get(domain, 0) + 1
     if not seen:
         raise SchemaError(f"{path.name}: no records")
 
-    week_keys = sorted(by_week)
     pools = []
-    for key in week_keys:
+    for key in sorted(by_week):
         # a week's fields are dropped as its columns are built
         ids, domains, titles, bodies, views, u_g, scores = zip(*by_week.pop(key))
         pools.append(
             RoundPool(ids, domains, titles, bodies, views, u_g, set_utility(views), scores)
         )
-    metadata = {
-        "source": str(path),
-        "format": fmt,
-        "n_questions": len(seen),
-        "n_weeks": len(pools),
-        "domains": per_domain,
-        "span": [first.isoformat(), last.isoformat()],
-        "iso_weeks": [list(k) for k in week_keys],
-    }
+    metadata = {"n_questions": len(seen), "domains": per_domain}
     return Dataset(pools=tuple(pools), metadata=metadata)
 
 
@@ -327,7 +313,7 @@ def split_pretrain(dataset: Dataset, weeks: int) -> tuple[Dataset, Dataset, Data
     The first ``weeks`` pools form the pretraining window; its last
     ceil(20%) weeks are held out for threshold calibration.  Remaining
     pools are the simulation window.  Each split holds the dataset's own
-    pools; their weeks in the dataset land in metadata["source_weeks"].
+    pool objects, in order, and no metadata.
     """
     if weeks < 2:
         raise ConfigError("pretraining window needs at least 2 weeks (train + val)")
@@ -338,18 +324,8 @@ def split_pretrain(dataset: Dataset, weeks: int) -> tuple[Dataset, Dataset, Data
         )
     n_val = -(-weeks // 5)  # ceil(0.2 * weeks)
     n_train = weeks - n_val
-
-    parent = dataset.metadata.get("source")
-
-    def cut(lo: int, hi: int, name: str) -> Dataset:
-        meta = {"split": name, "source_weeks": list(range(lo, hi)), "parent": parent}
-        return Dataset(dataset.pools[lo:hi], meta)
-
-    return (
-        cut(0, n_train, "train"),
-        cut(n_train, weeks, "validation"),
-        cut(weeks, dataset.n_weeks, "simulation"),
-    )
+    pools = dataset.pools
+    return Dataset(pools[:n_train]), Dataset(pools[n_train:weeks]), Dataset(pools[weeks:])
 
 
 # topic 0 words, then topic 1 words, then topic-neutral filler
@@ -429,13 +405,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         columns = (("synthetic",) * q, titles, bodies, views.tolist(), u_g, set_utility(views))
         pools.append(RoundPool(ids, *columns))
 
-    metadata = {
-        "source": "synthetic",
-        "generator": dataclasses.asdict(spec),
-        "n_questions": spec.weeks * spec.questions_per_week,
-        "n_weeks": spec.weeks,
-        "domains": {"synthetic": spec.weeks * spec.questions_per_week},
-    }
+    metadata = {"n_questions": spec.weeks * spec.questions_per_week}
     return Dataset(pools=tuple(pools), metadata=metadata)
 
 

@@ -459,6 +459,10 @@ def _ref_finite(raw, name: str, where: str) -> float:
         # float(True) is 1.0: a JSON boolean is not a number here
         if isinstance(raw, bool):
             raise TypeError
+        # float() also takes "1_0" and other scripts' digits; a text
+        # number here is ASCII without an underscore
+        if isinstance(raw, str) and (not raw.isascii() or "_" in raw):
+            raise ValueError
         value = float(raw)
     except (TypeError, ValueError):
         raise SchemaError(f"{where}: {name} {_ref_echo(raw)} is not a number")
@@ -589,7 +593,7 @@ def ref_ingest(path: str | Path, fmt: str | None = None) -> tuple[list, dict]:
         # holds one kind
         aware = stamp.utcoffset() is not None
         if not seen:
-            first_where, first_aware, first, last = where, aware, stamp, stamp
+            first_where, first_aware = where, aware
         elif aware != first_aware:
             kinds = ("naive", "offset-aware")
             raise SchemaError(
@@ -597,29 +601,17 @@ def ref_ingest(path: str | Path, fmt: str | None = None) -> tuple[list, dict]:
                 f"{kinds[first_aware]}; use one timestamp kind per file"
             )
         seen.add(qid)
-        # min and max keep the earliest-read of equal instants
-        first, last = min(first, stamp), max(last, stamp)
         by_week.setdefault(stamp.isocalendar()[:2], []).append(fields)
         domains[domain] = domains.get(domain, 0) + 1
     if not seen:
         raise SchemaError(f"{path.name}: no records")
 
-    week_keys = sorted(by_week)
     pools = []
-    for key in week_keys:
+    for key in sorted(by_week):
         rows = by_week.pop(key)
         top = float(max(row[4] for row in rows))
         pools.append([(*row[:6], row[4] / top if top > 0 else 0.0, row[6]) for row in rows])
-    metadata = {
-        "source": str(path),
-        "format": fmt,
-        "n_questions": len(seen),
-        "n_weeks": len(pools),
-        "domains": domains,
-        "span": [first.isoformat(), last.isoformat()],
-        "iso_weeks": [list(k) for k in week_keys],
-    }
-    return pools, metadata
+    return pools, {"n_questions": len(seen), "domains": domains}
 
 
 # ---------------------------------------------------------------- game

@@ -26,8 +26,9 @@ from pubgame.cli import (
     build_parser,
     load_manifest,
     main,
+    _manifest,
+    _write_json,
     read_config,
-    write_manifest,
 )
 from pubgame.engine import read_ledger_csv
 from pubgame.errors import ConfigError
@@ -410,7 +411,7 @@ def test_a_run_that_fails_after_its_checks_leaves_no_manifest(pipeline, tmp_path
     assert main([*args, "--scorer", "text", "--out-dir", str(recorded)]) == 0
     edited = json.loads((recorded / "manifest.json").read_text())["args"]
     edited["scorer_f"] = "precomputed"
-    write_manifest(recorded, "simulate", edited, str(data))
+    _write_json(recorded / "manifest.json", _manifest("simulate", edited, str(data)))
     capsys.readouterr()
     assert main(["simulate", "--manifest", str(recorded / "manifest.json"), "--out-dir", str(rerun)]) == 1
     assert capsys.readouterr().err == err
@@ -455,6 +456,37 @@ def test_precomputed_scorer_takes_theta_on_its_own_scale(pipeline, tmp_path):
     assert summary["theta"] == 50.0
 
 
+@pytest.mark.parametrize("value", ["1_0", "\u0663", "\uff15", "1_0.5"])
+@pytest.mark.parametrize("key", ["rounds", "theta"])
+def test_read_config_reads_numbers_in_ascii_alone(tmp_path, key, value):
+    # int() and float() read "1_0" as 10 and other scripts' digits as theirs
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    message = f"line 1: bad value for {key}: '{value}' is not a number$"
+    with pytest.raises(ConfigError, match=message):
+        read_config(cfg, "simulate")
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, kind",
+    [
+        ("full-info", "--rounds", "\u0663", "int"),
+        ("full-info", "--k", "1_0", "int"),
+        ("simulate", "--seed", "\uff15", "int"),
+        ("simulate", "--theta", "0.\u0665", "float"),
+        ("report", "--alpha", "0.0_5", "float"),
+    ],
+)
+def test_run_flags_read_numbers_in_ascii_alone(tmp_path, capsys, command, flag, value, kind):
+    # argparse refuses the flag before any file is read or written
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, value, "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid {kind} value: {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_read_config_rejects_bad_value_and_missing_equals(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("m_cap = many\n")
@@ -468,7 +500,7 @@ def test_read_config_rejects_bad_value_and_missing_equals(tmp_path):
 def test_load_manifest_validation_paths(tmp_path):
     out = tmp_path / "run"
     out.mkdir()
-    write_manifest(out, "simulate", {"rounds": 2}, None)
+    _write_json(out / "manifest.json", _manifest("simulate", {"rounds": 2}, None))
     path = out / "manifest.json"
     assert load_manifest(path, "simulate")["args"] == {"rounds": 2}
 
@@ -539,7 +571,7 @@ def test_manifest_without_the_run_keys_is_refused(tmp_path, capsys, command, mis
     out = tmp_path / "run"
     out.mkdir()
     # a valid hash over arguments another build or a hand edit left short
-    write_manifest(out, command, {"rounds": 2}, None)
+    _write_json(out / "manifest.json", _manifest(command, {"rounds": 2}, None))
     path = out / "manifest.json"
     rc = main([command, "--manifest", str(path), "--out-dir", str(tmp_path / "x")])
     assert rc == 1
@@ -553,7 +585,7 @@ def test_manifest_without_the_run_keys_is_refused(tmp_path, capsys, command, mis
 def test_manifest_args_that_are_not_an_object_are_refused(tmp_path, capsys, args):
     out = tmp_path / "run"
     out.mkdir()
-    write_manifest(out, "simulate", args, None)
+    _write_json(out / "manifest.json", _manifest("simulate", args, None))
     path = out / "manifest.json"
     with pytest.raises(ConfigError, match="manifest 'args' is not an object"):
         load_manifest(path, "simulate")
@@ -577,7 +609,8 @@ def test_report_refuses_alpha_outside_the_unit_interval(tmp_path, capsys, alpha)
 
     out = tmp_path / "run"
     out.mkdir()
-    write_manifest(out, "report", {**dirs, "paired": True, "alpha": float(alpha)}, None)
+    args = {**dirs, "paired": True, "alpha": float(alpha)}
+    _write_json(out / "manifest.json", _manifest("report", args, None))
     rc = main(["report", "--manifest", str(out / "manifest.json"), "--out-dir", str(tmp_path / "m")])
     assert rc == 1
     assert capsys.readouterr().err == message
@@ -588,7 +621,7 @@ def test_load_manifest_detects_changed_data_file(tmp_path):
     data.write_text("{}\n")
     out = tmp_path / "run"
     out.mkdir()
-    write_manifest(out, "simulate", {"data": str(data)}, str(data))
+    _write_json(out / "manifest.json", _manifest("simulate", {"data": str(data)}, str(data)))
     with data.open("a") as fh:
         fh.write("\n")
     with pytest.raises(ConfigError, match="changed since the recorded run"):
@@ -622,12 +655,16 @@ CSV_HEADER = "id,timestamp,domain,title,body,view_count,u_g,forum_score\n"
         ("c2,2024-01-02T00:00:00,dba,t,b,7,nan,0.5", "u_g 'nan' is not a finite"),
         ("c2,2024-01-02T00:00:00,dba,t,b,7,inf,0.5", "u_g 'inf' is not a finite"),
         ("c2,2024-01-02T00:00:00,dba,t,b,7,2.5,inf", "forum_score 'inf' is not a finite"),
+        # float() reads these as 10 and 3
+        ("c2,2024-01-02T00:00:00,dba,t,b,7,1_0,0.5", "u_g '1_0' is not a number"),
+        ("c2,2024-01-02T00:00:00,dba,t,b,7,\u0663,0.5", "u_g '\u0663' is not a number"),
         ("c2,2024-01-02T00:00:00+01:00,dba,t,b,7,2.5,", "timestamp is offset-aware"),
     ],
 )
 def test_validate_rejects_bad_csv_values(tmp_path, capsys, row, message):
     path = tmp_path / "data.csv"
-    path.write_text(CSV_HEADER + "c1,2024-01-01T00:00:00,dba,t,b,5,1.5,0.25\n" + row + "\n")
+    text = CSV_HEADER + "c1,2024-01-01T00:00:00,dba,t,b,5,1.5,0.25\n" + row + "\n"
+    path.write_text(text, encoding="utf-8")
     assert main(["validate", "--data", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: data.csv line 3: ")
@@ -817,7 +854,7 @@ def test_full_info_refuses_unusable_manifest_args_before_writing(pipeline, tmp_p
     recorded = json.loads((full / "manifest.json").read_text())["args"]
     run = tmp_path / "run"
     run.mkdir()
-    write_manifest(run, "full-info", {**recorded, **edit}, str(data))
+    _write_json(run / "manifest.json", _manifest("full-info", {**recorded, **edit}, str(data)))
     out = tmp_path / "x"
     rc = main(["full-info", "--manifest", str(run / "manifest.json"), "--out-dir", str(out)])
     assert rc == 1
@@ -1032,10 +1069,10 @@ def test_simulate_summaries_are_pinned(pin_data, tmp_path, run):
     assert summary == SUMMARY_PINS[run]
 
 
-def ascii_locale_child(*args, **env):
+def ascii_locale_child(*args, read_as="utf-8", **env):
     """Run python with ``args`` in a child whose locale encoding is ASCII:
     no UTF-8 mode and, with LC_ALL set, no locale coercion.  ``env`` adds
-    to the child's environment only."""
+    to the child's environment only; its output is read in ``read_as``."""
     src = str(Path(pubgame.__file__).resolve().parents[1])
     child_env = {**os.environ, "LC_ALL": "C", "PYTHONPATH": src}
     child_env.pop("PYTHONUTF8", None)
@@ -1043,7 +1080,7 @@ def ascii_locale_child(*args, **env):
     child_env.update(env)
     return subprocess.run(
         [sys.executable, "-X", "utf8=0", *args], env=child_env, capture_output=True,
-        encoding="utf-8", timeout=120,
+        encoding=read_as, timeout=120,
     )
 
 
@@ -1117,12 +1154,36 @@ def test_dataset_files_are_utf8_whatever_the_locale(tmp_path, fmt):
     assert "café" in (out / "correlations.txt").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "encoding, listed",
+    [
+        ("ascii", '"caf\\\\xe9":4, "caf\\u00e9":4, "caf\\u00e9, x":4'),
+        ("utf-8", 'caf\\xe9:4, caf\u00e9:4, "caf\u00e9, x":4'),
+        ("latin-1", '"caf\\\\xe9":4, caf\u00e9:4, "caf\u00e9, x":4'),
+    ],
+)
+def test_validate_domain_list_reads_back_on_any_stdout(tmp_path, encoding, listed):
+    # a backslash is a name's own only where the stdout writes no escapes:
+    # elsewhere a name holding one, or a character the encoding lacks, is
+    # an ASCII JSON string; a name the encoding holds stays as it is
+    path = write_accented(tmp_path / "data.jsonl", ("caf\u00e9, x", "caf\u00e9", "caf\\xe9"))
+    validate = ascii_locale_child(
+        "-m", "pubgame.cli", "validate", "--data", str(path), read_as=encoding,
+        PYTHONIOENCODING=encoding,
+    )
+    assert (validate.returncode, validate.stderr) == (0, "")
+    assert validate.stdout == f"ok: 12 questions, 3 weeks, domains {listed}\n"
+    counts, _ = read_domain_list(validate.stdout)
+    assert counts == {"caf\u00e9, x": 4, "caf\u00e9": 4, "caf\\xe9": 4}
+
+
 def test_names_from_the_data_print_on_an_ascii_stdout(tmp_path):
-    # ASCII stdio too: a name the encoding lacks prints as an escape
+    # ASCII stdio too: validate lists a name the encoding lacks as an
+    # ASCII JSON string, and other commands print it with escapes
     path = write_accented(tmp_path / "data.jsonl")
     validate = ascii_locale_child("-m", "pubgame.cli", "validate", "--data", str(path))
     assert (validate.returncode, validate.stderr) == (0, "")
-    assert validate.stdout == "ok: 12 questions, 3 weeks, domains caf\\xe9:6, na\\xefve:6\n"
+    assert validate.stdout == 'ok: 12 questions, 3 weeks, domains "caf\\u00e9":6, "na\\u00efve":6\n'
     out = tmp_path / "analyze"
     analyze = ascii_locale_child(
         "-m", "pubgame.cli", "analyze", "--data", str(path), "--out-dir", str(out)
@@ -1186,7 +1247,7 @@ def rehashed(recorded_manifest, command, edit, run):
     payload = json.loads(recorded_manifest.read_text())
     run.mkdir()
     data = payload["args"]["data"] if payload["data_sha256"] else None
-    write_manifest(run, command, {**payload["args"], **edit}, data)
+    _write_json(run / "manifest.json", _manifest(command, {**payload["args"], **edit}, data))
     return run / "manifest.json"
 
 

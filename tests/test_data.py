@@ -70,7 +70,6 @@ def test_ingest_groups_by_iso_week(tmp_path):
     assert [p.ids for p in ds.pools] == [("r0", "r1"), ("r2",)]
     assert ds.metadata["n_questions"] == 3
     assert ds.metadata["domains"] == {"dba": 3}
-    assert ds.metadata["iso_weeks"] == [[2024, 1], [2024, 2]]
 
 
 def test_ingest_splits_iso_year_boundary(tmp_path):
@@ -161,11 +160,6 @@ def test_ingest_accepts_offset_aware_timestamps(tmp_path):
     records = [record(0, "2024-01-01T00:00:00+00:00"), record(1, "2024-01-08T09:30:00-05:00")]
     ds = ingest(write_records(tmp_path / "aware.jsonl", records))
     assert ds.n_weeks == 2
-    assert ds.metadata["span"] == ["2024-01-01T00:00:00+00:00", "2024-01-08T09:30:00-05:00"]
-    # an equal instant read later does not replace the span's end
-    records.append(record(2, "2024-01-08T15:30:00+01:00"))
-    tied = ingest(write_records(tmp_path / "tied.jsonl", records))
-    assert tied.metadata["span"] == ds.metadata["span"]
 
 
 def test_ingest_metadata_of_unordered_multi_domain_csv(tmp_path):
@@ -180,15 +174,7 @@ def test_ingest_metadata_of_unordered_multi_domain_csv(tmp_path):
         "c5,2024-01-02T09:00:00,cooking,t five,b five,9,2.0,1e-3\n"
     )
     ds = ingest(path)
-    assert ds.metadata == {
-        "source": str(path),
-        "format": "csv",
-        "n_questions": 5,
-        "n_weeks": 3,
-        "domains": {"physics": 2, "cooking": 2, "law": 1},
-        "span": ["2023-12-31T23:00:00", "2024-01-10T08:00:00"],
-        "iso_weeks": [[2023, 52], [2024, 1], [2024, 2]],
-    }
+    assert ds.metadata == {"n_questions": 5, "domains": {"physics": 2, "cooking": 2, "law": 1}}
     assert list(ds.metadata["domains"]) == ["physics", "cooking", "law"]
     assert [[q.id for q in p.questions] for p in ds.pools] == [
         ["c3"], ["c2", "c5"], ["c1", "c4"]
@@ -327,6 +313,17 @@ PINNED_ERRORS = {
         [_bad(forum_score="high")],
         "data.jsonl line 2: forum_score 'high' is not a number",
         "data.csv line 3: forum_score 'high' is not a number",
+    ),
+    # float() takes an underscore and other scripts' digits; ingest does not
+    "underscored u_g": (
+        [_bad(u_g="1_0")],
+        "data.jsonl line 2: u_g '1_0' is not a number",
+        "data.csv line 3: u_g '1_0' is not a number",
+    ),
+    "Arabic-Indic forum_score": (
+        [_bad(forum_score="\u0663")],
+        "data.jsonl line 2: forum_score '\u0663' is not a number",
+        "data.csv line 3: forum_score '\u0663' is not a number",
     ),
     "bad timestamp": (
         [_bad(ts="not a date")],
@@ -471,9 +468,12 @@ _ODD = {
          float("nan"), float("inf"), [1], 2**70]
     ),
     "u_g": st.sampled_from(
-        [None, "", float("nan"), float("inf"), -1.0, -2, True, "x", "nan", "-1", [1.0]]
+        [None, "", float("nan"), float("inf"), -1.0, -2, True, "x", "nan", "-1", [1.0],
+         "1_0", "\u0663"]
     ),
-    "forum_score": st.sampled_from(["high", float("nan"), float("-inf"), True, "inf", {}]),
+    "forum_score": st.sampled_from(
+        ["high", float("nan"), float("-inf"), True, "inf", {}, "1_0", "\uff15"]
+    ),
 }
 
 
@@ -627,11 +627,10 @@ def test_split_pretrain_partitions_and_reindexes():
     ds = Dataset(pools=tuple(mk_pool(w, [(10, 1.0), (20, 2.0)]) for w in range(10)))
     train, val, sim = split_pretrain(ds, 5)
     assert (train.n_weeks, val.n_weeks, sim.n_weeks) == (4, 1, 5)
-    assert train.metadata["source_weeks"] == [0, 1, 2, 3]
-    assert val.metadata["source_weeks"] == [4]
-    assert sim.metadata["source_weeks"] == [5, 6, 7, 8, 9]
-    for split in (train, val, sim):
-        assert split.pools == tuple(ds.pools[w] for w in split.metadata["source_weeks"])
+    # each split holds the dataset's own pool objects, in order
+    for split, weeks in ((train, ds.pools[:4]), (val, ds.pools[4:5]), (sim, ds.pools[5:])):
+        assert len(split.pools) == len(weeks)
+        assert all(a is b for a, b in zip(split.pools, weeks))
     total = train.n_weeks + val.n_weeks + sim.n_weeks
     assert total == ds.n_weeks
 
@@ -658,6 +657,7 @@ def test_generate_synthetic_shape_and_determinism():
     ds = generate_synthetic(spec)
     assert ds.n_weeks == 4
     assert all(len(p) == 25 for p in ds.pools)
+    assert ds.metadata == {"n_questions": 100}
     ids = [q.id for q in rows(ds)]
     assert len(set(ids)) == 100
     assert all(q.domain == "synthetic" for q in rows(ds))

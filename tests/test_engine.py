@@ -384,6 +384,22 @@ def test_read_ledger_csv_takes_ascii_digits_only(tmp_path, row, message):
         read_ledger_csv(path)
 
 
+@pytest.mark.parametrize(
+    "utilities, message",
+    [
+        ("1_0,0.5,10.0,0.5", "u_g_realized '1_0' is not a number"),
+        ("1.0,\u0663,1.0,3.0", "u_f_realized '\u0663' is not a number"),
+        ("1.0,0.5,1.0,0.\uff15", "cum_u_f '0.\uff15' is not a number"),
+    ],
+)
+def test_read_ledger_csv_reads_utilities_as_ascii_numbers(tmp_path, utilities, message):
+    # float() reads "1_0" as 10 and an Arabic-Indic three as 3
+    path = tmp_path / "ledger.csv"
+    path.write_text(",".join(LEDGER_COLUMNS) + f"\n0,2,1,{utilities}\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match=f"^ledger.csv line 2: {message}$"):
+        read_ledger_csv(path)
+
+
 def test_read_ledger_csv_rejects_wrong_shape(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("week,oops\n0,1\n")
