@@ -8,7 +8,8 @@
 # analyze, a precomputed-score simulate and full-info at two k on a small
 # CSV forum, validate and analyze on a CSV whose domains hold a comma and
 # a quote (analyze checked to write a scatter.csv whose rows all read back
-# as 4 fields),
+# as 4 fields), validate and analyze on a CSV with blank rows, extra
+# trailing cells and quoted bodies that span lines,
 # a utility simulate with retrains on a CSV whose titles and bodies hold
 # characters that lower-case or encode awkwardly, the exact oracle on a
 # small items file, and the stdout of every demo.
@@ -144,6 +145,27 @@ then
     echo "$0: a data row of quoted-analyze/scatter.csv is not 4 fields" >&2
     exit 1
 fi
+
+# CSV rows that a csv writer never writes: blank rows, rows with an extra
+# trailing cell, and quoted bodies that span lines, one of them with a
+# CRLF; validate and analyze read them as the header and cells say
+run - "$out/rows.csv" <<'PY'
+import sys
+
+lines = ["id,timestamp,domain,title,body,view_count,u_g\n"]
+for n in range(24):
+    body = ('"two\nlines"', '"crlf\r\nand blank\n\nlines"', "word")[n % 3]
+    extra = ",extra" if n % 5 == 0 else ""
+    lines.append(f"r{n},2024-01-{1 + 7 * (n % 3):02d}T12:00:00,{('dba', 'gis')[n % 2]},"
+                 f"q{n},{body},{n * 37 % 101},{float(n * 13 % 17)}{extra}\n")
+    if n % 7 == 0:
+        lines.append("\n")
+with open(sys.argv[1], "w", newline="", encoding="utf-8") as fh:
+    fh.write("".join(lines))
+PY
+pubgame validate --data "$out/rows.csv" >"$out/rows-validate.txt"
+pubgame analyze --data "$out/rows.csv" --out-dir "$out/rows-analyze" \
+    >"$out/rows-analyze.txt"
 
 # titles and bodies that trip a byte-level tokenizer: the dotted capital I
 # (two characters once lower-cased), the Kelvin sign, a capital sigma, a

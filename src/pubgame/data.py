@@ -116,6 +116,14 @@ def _is_number_text(raw: str) -> bool:
     return raw.isascii() and "_" not in raw
 
 
+def _text_number(raw: str) -> float:
+    # float() of number text; other text gives NaN, which no range test passes
+    try:
+        return float(raw) if raw and _is_number_text(raw) else math.nan
+    except ValueError:
+        return math.nan
+
+
 def _finite(raw, name: str) -> float:
     try:
         # float(True) is 1.0: a JSON boolean is not a number here
@@ -131,16 +139,12 @@ def _finite(raw, name: str) -> float:
     return value
 
 
-def _read_record(rec: dict) -> tuple[datetime, tuple]:
+def _read_record(values: tuple, score) -> tuple[datetime, tuple]:
     """One record's timestamp and checked fields, in the order of a
-    pool's columns less ``u_f_norm``.  Presence is checked first;
-    then a value of the common type passes on type and range tests, and
-    any other goes through the general conversion, which may raise a
-    SchemaError (the caller adds the location)."""
-    try:
-        values = _required(rec)
-    except KeyError:
-        values = tuple(map(rec.get, REQUIRED_FIELDS))
+    pool's columns less ``u_f_norm``.  Presence is checked first; then a
+    value of the common type, or a number as text, passes on type and
+    range tests, and any other goes through the general conversion,
+    which may raise a SchemaError (the caller adds the location)."""
     # a falsy value may be present (a view count of 0): look closer
     if not all(values):
         for name, value in zip(REQUIRED_FIELDS, values):
@@ -156,14 +160,18 @@ def _read_record(rec: dict) -> tuple[datetime, tuple]:
         stamp = datetime.fromisoformat(str(raw_stamp))
     except ValueError:
         raise SchemaError(f"bad timestamp {_echo(str(raw_stamp))}; expected ISO-8601")
+    # a view count as text is ASCII digits: int() would also take signs,
+    # padding, underscores and other scripts' digits
+    if type(views) is str and views.isdigit() and views.isascii():
+        try:
+            views = int(views)
+        except ValueError:  # longer than int() reads
+            pass
     if type(views) is not int or not 0 <= views <= _MAX_VIEWS:
         try:
-            # a string counts only in ASCII digits: int() would also take
-            # signs, padding, underscores and other scripts' digits
-            if (
-                isinstance(views, bool)
-                or (isinstance(views, float) and not views.is_integer())
-                or (isinstance(views, str) and not (views.isascii() and views.isdigit()))
+            # text that int() did not read above is refused
+            if isinstance(views, (bool, str)) or (
+                isinstance(views, float) and not views.is_integer()
             ):
                 raise ValueError
             views = int(views)
@@ -173,26 +181,33 @@ def _read_record(rec: dict) -> tuple[datetime, tuple]:
             raise SchemaError("view_count must be >= 0")
         if views > _MAX_VIEWS:
             raise SchemaError(f"view_count {_echo(views)} is too large for a float")
+    if type(u_g) is str and 0.0 <= (number := _text_number(u_g)) < math.inf:
+        u_g = number
     if type(u_g) is not float or not 0.0 <= u_g < math.inf:
         u_g = _finite(u_g, "u_g")
         if u_g < 0:
             raise SchemaError("u_g must be >= 0")
-    score = rec.get("forum_score")
+    # a pool's NaN score means none: a NaN read is refused, not kept
+    if type(score) is str and -math.inf < (number := _text_number(score)) < math.inf:
+        score = number
     if score is not None and (type(score) is not float or not -math.inf < score < math.inf):
         score = None if score == "" else _finite(score, "forum_score")
     return stamp, (str(qid), str(domain), str(title), str(body), views, u_g, score)
 
 
-def _records(path: Path, fmt: str) -> Iterator[tuple[int, dict]]:
-    """The records of a UTF-8 dataset file with their line numbers, read
-    line by line.  Blank JSONL lines are skipped; CSV records are numbered
-    from 2, the header being line 1."""
+def _records(path: Path, fmt: str) -> Iterator[tuple[int, tuple, object]]:
+    """The records of a UTF-8 dataset file, read line by line: the line
+    each starts on, its values in ``REQUIRED_FIELDS`` order and its
+    forum_score, an absent field None.  Blank JSONL lines and CSV rows
+    are skipped; a CSV header names a column ingest reads once, a short
+    row lacks its missing cells and extra cells are ignored."""
     with path.open(encoding="utf-8", newline="" if fmt == "csv" else None) as fh:
         if fmt == "csv":
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise SchemaError(f"{path.name}: empty file")
-            missing = [f for f in REQUIRED_FIELDS if f not in reader.fieldnames]
+            missing = [f for f in REQUIRED_FIELDS if f not in header]
             if missing:
                 if "u_g" in missing:
                     raise SchemaError(
@@ -200,7 +215,19 @@ def _records(path: Path, fmt: str) -> Iterator[tuple[int, dict]]:
                         f"supply the column or map one via the run configuration"
                     )
                 raise SchemaError(f"{path.name}: missing columns {missing}")
-            yield from enumerate(reader, start=2)
+            for name in (*REQUIRED_FIELDS, "forum_score"):
+                if header.count(name) > 1:
+                    raise SchemaError(f"{path.name}: column {name!r} appears twice in the header")
+            pick = itemgetter(*map(header.index, REQUIRED_FIELDS))
+            score_at = header.index("forum_score") if "forum_score" in header else None
+            width = len(header)
+            start = reader.line_num + 1
+            for row in reader:
+                if row:
+                    if len(row) < width:
+                        row += [None] * (width - len(row))
+                    yield start, pick(row), None if score_at is None else row[score_at]
+                start = reader.line_num + 1
             return
         scan = json.JSONDecoder().scan_once
         for lineno, line in enumerate(fh, start=1):
@@ -225,7 +252,11 @@ def _records(path: Path, fmt: str) -> Iterator[tuple[int, dict]]:
                     )
             if not isinstance(rec, dict):
                 raise SchemaError(f"{path.name} line {lineno}: expected an object")
-            yield lineno, rec
+            try:
+                values = _required(rec)
+            except KeyError:
+                values = tuple(map(rec.get, REQUIRED_FIELDS))
+            yield lineno, values, rec.get("forum_score")
 
 
 def ingest(path: str | Path, fmt: str | None = None) -> Dataset:
@@ -234,11 +265,12 @@ def ingest(path: str | Path, fmt: str | None = None) -> Dataset:
 
     The format is inferred from the suffix unless given.  Records are
     checked in file order: the first duplicate id, missing field or
-    malformed value raises SchemaError, naming the file and line of a
-    bad record.  A domain must be printable (``str.isprintable``: no line
-    break, tab or other control or format character).  Each week's
-    columns are built once the file is read, with their curator utilities
-    set.
+    malformed value raises SchemaError, naming the file and the line a
+    bad record starts on; so does a CSV header that repeats a column
+    ingest reads, naming the file.  A domain must be printable
+    (``str.isprintable``: no line break, tab or other control or format
+    character).  Each week's columns are built once the file is read,
+    with their curator utilities set and one str per distinct domain.
     """
     path = Path(path)
     if fmt is None:
@@ -251,9 +283,9 @@ def ingest(path: str | Path, fmt: str | None = None) -> Dataset:
     by_week: dict[tuple[int, int], list[tuple]] = {}
     per_domain: dict[str, int] = {}
     seen: set[str] = set()
-    for lineno, rec in _records(path, fmt):
+    for lineno, values, score in _records(path, fmt):
         try:
-            stamp, fields = _read_record(rec)
+            stamp, fields = _read_record(values, score)
         except SchemaError as e:
             raise SchemaError(f"{path.name} line {lineno}: {e}") from None
         qid, domain = fields[0], fields[1]
@@ -284,10 +316,13 @@ def ingest(path: str | Path, fmt: str | None = None) -> Dataset:
     if not seen:
         raise SchemaError(f"{path.name}: no records")
 
+    # the pools share one str per distinct domain, the first one read
+    shared = {domain: domain for domain in per_domain}
     pools = []
     for key in sorted(by_week):
         # a week's fields are dropped as its columns are built
         ids, domains, titles, bodies, views, u_g, scores = zip(*by_week.pop(key))
+        domains = tuple(map(shared.__getitem__, domains))
         pools.append(
             RoundPool(ids, domains, titles, bodies, views, u_g, set_utility(views), scores)
         )

@@ -532,7 +532,21 @@ def _ref_read_jsonl(path: Path) -> Iterator[tuple[str, dict]]:
             yield where, rec
 
 
+def _ref_row_lines(path: Path) -> Iterator[int]:
+    """The physical line on which each non-blank CSV row after the
+    header starts, as ``csv.reader`` counts lines."""
+    with path.open(encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        start = reader.line_num + 1
+        for row in reader:
+            if row:
+                yield start
+            start = reader.line_num + 1
+
+
 def _ref_read_csv(path: Path) -> Iterator[tuple[str, dict]]:
+    """DictReader's records, each named by the line it starts on."""
     with path.open(encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -545,7 +559,11 @@ def _ref_read_csv(path: Path) -> Iterator[tuple[str, dict]]:
                     f"supply the column or map one via the run configuration"
                 )
             raise SchemaError(f"{path.name}: missing columns {missing}")
-        for lineno, row in enumerate(reader, start=2):
+        # DictReader would keep a repeated column's last cell
+        for name in (*data.REQUIRED_FIELDS, "forum_score"):
+            if reader.fieldnames.count(name) > 1:
+                raise SchemaError(f"{path.name}: column {name!r} appears twice in the header")
+        for lineno, row in zip(_ref_row_lines(path), reader, strict=True):
             yield f"{path.name} line {lineno}", row
 
 

@@ -106,6 +106,19 @@ def test_ingest_csv(tmp_path):
     assert qs[1].view_count == 7
 
 
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_ingest_shares_one_str_per_domain(tmp_path, fmt):
+    records = [
+        record(i, f"2024-01-{1 + 7 * (i % 3):02d}T00:00:00", domain=("dba", "law")[i % 2])
+        for i in range(12)
+    ]
+    ds = ingest(write_rows(tmp_path / f"data.{fmt}", records))
+    for name in ("dba", "law"):
+        first, *others = [d for pool in ds.pools for d in pool.domains if d == name]
+        assert len(others) == 5 and all(d is first for d in others)
+        assert any(key is first for key in ds.metadata["domains"])
+
+
 def test_ingest_format_inference_and_override(tmp_path):
     path = write_records(tmp_path / "data.txt", [record(0, "2024-01-01T00:00:00")])
     with pytest.raises(ConfigError):
@@ -309,6 +322,12 @@ PINNED_ERRORS = {
         "data.jsonl line 2: u_g must be >= 0",
         "data.csv line 3: u_g must be >= 0",
     ),
+    # NaN stands for an absent score in a pool, so a NaN read is refused
+    "NaN forum_score": (
+        [_bad(forum_score=float("nan"))],
+        "data.jsonl line 2: forum_score nan is not a finite number",
+        "data.csv line 3: forum_score 'nan' is not a finite number",
+    ),
     "non-numeric forum_score": (
         [_bad(forum_score="high")],
         "data.jsonl line 2: forum_score 'high' is not a number",
@@ -440,6 +459,90 @@ def test_ingest_csv_file_error_messages_are_pinned(tmp_path, text, message):
     assert str(err.value) == message
 
 
+_HEADER = "id,timestamp,domain,title,body,view_count,u_g,forum_score\n"
+_GOOD_ROW = "r0,2024-01-01T00:00:00,dba,t,b,5,1.0,0.5\n"
+
+
+# CSV shapes that DictWriter never writes, each with ingest's outcome:
+# its rows as (id, forum_score) or its SchemaError message
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        pytest.param(
+            _HEADER + _GOOD_ROW + "r1,2024-01-01T01:00:00,dba,t,b,5\n",
+            "data.csv line 3: missing proposer utility 'u_g'; supply the column or map "
+            "one via the run configuration before ingesting",
+            id="short row",
+        ),
+        pytest.param(
+            _HEADER + _GOOD_ROW + "r1,2024-01-01T01:00:00,dba,t,b,5,2.0\n",
+            [("r0", 0.5), ("r1", None)],
+            id="short row missing forum_score",
+        ),
+        pytest.param(
+            _HEADER + _GOOD_ROW + "r1,2024-01-01T01:00:00,dba,t,b,5,2.0,0.25,extra,cells\n",
+            [("r0", 0.5), ("r1", 0.25)],
+            id="extra trailing cells",
+        ),
+        pytest.param(
+            _HEADER + "\n" + _GOOD_ROW + "\r\n\n" + "r1,2024-01-01T01:00:00,dba,t,b,5,2.0,\n\n",
+            [("r0", 0.5), ("r1", None)],
+            id="blank rows",
+        ),
+        pytest.param(
+            _HEADER + _GOOD_ROW + "\n" + "r1,2024-01-01T01:00:00,dba,t,b,x,2.0,\n",
+            "data.csv line 4: view_count 'x' is not an integer",
+            id="blank row before a bad record",
+        ),
+        # a record's line is the physical line it starts on: the first
+        # record's body spans lines 2-4 and line 5 is blank
+        pytest.param(
+            _HEADER + 'r0,2024-01-01T00:00:00,dba,t,"b\nmore\nmore",5,1.0,\n'
+            + "\n" + "r1,2024-01-01T01:00:00,dba,t,b,5,oops,\n",
+            "data.csv line 6: u_g 'oops' is not a number",
+            id="multi-line body and blank row before a bad record",
+        ),
+        pytest.param(_HEADER, "data.csv: no records", id="header only"),
+        pytest.param(_HEADER + "\n\n", "data.csv: no records", id="header and blank rows"),
+        pytest.param("", "data.csv: empty file", id="empty file"),
+        pytest.param(
+            _HEADER + 'r0,2024-01-01T00:00:00,dba,t,"b\r\n\nc",5,1.0,0.5\n'
+            + "r1,2024-01-01T01:00:00,dba,t,b,5,-1,\n",
+            "data.csv line 5: u_g must be >= 0",
+            id="quoted multi-line body",
+        ),
+        # DictReader kept a repeated column's last cell
+        pytest.param(
+            "id,timestamp,domain,u_g,title,body,view_count,u_g\n"
+            "r0,2024-01-01T00:00:00,dba,1.0,t,b,5,2.0\n",
+            "data.csv: column 'u_g' appears twice in the header",
+            id="repeated u_g",
+        ),
+        pytest.param(
+            "forum_score,id,timestamp,domain,title,body,view_count,u_g,forum_score\n"
+            "0.5,r0,2024-01-01T00:00:00,dba,t,b,5,1.0,\n",
+            "data.csv: column 'forum_score' appears twice in the header",
+            id="repeated forum_score",
+        ),
+        pytest.param(
+            "id,timestamp,domain,title,body,view_count,u_g,x,x\n"
+            + 'r0,2024-01-01T00:00:00,dba,t,"b\nc",5,1.0,1,2\n',
+            [("r0", None)],
+            id="repeated column not read",
+        ),
+    ],
+)
+def test_ingest_reads_csv_shapes_as_the_reference_reader(tmp_path, text, expected):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode())
+    outcome = _ingest_outcome(_ingest_rows, path)
+    assert outcome == _ingest_outcome(ref_ingest, path)
+    if isinstance(expected, str):
+        assert outcome == ("SchemaError", expected)
+    else:
+        assert [(q.id, q.forum_score) for q in rows(ingest(path))] == expected
+
+
 _TEXT = st.text(
     st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=5
 )
@@ -478,15 +581,18 @@ _ODD = {
 
 
 @st.composite
-def _dataset_rows(draw, fmt):
+def _dataset_rows(draw, fmt, one_odd=False):
     """Rows of one dataset file: well-formed records with edge-typed
     values, and in some files records with an odd value, a missing
     field, a duplicate id or another timestamp kind; JSONL files also
-    get blank lines, padded lines and lines that are not one object."""
+    get blank lines, padded lines and lines that are not one object.
+    With ``one_odd``, the file is well formed but for one odd value."""
     aware = draw(st.booleans())
-    flawed = draw(st.booleans())
+    flawed = not one_odd and draw(st.booleans())
+    n_rows = draw(st.integers(1, 8))
+    odd_at = draw(st.integers(0, n_rows - 1)) if one_odd else None
     rows = []
-    for i in range(draw(st.integers(1, 8))):
+    for i in range(n_rows):
         # few instants, so that equal ones (in other zones) recur
         days, hours = draw(st.integers(0, 90)), draw(st.sampled_from([0, 12, 23]))
         stamp = datetime(2023, 12, 1) + timedelta(days=days, hours=hours)
@@ -503,7 +609,7 @@ def _dataset_rows(draw, fmt):
         if rec["forum_score"] is None and draw(st.booleans()):
             del rec["forum_score"]
         flaws = [None, "odd", "missing", "duplicate", "kind"] if flawed else [None]
-        flaw = draw(st.sampled_from(flaws))
+        flaw = "odd" if i == odd_at else draw(st.sampled_from(flaws))
         if flaw == "odd":
             name = draw(st.sampled_from(sorted(_ODD)))
             rec[name] = draw(_ODD[name])
@@ -547,6 +653,21 @@ def _ingest_outcome(read, path):
 @given(st.data(), st.sampled_from(["jsonl", "csv"]))
 def test_ingest_matches_reference_reader(drawn, fmt):
     rows = drawn.draw(_dataset_rows(fmt))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"data.{fmt}"
+        if fmt == "jsonl":
+            path.write_text("".join(rows), encoding="utf-8")
+        else:
+            write_rows(path, rows)
+        assert _ingest_outcome(_ingest_rows, path) == _ingest_outcome(ref_ingest, path)
+
+
+# one odd value in an otherwise well-formed file, which no earlier flaw
+# can mask
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(["jsonl", "csv"]))
+def test_ingest_matches_reference_reader_on_one_odd_value(drawn, fmt):
+    rows = drawn.draw(_dataset_rows(fmt, one_odd=True))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"data.{fmt}"
         if fmt == "jsonl":
