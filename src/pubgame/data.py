@@ -116,14 +116,6 @@ def _is_number_text(raw: str) -> bool:
     return raw.isascii() and "_" not in raw
 
 
-def _text_number(raw: str) -> float:
-    # float() of number text; other text gives NaN, which no range test passes
-    try:
-        return float(raw) if raw and _is_number_text(raw) else math.nan
-    except ValueError:
-        return math.nan
-
-
 def _finite(raw, name: str) -> float:
     try:
         # float(True) is 1.0: a JSON boolean is not a number here
@@ -141,10 +133,10 @@ def _finite(raw, name: str) -> float:
 
 def _read_record(values: tuple, score) -> tuple[datetime, tuple]:
     """One record's timestamp and checked fields, in the order of a
-    pool's columns less ``u_f_norm``.  Presence is checked first; then a
-    value of the common type, or a number as text, passes on type and
-    range tests, and any other goes through the general conversion,
-    which may raise a SchemaError (the caller adds the location)."""
+    pool's columns less ``u_f_norm``.  Presence is checked first;
+    then a value of the common type passes on type and range tests, and
+    any other goes through the general conversion, which may raise a
+    SchemaError (the caller adds the location)."""
     # a falsy value may be present (a view count of 0): look closer
     if not all(values):
         for name, value in zip(REQUIRED_FIELDS, values):
@@ -160,18 +152,14 @@ def _read_record(values: tuple, score) -> tuple[datetime, tuple]:
         stamp = datetime.fromisoformat(str(raw_stamp))
     except ValueError:
         raise SchemaError(f"bad timestamp {_echo(str(raw_stamp))}; expected ISO-8601")
-    # a view count as text is ASCII digits: int() would also take signs,
-    # padding, underscores and other scripts' digits
-    if type(views) is str and views.isdigit() and views.isascii():
-        try:
-            views = int(views)
-        except ValueError:  # longer than int() reads
-            pass
     if type(views) is not int or not 0 <= views <= _MAX_VIEWS:
         try:
-            # text that int() did not read above is refused
-            if isinstance(views, (bool, str)) or (
-                isinstance(views, float) and not views.is_integer()
+            # a string counts only in ASCII digits: int() would also take
+            # signs, padding, underscores and other scripts' digits
+            if (
+                isinstance(views, bool)
+                or (isinstance(views, float) and not views.is_integer())
+                or (isinstance(views, str) and not (views.isascii() and views.isdigit()))
             ):
                 raise ValueError
             views = int(views)
@@ -181,15 +169,10 @@ def _read_record(values: tuple, score) -> tuple[datetime, tuple]:
             raise SchemaError("view_count must be >= 0")
         if views > _MAX_VIEWS:
             raise SchemaError(f"view_count {_echo(views)} is too large for a float")
-    if type(u_g) is str and 0.0 <= (number := _text_number(u_g)) < math.inf:
-        u_g = number
     if type(u_g) is not float or not 0.0 <= u_g < math.inf:
         u_g = _finite(u_g, "u_g")
         if u_g < 0:
             raise SchemaError("u_g must be >= 0")
-    # a pool's NaN score means none: a NaN read is refused, not kept
-    if type(score) is str and -math.inf < (number := _text_number(score)) < math.inf:
-        score = number
     if score is not None and (type(score) is not float or not -math.inf < score < math.inf):
         score = None if score == "" else _finite(score, "forum_score")
     return stamp, (str(qid), str(domain), str(title), str(body), views, u_g, score)
